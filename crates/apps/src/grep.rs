@@ -8,7 +8,7 @@
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
-use supmr::CompactKey;
+use supmr::{CompactKey, KeyPrefix};
 use supmr_storage::scan::find_byte;
 
 /// Count occurrences of fixed byte patterns.
@@ -86,6 +86,10 @@ impl MapReduce for Grep {
 
     fn reduce(&self, _key: &CompactKey, count: u64) -> u64 {
         count
+    }
+
+    fn key_prefix(&self, key: &CompactKey) -> u64 {
+        key.key_prefix()
     }
 }
 

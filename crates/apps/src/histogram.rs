@@ -8,6 +8,7 @@
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Count;
 use supmr::container::ArrayContainer;
+use supmr::KeyPrefix;
 use supmr_storage::RecordFormat;
 
 /// Number of buckets per channel.
@@ -58,6 +59,10 @@ impl MapReduce for Histogram {
 
     fn reduce(&self, _key: &usize, count: u64) -> u64 {
         count
+    }
+
+    fn key_prefix(&self, key: &usize) -> u64 {
+        key.key_prefix()
     }
 }
 

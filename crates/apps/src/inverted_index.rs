@@ -10,7 +10,7 @@
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Buffer;
 use supmr::container::HashContainer;
-use supmr::CompactKey;
+use supmr::{CompactKey, KeyPrefix};
 use supmr_storage::scan::{self, find_byte, ByteClass};
 
 /// Build an inverted index over `docid<TAB>text` lines.
@@ -70,6 +70,10 @@ impl MapReduce for InvertedIndex {
         postings.sort_unstable();
         postings.dedup();
         postings
+    }
+
+    fn key_prefix(&self, key: &CompactKey) -> u64 {
+        key.key_prefix()
     }
 }
 

@@ -20,7 +20,7 @@ use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::ArrayContainer;
 use supmr::runtime::{Input, JobConfig, JobReport, Pipeline, Stage};
-use supmr::SupmrError;
+use supmr::{KeyPrefix, SupmrError};
 
 /// Partial sums for one cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -98,6 +98,10 @@ impl MapReduce for KMeansStep {
 
     fn reduce(&self, _key: &usize, acc: ClusterSum) -> ClusterSum {
         acc
+    }
+
+    fn key_prefix(&self, key: &usize) -> u64 {
+        key.key_prefix()
     }
 }
 

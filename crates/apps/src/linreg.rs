@@ -9,6 +9,7 @@
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::ArrayContainer;
+use supmr::KeyPrefix;
 
 /// Statistic slot indices.
 pub const N: usize = 0;
@@ -76,6 +77,10 @@ impl MapReduce for LinearRegression {
 
     fn reduce(&self, _key: &usize, acc: Stat) -> Stat {
         acc
+    }
+
+    fn key_prefix(&self, key: &usize) -> u64 {
+        key.key_prefix()
     }
 }
 

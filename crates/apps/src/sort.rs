@@ -12,7 +12,7 @@ use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Identity;
 use supmr::container::UnlockedContainer;
 use supmr::runtime::{FrameIter, Input, JobConfig, MergeMode, Pipeline, PipelineResult, Stage};
-use supmr::PairCodec;
+use supmr::{KeyPrefix, PairCodec};
 use supmr_storage::RecordFormat;
 use supmr_workloads::TERA_KEY_LEN;
 
@@ -85,6 +85,10 @@ impl MapReduce for TeraSort {
         record
     }
 
+    fn key_prefix(&self, key: &Vec<u8>) -> u64 {
+        key.key_prefix()
+    }
+
     /// Spill format: [`TERA_PAIRS`].
     fn spill_codec(&self) -> Option<PairCodec<Vec<u8>, Vec<u8>>> {
         Some(TERA_PAIRS)
@@ -123,6 +127,10 @@ impl MapReduce for TeraPartition {
         record
     }
 
+    fn key_prefix(&self, key: &Vec<u8>) -> u64 {
+        key.key_prefix()
+    }
+
     fn spill_codec(&self) -> Option<PairCodec<Vec<u8>, Vec<u8>>> {
         Some(TERA_PAIRS)
     }
@@ -158,6 +166,10 @@ impl MapReduce for TeraMerge {
 
     fn reduce(&self, _key: &Vec<u8>, record: Vec<u8>) -> Vec<u8> {
         record
+    }
+
+    fn key_prefix(&self, key: &Vec<u8>) -> u64 {
+        key.key_prefix()
     }
 
     fn spill_codec(&self) -> Option<PairCodec<Vec<u8>, Vec<u8>>> {

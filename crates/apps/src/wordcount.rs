@@ -16,7 +16,7 @@
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
-use supmr::{CompactKey, PairCodec};
+use supmr::{CompactKey, KeyPrefix, PairCodec};
 use supmr_storage::scan::{self, ByteClass};
 
 /// The word count application.
@@ -70,6 +70,10 @@ impl MapReduce for WordCount {
 
     fn reduce(&self, _key: &CompactKey, count: u64) -> u64 {
         count
+    }
+
+    fn key_prefix(&self, key: &CompactKey) -> u64 {
+        key.key_prefix()
     }
 
     /// Spill format: `u32 LE` word length, word bytes, `u64 LE` count —

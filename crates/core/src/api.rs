@@ -75,6 +75,22 @@ pub trait MapReduce: Send + Sync + 'static {
     /// Coalesce the accumulated values of one key into an output.
     fn reduce(&self, key: &Self::Key, acc: AccOf<Self>) -> Self::Output;
 
+    /// An order-preserving 8-byte prefix of `key`, which every sort and
+    /// merge of this job's pairs compares before the keys themselves
+    /// (the merge phase, spill-run sorts, the external reduce) — dense
+    /// `u64`s instead of two pointer chases per comparison.
+    ///
+    /// # Contract
+    /// `a <= b` ⟹ `key_prefix(a) <= key_prefix(b)`. Equal prefixes
+    /// decide nothing: the comparison falls through to `Key::cmp`, so
+    /// the default — `0` for every key, "compare full keys" — is always
+    /// correct, and a prefix only ever changes speed. Implement it with
+    /// [`KeyPrefix`](crate::key::KeyPrefix) where the key type has one
+    /// (byte strings, `usize`): `key.key_prefix()`.
+    fn key_prefix(&self, _key: &Self::Key) -> u64 {
+        0
+    }
+
     /// How this application's intermediate pairs cross the byte
     /// boundary into spill run files, enabling out-of-core execution
     /// under [`JobConfig::memory_budget`]. The default — `None` — keeps

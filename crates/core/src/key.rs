@@ -227,6 +227,45 @@ impl From<&str> for CompactKey {
     }
 }
 
+/// Key types with a canonical order-preserving 8-byte prefix — what an
+/// application's [`MapReduce::key_prefix`](crate::api::MapReduce::key_prefix)
+/// returns for them.
+///
+/// Implementations are monotone in the key's `Ord`
+/// (`a <= b` ⟹ `a.key_prefix() <= b.key_prefix()`); keys the prefix
+/// cannot tell apart merely tie.
+pub trait KeyPrefix {
+    /// The prefix.
+    fn key_prefix(&self) -> u64;
+}
+
+impl KeyPrefix for [u8] {
+    /// The first 8 bytes, big-endian, zero-padded: byte-string order on
+    /// everything the 8 bytes can tell apart. Keys that differ only
+    /// past them — or only in trailing NULs — tie.
+    #[inline]
+    fn key_prefix(&self) -> u64 {
+        let mut word = [0u8; 8];
+        let n = self.len().min(8);
+        word[..n].copy_from_slice(&self[..n]);
+        u64::from_be_bytes(word)
+    }
+}
+
+impl KeyPrefix for CompactKey {
+    #[inline]
+    fn key_prefix(&self) -> u64 {
+        self.as_bytes().key_prefix()
+    }
+}
+
+impl KeyPrefix for usize {
+    #[inline]
+    fn key_prefix(&self) -> u64 {
+        *self as u64
+    }
+}
+
 /// A key constructible from (and comparable against) a borrowed byte
 /// slice, with a hash that can be computed from the slice alone.
 ///

@@ -107,7 +107,7 @@ pub mod split;
 pub use api::{Emit, MapReduce};
 pub use chunk::{Chunking, IngestChunk};
 pub use error::{Result, SupmrError};
-pub use key::{ByteKey, CompactKey};
+pub use key::{ByteKey, CompactKey, KeyPrefix};
 pub use parse::{parse_duration, parse_size, ParseError};
 pub use pool::{FairShare, PoolMetrics, PoolMode, ShareTicket};
 pub use runtime::{

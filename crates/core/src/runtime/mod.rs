@@ -42,7 +42,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use supmr_merge::{merge_by_key, merge_fold, pairwise_merge_rounds, parallel_kway_merge};
+use supmr_merge::{merge_by_key, merge_fold, merge_runs, pairwise_rounds, ByKey, SortedRun};
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
     BottleneckReport, DebugState, DiagInputs, EventCallback, EventKind, FlowLedger, FlowPhase,
@@ -1080,8 +1080,9 @@ pub(crate) fn setup_spill<J: MapReduce>(
     ));
     let sink = {
         let spill = Arc::clone(&spill);
+        let job = Arc::clone(job);
         Arc::new(move |partition: usize, pairs: Vec<(J::Key, AccOf<J>)>| {
-            spill.spill_partition(partition, pairs);
+            spill.spill_partition(partition, pairs, &ByKey(|key: &J::Key| job.key_prefix(key)));
         })
     };
     let hooks = SpillHooks {
@@ -1159,11 +1160,16 @@ pub(crate) fn finish_job<J: MapReduce>(
     let streamed = wiring.handoff.filter(|_| matches!(config.merge, MergeMode::Unsorted));
     timer.begin(Phase::Reduce);
     let reduce_t0 = Instant::now();
-    let reduced = match &spill {
+    // The external reduce streams each partition out of a key-ordered
+    // merge; the in-memory drain leaves partitions in container order.
+    let (reduced, presorted) = match &spill {
         Some(sp) if sp.runs_written() > 0 => {
-            external_reduce(job, container, sp, config, exec, tracer, &mut stats, streamed)?
+            (external_reduce(job, container, sp, config, exec, tracer, &mut stats, streamed)?, true)
         }
-        _ => in_memory_reduce(job, container, config, exec, tracer, metrics, &mut stats, streamed),
+        _ => (
+            in_memory_reduce(job, container, config, exec, tracer, metrics, &mut stats, streamed),
+            false,
+        ),
     };
     let reduce_elapsed = reduce_t0.elapsed();
     timer.end(Phase::Reduce);
@@ -1186,8 +1192,10 @@ pub(crate) fn finish_job<J: MapReduce>(
             // Sorted hand-off: merge the materialized pairs, then frame
             // them as one segment. Every pair counts as materialized.
             timer.begin(Phase::Merge);
-            let pairs = merge_phase::<J>(
+            let pairs = merge_phase(
+                job,
                 reduced.into_iter().map(|p| p.pairs).collect(),
+                presorted,
                 config,
                 exec,
                 tracer,
@@ -1209,8 +1217,10 @@ pub(crate) fn finish_job<J: MapReduce>(
         }
         None => {
             timer.begin(Phase::Merge);
-            let pairs = merge_phase::<J>(
+            let pairs = merge_phase(
+                job,
                 reduced.into_iter().map(|p| p.pairs).collect(),
+                presorted,
                 config,
                 exec,
                 tracer,
@@ -1377,10 +1387,10 @@ fn external_reduce<J: MapReduce>(
             // iterator can't return Result mid-merge).
             let parked: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
             let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(drains.len() + runs.len());
+            let order = ByKey(|key: &J::Key| reduce_job.key_prefix(key));
             for payload in drains {
-                let mut part = <J::Container>::drain(payload);
-                part.sort_by(|a, b| a.0.cmp(&b.0));
-                sources.push(Box::new(part.into_iter()));
+                let part = SortedRun::sort(<J::Container>::drain(payload), &order);
+                sources.push(Box::new(part.into_items().into_iter()));
             }
             for run in &runs {
                 let decoded =
@@ -1434,31 +1444,15 @@ fn external_reduce<J: MapReduce>(
     reduced.into_iter().collect()
 }
 
-/// Pair wrapper ordering on the key only, so outputs need not be `Ord`.
-#[derive(Clone)]
-struct ByKey<K, O>(K, O);
-
-impl<K: Ord, O> PartialEq for ByKey<K, O> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl<K: Ord, O> Eq for ByKey<K, O> {}
-impl<K: Ord, O> PartialOrd for ByKey<K, O> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord, O> Ord for ByKey<K, O> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-/// The merge phase: sort reduce partitions in parallel (a wave), then
-/// combine them with the configured backend.
+/// The merge phase: sort the reduce partitions into runs in parallel (a
+/// wave), then combine the runs with the configured backend. Both steps
+/// order pairs by key, [`MapReduce::key_prefix`] first. `presorted`
+/// partitions (the external reduce's) are runs already.
+#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 fn merge_phase<J: MapReduce>(
+    job: &Arc<J>,
     reduced: Vec<Vec<(J::Key, J::Output)>>,
+    presorted: bool,
     config: &JobConfig,
     exec: Executor<'_>,
     tracer: &Tracer,
@@ -1468,21 +1462,30 @@ fn merge_phase<J: MapReduce>(
     if matches!(config.merge, MergeMode::Unsorted) {
         return reduced.into_iter().flatten().collect();
     }
+    // One ordered partition is the output as it stands and nothing will
+    // be compared, so its keys are not read for prefixes either: the
+    // phase is a move.
+    let moved = presorted && reduced.iter().filter(|part| !part.is_empty()).count() <= 1;
+    let prefix_job = Arc::clone(job);
+    let order = ByKey(move |key: &J::Key| if moved { 0 } else { prefix_job.key_prefix(key) });
     // "each round (1) sorts many small lists in parallel and (2) merges
     // the lists" — step (1) is a full-width wave for both backends.
-    let (runs, outcome) = exec.run_collect(config.effective_map_workers(), reduced, |_, part| {
-        let mut run: Vec<ByKey<J::Key, J::Output>> =
-            part.into_iter().map(|(k, o)| ByKey(k, o)).collect();
-        run.sort();
-        run
-    });
+    let run_order = order.clone();
+    let (runs, outcome) =
+        exec.run_collect(config.effective_map_workers(), reduced, move |_, part| {
+            if presorted {
+                SortedRun::presorted(part, &run_order)
+            } else {
+                SortedRun::sort(part, &run_order)
+            }
+        });
     stats.add_wave(outcome);
 
     let merge_start = Instant::now();
-    let merged: Vec<ByKey<J::Key, J::Output>> = match config.merge {
+    match config.merge {
         MergeMode::Unsorted => unreachable!("handled above"),
         MergeMode::PairwiseRounds => {
-            let (merged, pw) = pairwise_merge_rounds(runs, true);
+            let (merged, pw) = pairwise_rounds(runs, &order, true);
             // The backend timed each round; replay them as spans laid
             // end to end from the merge start.
             let mut t = merge_start;
@@ -1508,7 +1511,7 @@ fn merge_phase<J: MapReduce>(
         MergeMode::PWay { ways } => {
             tracer
                 .emit_at(merge_start, EventKind::MergeRoundStart { round: 0, width: ways as u32 });
-            let (merged, kw) = parallel_kway_merge(runs, ways);
+            let (merged, kw) = merge_runs(runs, &order, ways);
             tracer.emit(EventKind::MergeRoundEnd { round: 0 });
             stats.merge_rounds = u32::from(kw.partitions >= 1 && !merged.is_empty());
             stats.merge_elements_moved = kw.elements_moved;
@@ -1519,8 +1522,7 @@ fn merge_phase<J: MapReduce>(
             }
             merged
         }
-    };
-    merged.into_iter().map(|ByKey(k, o)| (k, o)).collect()
+    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use supmr_merge::{RunReadError, RunReader, RunWriter};
+use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun};
 use supmr_metrics::{
     Counter, EventKind, FlowLedger, FlowPhase, Gauge, Histogram, Registry, Tracer,
 };
@@ -411,13 +411,21 @@ where
         self.bytes_total.load(Ordering::Relaxed)
     }
 
-    /// Sink one drained batch as a sorted run tagged `partition`.
+    /// Sink one drained batch as a run tagged `partition`, sorted
+    /// under `order` (by key, the job's
+    /// [`MapReduce::key_prefix`](crate::api::MapReduce::key_prefix)
+    /// first).
     ///
     /// Called from map workers mid-wave (via [`SpillHooks::sink`]), so
     /// it must not panic: I/O failures are parked and the batch is
     /// dropped — the job fails with the parked error at the next phase
     /// boundary, exactly like an ingest fault.
-    pub(crate) fn spill_partition(&self, partition: usize, mut pairs: Vec<(K, A)>) {
+    pub(crate) fn spill_partition(
+        &self,
+        partition: usize,
+        pairs: Vec<(K, A)>,
+        order: &impl Order<(K, A)>,
+    ) {
         if pairs.is_empty() {
             return;
         }
@@ -429,10 +437,10 @@ where
         let t0 = Instant::now();
         let name = format!("{}run-{partition:03}-{run_id:06}", self.run_prefix);
         let result = (|| -> io::Result<(u64, u64)> {
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            let run = SortedRun::sort(pairs, order);
             let mut writer = RunWriter::from_writer(self.store.create(&name)?);
             let mut buf = Vec::new();
-            for (k, a) in &pairs {
+            for (k, a) in run.items() {
                 buf.clear();
                 (self.codec.encode)(k, a, &mut buf);
                 writer.push(&buf)?;
@@ -558,6 +566,7 @@ impl<K, A> Iterator for DecodedRun<K, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supmr_merge::ByKey;
     use supmr_metrics::TraceLevel;
     use supmr_storage::MemRunStore;
 
@@ -615,7 +624,7 @@ mod tests {
             String::new(),
             None,
         );
-        spill.spill_partition(3, vec![(9, 1), (2, 2), (5, 3)]);
+        spill.spill_partition(3, vec![(9, 1), (2, 2), (5, 3)], &ByKey(|k: &u64| k >> 2));
         assert_eq!(spill.runs_written(), 1);
         let runs = spill.take_runs();
         assert_eq!(runs.len(), 1);
@@ -645,7 +654,7 @@ mod tests {
             String::new(),
             None,
         );
-        spill.spill_partition(0, Vec::new());
+        spill.spill_partition(0, Vec::new(), &ByKey(|_: &u64| 0));
         assert_eq!(spill.runs_written(), 0);
         assert!(store.is_empty());
     }
@@ -669,7 +678,7 @@ mod tests {
             String::new(),
             None,
         );
-        spill.spill_partition(0, vec![(1, 1), (2, 2)]);
+        spill.spill_partition(0, vec![(1, 1), (2, 2)], &ByKey(|_: &u64| 0));
         assert_eq!(spill.runs_written(), 0);
         let err = spill.check().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);

@@ -11,7 +11,7 @@ use supmr::chunk::{Chunker, InterFileChunker, IntraFileChunker};
 use supmr::combiner::Sum;
 use supmr::container::{Container, HashContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
-use supmr::{Chunking, CompactKey, PoolMode};
+use supmr::{Chunking, CompactKey, KeyPrefix, PoolMode};
 use supmr_storage::{MemFileSet, MemSource, RecordFormat};
 
 struct WordCount;
@@ -204,6 +204,38 @@ proptest! {
         prop_assert_eq!(ka.is_heap(), a.len() > CompactKey::INLINE_CAP);
         prop_assert_eq!(ka == kb, a == b);
         prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+    }
+
+    #[test]
+    fn key_prefixes_are_monotone_in_key_order(
+        // A four-byte alphabet with NUL in it, lengths either side of 8:
+        // keys shorter than the prefix, keys differing only in trailing
+        // NULs and keys alike in their first 8 bytes are all common.
+        a in vec(prop_oneof![Just(0u8), Just(1u8), Just(b'a'), Just(0xffu8)], 0..12),
+        b in vec(prop_oneof![Just(0u8), Just(1u8), Just(b'a'), Just(0xffu8)], 0..12),
+        x in any::<u64>(),
+        y in any::<u64>(),
+    ) {
+        // The contract, a <= b ⟹ prefix(a) <= prefix(b), in the form
+        // that also pins down what a differing prefix promises.
+        let (pa, pb) = (a.key_prefix(), b.key_prefix());
+        if pa != pb {
+            prop_assert_eq!(pa.cmp(&pb), a.cmp(&b));
+        }
+        let (ka, kb) = (CompactKey::from_bytes(&a), CompactKey::from_bytes(&b));
+        prop_assert_eq!(ka.key_prefix(), pa);
+        if ka.key_prefix() != kb.key_prefix() {
+            prop_assert_eq!(ka.key_prefix().cmp(&kb.key_prefix()), ka.cmp(&kb));
+        }
+        // Trailing NULs are invisible to the prefix: a tie, never a lie.
+        let mut padded = a.clone();
+        padded.push(0);
+        prop_assert!(pa <= padded.key_prefix());
+        if a.len() < 8 {
+            prop_assert_eq!(pa, padded.key_prefix());
+        }
+        let (x, y) = (x as usize, y as usize);
+        prop_assert_eq!(x.key_prefix().cmp(&y.key_prefix()), x.cmp(&y));
     }
 
     #[test]

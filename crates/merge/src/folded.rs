@@ -6,50 +6,12 @@
 //! jobs, where each source holds at most one entry per key) or keep
 //! every record (identity-combiner jobs like Terasort, where duplicates
 //! are real data). Both shapes ride the same
-//! [`LoserTree`] used everywhere else in this crate,
-//! ordered by key only.
+//! [`LoserTree`](crate::LoserTree) used everywhere else in this crate,
+//! under the key-only [`ByKey`] order, so the tree never compares (or
+//! requires ordering on) accumulator values.
 
-use crate::loser_tree::{merge_iterators, LoserTree};
-
-/// A `(key, accumulator)` pair ordered **by key only**, so the loser
-/// tree never compares (or requires ordering on) accumulator values.
-pub struct Keyed<K, A> {
-    /// Sort key.
-    pub key: K,
-    /// Payload carried alongside the key, ignored by comparisons.
-    pub acc: A,
-}
-
-impl<K: Ord, A> PartialEq for Keyed<K, A> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<K: Ord, A> Eq for Keyed<K, A> {}
-
-impl<K: Ord, A> PartialOrd for Keyed<K, A> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, A> Ord for Keyed<K, A> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// Adapts an `Iterator<Item = (K, A)>` into keyed items for the tree.
-pub struct KeyedIter<I>(I);
-
-impl<K, A, I: Iterator<Item = (K, A)>> Iterator for KeyedIter<I> {
-    type Item = Keyed<K, A>;
-
-    fn next(&mut self) -> Option<Keyed<K, A>> {
-        self.0.next().map(|(key, acc)| Keyed { key, acc })
-    }
-}
+use crate::loser_tree::merge_iterators_by;
+use crate::run::ByKey;
 
 /// Merge key-sorted `(key, acc)` sources into one key-sorted stream,
 /// preserving duplicates (no folding). Memory use is one buffered pair
@@ -58,37 +20,37 @@ pub fn merge_by_key<K: Ord, A, I>(sources: Vec<I>) -> impl Iterator<Item = (K, A
 where
     I: Iterator<Item = (K, A)>,
 {
-    merge_iterators(sources.into_iter().map(KeyedIter).collect()).map(|k| (k.key, k.acc))
+    let no_prefix: fn(&K) -> u64 = |_| 0;
+    merge_iterators_by(sources, ByKey(no_prefix))
 }
 
 /// Merge key-sorted `(key, acc)` sources into one key-sorted stream,
 /// folding equal keys with `fold` (first accumulator wins the slot, the
 /// rest are folded into it in merge order). One output pair per
 /// distinct key.
-pub fn merge_fold<K, A, I, F>(sources: Vec<I>, fold: F) -> FoldedMerge<K, A, I, F>
+pub fn merge_fold<K, A, I, F>(
+    sources: Vec<I>,
+    fold: F,
+) -> FoldedMerge<K, A, impl Iterator<Item = (K, A)>, F>
 where
     K: Ord,
     I: Iterator<Item = (K, A)>,
     F: FnMut(&mut A, A),
 {
-    FoldedMerge {
-        inner: merge_iterators(sources.into_iter().map(KeyedIter).collect()),
-        pending: None,
-        fold,
-    }
+    FoldedMerge { inner: merge_by_key(sources), pending: None, fold }
 }
 
 /// Streaming combiner-folding merge returned by [`merge_fold`].
-pub struct FoldedMerge<K: Ord, A, I: Iterator<Item = (K, A)>, F> {
-    inner: LoserTree<Keyed<K, A>, KeyedIter<I>>,
+pub struct FoldedMerge<K, A, M, F> {
+    inner: M,
     pending: Option<(K, A)>,
     fold: F,
 }
 
-impl<K, A, I, F> Iterator for FoldedMerge<K, A, I, F>
+impl<K, A, M, F> Iterator for FoldedMerge<K, A, M, F>
 where
     K: Ord,
-    I: Iterator<Item = (K, A)>,
+    M: Iterator<Item = (K, A)>,
     F: FnMut(&mut A, A),
 {
     type Item = (K, A);
@@ -96,7 +58,7 @@ where
     fn next(&mut self) -> Option<(K, A)> {
         loop {
             match self.inner.next() {
-                Some(Keyed { key, acc }) => match &mut self.pending {
+                Some((key, acc)) => match &mut self.pending {
                     Some((pk, pa)) if *pk == key => (self.fold)(pa, acc),
                     pending => {
                         if let Some(done) = pending.replace((key, acc)) {

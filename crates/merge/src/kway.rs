@@ -6,13 +6,18 @@
 //!
 //! The parallel variant partitions the *output* by splitter keys sampled
 //! from the runs (the `gnu_parallel` multiway-merge strategy): each of the
-//! `p` workers owns a disjoint key range, binary-searches every run for
-//! its range boundaries, and loser-tree-merges just those subruns. Workers
-//! never touch each other's output, so the round is embarrassingly
-//! parallel and utilization stays flat-high instead of stepping down.
+//! `p` ways owns a disjoint key range, binary-searches every run for its
+//! range boundaries, and loser-tree-merges just those index ranges
+//! straight into its own slice of the one output allocation. Ways never
+//! touch each other's input or output, so the round is embarrassingly
+//! parallel and utilization stays flat-high instead of stepping down —
+//! and each element is written exactly once: there is no carved sub-run,
+//! per-way buffer or concatenation in between.
 
 use crate::loser_tree::LoserTree;
+use crate::run::{ByRef, Natural, Order, SortedRun};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// Work counters from a k-way merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,9 +36,10 @@ pub struct KwayStats {
 /// sequential pass over the data.
 pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> (Vec<T>, KwayStats) {
     let total: usize = runs.iter().map(Vec::len).sum();
-    let mut lt = LoserTree::new(runs.into_iter().map(Vec::into_iter).collect());
+    let sources = runs.into_iter().map(|run| run.into_iter().map(|item| (0, item))).collect();
+    let mut lt = LoserTree::new(sources, Natural);
     let mut out = Vec::with_capacity(total);
-    out.extend(lt.by_ref());
+    out.extend(lt.by_ref().map(|(_, item)| item));
     let stats = KwayStats {
         comparisons: lt.comparisons(),
         elements_moved: out.len() as u64,
@@ -43,101 +49,144 @@ pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> (Vec<T>, KwayStats) {
 }
 
 /// Merge `runs` into one sorted vector using `ways` parallel output
-/// partitions.
-///
-/// Equal keys never straddle a partition boundary (boundaries are lower
-/// bounds), and within a partition the loser tree is stable, so the merge
-/// as a whole is stable.
-///
-/// Elements are **moved**, never cloned (runs are carved into disjoint
-/// sub-runs with `split_off`); `Clone` is only needed to materialize the
-/// few splitter keys. This matters: merge inputs are often
-/// allocation-heavy records, and a cloning merge would hand the baseline
-/// an artificial advantage.
+/// partitions: [`merge_runs`] under `T`'s own [`Ord`] (no prefix).
 ///
 /// # Panics
 /// Panics if `ways == 0`.
 pub fn parallel_kway_merge<T>(runs: Vec<Vec<T>>, ways: usize) -> (Vec<T>, KwayStats)
 where
-    T: Ord + Clone + Send,
+    T: Ord + Send + Sync,
 {
-    assert!(ways > 0, "need at least one way");
-    let total: usize = runs.iter().map(Vec::len).sum();
-    if ways == 1 || total == 0 || runs.len() <= 1 {
-        let (out, mut stats) = kway_merge(runs);
-        stats.partitions = 1;
-        return (out, stats);
-    }
-
-    let splitters = sample_splitters(&runs, ways);
-    // Partition p covers keys in [splitters[p-1], splitters[p]) with the
-    // first and last partitions unbounded below/above. Carve each run
-    // into owned sub-runs, back to front.
-    let parts_count = splitters.len() + 1;
-    let mut partition_jobs: Vec<Vec<Vec<T>>> =
-        (0..parts_count).map(|_| Vec::with_capacity(runs.len())).collect();
-    for mut run in runs {
-        let cuts: Vec<usize> = splitters.iter().map(|s| run.partition_point(|x| x < s)).collect();
-        for p in (1..parts_count).rev() {
-            let tail = run.split_off(cuts[p - 1].min(run.len()));
-            partition_jobs[p].push(tail);
-        }
-        partition_jobs[0].push(run);
-    }
-
-    let merged: Vec<(Vec<T>, u64)> = partition_jobs
-        .into_par_iter()
-        .map(|subruns| {
-            let expected: usize = subruns.iter().map(Vec::len).sum();
-            let mut lt = LoserTree::new(subruns.into_iter().map(Vec::into_iter).collect());
-            let mut out = Vec::with_capacity(expected);
-            out.extend(lt.by_ref());
-            let comparisons = lt.comparisons();
-            (out, comparisons)
-        })
-        .collect();
-
-    let mut out = Vec::with_capacity(total);
-    let mut comparisons = 0;
-    let partitions = merged.len();
-    for (part, c) in merged {
-        out.extend(part);
-        comparisons += c;
-    }
-    let stats = KwayStats { comparisons, elements_moved: out.len() as u64, partitions };
-    (out, stats)
+    let runs = runs.into_iter().map(|run| SortedRun::presorted(run, &Natural)).collect();
+    merge_runs(runs, &Natural, ways)
 }
 
-/// Pick `ways - 1` splitter keys that approximately equipartition the
-/// merged output, by sampling each run at regular offsets and taking
-/// quantiles of the pooled (sorted) sample.
-fn sample_splitters<T: Ord + Clone>(runs: &[Vec<T>], ways: usize) -> Vec<T> {
-    const OVERSAMPLE: usize = 8;
-    let per_run = ways * OVERSAMPLE;
-    let mut sample: Vec<T> = Vec::new();
-    for run in runs {
-        if run.is_empty() {
-            continue;
+/// Merge sorted runs into one vector sorted under `order`, using `ways`
+/// parallel output partitions — the p-way kernel behind
+/// [`parallel_kway_merge`], [`parallel_sort`](crate::parallel_sort) and
+/// the runtime's merge phase.
+///
+/// Equal keys never straddle a partition boundary (boundaries are lower
+/// bounds), and within a partition the loser tree is stable, so the merge
+/// as a whole is stable: equal keys come out by (run index, position in
+/// run).
+///
+/// Elements are **moved**, never cloned, and moved once. A single
+/// non-empty run is returned as it stands: a merge of one run is a move
+/// of the vector, though it still counts its `N` elements as the one
+/// pass they took.
+///
+/// # Panics
+/// Panics if `ways == 0`.
+pub fn merge_runs<T, O>(mut runs: Vec<SortedRun<T>>, order: &O, ways: usize) -> (Vec<T>, KwayStats)
+where
+    T: Send + Sync,
+    O: Order<T> + Sync,
+{
+    assert!(ways > 0, "need at least one way");
+    runs.retain(|run| !run.is_empty());
+    let total: usize = runs.iter().map(SortedRun::len).sum();
+    if runs.len() <= 1 {
+        let out = runs.pop().map(SortedRun::into_items).unwrap_or_default();
+        return (out, KwayStats { comparisons: 0, elements_moved: total as u64, partitions: 1 });
+    }
+
+    // cuts[p][r]..cuts[p + 1][r] is the index range of run r that way p
+    // merges. Successive cuts of a run never decrease and the last is
+    // its length, so the ranges tile every run exactly, whatever the
+    // order does.
+    let cuts = splitter_cuts(&runs, order, ways);
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    let mut jobs = Vec::with_capacity(ways);
+    for bounds in cuts.windows(2) {
+        let len = bounds[0].iter().zip(&bounds[1]).map(|(lo, hi)| hi - lo).sum();
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        jobs.push((bounds, slots));
+    }
+    // One way: merge its index ranges into its slots; returns
+    // (comparisons, slots filled).
+    let merge_way = |(bounds, slots): (&[Vec<usize>], &mut [MaybeUninit<T>])| {
+        let sources = runs
+            .iter()
+            .zip(bounds[0].iter().zip(&bounds[1]))
+            .map(|(run, (&lo, &hi))| run.prefixed(lo..hi))
+            .collect();
+        let mut lt = LoserTree::new(sources, ByRef(order));
+        let mut filled = 0usize;
+        for (slot, (_, item)) in slots.iter_mut().zip(lt.by_ref()) {
+            // SAFETY: `item` is a valid `&T` into a run. This makes a
+            // bitwise copy while the run still owns the original; the
+            // copy sits in `out`'s spare capacity, neither dropped nor
+            // exposed, until the block at the end of this function
+            // makes the runs forget the originals.
+            slot.write(unsafe { std::ptr::read(item) });
+            filled += 1;
         }
+        (lt.comparisons(), filled)
+    };
+    let partitions = jobs.len();
+    let done: Vec<(u64, usize)> = jobs.into_par_iter().map(merge_way).collect();
+    let comparisons = done.iter().map(|&(c, _)| c).sum();
+    let filled: usize = done.iter().map(|&(_, f)| f).sum();
+    // Memory safety below rests on this: with the ranges tiling the runs
+    // and every way filling all of its slots, each element was read
+    // exactly once and every one of the first `total` slots is written.
+    assert_eq!(filled, total, "p-way merge filled {filled} of {total} output slots");
+    // SAFETY: the first `total` elements of `out` (within its capacity)
+    // were initialized by the ways, each with a copy of a distinct run
+    // element, and every run element was copied. Truncating the runs to
+    // zero length without dropping makes those copies the sole owners.
+    // A panic before this point (an `Order` that panics, the assert)
+    // unwinds with `out` at length 0 and the runs owning every element,
+    // so nothing is dropped twice; nothing in the block can panic.
+    unsafe {
+        for run in &mut runs {
+            run.items.set_len(0);
+        }
+        out.set_len(total);
+    }
+    (out, KwayStats { comparisons, elements_moved: total as u64, partitions })
+}
+
+/// Per-run index cuts for `ways` output partitions: row `p` holds, for
+/// every run, the lower bound of splitter `p` (row 0 is all zeros, the
+/// last row the run lengths). The `ways - 1` splitters approximately
+/// equipartition the merged output: each run is sampled at regular
+/// offsets and the splitters are quantiles of the pooled, sorted sample.
+fn splitter_cuts<T, O: Order<T>>(runs: &[SortedRun<T>], order: &O, ways: usize) -> Vec<Vec<usize>> {
+    const OVERSAMPLE: usize = 8;
+    let mut sample: Vec<(u64, &T)> = Vec::new();
+    for run in runs {
         // Cap at the run length: sampling a short run more times than it
         // has elements would duplicate them, over-weighting the short
         // run in the pooled quantiles and skewing partition balance.
-        let take = per_run.min(run.len());
-        for i in 0..take {
+        let take = (ways * OVERSAMPLE).min(run.len());
+        sample.extend((0..take).map(|i| {
             let idx = i * run.len() / take;
-            sample.push(run[idx].clone());
+            (run.prefixes[idx], &run.items[idx])
+        }));
+    }
+    sample.sort_by(|&a, &b| order.cmp_prefixed(a, b));
+    let mut cuts = vec![vec![0; runs.len()]];
+    if !sample.is_empty() {
+        for p in 1..ways {
+            let splitter = sample[(p * sample.len() / ways).min(sample.len() - 1)];
+            let prev = &cuts[p - 1];
+            let next =
+                runs.iter().zip(prev).map(|(run, &from)| run.lower_bound(from, splitter, order));
+            cuts.push(next.collect());
         }
     }
-    sample.sort();
-    if sample.is_empty() {
-        return Vec::new();
-    }
-    (1..ways).map(|p| sample[(p * sample.len() / ways).min(sample.len() - 1)].clone()).collect()
+    cuts.push(runs.iter().map(SortedRun::len).collect());
+    cuts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::ByKey;
 
     fn runs_interleaved(k: usize, n_per: usize) -> Vec<Vec<u64>> {
         (0..k).map(|i| (0..n_per).map(|j| (j * k + i) as u64).collect()).collect()
@@ -191,19 +240,25 @@ mod tests {
         parallel_kway_merge::<u32>(vec![vec![1]], 0);
     }
 
-    #[test]
-    fn splitters_are_sorted_and_bounded() {
-        let runs = runs_interleaved(4, 64);
-        let s = sample_splitters(&runs, 8);
-        assert_eq!(s.len(), 7);
-        assert!(s.windows(2).all(|w| w[0] <= w[1]));
-        assert!(s.iter().all(|&x| x < 256));
+    fn natural_runs(runs: Vec<Vec<u32>>) -> Vec<SortedRun<u32>> {
+        runs.into_iter().map(|run| SortedRun::presorted(run, &Natural)).collect()
     }
 
     #[test]
-    fn splitters_empty_when_all_runs_empty() {
-        let runs: Vec<Vec<u32>> = vec![vec![], vec![]];
-        assert!(sample_splitters(&runs, 4).is_empty());
+    fn cuts_tile_every_run_in_order() {
+        let runs = natural_runs(
+            runs_interleaved(4, 64)
+                .into_iter()
+                .map(|r| r.into_iter().map(|x| x as u32).collect())
+                .collect(),
+        );
+        let cuts = splitter_cuts(&runs, &Natural, 8);
+        assert_eq!(cuts.len(), 9);
+        assert_eq!(cuts[0], vec![0; 4]);
+        assert_eq!(cuts[8], vec![64; 4]);
+        for bounds in cuts.windows(2) {
+            assert!(bounds[0].iter().zip(&bounds[1]).all(|(lo, hi)| lo <= hi));
+        }
     }
 
     #[test]
@@ -212,12 +267,42 @@ mod tests {
         // would push 32 copies of {5, 6} into the pool (vs 32 samples of
         // 0..100), dragging every low quantile into the tiny run and
         // starving the early partitions.
-        let runs: Vec<Vec<u32>> = vec![vec![5, 6], (0..100).collect()];
-        let s = sample_splitters(&runs, 4);
-        assert_eq!(s.len(), 3);
-        assert!(s.windows(2).all(|w| w[0] <= w[1]));
-        assert!(s[0] > 6, "first splitter stuck inside the short run: {s:?}");
-        assert!(s[2] > 50, "upper splitter must reach the long run's top half: {s:?}");
+        let runs = natural_runs(vec![vec![5, 6], (0..100).collect()]);
+        let cuts = splitter_cuts(&runs, &Natural, 4);
+        let long: Vec<usize> = cuts.iter().map(|row| row[1]).collect();
+        assert!(long[1] > 6, "first splitter stuck inside the short run: {long:?}");
+        assert!(long[3] > 50, "upper splitter must reach the long run's top half: {long:?}");
+    }
+
+    #[test]
+    fn one_run_is_moved_not_merged() {
+        let run: Vec<u32> = (0..1000).collect();
+        let storage = run.as_ptr();
+        let (out, stats) = parallel_kway_merge(vec![vec![], run, vec![]], 4);
+        assert_eq!(out.as_ptr(), storage, "the run's own allocation is the output");
+        assert_eq!(stats, KwayStats { comparisons: 0, elements_moved: 1000, partitions: 1 });
+    }
+
+    #[test]
+    fn owned_elements_are_moved_exactly_once() {
+        // Heap-owning elements: a double move would double-free, a missed
+        // one would leak; the reference counts see either.
+        use std::sync::Arc;
+        let tokens: Vec<Arc<u32>> = (0..300).map(Arc::new).collect();
+        let runs: Vec<Vec<(u32, Arc<u32>)>> = (0..3)
+            .map(|r| {
+                (0..100).map(|i| (i * 3 + r, Arc::clone(&tokens[(i * 3 + r) as usize]))).collect()
+            })
+            .collect();
+        let runs = runs
+            .into_iter()
+            .map(|run| SortedRun::presorted(run, &ByKey(|k: &u32| u64::from(*k >> 3))))
+            .collect();
+        let (out, _) = merge_runs(runs, &ByKey(|k: &u32| u64::from(*k >> 3)), 4);
+        assert!(out.iter().enumerate().all(|(i, (k, t))| *k == i as u32 && **t == i as u32));
+        assert!(tokens.iter().all(|t| Arc::strong_count(t) == 2));
+        drop(out);
+        assert!(tokens.iter().all(|t| Arc::strong_count(t) == 1));
     }
 
     #[test]

@@ -13,14 +13,31 @@
 //! This crate implements both sides of that comparison plus the parallel
 //! sorts built on them:
 //!
-//! * [`loser_tree`] — the k-way tournament tree.
+//! * [`run`] — the sorted-run type all of them share: elements plus a
+//!   dense side array of order-preserving 8-byte key prefixes, the
+//!   [`Order`] that defines both, and the one run sort.
+//! * [`loser_tree`] — the flat k-way tournament tree, deciding matches
+//!   on cached prefixes first.
 //! * [`kway`] — single-pass p-way merge, sequential and parallel
-//!   (output-partitioned by splitter keys).
+//!   (output-partitioned by splitter keys, every way writing its slice
+//!   of the one output allocation).
 //! * [`pairwise`] — the baseline iterative 2-way merge rounds with
 //!   instrumentation (rounds, elements re-scanned, wave widths) so the
 //!   "step curve" of the paper's Fig. 1 is observable.
-//! * [`sort`] — parallel chunk sort + configurable merge backend; this is
-//!   both the runtime's merge phase and the "OpenMP sort" comparator.
+//! * [`sort`] — parallel run sort + configurable merge backend: the
+//!   "OpenMP sort" comparator.
+//!
+//! # The key prefix
+//!
+//! Every sort and merge here runs under an [`Order`]: the full
+//! comparison plus an order-preserving 8-byte **prefix** of the key,
+//! cached per element in a [`SortedRun`]'s side array and per head in
+//! the tree. The contract is `cmp(a, b) != Greater` ⟹
+//! `prefix(a) <= prefix(b)`; equal prefixes decide nothing and fall
+//! through to `cmp` (then to run index and position, so every merge is
+//! stable), which makes the constant `0` — [`Natural`], what the
+//! `T: Ord` entry points use — always valid. A prefix changes how many
+//! comparisons dereference a key, never the output.
 //!
 //! ```
 //! use supmr_merge::{kway_merge, pairwise_merge_rounds};
@@ -41,14 +58,16 @@ pub mod heap;
 pub mod kway;
 pub mod loser_tree;
 pub mod pairwise;
+pub mod run;
 pub mod sort;
 
 pub use external::{
     crc32, external_sort, merge_run_files, spill_sorted_runs, RunReadError, RunReader, RunWriter,
 };
-pub use folded::{merge_by_key, merge_fold, FoldedMerge, Keyed};
+pub use folded::{merge_by_key, merge_fold, FoldedMerge};
 pub use heap::heap_kway_merge;
-pub use kway::{kway_merge, parallel_kway_merge, KwayStats};
-pub use loser_tree::{merge_iterators, LoserTree};
-pub use pairwise::{pairwise_merge_rounds, two_way_merge, PairwiseStats};
+pub use kway::{kway_merge, merge_runs, parallel_kway_merge, KwayStats};
+pub use loser_tree::{merge_iterators, merge_iterators_by, LoserTree};
+pub use pairwise::{pairwise_merge_rounds, pairwise_rounds, PairwiseStats};
+pub use run::{ByKey, Natural, Order, SortedRun};
 pub use sort::{parallel_sort, MergeBackend, SortStats};

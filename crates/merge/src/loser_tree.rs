@@ -7,153 +7,177 @@
 //! only one root-to-leaf path — `O(log k)` comparisons per element instead
 //! of scanning all `k` heads.
 //!
+//! The layout is flat: one `u32` per node, the `k` leaves implicit at
+//! positions `k..2k` of the same heap numbering (any `k`, no padding to a
+//! power of two), and each leaf's cached key prefix in a dense `u64`
+//! array that matches are decided on before a head is dereferenced.
+//! Every leaf is live: a source that runs dry is removed and the
+//! tournament replayed over the `k - 1` that remain — `k` rebuilds of
+//! `O(k)` matches over a whole merge, against `N·log₂ k` for the merge
+//! itself — so no match ever asks whether a head exists.
+//!
 //! The tree is stable: ties are broken by run index, so elements that
 //! compare equal are emitted in run order.
 
-/// A loser tree merging `k` sorted runs of `T`.
+use crate::run::{Natural, Order};
+use std::cmp::Ordering;
+
+/// A loser tree merging `k` sorted sources of `(prefix, T)` under an
+/// [`Order`].
 ///
-/// Runs are consumed as iterators; the tree itself yields merged items via
-/// [`Iterator`]. Comparison counts are tracked so experiments can report
-/// work done, not just wall-clock time.
-pub struct LoserTree<T, I>
-where
-    T: Ord,
-    I: Iterator<Item = T>,
-{
-    /// Padded run count (power of two); leaves `k..k2` are permanently
-    /// exhausted.
-    k2: usize,
-    /// `tree[n]` for `1 <= n < k2` holds the run index that *lost* the
-    /// match at internal node `n`.
-    tree: Vec<usize>,
-    /// Current head element of each real run (`None` = exhausted).
-    heads: Vec<Option<T>>,
-    /// The run sources.
+/// Sources are consumed as iterators; the tree itself yields the merged
+/// `(prefix, T)` stream via [`Iterator`]. Each source must be sorted
+/// under the tree's order and carry each item's `order.prefix` — the
+/// caller's contract, unchecked (checking would cost the pass over the
+/// data the structure exists to avoid). Comparison counts are tracked
+/// so experiments can report work done, not just wall-clock time.
+pub struct LoserTree<T, I, O> {
+    order: O,
+    /// `tree[0]` is the leaf holding the smallest head; `tree[n]` for
+    /// `1 <= n < k` the leaf that *lost* the match at internal node `n`.
+    tree: Vec<u32>,
+    /// Cached prefix of each leaf's head.
+    keys: Vec<u64>,
+    /// Current head of each leaf.
+    heads: Vec<T>,
+    /// The rest of each leaf's source.
     sources: Vec<I>,
-    /// Run index currently at the root.
-    winner: usize,
     comparisons: u64,
-    remaining: usize,
 }
 
-impl<T, I> LoserTree<T, I>
+impl<T, I, O> LoserTree<T, I, O>
 where
-    T: Ord,
-    I: Iterator<Item = T>,
+    I: Iterator<Item = (u64, T)>,
+    O: Order<T>,
 {
-    /// Build a loser tree over the given runs. Runs must each be sorted
-    /// ascending; this is the caller's contract (verified only in tests —
-    /// checking would cost the pass over the data the structure exists to
-    /// avoid).
-    pub fn new(mut sources: Vec<I>) -> Self {
-        let k = sources.len();
-        let k2 = k.next_power_of_two().max(1);
-        let mut heads: Vec<Option<T>> = Vec::with_capacity(k);
-        for s in sources.iter_mut() {
-            heads.push(s.next());
-        }
-        let remaining =
-            heads.iter().flatten().count() + sources.iter().map(|s| s.size_hint().0).sum::<usize>();
+    /// Build a loser tree over the given sources. Empty sources are
+    /// dropped here; the rest keep their relative order, which is the
+    /// run order ties are broken by.
+    pub fn new(sources: Vec<I>, order: O) -> Self {
         let mut lt = LoserTree {
-            k2,
-            tree: vec![usize::MAX; k2.max(1)],
-            heads,
-            sources,
-            winner: 0,
+            order,
+            tree: Vec::new(),
+            keys: Vec::with_capacity(sources.len()),
+            heads: Vec::with_capacity(sources.len()),
+            sources: Vec::with_capacity(sources.len()),
             comparisons: 0,
-            remaining,
         };
-        lt.winner = lt.build(1);
+        for mut source in sources {
+            if let Some((key, head)) = source.next() {
+                lt.keys.push(key);
+                lt.heads.push(head);
+                lt.sources.push(source);
+            }
+        }
+        lt.build();
         lt
     }
 
-    /// Recursively play the initial tournament rooted at internal node
-    /// `node`; returns the winning run index, parking losers in `tree`.
-    fn build(&mut self, node: usize) -> usize {
-        if node >= self.k2 {
-            return node - self.k2;
-        }
-        let left = self.build(2 * node);
-        let right = self.build(2 * node + 1);
-        let (winner, loser) = if self.beats(left, right) { (left, right) } else { (right, left) };
-        self.tree[node] = loser;
-        winner
-    }
-
-    /// Does run `a` beat run `b`? Exhausted runs always lose; ties go to
-    /// the lower run index (stability).
-    fn beats(&mut self, a: usize, b: usize) -> bool {
-        let ha = self.heads.get(a).and_then(|h| h.as_ref());
-        let hb = self.heads.get(b).and_then(|h| h.as_ref());
-        match (ha, hb) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(x), Some(y)) => {
-                self.comparisons += 1;
-                match x.cmp(y) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => a < b,
-                }
-            }
+    /// Does leaf `a` beat leaf `b`? Prefixes first, the full comparison
+    /// on a tie, then the lower run index (stability).
+    fn beats(&mut self, a: u32, b: u32) -> bool {
+        self.comparisons += 1;
+        let (ia, ib) = (a as usize, b as usize);
+        match self
+            .order
+            .cmp_prefixed((self.keys[ia], &self.heads[ia]), (self.keys[ib], &self.heads[ib]))
+        {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => a < b,
         }
     }
 
-    /// Replay the path from `run`'s leaf to the root after its head
-    /// changed; updates the winner.
-    fn replay(&mut self, mut run: usize) {
-        let mut node = (run + self.k2) / 2;
+    /// Play the whole tournament bottom-up over the current leaves.
+    fn build(&mut self) {
+        let k = self.heads.len();
+        // Winner of the subtree rooted at each node; a leaf wins its own.
+        let mut winners: Vec<u32> = (0..2 * k).map(|n| n.saturating_sub(k) as u32).collect();
+        self.tree.clear();
+        self.tree.resize(k, 0);
+        for node in (1..k).rev() {
+            let (left, right) = (winners[2 * node], winners[2 * node + 1]);
+            let (winner, loser) =
+                if self.beats(left, right) { (left, right) } else { (right, left) };
+            winners[node] = winner;
+            self.tree[node] = loser;
+        }
+        if k > 0 {
+            self.tree[0] = winners[1];
+        }
+    }
+
+    /// Replay the path from `leaf` to the root after its head changed.
+    fn replay(&mut self, leaf: usize) {
+        let mut winner = leaf as u32;
+        let mut node = (self.heads.len() + leaf) / 2;
         while node >= 1 {
             let stored = self.tree[node];
-            if stored != usize::MAX && self.beats(stored, run) {
-                self.tree[node] = run;
-                run = stored;
+            if self.beats(stored, winner) {
+                self.tree[node] = winner;
+                winner = stored;
             }
             node /= 2;
         }
-        self.winner = run;
-    }
-
-    /// Reference to the next element to be emitted, if any.
-    pub fn peek(&self) -> Option<&T> {
-        self.heads.get(self.winner).and_then(|h| h.as_ref())
+        self.tree[0] = winner;
     }
 
     /// Number of key comparisons performed so far.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
-
-    /// Lower bound of elements left to emit.
-    fn remaining_hint(&self) -> usize {
-        self.remaining
-    }
 }
 
-impl<T, I> Iterator for LoserTree<T, I>
+impl<T, I, O> Iterator for LoserTree<T, I, O>
 where
-    T: Ord,
-    I: Iterator<Item = T>,
+    I: Iterator<Item = (u64, T)>,
+    O: Order<T>,
 {
-    type Item = T;
+    type Item = (u64, T);
 
-    fn next(&mut self) -> Option<T> {
-        let w = self.winner;
-        let out = self.heads.get_mut(w)?.take()?;
-        self.heads[w] = self.sources[w].next();
-        self.replay(w);
-        self.remaining = self.remaining.saturating_sub(1);
-        Some(out)
+    fn next(&mut self) -> Option<(u64, T)> {
+        let w = *self.tree.first()? as usize;
+        match self.sources[w].next() {
+            Some((key, head)) => {
+                let out = (
+                    std::mem::replace(&mut self.keys[w], key),
+                    std::mem::replace(&mut self.heads[w], head),
+                );
+                self.replay(w);
+                Some(out)
+            }
+            None => {
+                // `remove` keeps the other leaves in run order.
+                self.sources.remove(w);
+                let out = (self.keys.remove(w), self.heads.remove(w));
+                self.build();
+                Some(out)
+            }
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining_hint(), None)
+        (self.heads.len() + self.sources.iter().map(|s| s.size_hint().0).sum::<usize>(), None)
     }
 }
 
-/// Merge any set of sorted iterators into one sorted, stable stream —
-/// the streaming form of [`crate::kway_merge`] for inputs that should
-/// not be materialized first.
+/// Merge sorted iterators into one sorted, stable stream under `order`,
+/// computing each item's prefix as it arrives — the streaming form of
+/// the merge for inputs that should not be materialized first.
+pub fn merge_iterators_by<T, I, O>(sources: Vec<I>, order: O) -> impl Iterator<Item = T>
+where
+    I: Iterator<Item = T>,
+    O: Order<T> + Copy,
+{
+    let prefixed = sources
+        .into_iter()
+        .map(|source| source.map(move |item| (order.prefix(&item), item)))
+        .collect();
+    LoserTree::new(prefixed, order).map(|(_, item)| item)
+}
+
+/// [`merge_iterators_by`] under `T`'s own [`Ord`] — the streaming form
+/// of [`crate::kway_merge`].
 ///
 /// ```
 /// use supmr_merge::loser_tree::merge_iterators;
@@ -163,20 +187,25 @@ where
 /// let merged: Vec<u32> = merge_iterators(vec![evens, odds]).collect();
 /// assert_eq!(merged, (0..20).collect::<Vec<_>>());
 /// ```
-pub fn merge_iterators<T, I>(sources: Vec<I>) -> LoserTree<T, I>
+pub fn merge_iterators<T, I>(sources: Vec<I>) -> impl Iterator<Item = T>
 where
     T: Ord,
     I: Iterator<Item = T>,
 {
-    LoserTree::new(sources)
+    merge_iterators_by(sources, Natural)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::ByKey;
+
+    fn tree_over(runs: Vec<Vec<i64>>) -> LoserTree<i64, impl Iterator<Item = (u64, i64)>, Natural> {
+        LoserTree::new(runs.into_iter().map(|r| r.into_iter().map(|x| (0, x))).collect(), Natural)
+    }
 
     fn merge_vecs(runs: Vec<Vec<i64>>) -> Vec<i64> {
-        LoserTree::new(runs.into_iter().map(|r| r.into_iter()).collect()).collect()
+        merge_iterators(runs.into_iter().map(Vec::into_iter).collect()).collect()
     }
 
     #[test]
@@ -186,8 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn single_run_passes_through() {
-        assert_eq!(merge_vecs(vec![vec![1, 2, 3]]), vec![1, 2, 3]);
+    fn single_run_passes_through_uncompared() {
+        let mut lt = tree_over(vec![vec![], vec![1, 2, 3]]);
+        assert_eq!(lt.by_ref().map(|(_, x)| x).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(lt.comparisons(), 0);
     }
 
     #[test]
@@ -209,62 +240,55 @@ mod tests {
 
     #[test]
     fn stability_ties_broken_by_run_index() {
-        // Elements carry their origin run; equal keys must come out in
-        // run order.
-        #[derive(PartialEq, Eq, Debug, Clone)]
-        struct Tagged(u32, usize);
-        impl Ord for Tagged {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.cmp(&other.0)
-            }
+        // Payloads carry their origin run; equal keys must come out in
+        // run order, for every run count's tree shape.
+        for k in 2..=7usize {
+            let runs: Vec<Vec<(u32, usize)>> = (0..k).map(|r| vec![(1, r), (2, r)]).collect();
+            let out: Vec<(u32, usize)> = merge_iterators_by(
+                runs.into_iter().map(Vec::into_iter).collect(),
+                ByKey(|_: &u32| 0),
+            )
+            .collect();
+            let expected: Vec<(u32, usize)> =
+                (1..=2).flat_map(|key| (0..k).map(move |r| (key, r))).collect();
+            assert_eq!(out, expected, "k = {k}");
         }
-        impl PartialOrd for Tagged {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        let runs: Vec<Vec<Tagged>> = vec![
-            vec![Tagged(1, 0), Tagged(2, 0)],
-            vec![Tagged(1, 1), Tagged(2, 1)],
-            vec![Tagged(1, 2)],
-        ];
-        let out: Vec<Tagged> =
-            LoserTree::new(runs.into_iter().map(|r| r.into_iter()).collect()).collect();
-        assert_eq!(out, vec![Tagged(1, 0), Tagged(1, 1), Tagged(1, 2), Tagged(2, 0), Tagged(2, 1)]);
+    }
+
+    #[test]
+    fn prefixes_decide_before_keys_and_ties_fall_through() {
+        // Prefix = key / 10: 12 vs 17 tie on the prefix and need `cmp`.
+        let order = ByKey(|k: &u32| u64::from(*k / 10));
+        let a = vec![(3u32, 'a'), (17, 'a'), (40, 'a')];
+        let b = vec![(12u32, 'b'), (17, 'b'), (25, 'b')];
+        let out: Vec<(u32, char)> =
+            merge_iterators_by(vec![a.into_iter(), b.into_iter()], order).collect();
+        assert_eq!(out, vec![(3, 'a'), (12, 'b'), (17, 'a'), (17, 'b'), (25, 'b'), (40, 'a')]);
     }
 
     #[test]
     fn comparison_count_is_n_log_k_ish() {
         let k = 16usize;
         let n_per = 1000usize;
-        let runs: Vec<Vec<u64>> =
-            (0..k).map(|i| (0..n_per).map(|j| (j * k + i) as u64).collect()).collect();
-        let mut lt = LoserTree::new(runs.into_iter().map(|r| r.into_iter()).collect());
-        let out: Vec<u64> = lt.by_ref().collect();
-        assert_eq!(out.len(), k * n_per);
+        let runs: Vec<Vec<i64>> =
+            (0..k).map(|i| (0..n_per).map(|j| (j * k + i) as i64).collect()).collect();
+        let mut lt = tree_over(runs);
+        assert_eq!(lt.by_ref().count(), k * n_per);
         let n = (k * n_per) as u64;
         let log_k = (k as f64).log2() as u64;
-        // One root-to-leaf replay per element: <= n * log2(k) comparisons
-        // (plus the initial build), and at least n (every element plays
-        // some match).
-        assert!(lt.comparisons() <= n * log_k + (2 * k as u64)); // build slack
+        // One root-to-leaf replay per element: <= n * log2(k) matches,
+        // plus one tournament of < k matches at the start and after each
+        // of the k sources runs dry; and at least n - k (every element
+        // but the last of each source plays some match).
+        assert!(lt.comparisons() <= n * log_k + (k * k) as u64);
         assert!(lt.comparisons() >= n - k as u64);
     }
 
     #[test]
-    fn peek_matches_next() {
-        let mut lt = LoserTree::new(vec![vec![3, 5].into_iter(), vec![1, 9].into_iter()]);
-        assert_eq!(lt.peek(), Some(&1));
-        assert_eq!(lt.next(), Some(1));
-        assert_eq!(lt.peek(), Some(&3));
-    }
-
-    #[test]
     fn size_hint_lower_bound_is_sound() {
-        let lt = LoserTree::new(vec![vec![1, 2, 3].into_iter(), vec![4, 5].into_iter()]);
-        assert!(lt.size_hint().0 <= 5);
-        let collected: Vec<i32> = lt.collect();
-        assert_eq!(collected.len(), 5);
+        let lt = tree_over(vec![vec![1, 2, 3], vec![4, 5]]);
+        assert_eq!(lt.size_hint().0, 5);
+        assert_eq!(lt.count(), 5);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! re-scanned, per-round wave widths) so benches can report the work-done
 //! comparison independently of wall-clock noise on small machines.
 
+use crate::run::{Natural, Order, SortedRun};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Work counters from an iterative pairwise merge.
@@ -39,49 +41,75 @@ pub struct PairwiseStats {
     pub round_keys: Vec<u64>,
 }
 
-/// Merge two sorted runs, counting comparisons. Stable: ties come from
-/// `a` first.
-pub fn two_way_merge<T: Ord>(a: Vec<T>, b: Vec<T>) -> (Vec<T>, u64) {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// The 2-way merge of one round: prefixes first, `order.cmp` on a tie,
+/// `a` on a draw. The output keeps its prefixes for the next round.
+fn merge_two<T, O: Order<T>>([a, b]: [SortedRun<T>; 2], order: &O) -> (SortedRun<T>, u64) {
+    let len = a.len() + b.len();
+    let mut items = Vec::with_capacity(len);
+    let mut prefixes = Vec::with_capacity(len);
     let mut comparisons = 0u64;
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
+    let mut ia = a.items.into_iter().peekable();
+    let mut ib = b.items.into_iter().peekable();
+    // Elements taken from each run so far: the position of its head in
+    // its prefix array.
+    let (mut na, mut nb) = (0, 0);
     loop {
         match (ia.peek(), ib.peek()) {
             (Some(x), Some(y)) => {
                 comparisons += 1;
-                if x <= y {
-                    out.push(ia.next().expect("peeked"));
+                let (px, py) = (a.prefixes[na], b.prefixes[nb]);
+                if order.cmp_prefixed((px, x), (py, y)) != Ordering::Greater {
+                    items.extend(ia.next());
+                    prefixes.push(px);
+                    na += 1;
                 } else {
-                    out.push(ib.next().expect("peeked"));
+                    items.extend(ib.next());
+                    prefixes.push(py);
+                    nb += 1;
                 }
             }
             (Some(_), None) => {
-                out.extend(ia.by_ref());
+                items.extend(ia);
+                prefixes.extend_from_slice(&a.prefixes[na..]);
                 break;
             }
             (None, _) => {
-                out.extend(ib.by_ref());
+                items.extend(ib);
+                prefixes.extend_from_slice(&b.prefixes[nb..]);
                 break;
             }
         }
     }
-    (out, comparisons)
+    (SortedRun { items, prefixes }, comparisons)
 }
 
 /// Iteratively merge `runs` down to one sorted vector, two at a time, with
 /// each round's pair-merges running in parallel (`parallel = true`) or
 /// serially — the latter exists so work counters can be verified
-/// deterministically in unit tests.
-pub fn pairwise_merge_rounds<T>(mut runs: Vec<Vec<T>>, parallel: bool) -> (Vec<T>, PairwiseStats)
+/// deterministically in unit tests. [`pairwise_rounds`] under `T`'s own
+/// [`Ord`] (no prefix).
+pub fn pairwise_merge_rounds<T>(runs: Vec<Vec<T>>, parallel: bool) -> (Vec<T>, PairwiseStats)
 where
     T: Ord + Send,
 {
+    let runs = runs.into_iter().map(|run| SortedRun::presorted(run, &Natural)).collect();
+    pairwise_rounds(runs, &Natural, parallel)
+}
+
+/// The baseline's rounds over sorted runs under any [`Order`] — the same
+/// run type and prefix-first comparison the p-way kernel gets, so the
+/// two backends differ only in how often they move the data.
+pub fn pairwise_rounds<T, O>(
+    mut runs: Vec<SortedRun<T>>,
+    order: &O,
+    parallel: bool,
+) -> (Vec<T>, PairwiseStats)
+where
+    T: Send,
+    O: Order<T> + Sync,
+{
     let mut stats = PairwiseStats::default();
     runs.retain(|r| !r.is_empty());
-    if runs.is_empty() {
-        return (Vec::new(), stats);
-    }
     while runs.len() > 1 {
         let round_start = Instant::now();
         stats.rounds += 1;
@@ -89,7 +117,7 @@ where
         stats.wave_widths.push(pairs);
 
         let mut iter = runs.into_iter();
-        let mut jobs: Vec<(Vec<T>, Option<Vec<T>>)> = Vec::with_capacity(pairs + 1);
+        let mut jobs: Vec<(SortedRun<T>, Option<SortedRun<T>>)> = Vec::with_capacity(pairs + 1);
         while let Some(a) = iter.next() {
             jobs.push((a, iter.next()));
         }
@@ -97,14 +125,14 @@ where
         // The third field records whether a real merge happened: an odd
         // run carried to the next round unmerged is not re-scanned, so it
         // does not count toward elements moved.
-        let do_job = |(a, b): (Vec<T>, Option<Vec<T>>)| match b {
+        let do_job = |(a, b): (SortedRun<T>, Option<SortedRun<T>>)| match b {
             Some(b) => {
-                let (r, c) = two_way_merge(a, b);
+                let (r, c) = merge_two([a, b], order);
                 (r, c, true)
             }
             None => (a, 0, false),
         };
-        let merged: Vec<(Vec<T>, u64, bool)> = if parallel {
+        let merged: Vec<(SortedRun<T>, u64, bool)> = if parallel {
             jobs.into_par_iter().map(do_job).collect()
         } else {
             jobs.into_iter().map(do_job).collect()
@@ -123,12 +151,18 @@ where
         stats.round_keys.push(round_keys);
         stats.round_times.push(round_start.elapsed());
     }
-    (runs.pop().unwrap_or_default(), stats)
+    (runs.pop().map(SortedRun::into_items).unwrap_or_default(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn two_way_merge<T: Ord>(a: Vec<T>, b: Vec<T>) -> (Vec<T>, u64) {
+        let runs = [a, b].map(|run| SortedRun::presorted(run, &Natural));
+        let (merged, comparisons) = merge_two(runs, &Natural);
+        (merged.into_items(), comparisons)
+    }
 
     #[test]
     fn two_way_basics() {

@@ -9,8 +9,9 @@
 //! * [`MergeBackend::PWay`] — SupMR's single-round p-way merge (what
 //!   `__gnu_parallel::sort` does after its local sorts).
 
-use crate::kway::{parallel_kway_merge, KwayStats};
-use crate::pairwise::{pairwise_merge_rounds, PairwiseStats};
+use crate::kway::{merge_runs, KwayStats};
+use crate::pairwise::{pairwise_rounds, PairwiseStats};
+use crate::run::{Natural, SortedRun};
 use rayon::prelude::*;
 
 /// How sorted runs are combined into the final array.
@@ -82,21 +83,21 @@ where
         return (data, SortStats { runs: usize::from(n == 1), ..SortStats::default() });
     }
 
-    // Split into near-equal runs and sort each in parallel. Unstable sort
-    // per run is fine: the merge's stability guarantees then apply to the
-    // run order, matching what a per-thread quicksort in Phoenix++ does.
+    // Split into near-equal runs and sort each in parallel with the one
+    // run sort, which both backends then consume.
     let run_len = n.div_ceil(run_count.min(n));
-    let mut runs: Vec<Vec<T>> = data.chunks(run_len).map(<[T]>::to_vec).collect();
-    runs.par_iter_mut().for_each(|run| run.sort_unstable());
+    let chunks: Vec<Vec<T>> = data.chunks(run_len).map(<[T]>::to_vec).collect();
+    let runs: Vec<SortedRun<T>> =
+        chunks.into_par_iter().map(|run| SortedRun::sort(run, &Natural)).collect();
     let run_total = runs.len();
 
     match backend {
         MergeBackend::PairwiseRounds => {
-            let (out, stats) = pairwise_merge_rounds(runs, true);
+            let (out, stats) = pairwise_rounds(runs, &Natural, true);
             (out, SortStats::from_pairwise(run_total, &stats))
         }
         MergeBackend::PWay { ways } => {
-            let (out, stats) = parallel_kway_merge(runs, ways.max(1));
+            let (out, stats) = merge_runs(runs, &Natural, ways.max(1));
             (out, SortStats::from_kway(run_total, &stats))
         }
     }

@@ -5,7 +5,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use supmr_merge::{
-    kway_merge, pairwise_merge_rounds, parallel_kway_merge, parallel_sort, MergeBackend,
+    kway_merge, merge_runs, pairwise_merge_rounds, pairwise_rounds, parallel_kway_merge,
+    parallel_sort, ByKey, MergeBackend, SortedRun,
 };
 
 /// Arbitrary sorted runs: up to 12 runs of up to 200 small values.
@@ -16,6 +17,29 @@ fn arb_runs() -> impl Strategy<Value = Vec<Vec<u16>>> {
         }
         runs
     })
+}
+
+/// Unsorted batches of `(key, (batch, position))` over a small key
+/// alphabet: duplicates are the rule, so they straddle every splitter,
+/// and the payload shows where each element came from.
+fn arb_tagged_batches() -> impl Strategy<Value = Vec<Vec<(u16, (usize, usize))>>> {
+    vec(vec(0u16..1024, 0..120), 0..9).prop_map(|batches| {
+        batches
+            .into_iter()
+            .enumerate()
+            .map(|(b, keys)| keys.into_iter().enumerate().map(|(i, k)| (k, (b, i))).collect())
+            .collect()
+    })
+}
+
+/// The three prefix regimes a key order can be in: none (`0`, compare
+/// full keys), heavily colliding (`key >> 8`: four values), and exact.
+fn prefix_of(regime: u8) -> impl Fn(&u16) -> u64 + Copy + Sync {
+    move |key: &u16| match regime {
+        0 => 0,
+        1 => u64::from(*key >> 8),
+        _ => u64::from(*key),
+    }
 }
 
 fn sorted_concat(runs: &[Vec<u16>]) -> Vec<u16> {
@@ -112,6 +136,66 @@ proptest! {
             prop_assert!(ka <= kb);
             if ka == kb {
                 prop_assert!((ra, pa) < (rb, pb), "stability violated");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_sort_and_prefix_merges_equal_stable_sort_of_the_concatenation(
+        batches in arb_tagged_batches(),
+        regime in 0u8..3,
+        ways in 1usize..12,
+    ) {
+        let order = ByKey(prefix_of(regime));
+        // Stable sort of the concatenation: by key, then (batch, position).
+        let mut expected: Vec<(u16, (usize, usize))> = batches.iter().flatten().copied().collect();
+        expected.sort_by_key(|&(key, _)| key);
+
+        let runs = || -> Vec<SortedRun<_>> {
+            batches.iter().map(|batch| SortedRun::sort(batch.clone(), &order)).collect()
+        };
+        for run in runs() {
+            // The run sort is itself stable: positions ascend within a key.
+            prop_assert!(run.items().windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
+        }
+        // `ways` may exceed the element count; empty batches are empty runs.
+        let (pway, stats) = merge_runs(runs(), &order, ways);
+        prop_assert_eq!(&pway, &expected);
+        prop_assert_eq!(stats.elements_moved as usize, expected.len());
+        let (pairwise, _) = pairwise_rounds(runs(), &order, true);
+        prop_assert_eq!(&pairwise, &expected);
+    }
+
+    #[test]
+    fn pway_is_stable_by_run_and_position_across_every_splitter(
+        keys in vec(vec(0u8..4, 0..60), 0..7),
+        regime in 0u8..3,
+        ways in 1usize..10,
+    ) {
+        // Four distinct keys over up to nine ways: every splitter falls
+        // inside a block of duplicates that spans all runs.
+        let prefix = move |key: &u8| match regime {
+            0 => 0,
+            1 => u64::from(*key >> 1),
+            _ => u64::from(*key),
+        };
+        let order = ByKey(prefix);
+        let runs: Vec<SortedRun<(u8, (usize, usize))>> = keys
+            .iter()
+            .enumerate()
+            .map(|(ri, ks)| {
+                let mut ks = ks.clone();
+                ks.sort_unstable();
+                let tagged = ks.into_iter().enumerate().map(|(pi, k)| (k, (ri, pi))).collect();
+                SortedRun::presorted(tagged, &order)
+            })
+            .collect();
+        let (out, _) = merge_runs(runs, &order, ways);
+        prop_assert_eq!(out.len(), keys.iter().map(Vec::len).sum::<usize>());
+        for w in out.windows(2) {
+            prop_assert!(w[0].0 <= w[1].0);
+            if w[0].0 == w[1].0 {
+                prop_assert!(w[0].1 < w[1].1, "stability violated");
             }
         }
     }

@@ -3,6 +3,9 @@
 //! and the simulator — the flows a downstream user would actually
 //! exercise.
 
+use supmr::api::{Emit, MapReduce};
+use supmr::combiner::Identity;
+use supmr::container::UnlockedContainer;
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::Chunking;
 use supmr_apps::{
@@ -111,6 +114,70 @@ fn sort_baseline_vs_supmr_work_accounting() {
         baseline.pairs.iter().map(|p| &p.0).collect::<Vec<_>>(),
         supmr.pairs.iter().map(|p| &p.0).collect::<Vec<_>>()
     );
+}
+
+/// [`TeraSort`] minus its `key_prefix`: the trait's default, "compare
+/// full keys".
+struct UnprefixedSort;
+
+impl MapReduce for UnprefixedSort {
+    type Key = Vec<u8>;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<Vec<u8>, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<Vec<u8>, Vec<u8>>) {
+        TeraSort::new().map(split, emit);
+    }
+
+    fn reduce(&self, _key: &Vec<u8>, record: Vec<u8>) -> Vec<u8> {
+        record
+    }
+}
+
+#[test]
+fn default_key_prefix_sorts_like_a_prefixed_app_under_both_merge_backends() {
+    // 10-byte keys, half of them drawn from 40 values that share their
+    // first 8 bytes (prefix ties, and duplicates told apart only by the
+    // sequence number in the payload), half spread over the key space.
+    let records = 3_000u64;
+    let mut data = Vec::new();
+    for seq in 0..records {
+        let key = match seq % 2 {
+            0 => seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 40,
+            _ => seq.wrapping_mul(0xD1B5_4A32_D192_ED03) % 9_999_999_999,
+        };
+        data.extend_from_slice(format!("{key:010}{seq:088}\r\n").as_bytes());
+    }
+    for merge in [MergeMode::PWay { ways: 3 }, MergeMode::PairwiseRounds] {
+        // One map worker keeps container order — and with it the order
+        // of duplicates — the same from run to run; three reduce
+        // partitions give the merge three runs.
+        let cfg = || JobConfig {
+            map_workers: 1,
+            reduce_workers: 3,
+            split_bytes: 16 * 1024,
+            record_format: TeraSort::record_format(),
+            merge,
+            ..JobConfig::default()
+        };
+        let input = || Input::stream(MemSource::from(data.clone()));
+        let prefixed = Job::new(TeraSort::new()).config(cfg()).run(input()).unwrap();
+        let plain = Job::new(UnprefixedSort).config(cfg()).run(input()).unwrap();
+
+        assert_eq!(plain.pairs.len() as u64, records, "{merge:?}");
+        assert!(plain.pairs.windows(2).all(|w| w[0].0 <= w[1].0), "{merge:?}: not sorted");
+        assert_eq!(plain.pairs, prefixed.pairs, "{merge:?}: the prefix changed the output");
+        assert_eq!(
+            plain.report.stats.merge_elements_moved,
+            prefixed.report.stats.merge_elements_moved
+        );
+    }
 }
 
 #[test]
