@@ -10,6 +10,16 @@
 //! an owned run and shares only the run list — one lock acquisition per
 //! *task* (to publish the run), zero per pair, and the runs double as
 //! the sorted-run inputs the merge phase consumes.
+//!
+//! Under a memory budget the runs leave for disk **key-range
+//! partitioned**: the first spill samples `p − 1` splitter keys (`p` the
+//! job's reduce width) from the runs then resident, and from then on
+//! every drained run — and, at the end, the in-memory remainder — is cut
+//! along those splitters into up to `p` batches tagged with their range.
+//! The external reduce thereby gets `p` disjoint key ranges to merge in
+//! parallel, and its outputs, taken in range order, are one sorted
+//! sequence. The splitters only balance the ranges: any splitters,
+//! however skewed, give sorted output.
 
 use super::Container;
 use crate::api::Emit;
@@ -17,6 +27,7 @@ use crate::combiner::Combiner;
 use crate::spill::SpillHooks;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// One published map run, with its estimated in-memory footprint (the
 /// summed codec size hints; 0 when no budget is configured).
@@ -32,8 +43,11 @@ pub struct UnlockedContainer<K, V> {
     /// Out-of-core wiring ([`Container::configure_spill`]); `None`
     /// keeps absorb on the unmetered hot path.
     spill: Mutex<Option<SpillHooks<K, V>>>,
-    /// Single-spiller token (see the hash container's counterpart).
-    spilling: Mutex<()>,
+    /// The ascending keys that cut the key space into reduce ranges,
+    /// fixed by the first spill (never set by a job that never spills).
+    /// Range `i` holds the keys with exactly `i` splitters at or below
+    /// them, so equal keys always share a range.
+    splitters: OnceLock<Vec<K>>,
 }
 
 impl<K, V> Default for UnlockedContainer<K, V> {
@@ -42,7 +56,7 @@ impl<K, V> Default for UnlockedContainer<K, V> {
             runs: Mutex::new(Vec::new()),
             pairs: AtomicU64::new(0),
             spill: Mutex::new(None),
-            spilling: Mutex::new(()),
+            splitters: OnceLock::new(),
         }
     }
 }
@@ -64,25 +78,65 @@ impl<K, V> UnlockedContainer<K, V> {
     pub fn pair_count(&self) -> u64 {
         self.pairs.load(Ordering::Relaxed)
     }
+}
 
+/// `ranges − 1` splitters that roughly equipartition the keys of
+/// `runs` (not empty): quantiles of a regular sample of every run. Map
+/// runs are unsorted, so regular offsets are as good as random ones.
+fn sample_splitters<K: Ord + Clone, V>(runs: &[SizedRun<K, V>], ranges: usize) -> Vec<K> {
+    const OVERSAMPLE: usize = 32;
+    let mut sample: Vec<&K> = Vec::new();
+    for run in runs {
+        let len = run.pairs.len();
+        let take = (ranges * OVERSAMPLE).min(len);
+        sample.extend((0..take).map(|i| &run.pairs[i * len / take].0));
+    }
+    sample.sort_unstable();
+    (1..ranges).map(|r| sample[r * sample.len() / ranges].clone()).collect()
+}
+
+/// The key range `key` belongs to: how many splitters are at or below
+/// it.
+fn range_of<K: Ord>(splitters: &[K], key: &K) -> usize {
+    splitters.partition_point(|s| s <= key)
+}
+
+/// Cut `pairs` into one batch per key range, in range order (some may
+/// be empty; no splitters, one range).
+fn cut_by_range<K: Ord, V>(splitters: &[K], pairs: Vec<(K, V)>) -> Vec<Vec<(K, V)>> {
+    if splitters.is_empty() {
+        return vec![pairs];
+    }
+    let ranges = splitters.len() + 1;
+    let mut cut: Vec<Vec<(K, V)>> =
+        (0..ranges).map(|_| Vec::with_capacity(pairs.len() / ranges)).collect();
+    for pair in pairs {
+        cut[range_of(splitters, &pair.0)].push(pair);
+    }
+    cut
+}
+
+impl<K: Ord + Clone, V> UnlockedContainer<K, V> {
     /// Spill largest published runs until the ledger is below its low
-    /// watermark. All runs carry partition tag 0: map runs are not
-    /// key-range partitioned, so under a budget the whole key space is
-    /// one external-merge partition.
+    /// watermark, each cut into its key ranges and sunk as one run file
+    /// per range. Every absorber that trips the high watermark drains:
+    /// victims are whole runs taken under the run-list lock, so
+    /// concurrent spillers never share one.
     fn spill_down(&self, hooks: &SpillHooks<K, V>) {
-        let Some(_token) = self.spilling.try_lock() else { return };
         while hooks.accountant.over_low() {
-            let run = {
+            let (run, splitters) = {
                 let mut runs = self.runs.lock();
                 let victim =
                     runs.iter().enumerate().max_by_key(|(_, r)| r.bytes).map(|(idx, _)| idx);
-                match victim {
-                    Some(idx) => runs.swap_remove(idx),
-                    None => break,
-                }
+                let Some(idx) = victim else { break };
+                let splitters =
+                    self.splitters.get_or_init(|| sample_splitters(&runs, hooks.partitions));
+                (runs.swap_remove(idx), splitters)
             };
-            if !run.pairs.is_empty() {
-                (hooks.sink)(0, run.pairs);
+            for (range, batch) in cut_by_range(splitters, run.pairs).into_iter().enumerate() {
+                if !batch.is_empty() {
+                    (hooks.sink)(range, batch);
+                }
             }
             hooks.accountant.release(run.bytes);
         }
@@ -142,10 +196,15 @@ where
         false
     }
 
-    /// Every run (like every spilled run) belongs to partition 0 — see
-    /// `UnlockedContainer::spill_down`.
+    /// The in-memory remainder cut along the same splitters as the
+    /// spilled runs: one drain per non-empty key range, tagged with it.
     fn into_indexed_drains(self, _parts: usize) -> Vec<(usize, Self::Drain)> {
-        self.runs.into_inner().into_iter().map(|r| (0, r.pairs)).collect()
+        let splitters = self.splitters.into_inner().unwrap_or_default();
+        let mut ranges: Vec<Vec<(K, V)>> = (0..=splitters.len()).map(|_| Vec::new()).collect();
+        for pair in self.runs.into_inner().into_iter().flat_map(|run| run.pairs) {
+            ranges[range_of(&splitters, &pair.0)].push(pair);
+        }
+        ranges.into_iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()).collect()
     }
 
     /// Unique-key assumption: every pair is its own key.
@@ -187,6 +246,56 @@ mod tests {
 
     fn partitions(c: UnlockedContainer<u64, String>) -> Vec<Vec<(u64, String)>> {
         <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::into_partitions(c, 99)
+    }
+
+    #[test]
+    fn spilled_and_resident_pairs_share_disjoint_key_ranges() {
+        use crate::spill::MemoryAccountant;
+        use std::sync::Arc;
+
+        type Sunk = Arc<Mutex<Vec<(usize, Vec<(u64, String)>)>>>;
+        let sunk: Sunk = Arc::default();
+        let sink_log = Arc::clone(&sunk);
+        let hooks = SpillHooks {
+            accountant: Arc::new(MemoryAccountant::new(400)),
+            partitions: 3,
+            size_hint: |_, _| 10,
+            sink: Arc::new(move |range, batch| sink_log.lock().push((range, batch))),
+        };
+        let c = UnlockedContainer::new();
+        assert!(
+            <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::configure_spill(
+                &c, &hooks
+            )
+        );
+        // Keys 0..60 in a scattered order, every key three times over,
+        // eight pairs to a run: the ledger trips on the fifth run.
+        let keys = (0..180u64).map(|i| i * 7 % 60);
+        for run in keys.collect::<Vec<_>>().chunks(8) {
+            absorb_run(&c, run.iter().map(|&k| (k, format!("v{k}"))).collect());
+        }
+        let mut tagged = std::mem::take(&mut *sunk.lock());
+        assert!(!tagged.is_empty(), "a 400-byte budget must spill");
+        tagged.extend(
+            <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::into_indexed_drains(
+                c, 3,
+            ),
+        );
+        // Per range tag: the span of keys seen under it, spilled or not.
+        let mut spans = [(u64::MAX, 0u64); 3];
+        let mut total = 0;
+        for (range, batch) in &tagged {
+            for (k, _) in batch {
+                spans[*range] = (spans[*range].0.min(*k), spans[*range].1.max(*k));
+                total += 1;
+            }
+        }
+        assert_eq!(total, 180, "every pair is in exactly one batch");
+        assert!(spans.iter().all(|&(lo, hi)| lo <= hi), "three populated ranges: {spans:?}");
+        assert!(
+            spans.windows(2).all(|w| w[0].1 < w[1].0),
+            "ranges must be disjoint and ascending, equal keys together: {spans:?}"
+        );
     }
 
     #[test]

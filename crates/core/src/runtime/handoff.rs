@@ -4,9 +4,10 @@
 //!
 //! A non-terminal stage encodes each reduced pair straight out of its
 //! reduce workers into per-partition byte buffers, using the same
-//! [`PairCodec`] contract (and the same `len | crc32 | payload` framing)
-//! the spill pipeline writes run files with — one codec teaches the
-//! runtime both how to spill a stage *and* how to feed its successor.
+//! [`PairCodec`] contract and the same frame codec
+//! ([`supmr_merge::frame`]: one encoder, one walker, one checksum) the
+//! spill pipeline writes run files with — one codec teaches the runtime
+//! both how to spill a stage *and* how to feed its successor.
 //! The buffers are sealed into one [`SharedBytes`] allocation whose
 //! per-partition segment ranges become the ingest-chunk segments of the
 //! downstream stage, so the downstream map wave splits along partition
@@ -22,12 +23,9 @@ use crate::spill::PairCodec;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use supmr_merge::crc32;
+use supmr_merge::{push_frame, split_frame};
 use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::SharedBytes;
-
-/// Byte overhead of one frame: `u32` length + `u32` CRC32, both LE.
-const FRAME_HEADER: usize = 8;
 
 /// Counters describing one inter-stage hand-off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,19 +83,14 @@ impl StageData {
 #[derive(Debug, Default)]
 pub(crate) struct FrameBuf {
     out: Vec<u8>,
-    scratch: Vec<u8>,
     pairs: u64,
 }
 
 impl FrameBuf {
-    /// Append one framed pair.
+    /// Append one framed pair, encoded in place.
     pub(crate) fn push<K, A>(&mut self, codec: PairCodec<K, A>, key: &K, acc: &A) {
-        self.scratch.clear();
-        (codec.encode)(key, acc, &mut self.scratch);
-        self.out.reserve(FRAME_HEADER + self.scratch.len());
-        self.out.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
-        self.out.extend_from_slice(&crc32(&self.scratch).to_le_bytes());
-        self.out.extend_from_slice(&self.scratch);
+        push_frame(&mut self.out, |out| (codec.encode)(key, acc, out))
+            .expect("a hand-off pair encodes to less than 4 GiB");
         self.pairs += 1;
     }
 
@@ -188,18 +181,13 @@ impl<K, A> Iterator for FrameIter<'_, K, A> {
         if self.bytes.is_empty() {
             return None;
         }
-        assert!(self.bytes.len() >= FRAME_HEADER, "truncated hand-off frame header");
-        let len = u32::from_le_bytes(self.bytes[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.bytes[4..8].try_into().unwrap());
-        let end = FRAME_HEADER + len;
-        assert!(self.bytes.len() >= end, "truncated hand-off frame payload");
-        let payload = &self.bytes[FRAME_HEADER..end];
-        assert_eq!(crc32(payload), crc, "hand-off frame checksum mismatch");
+        let (payload, rest) =
+            split_frame(self.bytes).unwrap_or_else(|e| panic!("corrupt hand-off buffer: {e}"));
         let pair = (self.decode)(payload).expect("undecodable hand-off frame");
-        self.bytes = &self.bytes[end..];
         if let Some((_, walked, _)) = &mut self.flow {
-            *walked += end as u64;
+            *walked += (self.bytes.len() - rest.len()) as u64;
         }
+        self.bytes = rest;
         Some(pair)
     }
 }

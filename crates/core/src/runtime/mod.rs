@@ -31,7 +31,8 @@ use crate::container::{Container, ContainerHooks, ContainerMetrics};
 use crate::error::{panic_payload_string, Result, SupmrError};
 use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WorkerPool};
 use crate::spill::{
-    DecodedRun, JobSpill, MemoryAccountant, PairCodec, SpillHooks, SpillMetrics, SpilledRun,
+    read_block_bytes, DecodedRun, JobSpill, MemoryAccountant, PairCodec, SpillHooks, SpillMetrics,
+    SpilledRun,
 };
 use crate::split::chunk_splits;
 use parking_lot::Mutex;
@@ -42,7 +43,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use supmr_merge::{merge_by_key, merge_fold, merge_runs, pairwise_rounds, ByKey, SortedRun};
+use supmr_merge::{
+    merge_fold_by, merge_iterators_by, merge_runs, pairwise_rounds, ByKey, SortedRun,
+};
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
     BottleneckReport, DebugState, DiagInputs, EventCallback, EventKind, FlowLedger, FlowPhase,
@@ -997,9 +1000,10 @@ pub(crate) fn map_wave<J: MapReduce>(
 /// One job's shared out-of-core state, typed by the application.
 type SpillOf<J> = Arc<JobSpill<<J as MapReduce>::Key, AccOf<J>>>;
 
-/// One sorted source feeding the external merge: an in-memory drain or
-/// a decoded run file.
-type MergeSource<J> = Box<dyn Iterator<Item = (<J as MapReduce>::Key, AccOf<J>)>>;
+/// One sorted source feeding the external merge — an in-memory drain or
+/// a decoded run file — or the merged stream itself, which borrows the
+/// job for its key prefix.
+type MergeSource<'a, J> = Box<dyn Iterator<Item = (<J as MapReduce>::Key, AccOf<J>)> + 'a>;
 
 /// The wiring a runtime hands its freshly built container: the job's
 /// hash seed and, when a registry is live, the `supmr.container.*`
@@ -1327,9 +1331,11 @@ fn in_memory_reduce<J: MapReduce>(
 /// by partition, then per partition stream a p-way merge of the sorted
 /// run files plus the sorted in-memory remainder straight through
 /// `reduce` — one pass, no run read twice, run files deleted (by their
-/// guards) the moment their partition completes. Combining containers
-/// keep folding equal keys across runs; identity containers pass pairs
-/// through unfolded.
+/// guards) the moment their partition completes. Partitions are
+/// whatever the container tagged its runs with — hash-prefix shards or
+/// key ranges — and merge side by side, one task each. Combining
+/// containers keep folding equal keys across runs; identity containers
+/// pass pairs through unfolded.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 fn external_reduce<J: MapReduce>(
     job: &Arc<J>,
@@ -1368,6 +1374,7 @@ fn external_reduce<J: MapReduce>(
     let task_tracer = tracer.level().tasks().then(|| tracer.clone());
     let store = spill.store();
     let codec = spill.codec();
+    let budget = spill.accountant().budget();
     let spill_metrics = spill.metrics();
     let merge_flow = config.flow.clone();
     let folds = <J::Container as Container<J::Key, J::Value, J::Combiner>>::spill_folds();
@@ -1387,23 +1394,31 @@ fn external_reduce<J: MapReduce>(
             // iterator can't return Result mid-merge).
             let parked: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
             let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(drains.len() + runs.len());
+            // The job's order, as in the in-memory merge: the tree
+            // settles most matches on cached prefixes.
             let order = ByKey(|key: &J::Key| reduce_job.key_prefix(key));
             for payload in drains {
                 let part = SortedRun::sort(<J::Container>::drain(payload), &order);
                 sources.push(Box::new(part.into_items().into_iter()));
             }
+            let block_bytes = read_block_bytes(budget, runs.len());
             for run in &runs {
-                let decoded =
-                    DecodedRun::open(store.as_ref(), &run.name, codec.decode, Arc::clone(&parked))
-                        .map_err(|source| SupmrError::Ingest { chunk: None, source })?;
+                let decoded = DecodedRun::open(
+                    store.as_ref(),
+                    &run.name,
+                    codec.decode,
+                    Arc::clone(&parked),
+                    block_bytes,
+                )
+                .map_err(|source| SupmrError::Ingest { chunk: None, source })?;
                 sources.push(Box::new(decoded));
             }
             let merged: MergeSource<J> = if folds {
-                Box::new(merge_fold(sources, |acc, other| {
+                Box::new(merge_fold_by(sources, order, |acc, other| {
                     <J::Combiner as crate::combiner::Combiner<J::Value>>::merge(acc, other);
                 }))
             } else {
-                Box::new(merge_by_key(sources))
+                Box::new(merge_iterators_by(sources, order))
             };
             let out = match encode {
                 Some(codec) => {

@@ -25,7 +25,9 @@
 //!   partition count (so spilled runs carry final partition tags), and
 //!   the sink that turns a drained batch into a run file.
 //! * [`JobSpill`] — the job-level sink behind that hook: sorts each
-//!   batch, frames it through [`RunWriter`] onto the configured
+//!   batch, encodes it frame by frame straight into [`RunWriter`]'s
+//!   output block (the shared frame codec of `supmr-merge`) onto the
+//!   configured
 //!   [`RunStore`] (so `--throttle` pacing and [`IngestMeter`]
 //!   observation apply to spill traffic), guards every run file with a
 //!   [`RunGuard`], and parks I/O errors for the runtime to surface as
@@ -42,7 +44,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun};
+use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun, BLOCK_BYTES};
 use supmr_metrics::{
     Counter, EventKind, FlowLedger, FlowPhase, Gauge, Histogram, Registry, Tracer,
 };
@@ -179,7 +181,9 @@ impl MemoryAccountant {
 /// has no state, and clones into every map worker and reduce task for
 /// free.
 pub struct PairCodec<K, A> {
-    /// Append the encoding of one pair to `buf` (cleared by the caller).
+    /// Append the encoding of one pair to `buf`. Append only: `buf` is
+    /// the run block or hand-off segment being built, and the bytes
+    /// already in it are earlier frames.
     pub encode: fn(&K, &A, &mut Vec<u8>),
     /// Decode one record; `None` marks an undecodable record (surfaced
     /// as [`SupmrError::Merge`](crate::error::SupmrError::Merge)).
@@ -215,8 +219,14 @@ pub struct SpillHooks<K, A> {
     /// spill; a `true` from [`MemoryAccountant::charge`] means drain.
     pub accountant: Arc<MemoryAccountant>,
     /// The job's reduce partition count. Spilled batches must carry the
-    /// partition index their keys will reduce in, computed the same way
-    /// the container's `into_drains(partitions)` would place them.
+    /// index of the partition their keys will reduce in — the same one
+    /// the container's `into_indexed_drains` gives the in-memory
+    /// remainder of those keys. What a partition *is* is the
+    /// container's choice, as long as no key is in two: the hash
+    /// container's are hash-prefix shard ranges, the unlocked
+    /// container's are key ranges between splitters it samples at its
+    /// first spill (so its partitions, in index order, are also in key
+    /// order).
     pub partitions: usize,
     /// The codec's footprint estimator, for charging the ledger.
     pub size_hint: fn(&K, &A) -> usize,
@@ -439,11 +449,8 @@ where
         let result = (|| -> io::Result<(u64, u64)> {
             let run = SortedRun::sort(pairs, order);
             let mut writer = RunWriter::from_writer(self.store.create(&name)?);
-            let mut buf = Vec::new();
             for (k, a) in run.items() {
-                buf.clear();
-                (self.codec.encode)(k, a, &mut buf);
-                writer.push(&buf)?;
+                writer.push_with(|block| (self.codec.encode)(k, a, block))?;
             }
             let (records, bytes) = (writer.records(), writer.bytes());
             writer.finish()?;
@@ -509,22 +516,36 @@ impl<K, A> Drop for JobSpill<K, A> {
 /// driver checks the slot after iteration (the same deferred-error
 /// pattern as [`RunReader`] itself).
 pub(crate) struct DecodedRun<K, A> {
-    reader: RunReader<io::BufReader<Box<dyn io::Read + Send>>>,
+    reader: RunReader<Box<dyn io::Read + Send>>,
     decode: fn(&[u8]) -> Option<(K, A)>,
     name: String,
     error: Arc<Mutex<Option<String>>>,
 }
 
+/// Read-back buffer for each of `open_runs` runs that one external
+/// merge streams side by side: an equal share of the job's memory
+/// `budget`, so the buffers of one merge never add up to more than the
+/// budget the spill was honoring, within 8 KiB (below which a block is
+/// not worth a `read` call) and [`BLOCK_BYTES`] (beyond which a larger
+/// block buys nothing).
+pub(crate) fn read_block_bytes(budget: u64, open_runs: usize) -> usize {
+    let share = budget / open_runs.max(1) as u64;
+    share.clamp(8 * 1024, BLOCK_BYTES as u64) as usize
+}
+
 impl<K, A> DecodedRun<K, A> {
+    /// Open run `name`, reading it `block_bytes` at a time straight from
+    /// the store's reader (the frame reader's block is the only buffer).
     pub(crate) fn open(
         store: &dyn RunStore,
         name: &str,
         decode: fn(&[u8]) -> Option<(K, A)>,
         error: Arc<Mutex<Option<String>>>,
+        block_bytes: usize,
     ) -> io::Result<DecodedRun<K, A>> {
         let input = store.open(name)?;
         Ok(DecodedRun {
-            reader: RunReader::from_reader(io::BufReader::new(input)),
+            reader: RunReader::with_block_bytes(input, block_bytes),
             decode,
             name: name.to_string(),
             error,
@@ -540,8 +561,8 @@ impl<K, A> Iterator for DecodedRun<K, A> {
     type Item = (K, A);
 
     fn next(&mut self) -> Option<(K, A)> {
-        match self.reader.next() {
-            Some(record) => match (self.decode)(&record) {
+        match self.reader.next_record() {
+            Some(record) => match (self.decode)(record) {
                 Some(pair) => Some(pair),
                 None => {
                     self.park(format!("undecodable record in spill run {}", self.name));
@@ -632,7 +653,7 @@ mod tests {
         assert_eq!(runs[0].records, 3);
         let err = Arc::new(Mutex::new(None));
         let decoded: Vec<(u64, u64)> =
-            DecodedRun::open(&store, &runs[0].name, u64_codec().decode, Arc::clone(&err))
+            DecodedRun::open(&store, &runs[0].name, u64_codec().decode, Arc::clone(&err), 64)
                 .unwrap()
                 .collect();
         assert_eq!(decoded, vec![(2, 2), (5, 3), (9, 1)], "run is key-sorted");
@@ -697,7 +718,7 @@ mod tests {
         }
         let err = Arc::new(Mutex::new(None));
         let decoded: Vec<(u64, u64)> =
-            DecodedRun::open(&store, "bad", u64_codec().decode, Arc::clone(&err))
+            DecodedRun::open(&store, "bad", u64_codec().decode, Arc::clone(&err), 64)
                 .unwrap()
                 .collect();
         assert!(decoded.is_empty());

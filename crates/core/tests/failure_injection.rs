@@ -3,15 +3,21 @@
 //! them — never as hangs, partial results, or panics. Exercises all
 //! three ingest paths (original, double-buffered pipeline, N-buffered
 //! pipeline) and both input shapes, plus map panics (which come back as
-//! [`SupmrError::TaskPanic`] rather than unwinding through the caller).
+//! [`SupmrError::TaskPanic`] rather than unwinding through the caller),
+//! plus the one fault that enters from the *output* side of the map
+//! phase: a spill run store that fills up under several spilling
+//! workers.
 
 use std::io::ErrorKind;
+use std::sync::Arc;
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
 use supmr::runtime::{Input, Job, JobConfig};
-use supmr::{Chunking, PoolMode, SupmrError};
-use supmr_storage::{FaultyFileSet, FaultySource, MemFileSet, MemSource};
+use supmr::{Chunking, PairCodec, PoolMode, SupmrError};
+use supmr_storage::{
+    FaultyFileSet, FaultyRunStore, FaultySource, MemFileSet, MemRunStore, MemSource,
+};
 use supmr_workloads::{small_files_corpus, TextGen, TextGenConfig};
 
 struct WordCount;
@@ -37,6 +43,21 @@ impl MapReduce for WordCount {
 
     fn reduce(&self, _k: &String, acc: u64) -> u64 {
         acc
+    }
+
+    /// `u64 LE` count, then the word.
+    fn spill_codec(&self) -> Option<PairCodec<String, u64>> {
+        Some(PairCodec {
+            encode: |word, count, buf| {
+                buf.extend_from_slice(&count.to_le_bytes());
+                buf.extend_from_slice(word.as_bytes());
+            },
+            decode: |rec| {
+                let count = u64::from_le_bytes(rec.get(..8)?.try_into().ok()?);
+                Some((String::from_utf8(rec[8..].to_vec()).ok()?, count))
+            },
+            size_hint: |word, _| 32 + word.len(),
+        })
     }
 }
 
@@ -192,6 +213,31 @@ fn pooled_job_surfaces_ingest_errors_and_joins_the_pool() {
     cfg.pool = PoolMode::Persistent;
     let err = Job::new(WordCount).config(cfg).run(Input::stream(source)).unwrap_err();
     assert_eq!(err.io_kind(), Some(ErrorKind::BrokenPipe));
+}
+
+#[test]
+fn spill_store_filling_up_under_concurrent_spillers_fails_the_job_cleanly() {
+    // A budget far below the vocabulary: every worker of the pooled
+    // pipeline spills, repeatedly, and the store runs out of room while
+    // they do. The job must fail with the store's error, at a phase
+    // boundary, with every run — whole or cut short — removed.
+    let store = MemRunStore::new();
+    let faulty =
+        FaultyRunStore::fail_writes_after(Arc::new(store.clone()), 20_000, ErrorKind::StorageFull);
+    let mut cfg = config();
+    cfg.map_workers = 4;
+    cfg.reduce_workers = 3;
+    cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
+    cfg.pool = PoolMode::Persistent;
+    cfg.memory_budget = Some(4 * 1024);
+    cfg.spill_store = Some(Arc::new(faulty));
+    let err = Job::new(WordCount)
+        .config(cfg)
+        .run(Input::stream(MemSource::from(text(200_000))))
+        .unwrap_err();
+    assert!(matches!(err, SupmrError::Ingest { .. }), "got {err:?}");
+    assert_eq!(err.io_kind(), Some(ErrorKind::StorageFull));
+    assert!(store.is_empty(), "no run file may outlive the failed job");
 }
 
 #[test]

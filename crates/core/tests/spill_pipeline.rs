@@ -12,7 +12,7 @@ use supmr::combiner::{Identity, Sum};
 use supmr::container::{HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::{Chunking, PairCodec, SupmrError};
-use supmr_storage::{FaultyRunStore, MemRunStore, MemSource};
+use supmr_storage::{FaultyRunStore, MemRunStore, MemSource, RunStore};
 
 /// WordCount with a spill codec: `u32 LE` word length, word, `u64 LE`
 /// count. Folding container, so spilled runs keep folding on merge.
@@ -205,6 +205,85 @@ proptest! {
     }
 }
 
+/// MiniSort corpora by key shape: `n` newline records whose first three
+/// bytes are the key, the rest a payload that tells records apart.
+fn sort_corpus(n: u32, key_of: impl Fn(u32) -> u32) -> Vec<u8> {
+    let mut text = Vec::new();
+    for i in 0..n {
+        let k = key_of(i) % 17_576;
+        let key = [b'a' + (k / 676) as u8, b'a' + (k / 26 % 26) as u8, b'a' + (k % 26) as u8];
+        text.extend_from_slice(&key);
+        text.extend_from_slice(format!(":payload-{i:05}\n").as_bytes());
+    }
+    text
+}
+
+/// Range-partitioned spill must not show in the output: for every key
+/// shape that stresses the splitters, every reduce width and a budget
+/// from "every absorb spills" up, the budgeted sort is the unbounded
+/// sort — byte for byte where keys are unique, and as a key-ordered
+/// permutation of the same pairs where equal keys leave their relative
+/// order to the path.
+#[test]
+fn range_partitioned_sort_matches_unbounded_for_every_key_shape() {
+    // 7919 is coprime to 26^3, so `i * 7919` visits distinct keys.
+    type KeyOf = fn(u32) -> u32;
+    let shapes: [(&str, bool, KeyOf); 5] = [
+        ("unique, shuffled", true, |i| i * 7919),
+        ("pre-sorted", true, |i| i * 20),
+        ("reverse-sorted", true, |i| (700 - i) * 20),
+        ("five keys, duplicates on both sides of every splitter", false, |i| (i % 5) * 3000),
+        ("all equal", false, |_| 4242),
+    ];
+    for (shape, unique, key_of) in shapes {
+        let data = sort_corpus(700, key_of);
+        for reduce_workers in [1usize, 2, 3, 4, 7] {
+            let mut unbounded_cfg = base_config();
+            unbounded_cfg.reduce_workers = reduce_workers;
+            let unbounded = Job::new(MiniSort)
+                .config(unbounded_cfg)
+                .run(Input::stream(MemSource::from(data.clone())))
+                .unwrap();
+            for budget in [1u64, 900, 6000] {
+                let what = format!("{shape}, {reduce_workers} reduce workers, budget {budget}");
+                let store = MemRunStore::new();
+                let mut cfg = budgeted_config(budget, &store);
+                cfg.reduce_workers = reduce_workers;
+                let spilled = Job::new(MiniSort)
+                    .config(cfg)
+                    .run(Input::stream(MemSource::from(data.clone())))
+                    .unwrap();
+                assert!(spilled.report.stats.spill_runs > 0, "{what}: must spill");
+                assert!(store.is_empty(), "{what}: run files must be deleted after the merge");
+                assert!(
+                    spilled.report.stats.reduce_tasks <= reduce_workers as u64,
+                    "{what}: at most one external merge per key range"
+                );
+                // (A budget of 1 samples its splitters from the one
+                // record resident at the first spill: degenerate.)
+                if shape.starts_with("unique") && reduce_workers > 1 && budget > 1 {
+                    assert!(
+                        spilled.report.stats.reduce_tasks > 1,
+                        "{what}: spread keys must reduce in more than one range"
+                    );
+                }
+                assert!(
+                    spilled.pairs.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "{what}: output must be in key order"
+                );
+                if unique {
+                    assert_eq!(spilled.pairs, unbounded.pairs, "{what}");
+                } else {
+                    let (mut a, mut b) = (unbounded.pairs.clone(), spilled.pairs);
+                    a.sort();
+                    b.sort();
+                    assert_eq!(a, b, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn tiny_budget_actually_spills_and_reports_it() {
     let store = MemRunStore::new();
@@ -303,6 +382,87 @@ fn run_read_faults_surface_as_typed_errors_not_panics() {
         "read faults must come back typed, got {err:?}"
     );
     assert!(store.is_empty(), "run files must be cleaned up after a read fault");
+}
+
+/// Serves runs with one bit flipped in the middle: bit rot between the
+/// spill and its read-back.
+struct RottingStore(MemRunStore);
+
+impl RunStore for RottingStore {
+    fn create(&self, name: &str) -> std::io::Result<Box<dyn std::io::Write + Send>> {
+        self.0.create(name)
+    }
+
+    fn open(&self, name: &str) -> std::io::Result<Box<dyn std::io::Read + Send>> {
+        let mut bytes = Vec::new();
+        self.0.open(name)?.read_to_end(&mut bytes)?;
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+        Ok(Box::new(std::io::Cursor::new(bytes)))
+    }
+
+    fn remove(&self, name: &str) -> std::io::Result<()> {
+        self.0.remove(name)
+    }
+}
+
+/// The run-store fault cases again, on both containers, with several
+/// map workers spilling at once and several key ranges (or hash
+/// partitions) merging at once: a disk that fills up mid-job, a write
+/// that dies inside a run, and a run that comes back corrupt must each
+/// surface as a typed error — never a panic — and leave no run behind.
+#[test]
+fn run_store_faults_under_concurrent_spill_and_wide_reduce_stay_typed() {
+    fn check<J: MapReduce>(job: fn() -> J, data: &[u8], budget: u64) {
+        let config = |store: Arc<dyn RunStore>| {
+            let mut config = base_config();
+            config.map_workers = 4;
+            config.reduce_workers = 3;
+            config.memory_budget = Some(budget);
+            config.spill_store = Some(store);
+            config
+        };
+        let run = |store: Arc<dyn RunStore>| {
+            Job::new(job()).config(config(store)).run(Input::stream(MemSource::from(data.to_vec())))
+        };
+        // How much a clean run writes, to place the faults inside it.
+        let clean = MemRunStore::new();
+        let written = run(Arc::new(clean.clone())).unwrap().report.stats.spill_bytes;
+        assert!(written > 400, "the job must spill for the faults to land: {written}");
+
+        for (what, fail_at) in [("ENOSPC after some runs", written / 2), ("short write", 13)] {
+            let store = MemRunStore::new();
+            let faulty = FaultyRunStore::fail_writes_after(
+                Arc::new(store.clone()),
+                fail_at,
+                ErrorKind::StorageFull,
+            );
+            let err = run(Arc::new(faulty)).err().unwrap_or_else(|| panic!("{what}: must fail"));
+            assert!(matches!(err, SupmrError::Ingest { .. }), "{what}: got {err:?}");
+            assert_eq!(err.io_kind(), Some(ErrorKind::StorageFull), "{what}");
+            assert!(store.is_empty(), "{what}: whole and partial runs must all be removed");
+        }
+
+        let store = MemRunStore::new();
+        let faulty = FaultyRunStore::fail_reads_after(
+            Arc::new(store.clone()),
+            written / 2,
+            ErrorKind::Other,
+        );
+        let err = run(Arc::new(faulty)).err().expect("read fault must fail the job");
+        assert!(matches!(err, SupmrError::Merge { .. } | SupmrError::Ingest { .. }), "got {err:?}");
+        assert!(store.is_empty(), "runs must be removed after a read fault");
+
+        let store = MemRunStore::new();
+        let err = run(Arc::new(RottingStore(store.clone()))).err().expect("bit rot must fail");
+        match &err {
+            SupmrError::Merge { message } => assert!(message.contains("corrupt"), "{message}"),
+            other => panic!("corrupt read-back must be a merge error, got {other:?}"),
+        }
+        assert!(store.is_empty(), "runs must be removed after a corrupt read-back");
+    }
+    check(|| MiniSort, &sort_corpus(700, |i| i * 7919), 900);
+    check(|| SpillingWordCount, &wide_corpus(), 256);
 }
 
 /// WordCount that panics mid-map once enough input has passed, so some

@@ -11,45 +11,26 @@
 //! path (`supmr::spill`) builds on the same run format.
 //!
 //! Records are opaque byte strings ordered lexicographically (the
-//! Terasort order). Each record is framed as
-//! `u32 length (LE) | u32 CRC32 (LE) | payload`: the checksum covers the
-//! payload, so a truncated or bit-rotted run file surfaces as a typed
-//! [`RunReadError::Corrupt`] instead of a mis-parsed length prefix.
+//! Terasort order), each framed by the crate's one
+//! [frame codec](crate#the-frame-format): a truncated or bit-rotted run
+//! file surfaces as a typed [`RunReadError::Corrupt`] instead of a
+//! mis-parsed length prefix. Writer and reader move whole blocks of
+//! [`BLOCK_BYTES`]: frames are encoded in place in the writer's block and
+//! walked in place in the reader's, so a record costs no `write`/`read`
+//! call of its own.
 
+use crate::frame::{push_frame, split_frame, FrameError, FRAME_HEADER};
 use crate::loser_tree::merge_iterators;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// IEEE CRC-32 lookup table (reflected polynomial 0xEDB88320),
-/// generated at compile time so the crate stays dependency-free.
-static CRC_TABLE: [u32; 256] = make_crc_table();
-
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `data` (the zlib/PNG polynomial).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// Bytes a [`RunWriter`] collects before handing them to its sink, and
+/// the default size of a [`RunReader`]'s block buffer: large enough that
+/// a buffered file underneath is bypassed and a block is one `write` or
+/// `read` call.
+pub const BLOCK_BYTES: usize = 256 * 1024;
 
 /// What went wrong while reading a run file.
 ///
@@ -100,6 +81,12 @@ impl std::error::Error for RunReadError {
     }
 }
 
+impl From<FrameError> for RunReadError {
+    fn from(e: FrameError) -> RunReadError {
+        RunReadError::Corrupt { detail: e.to_string() }
+    }
+}
+
 impl From<RunReadError> for io::Error {
     fn from(e: RunReadError) -> io::Error {
         match e {
@@ -113,22 +100,27 @@ impl From<RunReadError> for io::Error {
 ///
 /// Generic over the sink so spill runs can be written through the
 /// storage layer (throttled, observed, fault-injected); plain file runs
-/// use the [`RunWriter::create`] constructor.
-pub struct RunWriter<W: Write = BufWriter<File>> {
+/// use the [`RunWriter::create`] constructor. Frames collect in one
+/// block that goes to the sink whole each time it reaches
+/// [`BLOCK_BYTES`]; [`finish`](RunWriter::finish) writes the last one,
+/// so a writer dropped unfinished leaves a short run behind.
+pub struct RunWriter<W: Write = File> {
     out: W,
     path: PathBuf,
+    block: Vec<u8>,
     records: u64,
     bytes: u64,
 }
 
-impl RunWriter<BufWriter<File>> {
+impl RunWriter<File> {
     /// Create a run file at `path` (parent directories are created).
     pub fn create(path: impl AsRef<Path>) -> io::Result<RunWriter> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        Ok(RunWriter { out: BufWriter::new(File::create(&path)?), path, records: 0, bytes: 0 })
+        let file = File::create(&path)?;
+        Ok(RunWriter { path, ..RunWriter::from_writer(file) })
     }
 }
 
@@ -138,7 +130,7 @@ impl<W: Write> RunWriter<W> {
     ///
     /// [`finish`]: RunWriter::finish
     pub fn from_writer(out: W) -> RunWriter<W> {
-        RunWriter { out, path: PathBuf::new(), records: 0, bytes: 0 }
+        RunWriter { out, path: PathBuf::new(), block: Vec::new(), records: 0, bytes: 0 }
     }
 
     /// Append one record (caller guarantees run order).
@@ -146,13 +138,27 @@ impl<W: Write> RunWriter<W> {
     /// # Errors
     /// Fails for records longer than `u32::MAX` bytes or on I/O errors.
     pub fn push(&mut self, record: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(record.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record too large"))?;
-        self.out.write_all(&len.to_le_bytes())?;
-        self.out.write_all(&crc32(record).to_le_bytes())?;
-        self.out.write_all(record)?;
+        self.push_with(|block| block.extend_from_slice(record))
+    }
+
+    /// Append one record that `encode` writes straight into the output
+    /// block (it must only append) — [`push`](RunWriter::push) without
+    /// the caller-side copy of the record.
+    ///
+    /// # Errors
+    /// As [`push`](RunWriter::push).
+    pub fn push_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.bytes += push_frame(&mut self.block, encode)? as u64;
         self.records += 1;
-        self.bytes += 8 + record.len() as u64;
+        if self.block.len() >= BLOCK_BYTES {
+            self.write_block()?;
+        }
+        Ok(())
+    }
+
+    fn write_block(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.block)?;
+        self.block.clear();
         Ok(())
     }
 
@@ -168,6 +174,7 @@ impl<W: Write> RunWriter<W> {
 
     /// Flush and close, returning the path and record count.
     pub fn finish(mut self) -> io::Result<(PathBuf, u64)> {
+        self.write_block()?;
         self.out.flush()?;
         Ok((self.path, self.records))
     }
@@ -176,25 +183,51 @@ impl<W: Write> RunWriter<W> {
 /// Streams the records of one run file, verifying each checksum.
 ///
 /// Generic over the byte source so spill runs can be read back through
-/// the storage layer; plain files use [`RunReader::open`].
-pub struct RunReader<R: Read = BufReader<File>> {
+/// the storage layer; plain files use [`RunReader::open`]. Input arrives
+/// a block at a time in one reusable buffer that frames are walked in:
+/// [`next_record`](RunReader::next_record) lends each payload out of it,
+/// the [`Iterator`] form copies it into a `Vec`.
+pub struct RunReader<R: Read = File> {
     input: R,
+    /// The block buffer; `block[start..end]` is read but not yet walked.
+    block: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes asked of `input` per refill (and the buffer's size unless a
+    /// longer record stretches it).
+    block_bytes: usize,
+    eof: bool,
     /// Deferred error (iterators can't return `Result` cleanly; the
     /// merge surfaces this after iteration).
     error: Option<RunReadError>,
 }
 
-impl RunReader<BufReader<File>> {
+impl RunReader<File> {
     /// Open a run file.
     pub fn open(path: impl AsRef<Path>) -> io::Result<RunReader> {
-        Ok(RunReader { input: BufReader::new(File::open(path)?), error: None })
+        Ok(RunReader::from_reader(File::open(path)?))
     }
 }
 
 impl<R: Read> RunReader<R> {
-    /// Wrap an arbitrary byte source (callers buffer if they need to).
+    /// Wrap an arbitrary byte source, reading [`BLOCK_BYTES`] at a time.
     pub fn from_reader(input: R) -> RunReader<R> {
-        RunReader { input, error: None }
+        RunReader::with_block_bytes(input, BLOCK_BYTES)
+    }
+
+    /// Wrap a byte source, reading `block_bytes` (at least one frame
+    /// header) at a time — for callers that hold many runs open at once
+    /// and must bound what their buffers add up to.
+    pub fn with_block_bytes(input: R, block_bytes: usize) -> RunReader<R> {
+        RunReader {
+            input,
+            block: Vec::new(),
+            start: 0,
+            end: 0,
+            block_bytes: block_bytes.max(FRAME_HEADER),
+            eof: false,
+            error: None,
+        }
     }
 
     /// Any error encountered while iterating.
@@ -202,16 +235,59 @@ impl<R: Read> RunReader<R> {
         self.error.take()
     }
 
-    /// Read exactly `buf.len()` bytes; EOF mid-way is corruption
-    /// (truncated file), any other failure is transport.
-    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<(), RunReadError> {
-        self.input.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                RunReadError::Corrupt { detail: format!("truncated while reading {what}") }
-            } else {
-                RunReadError::Io(e)
+    /// The next record, borrowed from the block buffer until the next
+    /// call. `None` is the end of the run or an error parked for
+    /// [`take_error`](RunReader::take_error).
+    pub fn next_record(&mut self) -> Option<&[u8]> {
+        if self.error.is_some() {
+            return None;
+        }
+        loop {
+            match split_frame(&self.block[self.start..self.end]) {
+                Ok((payload, _)) => {
+                    let at = self.start + FRAME_HEADER;
+                    self.start = at + payload.len();
+                    return Some(&self.block[at..self.start]);
+                }
+                // EOF is legitimate on a frame boundary and nowhere else.
+                Err(FrameError::Truncated { have: 0, .. }) if self.eof => return None,
+                Err(FrameError::Truncated { need, .. }) if !self.eof => {
+                    if let Err(e) = self.refill(need) {
+                        self.error = Some(RunReadError::Io(e));
+                        return None;
+                    }
+                }
+                Err(e) => {
+                    self.error = Some(e.into());
+                    return None;
+                }
             }
-        })
+        }
+    }
+
+    /// Read more input behind the unwalked bytes, which move to the
+    /// front of the buffer first. The buffer outgrows `block_bytes` only
+    /// for a frame of `need` bytes that does not fit, and then by at most
+    /// one block beyond the bytes actually held: a corrupt length prefix
+    /// can claim [`MAX_RECORD`](crate::frame::MAX_RECORD), but memory
+    /// follows the bytes that arrive, not the claim.
+    fn refill(&mut self, need: usize) -> io::Result<()> {
+        self.block.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let want = need.max(self.block_bytes).min(self.end + self.block_bytes);
+        if self.block.len() < want {
+            self.block.resize(want, 0);
+        }
+        loop {
+            match self.input.read(&mut self.block[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+            return Ok(());
+        }
     }
 }
 
@@ -219,63 +295,7 @@ impl<R: Read> Iterator for RunReader<R> {
     type Item = Vec<u8>;
 
     fn next(&mut self) -> Option<Vec<u8>> {
-        if self.error.is_some() {
-            return None;
-        }
-        // The length prefix is the one place EOF is legitimate — but
-        // only on a record boundary, so read it byte-aware: zero bytes
-        // is a clean end, a partial prefix is truncation.
-        let mut len_buf = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            match self.input.read(&mut len_buf[filled..]) {
-                Ok(0) if filled == 0 => return None,
-                Ok(0) => {
-                    self.error = Some(RunReadError::Corrupt {
-                        detail: format!("truncated length prefix ({filled} of 4 bytes)"),
-                    });
-                    return None;
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && filled == 0 => return None,
-                Err(e) => {
-                    self.error = Some(RunReadError::Io(e));
-                    return None;
-                }
-            }
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        // A corrupt prefix must surface as an error, not a giant
-        // allocation: no writer in this module produces records beyond
-        // this bound.
-        const MAX_RECORD: usize = 256 * 1024 * 1024;
-        if len > MAX_RECORD {
-            self.error =
-                Some(RunReadError::Corrupt { detail: format!("impossible record length {len}") });
-            return None;
-        }
-        let mut crc_buf = [0u8; 4];
-        if let Err(e) = self.fill(&mut crc_buf, "record checksum") {
-            self.error = Some(e);
-            return None;
-        }
-        let expected = u32::from_le_bytes(crc_buf);
-        let mut rec = vec![0u8; len];
-        if let Err(e) = self.fill(&mut rec, "record payload") {
-            self.error = Some(e);
-            return None;
-        }
-        let actual = crc32(&rec);
-        if actual != expected {
-            self.error = Some(RunReadError::Corrupt {
-                detail: format!(
-                    "record checksum mismatch (stored {expected:08x}, computed {actual:08x})"
-                ),
-            });
-            return None;
-        }
-        Some(rec)
+        self.next_record().map(<[u8]>::to_vec)
     }
 }
 
@@ -389,13 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // The zlib/PNG IEEE polynomial's canonical check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn run_file_round_trip() {
         let dir = temp_dir("roundtrip");
         let mut w = RunWriter::create(dir.join("r.dat")).unwrap();
@@ -429,49 +442,136 @@ mod tests {
         assert!(r.take_error().is_none());
     }
 
-    #[test]
-    fn truncated_run_file_reports_an_error() {
-        let dir = temp_dir("truncated");
-        let path = dir.join("bad.dat");
-        // Length prefix says 100 bytes; the checksum and payload are cut
-        // short.
-        std::fs::write(&path, [100u32.to_le_bytes().as_slice(), b"abc"].concat()).unwrap();
-        let mut reader = RunReader::open(&path).unwrap();
-        assert!(reader.by_ref().next().is_none());
-        let err = reader.take_error().expect("truncation must surface");
-        assert!(err.is_corrupt(), "truncation is corruption: {err}");
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Frames the way the format is documented, independently of
+    /// `push_frame`: what a run file written before the block writer
+    /// holds.
+    fn framed(records: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            out.extend_from_slice(&(r.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crate::crc32(r).to_le_bytes());
+            out.extend_from_slice(r);
+        }
+        out
     }
 
     #[test]
-    fn truncated_length_prefix_reports_an_error() {
-        let dir = temp_dir("shortlen");
-        let path = dir.join("bad.dat");
-        std::fs::write(&path, [7u8, 0]).unwrap();
-        let mut reader = RunReader::open(&path).unwrap();
-        assert!(reader.by_ref().next().is_none());
-        let err = reader.take_error().expect("partial prefix must surface");
-        assert!(err.is_corrupt(), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn bytes_on_disk_are_the_documented_format_both_ways() {
+        let records: [&[u8]; 3] = [b"", b"alpha", b"a somewhat longer record"];
+        let mut written = Vec::new();
+        let mut w = RunWriter::from_writer(&mut written);
+        for r in records {
+            w.push(r).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(written, framed(&records));
+        let got: Vec<Vec<u8>> = RunReader::from_reader(framed(&records).as_slice()).collect();
+        assert_eq!(got, records.iter().map(|r| r.to_vec()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn bit_rot_fails_the_checksum() {
-        let dir = temp_dir("bitrot");
-        let mut w = RunWriter::create(dir.join("r.dat")).unwrap();
-        w.push(b"stable payload").unwrap();
-        let (path, _) = w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01; // flip one payload bit
-        std::fs::write(&path, &bytes).unwrap();
-        let mut reader = RunReader::open(&path).unwrap();
-        assert!(reader.by_ref().next().is_none());
-        let err = reader.take_error().expect("bit rot must surface");
-        assert!(err.is_corrupt(), "{err}");
-        assert!(err.to_string().contains("checksum"), "{err}");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn records_straddle_blocks_of_any_size() {
+        // Payloads from empty to several blocks long, read back through
+        // block buffers smaller than a header, a record, and the run.
+        let records: Vec<Vec<u8>> = (0..40usize).map(|i| vec![i as u8; (i * 37) % 300]).collect();
+        let mut run = Vec::new();
+        let mut w = RunWriter::from_writer(&mut run);
+        for r in &records {
+            w.push(r).unwrap();
+        }
+        w.finish().unwrap();
+        for block_bytes in [1, 8, 9, 64, 311, 4096, run.len()] {
+            let mut reader = RunReader::with_block_bytes(run.as_slice(), block_bytes);
+            let got: Vec<Vec<u8>> = reader.by_ref().collect();
+            assert_eq!(got, records, "block of {block_bytes}");
+            assert!(reader.take_error().is_none());
+        }
+    }
+
+    #[test]
+    fn writer_hands_over_whole_blocks() {
+        struct Sink(Vec<usize>);
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Sink(Vec::new());
+        let mut w = RunWriter::from_writer(&mut sink);
+        let record = [7u8; 1000];
+        for _ in 0..600 {
+            w.push(&record).unwrap();
+        }
+        let bytes = w.bytes();
+        w.finish().unwrap();
+        assert_eq!(sink.0.iter().sum::<usize>() as u64, bytes);
+        assert_eq!(sink.0.len(), 3, "two full blocks and the tail: {:?}", sink.0);
+        assert!(sink.0.iter().all(|&n| n < BLOCK_BYTES + record.len() + FRAME_HEADER));
+    }
+
+    #[test]
+    fn corruption_surfaces_as_a_deferred_typed_error() {
+        let good = framed(&[b"first record", b"stable payload"]);
+        let n = good.len();
+        let mut rotten = good.clone();
+        rotten[n - 1] ^= 0x01;
+        // (bytes, records readable before the fault, message fragment)
+        let cases: [(Vec<u8>, usize, &str); 4] = [
+            (good[..n - 3].to_vec(), 1, "truncated frame payload"),
+            (good[..20 + 2].to_vec(), 1, "truncated frame header"),
+            (rotten, 1, "checksum mismatch"),
+            (u32::MAX.to_le_bytes().repeat(2), 0, "impossible record length"),
+        ];
+        for (bytes, readable, fragment) in cases {
+            for block_bytes in [8, 16, BLOCK_BYTES] {
+                let mut reader = RunReader::with_block_bytes(bytes.as_slice(), block_bytes);
+                assert_eq!(reader.by_ref().count(), readable, "{fragment}");
+                let err = reader.take_error().expect("corruption must surface");
+                assert!(err.is_corrupt(), "{err}");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(fragment), "{err}");
+                assert!(reader.next().is_none(), "a failed reader stays ended");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lying_length_prefix_allocates_nothing_for_the_bytes_it_claims() {
+        // Twelve bytes whose prefix claims 200 MiB (below `MAX_RECORD`,
+        // so only the missing payload gives it away).
+        let mut bytes = (200u32 * 1024 * 1024).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xAB; 8]);
+        for block_bytes in [16, BLOCK_BYTES] {
+            let mut reader = RunReader::with_block_bytes(bytes.as_slice(), block_bytes);
+            assert!(reader.next_record().is_none());
+            let err = reader.take_error().expect("the truncation must surface");
+            assert!(err.is_corrupt(), "{err}");
+            assert!(
+                reader.block.capacity() <= bytes.len() + 2 * block_bytes,
+                "buffer grew to {} for {} bytes of input",
+                reader.block.capacity(),
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn transport_errors_are_not_corruption() {
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"))
+            }
+        }
+        let mut reader = RunReader::from_reader(Broken);
+        assert!(reader.next().is_none());
+        let err = reader.take_error().expect("the failure must surface");
+        assert!(!err.is_corrupt());
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
@@ -511,19 +611,6 @@ mod tests {
         assert!(runs.is_empty());
         let sorted = external_sort(std::iter::empty(), 1024, &dir).unwrap();
         assert!(sorted.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_length_prefix_is_an_error_not_an_allocation() {
-        let dir = temp_dir("corrupt");
-        let path = dir.join("bad.dat");
-        std::fs::write(&path, u32::MAX.to_le_bytes()).unwrap();
-        let mut reader = RunReader::open(&path).unwrap();
-        assert!(reader.by_ref().next().is_none());
-        let err = reader.take_error().expect("corruption must surface");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.is_corrupt());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,23 +11,28 @@
 //! requires ordering on) accumulator values.
 
 use crate::loser_tree::merge_iterators_by;
-use crate::run::ByKey;
+use crate::run::{ByKey, Order};
+
+/// The key-only order with no prefix: every comparison is a full key
+/// comparison.
+fn unprefixed<K: Ord, A>() -> impl Order<(K, A)> + Copy {
+    let no_prefix: fn(&K) -> u64 = |_| 0;
+    ByKey(no_prefix)
+}
 
 /// Merge key-sorted `(key, acc)` sources into one key-sorted stream,
 /// preserving duplicates (no folding). Memory use is one buffered pair
-/// per source.
+/// per source. With a key prefix to compare first, call
+/// [`merge_iterators_by`] under a prefixed [`ByKey`] — this is that
+/// merge without one.
 pub fn merge_by_key<K: Ord, A, I>(sources: Vec<I>) -> impl Iterator<Item = (K, A)>
 where
     I: Iterator<Item = (K, A)>,
 {
-    let no_prefix: fn(&K) -> u64 = |_| 0;
-    merge_iterators_by(sources, ByKey(no_prefix))
+    merge_iterators_by(sources, unprefixed())
 }
 
-/// Merge key-sorted `(key, acc)` sources into one key-sorted stream,
-/// folding equal keys with `fold` (first accumulator wins the slot, the
-/// rest are folded into it in merge order). One output pair per
-/// distinct key.
+/// [`merge_fold_by`] without a key prefix.
 pub fn merge_fold<K, A, I, F>(
     sources: Vec<I>,
     fold: F,
@@ -37,7 +42,25 @@ where
     I: Iterator<Item = (K, A)>,
     F: FnMut(&mut A, A),
 {
-    FoldedMerge { inner: merge_by_key(sources), pending: None, fold }
+    merge_fold_by(sources, unprefixed(), fold)
+}
+
+/// Merge sources sorted under `order` (a key order, such as a prefixed
+/// [`ByKey`]) into one stream in that order, folding equal keys with
+/// `fold` (first accumulator wins the slot, the rest are folded into it
+/// in merge order). One output pair per distinct key.
+pub fn merge_fold_by<K, A, I, O, F>(
+    sources: Vec<I>,
+    order: O,
+    fold: F,
+) -> FoldedMerge<K, A, impl Iterator<Item = (K, A)>, F>
+where
+    K: Ord,
+    I: Iterator<Item = (K, A)>,
+    O: Order<(K, A)> + Copy,
+    F: FnMut(&mut A, A),
+{
+    FoldedMerge { inner: merge_iterators_by(sources, order), pending: None, fold }
 }
 
 /// Streaming combiner-folding merge returned by [`merge_fold`].
@@ -108,6 +131,35 @@ mod tests {
         let merged: Vec<(i32, i32)> =
             merge_fold(vec![one.into_iter()], |acc, v| *acc += v).collect();
         assert_eq!(merged, vec![(1, 30), (2, 5)]);
+    }
+
+    #[test]
+    fn a_key_prefix_changes_no_output() {
+        // Keys collide within and across sources, so prefixes tie and
+        // folds meet; a coarse, a constant and an exact prefix must all
+        // give the unprefixed merge's stream.
+        let sources = || -> Vec<std::vec::IntoIter<(u32, u64)>> {
+            (0..5u32)
+                .map(|s| {
+                    let mut run: Vec<(u32, u64)> =
+                        (0..400u32).map(|i| ((i * 37 + s * 101) % 1500, u64::from(s))).collect();
+                    run.sort_by_key(|&(k, _)| k);
+                    run.into_iter()
+                })
+                .collect()
+        };
+        let plain: Vec<(u32, u64)> = merge_by_key(sources()).collect();
+        let folded: Vec<(u32, u64)> = merge_fold(sources(), |acc, v| *acc = *acc * 7 + v).collect();
+        assert_eq!(plain.len(), 2000);
+        assert!(folded.len() < plain.len());
+        let prefixes: [fn(&u32) -> u64; 3] = [|k| u64::from(*k >> 8), |_| 0, |k| u64::from(*k)];
+        for prefix in prefixes {
+            let merged: Vec<(u32, u64)> = merge_iterators_by(sources(), ByKey(prefix)).collect();
+            assert_eq!(merged, plain);
+            let merged: Vec<(u32, u64)> =
+                merge_fold_by(sources(), ByKey(prefix), |acc, v| *acc = *acc * 7 + v).collect();
+            assert_eq!(merged, folded);
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::loser_tree::LoserTree;
 use crate::run::{ByRef, Natural, Order, SortedRun};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
 /// Work counters from a k-way merge.
@@ -71,10 +72,13 @@ where
 /// as a whole is stable: equal keys come out by (run index, position in
 /// run).
 ///
-/// Elements are **moved**, never cloned, and moved once. A single
-/// non-empty run is returned as it stands: a merge of one run is a move
-/// of the vector, though it still counts its `N` elements as the one
-/// pass they took.
+/// Elements are **moved**, never cloned, and moved once. Runs that
+/// already follow one another — each ending no later than the next
+/// begins, as key-range-partitioned reduce outputs do — merge to their
+/// concatenation, which is what is returned after the `k − 1` boundary
+/// comparisons that establish it; a single run is the limiting case and
+/// comes back as it stands, the same allocation. Either way the `N`
+/// elements count as the one pass they took.
 ///
 /// # Panics
 /// Panics if `ways == 0`.
@@ -86,9 +90,20 @@ where
     assert!(ways > 0, "need at least one way");
     runs.retain(|run| !run.is_empty());
     let total: usize = runs.iter().map(SortedRun::len).sum();
-    if runs.len() <= 1 {
-        let out = runs.pop().map(SortedRun::into_items).unwrap_or_default();
-        return (out, KwayStats { comparisons: 0, elements_moved: total as u64, partitions: 1 });
+    let in_sequence = runs.windows(2).all(|pair| {
+        // Empty runs went above, so both ends exist.
+        let (before, after) = (&pair[0], &pair[1]);
+        let last = before.len() - 1;
+        let end = (before.prefixes[last], &before.items[last]);
+        order.cmp_prefixed(end, (after.prefixes[0], &after.items[0])) != Ordering::Greater
+    });
+    if in_sequence {
+        let comparisons = runs.len().saturating_sub(1) as u64;
+        let mut parts = runs.into_iter().map(SortedRun::into_items);
+        let mut out = parts.next().unwrap_or_default();
+        out.reserve_exact(total - out.len());
+        parts.for_each(|mut part| out.append(&mut part));
+        return (out, KwayStats { comparisons, elements_moved: total as u64, partitions: 1 });
     }
 
     // cuts[p][r]..cuts[p + 1][r] is the index range of run r that way p
@@ -281,6 +296,33 @@ mod tests {
         let (out, stats) = parallel_kway_merge(vec![vec![], run, vec![]], 4);
         assert_eq!(out.as_ptr(), storage, "the run's own allocation is the output");
         assert_eq!(stats, KwayStats { comparisons: 0, elements_moved: 1000, partitions: 1 });
+    }
+
+    #[test]
+    fn runs_in_sequence_are_concatenated_not_merged() {
+        // Disjoint ascending ranges, touching at equal keys: the merge is
+        // the concatenation, established by one comparison per boundary.
+        let runs: Vec<Vec<(u32, usize)>> = vec![
+            (0..100).map(|k| (k, 0)).collect(),
+            vec![],
+            (99..250).map(|k| (k, 1)).collect(),
+            vec![(250, 2)],
+        ];
+        let expected: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
+        let order = ByKey(|k: &u32| u64::from(*k >> 4));
+        let sorted = runs.iter().map(|run| SortedRun::presorted(run.clone(), &order)).collect();
+        let (out, stats) = merge_runs(sorted, &order, 4);
+        assert_eq!(out, expected);
+        assert_eq!(stats, KwayStats { comparisons: 2, elements_moved: 252, partitions: 1 });
+        // One overlapping boundary and it is a real merge again.
+        let mut runs = runs;
+        runs[3] = vec![(240, 2)];
+        let mut expected: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
+        expected.sort_by_key(|&(k, _)| k);
+        let sorted = runs.into_iter().map(|run| SortedRun::presorted(run, &order)).collect();
+        let (out, stats) = merge_runs(sorted, &order, 4);
+        assert_eq!(out, expected);
+        assert!(stats.comparisons > 2);
     }
 
     #[test]

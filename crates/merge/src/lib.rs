@@ -26,6 +26,10 @@
 //!   "step curve" of the paper's Fig. 1 is observable.
 //! * [`sort`] — parallel run sort + configurable merge backend: the
 //!   "OpenMP sort" comparator.
+//! * [`frame`], [`external`], [`folded`] — the out-of-core side: the
+//!   frame codec, run files written and read a block at a time through
+//!   it, and the streaming merges (plain and combiner-folding) that run
+//!   the same tree over run streams under the same [`Order`].
 //!
 //! # The key prefix
 //!
@@ -38,6 +42,29 @@
 //! stable), which makes the constant `0` — [`Natural`], what the
 //! `T: Ord` entry points use — always valid. A prefix changes how many
 //! comparisons dereference a key, never the output.
+//!
+//! # The frame format
+//!
+//! Every record that leaves pair form — into a spill run file
+//! ([`RunWriter`] / [`RunReader`]) or into the runtime's in-memory
+//! stage hand-off — is one **frame**:
+//!
+//! ```text
+//! u32 payload length (LE) | u32 CRC-32 of the payload (LE) | payload
+//! ```
+//!
+//! Frames sit back to back with nothing between or around them: a run
+//! file or hand-off segment is a whole number of frames, an empty
+//! payload is a frame like any other, and the end of the bytes on a
+//! frame boundary is the end of the stream. The checksum is the IEEE
+//! (zlib/PNG) CRC-32 and covers the payload only, so truncation
+//! anywhere, a flipped bit, or a length prefix that lies shows up as a
+//! typed [`FrameError`] instead of a mis-parsed record; lengths above
+//! [`frame::MAX_RECORD`] are rejected before anything is sized by them.
+//! [`frame`] is the only implementation — [`crc32`], the in-place
+//! encoder [`push_frame`] and the borrowing walker [`split_frame`] —
+//! and what a payload *means* (a `PairCodec` encoding, an opaque sort
+//! record) is its callers' business.
 //!
 //! ```
 //! use supmr_merge::{kway_merge, pairwise_merge_rounds};
@@ -54,6 +81,7 @@
 
 pub mod external;
 pub mod folded;
+pub mod frame;
 pub mod heap;
 pub mod kway;
 pub mod loser_tree;
@@ -62,9 +90,11 @@ pub mod run;
 pub mod sort;
 
 pub use external::{
-    crc32, external_sort, merge_run_files, spill_sorted_runs, RunReadError, RunReader, RunWriter,
+    external_sort, merge_run_files, spill_sorted_runs, RunReadError, RunReader, RunWriter,
+    BLOCK_BYTES,
 };
-pub use folded::{merge_by_key, merge_fold, FoldedMerge};
+pub use folded::{merge_by_key, merge_fold, merge_fold_by, FoldedMerge};
+pub use frame::{crc32, push_frame, split_frame, FrameError};
 pub use heap::heap_kway_merge;
 pub use kway::{kway_merge, merge_runs, parallel_kway_merge, KwayStats};
 pub use loser_tree::{merge_iterators, merge_iterators_by, LoserTree};

@@ -13,6 +13,10 @@ use supmr_metrics::{chrome::to_chrome_json, EventKind, SpanKey};
 use supmr_storage::MemSource;
 use supmr_workloads::TeraGen;
 
+/// One Teragen pair in the hand-off: the 8-byte frame header, the
+/// codec's `u32` key length, the 10-byte key and the 100-byte record.
+const HANDOFF_FRAME_BYTES: u64 = 8 + 4 + 10 + 100;
+
 fn sort_config(chunk_bytes: u64, ways: usize) -> JobConfig {
     JobConfig {
         map_workers: 2,
@@ -50,6 +54,10 @@ proptest! {
         let handoff = piped.report.stages[0].handoff.expect("partition stage hands off");
         prop_assert_eq!(handoff.pairs, records);
         prop_assert_eq!(
+            handoff.bytes, records * HANDOFF_FRAME_BYTES,
+            "every pair crosses as one frame of the documented size"
+        );
+        prop_assert_eq!(
             handoff.materialized_pairs, 0,
             "no pair vector may exist between the stages"
         );
@@ -75,6 +83,8 @@ proptest! {
             "a {budget_kb}K budget must force mid-pipeline spills"
         );
         let handoff = piped.report.stages[0].handoff.expect("partition stage hands off");
+        prop_assert_eq!(handoff.pairs, records);
+        prop_assert_eq!(handoff.bytes, records * HANDOFF_FRAME_BYTES);
         prop_assert_eq!(
             handoff.materialized_pairs, 0,
             "the hand-off streams even out of spilled runs"
