@@ -62,8 +62,9 @@ impl MapReduce for WordCount {
                 emit.emit_bytes(&folded, 1);
             }
         } else {
-            for word in scan::tokens(split, ByteClass::Word) {
-                emit.emit_bytes(word, 1);
+            let mut words = scan::tokens(split, ByteClass::Word);
+            while let Some((start, end)) = words.next_span() {
+                emit.emit_span(split, start..end, 1);
             }
         }
     }
@@ -135,6 +136,64 @@ mod tests {
         WordCount::new().map(b"", &mut sink);
         WordCount::new().map(b"--- ... !!!", &mut sink);
         assert!(sink.pairs.is_empty());
+    }
+
+    /// Word counts of `split` as a real container's local table folds
+    /// them, and as `VecEmit` collects them — the trait's default
+    /// route, an owned `emit(K::from_bytes(..))` per token.
+    fn counts_both_ways(app: &WordCount, split: &[u8]) -> [Vec<(CompactKey, u64)>; 2] {
+        use supmr::container::Container;
+        let container = app.make_container();
+        let mut local = container.local();
+        app.map(split, &mut local);
+        container.absorb(local);
+        let mut folded: Vec<_> = container.into_partitions(4).into_iter().flatten().collect();
+        folded.sort();
+        let mut sink = VecEmit::default();
+        app.map(split, &mut sink);
+        let mut reference = std::collections::BTreeMap::new();
+        for (word, one) in sink.pairs {
+            *reference.entry(word).or_insert(0) += one;
+        }
+        [folded, reference.into_iter().collect()]
+    }
+
+    #[test]
+    fn one_word_path_counts_like_the_owned_path() {
+        // Tokens of 1, 3, 4, 7, 8, 9, 22 and 23 bytes, repeats in both
+        // cases, words equal in their first 8 bytes, non-ASCII
+        // separators — and every split end: a token on the last byte,
+        // within the last 8, and well clear of them.
+        let text = "a abc abcd ABCD abcdefg abcdefgh abcdefghi abcdefghj Abcdefghi \
+                    twenty_two_bytes_long_ twenty_two_bytes_long_x caf\u{e9} na\u{ef}ve \
+                    a abc it's IT'S x_1 tail end q";
+        for app in [WordCount::new(), WordCount::case_insensitive()] {
+            for cut in 0..12 {
+                let split = &text.as_bytes()[..text.len() - cut];
+                let [folded, reference] = counts_both_ways(&app, split);
+                assert_eq!(
+                    folded, reference,
+                    "case_insensitive {}, cut {cut}",
+                    app.case_insensitive
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn spill_decode_keeps_the_inline_tail_zero() {
+        // The one-word compare reads an inline key's whole first word:
+        // a key that came back from a run file must be as zero-padded
+        // as one built in the map.
+        let codec = WordCount::new().spill_codec().expect("word count spills");
+        for word in ["", "a", "seven77", "exactly8", "twenty_two_bytes_long_"] {
+            let mut rec = Vec::new();
+            (codec.encode)(&CompactKey::from(word), &3, &mut rec);
+            let (key, count) = (codec.decode)(&rec).expect("round trip");
+            assert_eq!((key.as_bytes(), count), (word.as_bytes(), 3));
+            let CompactKey::Inline { len, buf } = key else { panic!("{word:?} fits inline") };
+            assert!(buf[len as usize..].iter().all(|&b| b == 0), "{word:?}");
+        }
     }
 
     #[test]

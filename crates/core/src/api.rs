@@ -15,6 +15,7 @@ use crate::container::Container;
 use crate::key::ByteKey;
 use crate::spill::PairCodec;
 use std::hash::Hash;
+use std::ops::Range;
 
 /// Sink for intermediate key/value pairs emitted by `map`.
 ///
@@ -37,6 +38,21 @@ pub trait Emit<K, V> {
         K: ByteKey,
     {
         self.emit(K::from_bytes(key), value);
+    }
+
+    /// [`Emit::emit_bytes`] of the key `buf[span]`, for a map that
+    /// knows where its token sits in a larger buffer (a tokenizer's
+    /// [`next_span`](supmr_storage::scan::Tokens::next_span) over the
+    /// split). Containers override it to read a short key as one word
+    /// straight from `buf`, where the bytes after it are in bounds.
+    ///
+    /// # Panics
+    /// If `span` is not inside `buf`.
+    fn emit_span(&mut self, buf: &[u8], span: Range<usize>, value: V)
+    where
+        K: ByteKey,
+    {
+        self.emit_bytes(&buf[span], value);
     }
 }
 
@@ -147,6 +163,14 @@ impl<K, V> Emit<K, V> for CountingEmit<'_, K, V> {
     {
         self.emitted += 1;
         self.inner.emit_bytes(key, value);
+    }
+
+    fn emit_span(&mut self, buf: &[u8], span: Range<usize>, value: V)
+    where
+        K: ByteKey,
+    {
+        self.emitted += 1;
+        self.inner.emit_span(buf, span, value);
     }
 }
 

@@ -17,6 +17,7 @@
 //! the shard map never re-hashes (`PassthroughState`).
 
 use std::hash::{BuildHasher, Hasher, RandomState};
+use supmr_storage::scan;
 
 /// The Fx multiplier (the 64-bit golden-ratio constant rustc uses).
 const FX_K: u64 = 0x517c_c1b7_2722_0a95;
@@ -105,26 +106,8 @@ impl Hasher for FxHasher {
             self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         let tail = chunks.remainder();
-        let n = tail.len();
-        if n > 0 {
-            // Assemble the zero-padded little-endian tail word from two
-            // overlapping loads instead of a serial byte loop — with
-            // 2-7-byte word-count tokens the loop dominated the hash.
-            // The overlap re-ORs identical bits, so the value (and thus
-            // every previously computed hash) is unchanged.
-            let word = if n >= 4 {
-                let lo = u32::from_le_bytes(tail[..4].try_into().unwrap()) as u64;
-                let hi = u32::from_le_bytes(tail[n - 4..].try_into().unwrap()) as u64;
-                lo | (hi << ((n - 4) * 8))
-            } else {
-                let lo = tail[0] as u64;
-                let mid = (tail[n / 2] as u64) << (8 * (n / 2));
-                let hi = (tail[n - 1] as u64) << (8 * (n - 1));
-                lo | mid | hi
-            };
-            // Fold the tail length in so "ab" + "" and "a" + "b"
-            // prefixes cannot collide trivially.
-            self.add_to_hash(word ^ (n as u64) << 56);
+        if !tail.is_empty() {
+            self.write_short(scan::short_word(tail, 0, tail.len()), tail.len());
         }
     }
 
@@ -157,6 +140,31 @@ impl Hasher for FxHasher {
     #[inline]
     fn write_usize(&mut self, i: usize) {
         self.add_to_hash(i as u64);
+    }
+}
+
+/// A [`Hasher`] that takes a key of at most eight bytes as one word —
+/// what lets the emit path hash a short token from the single load it
+/// also compares with, instead of handing `write` a slice to take apart
+/// again.
+pub trait ShortKeyHasher: Hasher {
+    /// Feed exactly what `write(&word.to_le_bytes()[..len])` would.
+    /// `len <= 8`, and `word` is zero above its low `len` bytes
+    /// ([`scan::short_word`]).
+    fn write_short(&mut self, word: u64, len: usize);
+}
+
+impl ShortKeyHasher for FxHasher {
+    /// A full word goes in as it is; a shorter one has its length
+    /// folded into the top byte (which it leaves zero), so "ab" + ""
+    /// and "a" + "b" prefixes cannot collide trivially; no bytes add
+    /// nothing. `len & 7` makes the first two one expression.
+    #[inline]
+    fn write_short(&mut self, word: u64, len: usize) {
+        debug_assert!(len <= 8 && (len == 8 || word >> (8 * len) == 0));
+        if len > 0 {
+            self.add_to_hash(word ^ ((len as u64 & 7) << 56));
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! Shards are hash-prefix partitions, so draining partition `p` is the
 //! concatenation of a contiguous shard range — no re-bucketing.
 
-use super::fast_hash::{FxSeededState, PassthroughState, SeedableBuildHasher};
+use super::fast_hash::{FxSeededState, PassthroughState, SeedableBuildHasher, ShortKeyHasher};
 use super::local_table::{Entry, LocalTable};
 use super::{Container, ContainerHooks, ContainerMetrics};
 use crate::api::Emit;
@@ -22,9 +22,11 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use supmr_storage::scan;
 
 /// Lock shards in the global table; must stay a power of two (shard
 /// index is a mask over the hash's high bits). Larger than any
@@ -207,10 +209,13 @@ where
 ///
 /// The table is an open-addressed [`LocalTable`] rather than a std
 /// `HashMap` so the zero-copy emit path can probe with a *borrowed*
-/// byte slice: [`Emit::emit_bytes`] hashes the slice through
-/// [`ByteKey::write_bytes`], compares against stored keys bytewise, and
-/// materializes an owned key only on the first insert of each distinct
-/// key — the allocation-hardening half of the SWAR map path.
+/// byte slice: [`Emit::emit_span`] (and [`Emit::emit_bytes`], the same
+/// path with the key as its own buffer) hashes the slice through
+/// [`ByteKey::write_bytes`] and compares it against stored keys
+/// bytewise — or, for a key of at most eight bytes, loads it as one
+/// word and hashes and compares that — and materializes an owned key
+/// only on the first insert of each distinct key: the
+/// allocation-hardening half of the SWAR map path.
 pub struct LocalHash<K, V, C: Combiner<V>, S = FxSeededState> {
     table: LocalTable<K, C::Acc>,
     state: S,
@@ -227,7 +232,7 @@ impl<K, V, C, S> Emit<K, V> for LocalHash<K, V, C, S>
 where
     K: Eq + Hash,
     C: Combiner<V>,
-    S: BuildHasher + Send,
+    S: BuildHasher<Hasher: ShortKeyHasher> + Send,
 {
     fn emit(&mut self, key: K, value: V) {
         self.emitted += 1;
@@ -242,15 +247,40 @@ where
     where
         K: ByteKey,
     {
+        self.emit_span(key, 0..key.len(), value);
+    }
+
+    fn emit_span(&mut self, buf: &[u8], span: Range<usize>, value: V)
+    where
+        K: ByteKey,
+    {
+        let start = span.start;
+        let key = &buf[span];
         self.emitted += 1;
         self.tokens += 1;
         // One build_hasher call per emission, same as the owned path —
         // the `one_hash_invocation_per_absorbed_key` invariant holds
         // for borrowed emissions too.
         let mut hasher = self.state.build_hasher();
-        K::write_bytes(key, &mut hasher);
-        let hash = hasher.finish();
-        match self.table.entry(hash, |k| k.eq_bytes(key)) {
+        if key.len() <= 8 {
+            // Most tokens of any text: one load from the buffer, and
+            // the word is both what is hashed and what is compared.
+            let word = scan::short_word(buf, start, key.len());
+            K::write_short(word, key.len(), &mut hasher);
+            self.fold_bytes(hasher.finish(), |k| k.eq_short(word, key.len()), key, value);
+        } else {
+            K::write_bytes(key, &mut hasher);
+            self.fold_bytes(hasher.finish(), |k| k.eq_bytes(key), key, value);
+        }
+    }
+}
+
+impl<K: ByteKey, V, C: Combiner<V>, S> LocalHash<K, V, C, S> {
+    /// Fold `value` into the entry `hash` and `eq` find, or insert
+    /// `key` — materialized only now — with it.
+    #[inline]
+    fn fold_bytes(&mut self, hash: u64, eq: impl Fn(&K) -> bool, key: &[u8], value: V) {
+        match self.table.entry(hash, eq) {
             Entry::Occupied(acc) => C::fold(acc, value),
             Entry::Vacant(slot) => {
                 if K::spills(key) {
@@ -273,7 +303,7 @@ where
     K: Ord + Eq + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     C: Combiner<V>,
-    S: SeedableBuildHasher,
+    S: SeedableBuildHasher<Hasher: ShortKeyHasher>,
 {
     type Local = LocalHash<K, V, C, S>;
     type Drain = HashDrain<K, C::Acc>;
@@ -302,6 +332,11 @@ where
         }
         if local.table.is_empty() {
             return;
+        }
+        if let Some(m) = &metrics {
+            let (load, displacement) = local.table.probe_stats();
+            m.local_load.set((load * 100.0).round() as i64);
+            m.local_probe_len.set((displacement * 100.0).round() as i64);
         }
         self.local_hint.fetch_max(local.table.len(), Ordering::Relaxed);
         let spill = self.spill.lock().clone();
@@ -699,6 +734,127 @@ mod tests {
         };
         assert_eq!(counter("supmr.map.tokens"), 12);
         assert_eq!(counter("supmr.map.alloc_spills"), 1);
+    }
+
+    /// Every pair `c` holds, sorted.
+    fn drained<K: Ord + Eq + Hash + Clone + Send + Sync + 'static>(
+        c: HashContainer<K, u64, Sum>,
+    ) -> Vec<(K, u64)> {
+        let mut all: Vec<(K, u64)> = c.into_partitions(4).into_iter().flatten().collect();
+        all.sort();
+        all
+    }
+
+    /// Emit each of `spans` of `buf` `repeats` times through the owned,
+    /// span and borrowed-slice routes; the three containers must end
+    /// up equal.
+    fn assert_routes_agree<K>(seed: u64, buf: &[u8], spans: &[Range<usize>], repeats: usize)
+    where
+        K: ByteKey + Ord + Clone + Send + Sync + std::fmt::Debug + 'static,
+    {
+        let fill = |route: &str| {
+            let c: HashContainer<K, u64, Sum> = HashContainer::with_seed(seed);
+            let mut local = c.local();
+            for span in spans.iter().cycle().take(spans.len() * repeats).cloned() {
+                match route {
+                    "owned" => local.emit(K::from_bytes(&buf[span]), 1),
+                    "span" => local.emit_span(buf, span, 1),
+                    // The key alone: nothing after it is in bounds.
+                    _ => local.emit_bytes(&buf[span], 1),
+                }
+            }
+            c.absorb(local);
+            drained(c)
+        };
+        let owned = fill("owned");
+        assert_eq!(owned.iter().map(|(_, n)| n).sum::<u64>(), (spans.len() * repeats) as u64);
+        assert_eq!(fill("span"), owned, "span route");
+        assert_eq!(fill("slice"), owned, "borrowed-slice route");
+    }
+
+    /// Keys around every edge of the one-word path, laid out in one
+    /// buffer; returns it with each key's span.
+    fn boundary_keys() -> (Vec<u8>, Vec<Range<usize>>) {
+        let long = *b"abcdefgh-tail-of-a-key!"; // 23 bytes: one past the inline cap
+        let keys: Vec<&[u8]> = vec![
+            b"",
+            b"a",
+            b"abc",
+            b"abcd",
+            b"abcdefg",
+            b"abcdefgh",  // exactly one word
+            b"abcdefghi", // equal to the above in its first 8 bytes
+            b"abcdefghj", // ... and differing from this one only after them
+            &long[..22],
+            &long,
+            b"a\0",                    // a trailing NUL is a byte of the key, not padding
+            b"\xff\xfe\x80",           // non-ASCII
+            b"\xc3\xa9t\xc3\xa9 \x00", // ... with a space and a NUL inside
+            b"xyz",                    // starts within the buffer's last 8 bytes
+            b"q",                      // ends on its last byte
+        ];
+        let mut buf = Vec::new();
+        let mut spans = Vec::new();
+        for key in keys {
+            buf.push(b' ');
+            spans.push(buf.len()..buf.len() + key.len());
+            buf.extend_from_slice(key);
+        }
+        assert!(buf.len() - spans[spans.len() - 2].start < 8);
+        (buf, spans)
+    }
+
+    #[test]
+    fn short_key_path_counts_like_the_owned_path_at_every_boundary() {
+        use crate::key::CompactKey;
+        let (buf, spans) = boundary_keys();
+        for seed in [0, 1, 99] {
+            assert_routes_agree::<CompactKey>(seed, &buf, &spans, 3);
+            // String takes ByteKey's default one-word methods.
+            assert_routes_agree::<String>(seed, &buf, &spans[..10], 3);
+        }
+    }
+
+    #[test]
+    fn a_key_hashing_to_zero_counts_like_any_other() {
+        use crate::key::CompactKey;
+        // Solve the two Fx rounds of a short key backwards for the seed
+        // under which b"zero" hashes to 0: the last round is zero iff
+        // its input is, and an odd multiplier inverts by Newton steps.
+        const FX_K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut inverse = FX_K;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(FX_K.wrapping_mul(inverse)));
+        }
+        let after_first_round = 0xffu64.rotate_right(5);
+        let word = scan::short_word(b"zero", 0, 4) ^ (4 << 56);
+        let seed = (after_first_round.wrapping_mul(inverse) ^ word).rotate_right(5);
+        let state = FxSeededState::with_seed(seed);
+        assert_eq!(state.hash_one(CompactKey::from("zero")), 0, "the seed was solved for this");
+        let buf = b"zero one zero";
+        assert_routes_agree::<CompactKey>(seed, buf, &[0..4, 5..8, 9..13], 2);
+    }
+
+    #[test]
+    fn absorb_records_the_local_tables_load_and_probe_length() {
+        use crate::key::CompactKey;
+        let metrics = ContainerMetrics::register(&Registry::new());
+        let c: HashContainer<CompactKey, u64, Sum> = HashContainer::with_seed(3);
+        c.configure(&ContainerHooks {
+            hash_seed: None,
+            metrics: Some(Arc::clone(&metrics)),
+            active: None,
+        });
+        c.absorb(c.local()); // an empty table records nothing
+        assert_eq!(metrics.local_load.value(), 0);
+        let mut local = c.local();
+        for i in 0..1000 {
+            local.emit_bytes(format!("key{i}").as_bytes(), 1);
+        }
+        c.absorb(local);
+        assert_eq!(metrics.local_load.value(), 49, "1000 keys in 2048 slots, percent");
+        let probe_len = metrics.local_probe_len.value();
+        assert!((0..=100).contains(&probe_len), "mean displacement {probe_len}/100 of a slot");
     }
 
     /// Sum-like combiner whose cross-task `merge` panics, to prove

@@ -32,7 +32,7 @@ mod local_table;
 mod unlocked;
 
 pub use array::ArrayContainer;
-pub use fast_hash::{FxSeededState, SeedableBuildHasher};
+pub use fast_hash::{FxSeededState, SeedableBuildHasher, ShortKeyHasher};
 pub use hash::HashContainer;
 pub use unlocked::UnlockedContainer;
 
@@ -77,6 +77,16 @@ pub struct ContainerMetrics {
     /// `supmr.container.absorb_in_flight` — absorbs currently merging
     /// into the shared table (RAII-guarded; consistent across panics).
     pub absorb_in_flight: Gauge,
+    /// `supmr.container.local_load` — occupied share of the last
+    /// absorbed task-local table's slot array, percent.
+    pub local_load: Gauge,
+    /// `supmr.container.local_probe_len` — mean distance of the last
+    /// absorbed task-local table's entries from their home slots, in
+    /// hundredths of a slot: near 100 and the local combine walks a
+    /// slot per lookup it should not; in the thousands and its index is
+    /// broken. (Gauges, not histograms: a histogram is 88 KB, and the
+    /// daemon keeps every finished job's registry.)
+    pub local_probe_len: Gauge,
     /// `supmr.map.tokens` — borrowed-slice emissions
     /// ([`Emit::emit_bytes`]) folded through the zero-copy probe path.
     pub emit_tokens: Counter,
@@ -103,6 +113,17 @@ impl ContainerMetrics {
             absorb_in_flight: registry.gauge(
                 "supmr.container.absorb_in_flight",
                 "Absorb operations currently merging into the shared table.",
+                &[],
+            ),
+            local_load: registry.gauge(
+                "supmr.container.local_load",
+                "Occupied share of the last absorbed task-local table's slots, percent.",
+                &[],
+            ),
+            local_probe_len: registry.gauge(
+                "supmr.container.local_probe_len",
+                "Mean displacement of the last absorbed task-local table's entries from their \
+                 home slots, hundredths of a slot.",
                 &[],
             ),
             emit_tokens: registry.counter(

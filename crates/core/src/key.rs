@@ -16,8 +16,10 @@
 //! first insert of each distinct key — a vocabulary-sized number of
 //! constructions instead of a token-count-sized one.
 
+use crate::container::ShortKeyHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use supmr_storage::scan::short_word;
 
 /// Maximum key length stored inline (no heap allocation).
 const INLINE_CAP: usize = 22;
@@ -39,7 +41,9 @@ pub enum CompactKey {
     Inline {
         /// Number of payload bytes in `buf`.
         len: u8,
-        /// Inline payload storage; bytes past `len` are zero.
+        /// Inline payload storage. Invariant: bytes past `len` are zero
+        /// — [`CompactKey::from_bytes`] is the only constructor, and
+        /// [`ByteKey::eq_short`] compares the first word whole.
         buf: [u8; INLINE_CAP],
     },
     /// Longer keys spill to one exact-size heap allocation.
@@ -127,19 +131,9 @@ fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
         let x = u64::from_le_bytes(a[n - 8..].try_into().expect("8-byte window"));
         let y = u64::from_le_bytes(b[n - 8..].try_into().expect("8-byte window"));
         x == y
-    } else if n >= 4 {
-        let xl = u32::from_le_bytes(a[..4].try_into().expect("4-byte window"));
-        let yl = u32::from_le_bytes(b[..4].try_into().expect("4-byte window"));
-        let xh = u32::from_le_bytes(a[n - 4..].try_into().expect("4-byte window"));
-        let yh = u32::from_le_bytes(b[n - 4..].try_into().expect("4-byte window"));
-        ((xl ^ yl) | (xh ^ yh)) == 0
-    } else if n > 0 {
-        // 1-3 bytes: first, middle, and last byte cover every position.
-        let x = (a[0], a[n / 2], a[n - 1]);
-        let y = (b[0], b[n / 2], b[n - 1]);
-        x == y
     } else {
-        true
+        // Under a word: each side's overlapping loads, compared whole.
+        short_word(a, 0, n) == short_word(b, 0, n)
     }
 }
 
@@ -299,6 +293,22 @@ pub trait ByteKey: Hash + Eq {
     fn eq_bytes(&self, bytes: &[u8]) -> bool {
         bytes_eq(self.as_bytes(), bytes)
     }
+
+    /// [`ByteKey::write_bytes`] for a key of `len <= 8` bytes held as
+    /// one zero-padded little-endian word
+    /// ([`scan::short_word`](supmr_storage::scan::short_word)): must
+    /// feed `hasher` what `write_bytes(&word.to_le_bytes()[..len], ..)`
+    /// would, which is what the default does.
+    #[inline]
+    fn write_short<H: ShortKeyHasher>(word: u64, len: usize, hasher: &mut H) {
+        Self::write_bytes(&word.to_le_bytes()[..len], hasher);
+    }
+
+    /// [`ByteKey::eq_bytes`] against such a word.
+    #[inline]
+    fn eq_short(&self, word: u64, len: usize) -> bool {
+        self.eq_bytes(&word.to_le_bytes()[..len])
+    }
 }
 
 impl ByteKey for CompactKey {
@@ -321,6 +331,27 @@ impl ByteKey for CompactKey {
     #[inline]
     fn spills(bytes: &[u8]) -> bool {
         bytes.len() > INLINE_CAP
+    }
+
+    #[inline]
+    fn write_short<H: ShortKeyHasher>(word: u64, len: usize, hasher: &mut H) {
+        hasher.write_short(word, len);
+        hasher.write_u8(0xff);
+    }
+
+    /// One length compare and one word compare. Leans on the inline
+    /// invariant: with the bytes past `len` zero, the buffer's first
+    /// word *is* the zero-padded word of a key of at most eight bytes.
+    #[inline]
+    fn eq_short(&self, word: u64, len: usize) -> bool {
+        match self {
+            CompactKey::Inline { len: own, buf } => {
+                debug_assert!(buf[*own as usize..].iter().all(|&b| b == 0), "inline tail not zero");
+                let first = u64::from_le_bytes(buf[..8].try_into().expect("8-byte window"));
+                *own as usize == len && first == word
+            }
+            CompactKey::Heap(_) => false, // longer than any short key
+        }
     }
 }
 
@@ -417,6 +448,54 @@ mod tests {
                 state.hash_one(s.to_string()),
                 "hash mismatch for {s:?}"
             );
+        }
+    }
+
+    /// The bytes of an inline key's buffer past its length.
+    fn inline_tail(key: &CompactKey) -> &[u8] {
+        match key {
+            CompactKey::Inline { len, buf } => &buf[*len as usize..],
+            CompactKey::Heap(_) => &[],
+        }
+    }
+
+    #[test]
+    fn inline_tail_is_zero_however_the_key_was_made() {
+        // `eq_short` compares the buffer's first word whole, so a key
+        // shorter than a word must carry zeros after its bytes — from
+        // the constructor, through `Clone`, and in `Default`.
+        assert!(inline_tail(&CompactKey::default()).iter().all(|&b| b == 0));
+        for len in 0..=CompactKey::INLINE_CAP {
+            let key = CompactKey::from_bytes(&vec![0xa5; len]);
+            let clone = key.clone();
+            for k in [&key, &clone] {
+                assert_eq!(inline_tail(k).len(), CompactKey::INLINE_CAP - len);
+                assert!(inline_tail(k).iter().all(|&b| b == 0), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_word_methods_agree_with_the_slice_methods() {
+        use crate::container::FxSeededState;
+        let state = FxSeededState::with_seed(5);
+        let stored: Vec<CompactKey> =
+            [&b""[..], b"a", b"ab\0", b"abcdefg", b"abcdefgh", b"abcdefghi"]
+                .into_iter()
+                .map(CompactKey::from_bytes)
+                .collect();
+        for probe in [&b""[..], b"a", b"ab", b"ab\0", b"abcdefg", b"abcdefgh", b"\xff\x80"] {
+            let word = short_word(probe, 0, probe.len());
+            let mut by_word = state.build_hasher();
+            CompactKey::write_short(word, probe.len(), &mut by_word);
+            assert_eq!(by_word.finish(), state.hash_one(CompactKey::from_bytes(probe)));
+            // String keeps the trait's default, which must say the same.
+            let mut by_default = state.build_hasher();
+            <String as ByteKey>::write_short(word, probe.len(), &mut by_default);
+            assert_eq!(by_default.finish(), by_word.finish(), "{probe:?}");
+            for key in &stored {
+                assert_eq!(key.eq_short(word, probe.len()), key.eq_bytes(probe), "{key:?}");
+            }
         }
     }
 

@@ -40,6 +40,40 @@ fn load(data: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(data[i..i + 8].try_into().expect("8-byte window"))
 }
 
+/// The short key `data[start..start + len]` (`len <= 8`) as one
+/// little-endian word, zero above its low `len` bytes — what a
+/// [`tokens`] consumer hashes and compares a short token by.
+///
+/// Where eight bytes are in bounds it is one load and a mask: the bytes
+/// past the key belong to `data` and are masked off. Within the last
+/// eight bytes of `data` it is two overlapping loads of the key alone
+/// (re-ORing the overlap's identical bits), never a byte loop.
+///
+/// # Panics
+/// If the key is not inside `data`.
+#[inline]
+pub fn short_word(data: &[u8], start: usize, len: usize) -> u64 {
+    debug_assert!(len <= 8, "short keys are at most one word");
+    if len == 0 {
+        return 0;
+    }
+    if data.len().saturating_sub(start) >= 8 {
+        return load(data, start) & (u64::MAX >> (64 - 8 * len));
+    }
+    let key = &data[start..start + len];
+    if len >= 4 {
+        let lo = u32::from_le_bytes(key[..4].try_into().expect("4-byte window")) as u64;
+        let hi = u32::from_le_bytes(key[len - 4..].try_into().expect("4-byte window")) as u64;
+        lo | (hi << ((len - 4) * 8))
+    } else {
+        // 1-3 bytes: first, middle, and last byte cover every position.
+        let lo = key[0] as u64;
+        let mid = (key[len / 2] as u64) << (8 * (len / 2));
+        let hi = (key[len - 1] as u64) << (8 * (len - 1));
+        lo | mid | hi
+    }
+}
+
 /// Index of the lowest flagged lane in an H-bit mask.
 #[inline]
 fn lane(mask: u64) -> usize {
@@ -248,10 +282,12 @@ impl<'d> Tokens<'d> {
     }
 }
 
-impl<'d> Iterator for Tokens<'d> {
-    type Item = &'d [u8];
-
-    fn next(&mut self) -> Option<&'d [u8]> {
+impl<'d> Tokens<'d> {
+    /// The next token as its `(start, end)` byte range in the scanned
+    /// data, for consumers that want its position — the surrounding
+    /// buffer is what makes [`short_word`] a single load.
+    #[inline]
+    pub fn next_span(&mut self) -> Option<(usize, usize)> {
         let len = self.data.len();
         let full_end = len & !63;
         while self.pos < full_end {
@@ -276,13 +312,22 @@ impl<'d> Iterator for Tokens<'d> {
                 find_non_member(self.data, w + 64, self.class)
             };
             self.pos = end;
-            return Some(&self.data[start..end]);
+            return Some((start, end));
         }
         // Scalar-assisted tail: fewer than 64 bytes remain.
         let start = find_member(self.data, self.pos, self.class)?;
         let end = find_non_member(self.data, start, self.class);
         self.pos = end;
-        Some(&self.data[start..end])
+        Some((start, end))
+    }
+}
+
+impl<'d> Iterator for Tokens<'d> {
+    type Item = &'d [u8];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'d [u8]> {
+        self.next_span().map(|(start, end)| &self.data[start..end])
     }
 }
 
@@ -418,6 +463,41 @@ mod tests {
             let toks: Vec<&[u8]> = tokens(&d, ByteClass::Word).collect();
             assert_eq!(toks, vec![&word[..], &word[..]], "word_len {word_len}");
         }
+    }
+
+    #[test]
+    fn short_word_is_the_zero_padded_key_wherever_it_sits() {
+        // Every length at every distance from the end of the buffer:
+        // both the one-load path and the overlapping-loads path, with
+        // high bytes on both sides of the key to catch a missed mask.
+        let data: Vec<u8> = (0..24u8).map(|i| 0x80 | i).collect();
+        for len in 0..=8 {
+            for start in 0..=data.len() - len {
+                let mut expect = [0u8; 8];
+                expect[..len].copy_from_slice(&data[start..start + len]);
+                let got = short_word(&data, start, len);
+                assert_eq!(got, u64::from_le_bytes(expect), "len {len} at {start}");
+                // The key alone, nothing in bounds after it.
+                assert_eq!(short_word(&data[start..start + len], 0, len), got);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn short_word_rejects_a_key_past_the_end() {
+        short_word(b"abc", 1, 3);
+    }
+
+    #[test]
+    fn spans_are_the_tokens_positions() {
+        let text = b"it's a test--really, a_test! and a run of sixty-four plus bytes follows";
+        let mut spans = tokens(text, ByteClass::Word);
+        let mut by_span = Vec::new();
+        while let Some((start, end)) = spans.next_span() {
+            by_span.push(&text[start..end]);
+        }
+        assert_eq!(by_span, tokens(text, ByteClass::Word).collect::<Vec<_>>());
     }
 
     #[test]
