@@ -11,17 +11,35 @@
 //! started, so that overhead is observable in experiments.
 //!
 //! [`WorkerPool`] is the avoidable version of the same cost: a set of
-//! long-lived threads created once per job that dispatch map *and*
-//! reduce tasks over a channel. [`PoolMode`] selects between the two at
-//! the [`JobConfig`](crate::runtime::JobConfig) level, and
+//! long-lived threads created once per job. [`PoolMode`] selects between
+//! the two at the [`JobConfig`](crate::runtime::JobConfig) level, and
 //! [`WaveOutcome::threads_reused`] quantifies the spawns a pooled wave
 //! avoided, so ablations can put a number on the paper's overhead.
+//!
+//! # One body, two thread providers
+//!
+//! Either way a wave is one [`Batch`]: the tasks behind an index and a
+//! slot per result. What a thread does for a wave is [`Batch::drain`] —
+//! take the next task, run it, store its result, until none is left —
+//! and the two modes differ only in whose threads call it: [`run_wave`]
+//! spawns `min(workers, tasks)` scoped threads; the pool queues that
+//! many *tickets* (references to the batch) for its resident threads and
+//! blocks until every ticket is accounted for. Neither returns, or
+//! unwinds, while a thread is still inside the batch, so tasks may
+//! borrow from the caller's frame: the map, reduce and merge waves do.
+//! A ticket is a unit of width, not a task: the cap on a wave's
+//! concurrency is the number of tickets it queues.
+//!
+//! The pool's threads outlive the call, so handing them a reference to
+//! the caller's batch erases a lifetime: the module's one `unsafe`, in
+//! [`WorkerPool::run_collect_capped`].
 
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use supmr_merge::{Batch, ScopedThreads};
 use supmr_metrics::{Counter, EventKind, Gauge, Histogram, Registry, Tracer};
 
 /// How the runtime provisions worker threads for map/reduce waves.
@@ -32,8 +50,8 @@ pub enum PoolMode {
     /// thread overhead of §III-A2 stays observable.
     #[default]
     WavePerRound,
-    /// One long-lived pool of threads created at job start dispatches
-    /// every map and reduce task over a channel; no spawns after setup.
+    /// One long-lived pool of threads created at job start runs every
+    /// map, reduce and merge wave; no spawns after setup.
     Persistent,
 }
 
@@ -58,6 +76,13 @@ pub struct WaveOutcome {
     pub threads_reused: u64,
 }
 
+/// A lock or wait whose poison flag is ignored. Nothing that can panic
+/// runs under the pool's injector lock, so the data is valid at every
+/// step — and a pool dispatch must not unwind while its tickets are live.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Run `tasks` to completion on a wave of at most `workers` fresh
 /// threads. Each task is passed to `f` together with its index in the
 /// original order. Blocks until the wave ends.
@@ -72,36 +97,11 @@ where
     T: Send,
     F: Fn(usize, T) + Sync,
 {
-    let task_count = tasks.len() as u64;
-    if tasks.is_empty() {
-        return WaveOutcome::default();
-    }
-    assert!(workers > 0, "a wave needs at least one worker");
-    let thread_count = workers.min(tasks.len());
-
-    let queue = Mutex::new(tasks.into_iter().enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..thread_count {
-            scope.spawn(|| loop {
-                // Hold the lock only for the pop, not the task body.
-                let next = queue.lock().next();
-                match next {
-                    Some((idx, task)) => f(idx, task),
-                    None => break,
-                }
-            });
-        }
-    });
-
-    WaveOutcome { tasks: task_count, threads_spawned: thread_count as u64, threads_reused: 0 }
+    run_wave_collect(workers, tasks, f).1
 }
 
 /// Run a wave whose tasks each produce a value; results come back in
 /// task order.
-///
-/// Slots are index-disjoint, so no per-slot lock is needed: workers send
-/// `(index, result)` over a channel and the caller places each result at
-/// its index after the wave joins.
 pub fn run_wave_collect<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, WaveOutcome)
 where
     T: Send,
@@ -109,29 +109,25 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = tasks.len();
-    let (tx, rx) = crossbeam_channel::bounded::<(usize, R)>(n.max(1));
-    let outcome = run_wave(workers, tasks, |idx, task| {
-        let result = f(idx, task);
-        tx.send((idx, result)).expect("wave outlives its result channel");
-    });
-    drop(tx);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
+    if n == 0 {
+        return (Vec::new(), WaveOutcome::default());
     }
-    let results = slots.into_iter().map(|s| s.expect("wave task did not store a result")).collect();
-    (results, outcome)
+    assert!(workers > 0, "a wave needs at least one worker");
+    let threads = workers.min(n);
+    let outcome =
+        WaveOutcome { tasks: n as u64, threads_spawned: threads as u64, threads_reused: 0 };
+    (ScopedThreads(threads).run_indexed(tasks, f), outcome)
 }
 
 /// Live instrumentation handles for a [`WorkerPool`], registered under
 /// the `supmr.pool.*` families of a [`Registry`].
 ///
-/// Queue depth and in-flight levels are maintained through RAII
-/// [`supmr_metrics::GaugeGuard`]s held by the task closures themselves,
-/// so a panicking task (surfaced to callers as
+/// A task leaves the queue-depth gauge when a thread takes it, and holds
+/// the in-flight gauge through an RAII [`supmr_metrics::GaugeGuard`]
+/// inside the frame that catches its panic, so a panicking task
+/// (surfaced to callers as
 /// [`SupmrError::TaskPanic`](crate::SupmrError::TaskPanic)) restores
-/// both gauges during unwinding instead of skewing them for the rest of
-/// the job.
+/// both gauges instead of skewing them for the rest of the job.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
     /// Tasks enqueued to the pool but not yet picked up by a worker.
@@ -172,19 +168,66 @@ impl PoolMetrics {
     }
 }
 
-/// One unit of work queued to the pool.
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
+/// What a ticket points at: a dispatching caller's batch, and how many
+/// of its tickets are still queued or running.
+struct Dispatch<'b> {
+    /// The batch's [`Batch::drain`], its types erased.
+    drain: &'b (dyn Fn() + Sync + 'b),
+    /// Read and written under the injector lock only, which is what
+    /// orders it; the atomic is for `Sync`.
+    live: AtomicUsize,
+    /// Signalled, under the injector lock, whenever a ticket finishes.
+    settled: Condvar,
+}
+
+/// The pool's injector: tickets in dispatch order.
+#[derive(Default)]
+struct Injector {
+    tickets: VecDeque<&'static Dispatch<'static>>,
+    closed: bool,
+}
+
+#[derive(Default)]
+struct PoolShared {
+    injector: Mutex<Injector>,
+    /// Signalled when tickets are queued or the pool closes.
+    work: Condvar,
+}
+
+/// A resident thread: take a ticket, drain its batch, report, repeat.
+fn pool_worker(shared: &PoolShared) {
+    let mut injector = unpoisoned(shared.injector.lock());
+    loop {
+        if let Some(ticket) = injector.tickets.pop_front() {
+            drop(injector);
+            (ticket.drain)();
+            injector = unpoisoned(shared.injector.lock());
+            // This thread's last touches of the ticket, made under the
+            // lock its dispatcher must hold to see them.
+            ticket.live.fetch_sub(1, Ordering::Relaxed);
+            ticket.settled.notify_one();
+        } else if injector.closed {
+            return;
+        } else {
+            injector = unpoisoned(shared.work.wait(injector));
+        }
+    }
+}
 
 /// A persistent pool of worker threads.
 ///
 /// Threads are spawned once in [`WorkerPool::new`] and live until the
-/// pool is dropped; [`run_collect`](WorkerPool::run_collect) dispatches
-/// a batch of tasks over a channel and blocks until all of them finish.
-/// A panic inside any task is caught on the worker (keeping the thread
-/// alive for later waves) and re-raised on the caller after the batch
-/// drains, mirroring [`run_wave`]'s propagation semantics.
+/// pool is dropped; [`run_collect`](WorkerPool::run_collect) queues
+/// tickets for a batch of tasks and blocks until all of them finish, so
+/// tasks may borrow from the caller. A panic inside any task is caught
+/// on the worker (keeping the thread alive for later waves) and
+/// re-raised on the caller after the batch settles, mirroring
+/// [`run_wave`]'s propagation semantics. Several threads may dispatch
+/// at once (pipeline stages, the daemon's jobs); dispatching from
+/// *inside* a pool task is not supported — with every thread waiting on
+/// tickets only the pool could run, nothing would.
 pub struct WorkerPool {
-    tx: Option<crossbeam_channel::Sender<PoolTask>>,
+    shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
     tracer: Tracer,
     metrics: Option<PoolMetrics>,
@@ -219,21 +262,17 @@ impl WorkerPool {
         metrics: Option<PoolMetrics>,
     ) -> WorkerPool {
         assert!(size > 0, "a worker pool needs at least one thread");
-        let (tx, rx) = crossbeam_channel::unbounded::<PoolTask>();
+        let shared = Arc::new(PoolShared::default());
         let workers = (0..size)
             .map(|i| {
-                let rx = rx.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("supmr-pool-{i}"))
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            task();
-                        }
-                    })
+                    .spawn(move || pool_worker(&shared))
                     .expect("spawning a pool worker thread")
             })
             .collect();
-        WorkerPool { tx: Some(tx), workers, tracer, metrics }
+        WorkerPool { shared, workers, tracer, metrics }
     }
 
     /// Number of threads in the pool.
@@ -247,9 +286,9 @@ impl WorkerPool {
     /// the pool itself stays usable for subsequent batches.
     pub fn run_collect<T, R, F>(&self, tasks: Vec<T>, f: F) -> (Vec<R>, WaveOutcome)
     where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
     {
         self.run_collect_capped(self.size(), tasks, f)
     }
@@ -257,10 +296,9 @@ impl WorkerPool {
     /// [`run_collect`](WorkerPool::run_collect) with batch concurrency
     /// capped at `cap` tasks, even when the pool has more threads — how
     /// a dynamically narrowed wave width reaches a persistent pool. The
-    /// gate is a token channel: each task takes a token before running
-    /// and returns it after, so at most `cap` bodies execute at once
-    /// while surplus workers block cheaply. Caps at or above the pool
-    /// size cost nothing.
+    /// batch queues `min(cap, pool size, tasks)` tickets, each good for
+    /// one thread draining it, so at most that many bodies execute at
+    /// once and the other threads are never woken.
     ///
     /// # Panics
     /// Panics if `cap == 0` and there is at least one task.
@@ -271,9 +309,9 @@ impl WorkerPool {
         f: F,
     ) -> (Vec<R>, WaveOutcome)
     where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
     {
         let n = tasks.len();
         if n == 0 {
@@ -282,74 +320,65 @@ impl WorkerPool {
         assert!(cap > 0, "a pooled batch needs at least one worker");
         let effective = cap.min(self.size());
         self.tracer.emit(EventKind::PoolDispatch { tasks: n as u64, workers: effective as u64 });
-        let gate = (effective < self.size().min(n)).then(|| {
-            let (gtx, grx) = crossbeam_channel::bounded::<()>(effective);
-            for _ in 0..effective {
-                gtx.send(()).expect("filling a fresh token channel");
-            }
-            Arc::new((gtx, grx))
+        let tickets = effective.min(n);
+        let meter = self.metrics.as_ref().map(|m| {
+            m.queue_depth.add(n as i64);
+            (m, Instant::now())
         });
-        let f = Arc::new(f);
-        let (rtx, rrx) = crossbeam_channel::bounded::<(usize, std::thread::Result<R>)>(n);
-        let tx = self.tx.as_ref().expect("pool channel lives as long as the pool");
-        for (idx, task) in tasks.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let rtx = rtx.clone();
-            let gate = gate.clone();
-            // RAII: the queued guard travels inside the closure, so the
-            // queue-depth gauge is restored when the task starts — or
-            // when an undelivered closure is dropped — never skewed.
-            let metrics = self.metrics.clone();
-            let queued = metrics.as_ref().map(|m| (m.queue_depth.track(1), Instant::now()));
-            let body: PoolTask = Box::new(move || {
-                let token = gate
-                    .as_ref()
-                    .map(|g| g.1.recv().expect("token channel lives for the whole batch"));
-                let running = metrics.as_ref().map(|m| m.in_flight.track(1));
-                if let (Some(m), Some((guard, enqueued))) = (&metrics, queued) {
-                    drop(guard);
-                    m.dispatch_us.record_duration_us(enqueued.elapsed());
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| f(idx, task)));
-                // Release this task's handle on `f` (and everything it
-                // captures) *before* reporting completion, so that once
-                // the caller has drained all n results, dropping its own
-                // `f` provably leaves no other owner.
-                drop(f);
-                drop(running);
-                // The token goes back even for a panicked body (the
-                // unwind was caught above), so the gate cannot starve.
-                if let (Some(g), Some(())) = (&gate, token) {
-                    let _ = g.0.send(());
-                }
-                let _ = rtx.send((idx, result));
+        let metered = |idx, task| {
+            let _running = meter.map(|(m, queued)| {
+                m.queue_depth.add(-1);
+                m.dispatch_us.record_duration_us(queued.elapsed());
+                m.in_flight.track(1)
             });
-            tx.send(body).expect("pool workers outlive dispatched batches");
-        }
-        drop(rtx);
-
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut panic_payload = None;
-        // Drain every result even after a panic so the batch fully
-        // settles before the caller unwinds.
-        for (idx, result) in rrx {
-            match result {
-                Ok(value) => slots[idx] = Some(value),
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
+            f(idx, task)
+        };
+        let batch = Batch::new(tasks, &metered);
+        {
+            let dispatch = Dispatch {
+                drain: &|| batch.drain(),
+                live: AtomicUsize::new(tickets),
+                settled: Condvar::new(),
+            };
+            // SAFETY: this extends the borrows in `dispatch` (of `batch`,
+            // and through it of `f`, the tasks and whatever they borrow)
+            // to `'static` so the resident threads can hold them; what
+            // keeps that sound is that this block is neither left nor
+            // unwound before every ticket has stopped touching them. A
+            // ticket is always in exactly one place: the injector, from
+            // which only the loop below removes it unrun; or a worker,
+            // which drains the batch (`drain` catches task panics, so the
+            // worker always comes back) and then, under the injector
+            // lock, decrements `live` and signals — its last touches. The
+            // loop ends only on seeing `live == 0` under that same lock,
+            // so after them. Nothing in the block can unwind: the locks
+            // ignore poisoning (`unpoisoned`), a failed allocation aborts,
+            // and no caller-provided code runs on this thread inside it.
+            let ticket: &'static Dispatch<'static> = unsafe {
+                std::mem::transmute::<&Dispatch<'_>, &'static Dispatch<'static>>(&dispatch)
+            };
+            let mut injector = unpoisoned(self.shared.injector.lock());
+            for _ in 0..tickets {
+                injector.tickets.push_back(ticket);
+                self.shared.work.notify_one();
+            }
+            while dispatch.live.load(Ordering::Relaxed) > 0 {
+                injector = unpoisoned(dispatch.settled.wait(injector));
+                if dispatch.live.load(Ordering::Relaxed) < tickets {
+                    // A `drain` returned, so no task is left to take:
+                    // tickets still queued have nothing to do, and waiting
+                    // for busy threads to find that out would tie this
+                    // batch's end to some other batch's tasks.
+                    let queued = injector.tickets.len();
+                    injector.tickets.retain(|t| !std::ptr::eq(*t, ticket));
+                    dispatch.live.fetch_sub(queued - injector.tickets.len(), Ordering::Relaxed);
                 }
             }
         }
-        if let Some(payload) = panic_payload {
-            resume_unwind(payload);
-        }
-        let results =
-            slots.into_iter().map(|s| s.expect("pool task did not store a result")).collect();
-        let outcome = WaveOutcome {
-            tasks: n as u64,
-            threads_spawned: 0,
-            threads_reused: effective.min(n) as u64,
-        };
+
+        let results = batch.finish();
+        let outcome =
+            WaveOutcome { tasks: n as u64, threads_spawned: 0, threads_reused: tickets as u64 };
         if let Some(m) = &self.metrics {
             m.threads_reused.add(outcome.threads_reused);
         }
@@ -360,20 +389,21 @@ impl WorkerPool {
     /// [`run_collect`](WorkerPool::run_collect).
     pub fn run<T, F>(&self, tasks: Vec<T>, f: F) -> WaveOutcome
     where
-        T: Send + 'static,
-        F: Fn(usize, T) + Send + Sync + 'static,
+        T: Send,
+        F: Fn(usize, T) + Sync,
     {
-        let (_, outcome) = self.run_collect(tasks, f);
-        outcome
+        self.run_collect(tasks, f).1
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the task channel lets every worker's `recv` fail once
-        // the queue drains; then join them all. Worker bodies never
-        // unwind (task panics are caught), so these joins cannot fail.
-        self.tx.take();
+        // Every dispatch has returned (it borrows the pool), so the
+        // injector is empty: closing it sends each worker home, then
+        // join them all. Worker bodies never unwind (task panics are
+        // caught), so these joins cannot fail.
+        unpoisoned(self.shared.injector.lock()).closed = true;
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -381,13 +411,15 @@ impl Drop for WorkerPool {
 }
 
 /// How a runtime executes one wave of tasks: per-wave spawned threads or
-/// a borrowed persistent pool.
+/// a borrowed persistent pool. The two run the same batch body and
+/// differ only in who provides the threads.
 ///
 /// The `workers` argument of [`Executor::run`] caps concurrency in both
 /// modes: a wave spawns that many threads; a pool (provisioned once per
-/// job, sized for the larger of map/reduce workers) gates each dispatch
-/// at that width via [`WorkerPool::run_collect_capped`] — which is how
-/// the governor's wave-width actuation applies to either backend.
+/// job, sized for the larger of map/reduce workers) queues that many
+/// tickets via [`WorkerPool::run_collect_capped`] — which is how the
+/// governor's wave-width actuation and a tenant's share cap apply to
+/// either backend, and to every wave: map, reduce and merge.
 #[derive(Clone, Copy)]
 pub enum Executor<'p> {
     /// Spawn/join a fresh wave per call ([`PoolMode::WavePerRound`]).
@@ -396,30 +428,65 @@ pub enum Executor<'p> {
     Pool(&'p WorkerPool),
 }
 
-impl Executor<'_> {
+impl<'p> Executor<'p> {
     /// Execute `tasks`, blocking until all complete.
     pub fn run<T, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> WaveOutcome
     where
-        T: Send + 'static,
-        F: Fn(usize, T) + Send + Sync + 'static,
+        T: Send,
+        F: Fn(usize, T) + Sync,
     {
-        match self {
-            Executor::Wave => run_wave(workers, tasks, f),
-            Executor::Pool(pool) => pool.run_collect_capped(workers, tasks, f).1,
-        }
+        self.run_collect(workers, tasks, f).1
     }
 
     /// Execute `tasks` collecting per-task results in task order.
     pub fn run_collect<T, R, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, WaveOutcome)
     where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
     {
         match self {
             Executor::Wave => run_wave_collect(workers, tasks, f),
             Executor::Pool(pool) => pool.run_collect_capped(workers, tasks, f),
         }
+    }
+
+    /// This executor at a fixed width, as the merge crate's
+    /// [`Workers`](supmr_merge::Workers).
+    pub fn at_width(self, width: usize) -> WaveWorkers<'p> {
+        WaveWorkers { exec: self, width, outcome: Default::default() }
+    }
+}
+
+/// An [`Executor`] at a fixed width: each
+/// [`Workers::run`](supmr_merge::Workers::run) is one wave, so a merge
+/// handed this runs under the same cap, on the same threads and with the
+/// same `PoolDispatch` events as the map and reduce waves before it. As
+/// the trait says, `run` must not be called from inside a task — the
+/// merge phase calls it from the job's driver thread.
+pub struct WaveWorkers<'p> {
+    exec: Executor<'p>,
+    width: usize,
+    outcome: std::cell::Cell<WaveOutcome>,
+}
+
+impl WaveWorkers<'_> {
+    /// What the waves run so far did, summed.
+    pub fn outcome(&self) -> WaveOutcome {
+        self.outcome.get()
+    }
+}
+
+impl supmr_merge::Workers for WaveWorkers<'_> {
+    fn run<J: Send, R: Send>(&self, jobs: Vec<J>, job: impl Fn(J) -> R + Sync) -> Vec<R> {
+        let (results, wave) = self.exec.run_collect(self.width, jobs, |_, j| job(j));
+        let so_far = self.outcome.get();
+        self.outcome.set(WaveOutcome {
+            tasks: so_far.tasks + wave.tasks,
+            threads_spawned: so_far.threads_spawned + wave.threads_spawned,
+            threads_reused: so_far.threads_reused + wave.threads_reused,
+        });
+        results
     }
 }
 
@@ -528,7 +595,8 @@ impl std::fmt::Debug for ShareTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn wave_runs_every_task_exactly_once() {
@@ -676,6 +744,75 @@ mod tests {
     }
 
     #[test]
+    fn pool_tasks_borrow_and_fill_disjoint_chunks_of_a_local() {
+        let pool = WorkerPool::new(3);
+        let mut data = vec![0u32; 100];
+        let base = [1u32, 2, 3];
+        let (sums, _) = pool.run_collect(data.chunks_mut(7).collect(), |idx, chunk: &mut [u32]| {
+            chunk.iter_mut().for_each(|x| *x = idx as u32 + base[idx % 3]);
+            chunk.len()
+        });
+        assert_eq!(sums.iter().sum::<usize>(), 100);
+        assert!(data.iter().enumerate().all(|(i, &x)| x == (i / 7) as u32 + base[i / 7 % 3]));
+    }
+
+    #[test]
+    fn pool_task_panic_waits_for_siblings_that_still_hold_borrows() {
+        // Task 0 panics at once; task 1 is held inside its borrow of
+        // `data` until the test lets go, from a thread that can only do so
+        // while the batch is still blocked. The batch must settle — the
+        // sibling's write landed — before the panic is re-raised.
+        let pool = WorkerPool::new(2);
+        let mut data = vec![0u8; 2];
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let result = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                entered_rx.recv().expect("the sibling starts");
+                release_tx.send(()).expect("the sibling waits");
+            });
+            catch_unwind(AssertUnwindSafe(|| {
+                pool.run(data.iter_mut().collect(), |idx, slot: &mut u8| {
+                    if idx == 0 {
+                        panic!("pooled task exploded");
+                    }
+                    entered_tx.lock().unwrap().send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                    *slot = 7;
+                })
+            }))
+        });
+        assert!(result.is_err(), "the batch must re-raise the panic");
+        assert_eq!(data, [0, 7], "the sibling finished inside the batch; its data is intact");
+        let (doubled, _) = pool.run_collect(vec![&data[1]], |_, x| *x * 2);
+        assert_eq!(doubled, [14], "the pool serves the next borrowed batch");
+    }
+
+    #[test]
+    fn batch_ends_without_waiting_for_threads_busy_elsewhere() {
+        // One thread of two is held by another caller's task. A second
+        // batch queues two tickets; the free thread drains it alone, and
+        // the ticket nobody took must be withdrawn — not waited for.
+        let pool = WorkerPool::new(2);
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run(vec![(held_tx, release_rx)], |_, (held, release)| {
+                    held.send(()).unwrap();
+                    release.recv().unwrap();
+                })
+            });
+            held_rx.recv().expect("the first batch holds a thread");
+            let (results, outcome) = pool.run_collect(vec![1, 2, 3, 4], |_, x: i32| x * x);
+            assert_eq!(results, [1, 4, 9, 16]);
+            assert_eq!(outcome.threads_reused, 2, "reuse reports the tickets queued");
+            release_tx.send(()).unwrap();
+        });
+    }
+
+    #[test]
     fn pool_drop_joins_cleanly() {
         let pool = WorkerPool::new(4);
         pool.run(vec![1u8; 8], |_, _| {});
@@ -759,8 +896,8 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "the batch must re-raise the panic");
-        // Tokens were returned even by the panicked body: a second
-        // capped batch completes instead of deadlocking.
+        // The one ticket outlived the panicked body and ran the rest: a
+        // second capped batch completes instead of deadlocking.
         let (results, _) = pool.run_collect_capped(1, vec![10, 20], |_, x| x * 2);
         assert_eq!(results, vec![20, 40]);
     }

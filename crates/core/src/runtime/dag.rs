@@ -687,7 +687,7 @@ fn run_iteration(
     let mut done = vec![false; n];
     let mut outputs: Vec<Option<StageData>> = vec![None; n];
     std::thread::scope(|scope| -> Result<Box<dyn Any + Send>> {
-        let (tx, rx) = crossbeam_channel::unbounded::<(usize, Result<ErasedOutcome>)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<ErasedOutcome>)>();
         let mut terminal_pairs: Option<Box<dyn Any + Send>> = None;
         let mut completed = 0usize;
         while completed < n {

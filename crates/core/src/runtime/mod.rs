@@ -29,7 +29,7 @@ use crate::api::{AccOf, MapReduce};
 use crate::chunk::{Chunking, IngestChunk};
 use crate::container::{Container, ContainerHooks, ContainerMetrics};
 use crate::error::{panic_payload_string, Result, SupmrError};
-use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WorkerPool};
+use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WaveWorkers, WorkerPool};
 use crate::spill::{
     read_block_bytes, DecodedRun, JobSpill, MemoryAccountant, PairCodec, SpillHooks, SpillMetrics,
     SpilledRun,
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use supmr_merge::{
-    merge_fold_by, merge_iterators_by, merge_runs, pairwise_rounds, ByKey, SortedRun,
+    merge_fold_by, merge_iterators_by, merge_runs, pairwise_round, ByKey, PairwiseStats, SortedRun,
 };
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
@@ -941,15 +941,12 @@ pub(crate) fn ingest_entire(input: Input) -> io::Result<IngestChunk> {
     }
 }
 
-/// Run one map wave over a chunk's splits.
-///
-/// Tasks get `'static` clones of the job, container, and chunk buffer —
-/// all `Arc`-backed, so no chunk bytes are copied — which lets the same
-/// closure run on scoped wave threads or long-lived pool threads.
+/// Run one map wave over a chunk's splits. Tasks borrow the job, the
+/// container and the chunk buffer, on wave threads and pool threads alike.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 pub(crate) fn map_wave<J: MapReduce>(
     job: &Arc<J>,
-    container: &Arc<J::Container>,
+    container: &J::Container,
     chunk: &IngestChunk,
     config: &JobConfig,
     exec: Executor<'_>,
@@ -962,34 +959,31 @@ pub(crate) fn map_wave<J: MapReduce>(
     if let Some(m) = metrics {
         m.wave_tasks.record(splits.len() as u64);
     }
-    let job = Arc::clone(job);
-    let container = Arc::clone(container);
-    let data = chunk.data.clone();
-    let task_tracer = tracer.level().tasks().then(|| tracer.clone());
-    let task_metrics = metrics.cloned();
-    let task_flow = config.flow.clone();
-    let outcome = exec.run(config.effective_map_workers(), splits, move |idx, range| {
-        if let Some(t) = &task_tracer {
+    let data = &chunk.data;
+    let task_tracer = tracer.level().tasks().then_some(tracer);
+    let task_flow = config.flow.as_ref();
+    let outcome = exec.run(config.effective_map_workers(), splits, |idx, range| {
+        if let Some(t) = task_tracer {
             t.emit(EventKind::MapTaskStart { round, task: idx as u64, bytes: range.len() as u64 });
         }
         // RAII occupancy guard + latency sample: both survive a
         // panicking `map` (the guard restores the gauge on unwind).
-        let started = task_metrics.as_ref().map(|m| (m.map_in_flight.track(1), Instant::now()));
-        let flow_t0 = task_flow.as_ref().map(|_| Instant::now());
-        if let Some(m) = &task_metrics {
+        let started = metrics.map(|m| (m.map_in_flight.track(1), Instant::now()));
+        let flow_t0 = task_flow.map(|_| Instant::now());
+        if let Some(m) = metrics {
             m.scan_bytes.add(range.len() as u64);
         }
         let scanned = range.len() as u64;
         let mut local = container.local();
         job.map(&data[range], &mut local);
         container.absorb(local);
-        if let (Some(f), Some(t0)) = (&task_flow, flow_t0) {
+        if let (Some(f), Some(t0)) = (task_flow, flow_t0) {
             f.record_owned(FlowPhase::Map, scanned, t0.elapsed());
         }
-        if let (Some(m), Some((_guard, t0))) = (&task_metrics, started) {
+        if let (Some(m), Some((_guard, t0))) = (metrics, started) {
             m.map_task_us.record_duration_us(t0.elapsed());
         }
-        if let Some(t) = &task_tracer {
+        if let Some(t) = task_tracer {
             t.emit(EventKind::MapTaskEnd { round, task: idx as u64 });
         }
     });
@@ -1131,7 +1125,7 @@ impl<K, O> PartOut<K, O> {
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 pub(crate) fn finish_job<J: MapReduce>(
     job: &Arc<J>,
-    container: Arc<J::Container>,
+    container: J::Container,
     config: &JobConfig,
     exec: Executor<'_>,
     tracer: &Tracer,
@@ -1143,12 +1137,6 @@ pub(crate) fn finish_job<J: MapReduce>(
 ) -> Result<StageResult<J::Key, J::Output>> {
     stats.intermediate_pairs = container.total_pairs();
     stats.distinct_keys = container.distinct_keys() as u64;
-
-    // Every map task dropped its container clone before its wave
-    // reported completion (see `WorkerPool::run_collect`), so by now the
-    // runtime holds the only reference.
-    let container = Arc::into_inner(container)
-        .expect("map tasks release their container handles before the wave ends");
 
     // A run that failed to write means the intermediate set is
     // incomplete: surface the parked fault before reducing over it.
@@ -1181,59 +1169,37 @@ pub(crate) fn finish_job<J: MapReduce>(
     // removes the per-job temp spill directory, when we created one.
     drop(spill);
 
-    let output = match wiring.handoff {
-        Some(_) if streamed.is_some() => {
-            let data = handoff::assemble(reduced.into_iter().map(|p| p.frames).collect(), false);
-            stats.output_pairs = data.stats.pairs;
-            if let Some(f) = &config.flow {
-                // The framed bytes crossed the stage boundary over the
-                // reduce span that encoded them.
-                f.record_owned(FlowPhase::Shuffle, data.stats.bytes, reduce_elapsed);
-            }
-            StageOutput::Handoff(data)
+    let output = if streamed.is_some() {
+        let data = handoff::assemble(reduced.into_iter().map(|p| p.frames).collect(), false);
+        stats.output_pairs = data.stats.pairs;
+        if let Some(f) = &config.flow {
+            // The framed bytes crossed the stage boundary over the
+            // reduce span that encoded them.
+            f.record_owned(FlowPhase::Shuffle, data.stats.bytes, reduce_elapsed);
         }
-        Some(codec) => {
-            // Sorted hand-off: merge the materialized pairs, then frame
-            // them as one segment. Every pair counts as materialized.
-            timer.begin(Phase::Merge);
-            let pairs = merge_phase(
-                job,
-                reduced.into_iter().map(|p| p.pairs).collect(),
-                presorted,
-                config,
-                exec,
-                tracer,
-                metrics,
-                &mut stats,
-            );
-            timer.end(Phase::Merge);
-            stats.output_pairs = pairs.len() as u64;
-            let encode_t0 = Instant::now();
-            let mut frames = handoff::FrameBuf::default();
-            for (k, o) in &pairs {
-                frames.push(codec, k, o);
+        StageOutput::Handoff(data)
+    } else {
+        timer.begin(Phase::Merge);
+        let parts = reduced.into_iter().map(|p| p.pairs).collect();
+        let pairs = merge_phase(job, parts, presorted, config, exec, tracer, metrics, &mut stats)?;
+        timer.end(Phase::Merge);
+        stats.output_pairs = pairs.len() as u64;
+        match wiring.handoff {
+            // Sorted hand-off: frame the merged pairs as one segment.
+            // Every pair counts as materialized.
+            Some(codec) => {
+                let encode_t0 = Instant::now();
+                let mut frames = handoff::FrameBuf::default();
+                for (k, o) in &pairs {
+                    frames.push(codec, k, o);
+                }
+                let data = handoff::assemble(vec![frames], true);
+                if let Some(f) = &config.flow {
+                    f.record_owned(FlowPhase::Shuffle, data.stats.bytes, encode_t0.elapsed());
+                }
+                StageOutput::Handoff(data)
             }
-            let data = handoff::assemble(vec![frames], true);
-            if let Some(f) = &config.flow {
-                f.record_owned(FlowPhase::Shuffle, data.stats.bytes, encode_t0.elapsed());
-            }
-            StageOutput::Handoff(data)
-        }
-        None => {
-            timer.begin(Phase::Merge);
-            let pairs = merge_phase(
-                job,
-                reduced.into_iter().map(|p| p.pairs).collect(),
-                presorted,
-                config,
-                exec,
-                tracer,
-                metrics,
-                &mut stats,
-            );
-            timer.end(Phase::Merge);
-            stats.output_pairs = pairs.len() as u64;
-            StageOutput::Pairs(pairs)
+            None => StageOutput::Pairs(pairs),
         }
     };
 
@@ -1274,31 +1240,29 @@ fn in_memory_reduce<J: MapReduce>(
 ) -> Vec<PartOut<J::Key, J::Output>> {
     let drains = container.into_drains(config.reduce_workers);
     tracer.emit(EventKind::ReduceWaveStart { partitions: drains.len() as u64 });
-    let reduce_job = Arc::clone(job);
-    let task_tracer = tracer.level().tasks().then(|| tracer.clone());
-    let task_metrics = metrics.cloned();
+    let task_tracer = tracer.level().tasks().then_some(tracer);
     let (reduced, outcome) = exec.run_collect(
         config.effective_reduce_workers(),
         drains,
-        move |idx, payload: <J::Container as Container<J::Key, J::Value, J::Combiner>>::Drain| {
-            if let Some(t) = &task_tracer {
+        |idx, payload: <J::Container as Container<J::Key, J::Value, J::Combiner>>::Drain| {
+            if let Some(t) = task_tracer {
                 t.emit(EventKind::DrainPartitionStart { partition: idx as u64 });
             }
-            let drain_t0 = task_metrics.as_ref().map(|_| Instant::now());
+            let drain_t0 = metrics.map(|_| Instant::now());
             let part: Vec<(J::Key, AccOf<J>)> = <J::Container>::drain(payload);
-            if let (Some(m), Some(t0)) = (&task_metrics, drain_t0) {
+            if let (Some(m), Some(t0)) = (metrics, drain_t0) {
                 m.drain_us.record_duration_us(t0.elapsed());
             }
-            if let Some(t) = &task_tracer {
+            if let Some(t) = task_tracer {
                 t.emit(EventKind::DrainPartitionEnd { partition: idx as u64 });
                 t.emit(EventKind::ReducePartitionStart { partition: idx as u64 });
             }
-            let t0 = task_metrics.as_ref().map(|_| Instant::now());
+            let t0 = metrics.map(|_| Instant::now());
             let out = match encode {
                 Some(codec) => {
                     let mut frames = handoff::FrameBuf::default();
                     for (k, acc) in part {
-                        let o = reduce_job.reduce(&k, acc);
+                        let o = job.reduce(&k, acc);
                         frames.push(codec, &k, &o);
                     }
                     PartOut::from_frames(frames)
@@ -1306,16 +1270,16 @@ fn in_memory_reduce<J: MapReduce>(
                 None => PartOut::from_pairs(
                     part.into_iter()
                         .map(|(k, acc)| {
-                            let out = reduce_job.reduce(&k, acc);
+                            let out = job.reduce(&k, acc);
                             (k, out)
                         })
                         .collect(),
                 ),
             };
-            if let (Some(m), Some(t0)) = (&task_metrics, t0) {
+            if let (Some(m), Some(t0)) = (metrics, t0) {
                 m.reduce_partition_us.record_duration_us(t0.elapsed());
             }
-            if let Some(t) = &task_tracer {
+            if let Some(t) = task_tracer {
                 t.emit(EventKind::ReducePartitionEnd { partition: idx as u64 });
             }
             out
@@ -1370,19 +1334,18 @@ fn external_reduce<J: MapReduce>(
     let tasks: Vec<_> = grouped.into_iter().map(|(p, (drains, runs))| (p, drains, runs)).collect();
 
     tracer.emit(EventKind::ReduceWaveStart { partitions: tasks.len() as u64 });
-    let reduce_job = Arc::clone(job);
-    let task_tracer = tracer.level().tasks().then(|| tracer.clone());
+    let task_tracer = tracer.level().tasks().then_some(tracer);
     let store = spill.store();
     let codec = spill.codec();
     let budget = spill.accountant().budget();
     let spill_metrics = spill.metrics();
-    let merge_flow = config.flow.clone();
+    let merge_flow = config.flow.as_ref();
     let folds = <J::Container as Container<J::Key, J::Value, J::Combiner>>::spill_folds();
     let (reduced, outcome) = exec.run_collect(
         config.effective_reduce_workers(),
         tasks,
-        move |_idx, (partition, drains, runs)| -> Result<PartOut<J::Key, J::Output>> {
-            if let Some(t) = &task_tracer {
+        |_idx, (partition, drains, runs)| -> Result<PartOut<J::Key, J::Output>> {
+            if let Some(t) = task_tracer {
                 t.emit(EventKind::ExternalMergeStart {
                     partition: partition as u64,
                     runs: runs.len() as u64,
@@ -1396,7 +1359,7 @@ fn external_reduce<J: MapReduce>(
             let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(drains.len() + runs.len());
             // The job's order, as in the in-memory merge: the tree
             // settles most matches on cached prefixes.
-            let order = ByKey(|key: &J::Key| reduce_job.key_prefix(key));
+            let order = ByKey(|key: &J::Key| job.key_prefix(key));
             for payload in drains {
                 let part = SortedRun::sort(<J::Container>::drain(payload), &order);
                 sources.push(Box::new(part.into_items().into_iter()));
@@ -1424,7 +1387,7 @@ fn external_reduce<J: MapReduce>(
                 Some(codec) => {
                     let mut frames = handoff::FrameBuf::default();
                     for (k, acc) in merged {
-                        let o = reduce_job.reduce(&k, acc);
+                        let o = job.reduce(&k, acc);
                         frames.push(codec, &k, &o);
                     }
                     PartOut::from_frames(frames)
@@ -1432,7 +1395,7 @@ fn external_reduce<J: MapReduce>(
                 None => {
                     let mut pairs = Vec::new();
                     for (k, acc) in merged {
-                        let o = reduce_job.reduce(&k, acc);
+                        let o = job.reduce(&k, acc);
                         pairs.push((k, o));
                     }
                     PartOut::from_pairs(pairs)
@@ -1444,10 +1407,10 @@ fn external_reduce<J: MapReduce>(
             if let Some(m) = &spill_metrics {
                 m.merge_us.record_duration_us(t0.elapsed());
             }
-            if let Some(f) = &merge_flow {
+            if let Some(f) = merge_flow {
                 f.record_owned(FlowPhase::Merge, run_bytes, t0.elapsed());
             }
-            if let Some(t) = &task_tracer {
+            if let Some(t) = task_tracer {
                 t.emit(EventKind::ExternalMergeEnd { partition: partition as u64 });
             }
             Ok(out)
@@ -1460,9 +1423,13 @@ fn external_reduce<J: MapReduce>(
 }
 
 /// The merge phase: sort the reduce partitions into runs in parallel (a
-/// wave), then combine the runs with the configured backend. Both steps
-/// order pairs by key, [`MapReduce::key_prefix`] first. `presorted`
-/// partitions (the external reduce's) are runs already.
+/// wave), then combine the runs with the configured backend — the p-way
+/// round, or each pairwise round, one more wave on `exec` at the reduce
+/// width, so the share cap, the governor's width, the pool's events and
+/// the thread counts cover the merge as they cover map and reduce. Both
+/// steps order pairs by key, [`MapReduce::key_prefix`] first.
+/// `presorted` partitions (the external reduce's) are runs already.
+/// Cancellation is checked before run formation and before every round.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 fn merge_phase<J: MapReduce>(
     job: &Arc<J>,
@@ -1473,71 +1440,71 @@ fn merge_phase<J: MapReduce>(
     tracer: &Tracer,
     metrics: Option<&Arc<JobMetrics>>,
     stats: &mut JobStats,
-) -> Vec<(J::Key, J::Output)> {
+) -> Result<Vec<(J::Key, J::Output)>> {
     if matches!(config.merge, MergeMode::Unsorted) {
-        return reduced.into_iter().flatten().collect();
+        return Ok(reduced.into_iter().flatten().collect());
     }
+    config.check_cancelled()?;
     // One ordered partition is the output as it stands and nothing will
     // be compared, so its keys are not read for prefixes either: the
     // phase is a move.
     let moved = presorted && reduced.iter().filter(|part| !part.is_empty()).count() <= 1;
-    let prefix_job = Arc::clone(job);
-    let order = ByKey(move |key: &J::Key| if moved { 0 } else { prefix_job.key_prefix(key) });
+    let order = ByKey(|key: &J::Key| if moved { 0 } else { job.key_prefix(key) });
     // "each round (1) sorts many small lists in parallel and (2) merges
     // the lists" — step (1) is a full-width wave for both backends.
-    let run_order = order.clone();
-    let (runs, outcome) =
-        exec.run_collect(config.effective_map_workers(), reduced, move |_, part| {
+    let (mut runs, outcome) =
+        exec.run_collect(config.effective_map_workers(), reduced, |_, part| {
             if presorted {
-                SortedRun::presorted(part, &run_order)
+                SortedRun::presorted(part, &order)
             } else {
-                SortedRun::sort(part, &run_order)
+                SortedRun::sort(part, &order)
             }
         });
     stats.add_wave(outcome);
 
-    let merge_start = Instant::now();
-    match config.merge {
+    // A merge round as it runs: a cancellation point, its span, its wave
+    // on the job's workers at the reduce width, its row in the registry.
+    let round_start = |round: u32, width: usize| -> Result<(Instant, WaveWorkers<'_>)> {
+        config.check_cancelled()?;
+        tracer.emit(EventKind::MergeRoundStart { round, width: width as u32 });
+        Ok((Instant::now(), exec.at_width(config.effective_reduce_workers())))
+    };
+    let mut round_end = |round: u32, t0: Instant, workers: &WaveWorkers<'_>, keys: u64| {
+        tracer.emit(EventKind::MergeRoundEnd { round });
+        stats.add_wave(workers.outcome());
+        if let Some(m) = metrics {
+            m.merge_round_us.record_duration_us(t0.elapsed());
+            m.merge_keys.add(keys);
+        }
+    };
+    let (merged, rounds, elements_moved) = match config.merge {
         MergeMode::Unsorted => unreachable!("handled above"),
         MergeMode::PairwiseRounds => {
-            let (merged, pw) = pairwise_rounds(runs, &order, true);
-            // The backend timed each round; replay them as spans laid
-            // end to end from the merge start.
-            let mut t = merge_start;
-            for (round, (&width, &dur)) in pw.wave_widths.iter().zip(&pw.round_times).enumerate() {
-                tracer.emit_at(
-                    t,
-                    EventKind::MergeRoundStart { round: round as u32, width: width as u32 },
-                );
-                t += dur;
-                tracer.emit_at(t, EventKind::MergeRoundEnd { round: round as u32 });
+            let mut pw = PairwiseStats::default();
+            runs.retain(|run| !run.is_empty());
+            while runs.len() > 1 {
+                let round = pw.rounds;
+                let (t0, workers) = round_start(round, runs.len() / 2)?;
+                runs = pairwise_round(runs, &order, &workers, &mut pw);
+                round_end(round, t0, &workers, pw.round_keys[round as usize]);
             }
-            if let Some(m) = metrics {
-                for (&dur, &keys) in pw.round_times.iter().zip(&pw.round_keys) {
-                    m.merge_round_us.record_duration_us(dur);
-                    m.merge_keys.add(keys);
-                }
-                m.merge_rounds.add(u64::from(pw.rounds));
-            }
-            stats.merge_rounds = pw.rounds;
-            stats.merge_elements_moved = pw.elements_moved;
-            merged
+            let merged = runs.pop().map(SortedRun::into_items).unwrap_or_default();
+            (merged, pw.rounds, pw.elements_moved)
         }
         MergeMode::PWay { ways } => {
-            tracer
-                .emit_at(merge_start, EventKind::MergeRoundStart { round: 0, width: ways as u32 });
-            let (merged, kw) = merge_runs(runs, &order, ways);
-            tracer.emit(EventKind::MergeRoundEnd { round: 0 });
-            stats.merge_rounds = u32::from(kw.partitions >= 1 && !merged.is_empty());
-            stats.merge_elements_moved = kw.elements_moved;
-            if let Some(m) = metrics {
-                m.merge_round_us.record_duration_us(merge_start.elapsed());
-                m.merge_rounds.add(u64::from(stats.merge_rounds));
-                m.merge_keys.add(kw.elements_moved);
-            }
-            merged
+            let (t0, workers) = round_start(0, ways)?;
+            let (merged, kw) = merge_runs(runs, &order, ways, &workers);
+            round_end(0, t0, &workers, kw.elements_moved);
+            let rounds = u32::from(kw.partitions >= 1 && !merged.is_empty());
+            (merged, rounds, kw.elements_moved)
         }
+    };
+    stats.merge_rounds = rounds;
+    stats.merge_elements_moved = elements_moved;
+    if let Some(m) = metrics {
+        m.merge_rounds.add(u64::from(rounds));
     }
+    Ok(merged)
 }
 
 #[cfg(test)]

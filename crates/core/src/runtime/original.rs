@@ -30,7 +30,7 @@ pub(crate) fn run<J: MapReduce>(
     let mut timer = PhaseTimer::start_job();
     let mut stats = JobStats::default();
     let metrics = config.metrics.as_ref().map(|r| JobMetrics::register(r, "original"));
-    let container = Arc::new(job.make_container());
+    let container = job.make_container();
     container.configure(&super::container_hooks(config));
     let spill = super::setup_spill(job, &container, config, tracer, &wiring)?;
 

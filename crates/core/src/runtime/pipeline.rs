@@ -169,7 +169,7 @@ fn run_double_buffered<J: MapReduce>(
     let mut stats = JobStats::default();
     let metrics = config.metrics.as_ref().map(|r| JobMetrics::register(r, "pipeline"));
     // Created once, persists across all map rounds.
-    let container = Arc::new(job.make_container());
+    let container = job.make_container();
     container.configure(&super::container_hooks(config));
     let spill = super::setup_spill(job, &container, config, tracer, &wiring)?;
     let gauges = adaptive_gauges(config);
@@ -371,7 +371,7 @@ fn run_buffered<J: MapReduce>(
     timer.mark_fused();
     let mut stats = JobStats::default();
     let metrics = config.metrics.as_ref().map(|r| JobMetrics::register(r, "pipeline"));
-    let container = Arc::new(job.make_container());
+    let container = job.make_container();
     container.configure(&super::container_hooks(config));
     let spill = super::setup_spill(job, &container, config, tracer, &wiring)?;
 
@@ -384,7 +384,7 @@ fn run_buffered<J: MapReduce>(
         None => config.prefetch_depth,
     };
     let ingest_result: Result<Duration> = std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam_channel::bounded::<IngestChunk>(capacity);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<IngestChunk>(capacity);
         let producer_gate = gate.clone();
         let producer_tracer = tracer.clone();
         let producer_metrics = metrics.clone();

@@ -4,12 +4,14 @@
 //! is the Fig. 2/Fig. 4 contract — the pipeline reorganizes *when* data
 //! moves, never *what* is computed.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use supmr::api::{Emit, MapReduce};
 use supmr::chunk::AdaptiveConfig;
 use supmr::combiner::{Count, Identity, Sum};
 use supmr::container::{ArrayContainer, HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
-use supmr::{Chunking, PoolMode};
+use supmr::{ActiveConfig, Chunking, EventKind, PoolMode, SupmrError, TraceEvent, TraceLevel};
 use supmr_storage::{MemFileSet, MemSource, RecordFormat};
 use supmr_workloads::{small_files_corpus, TeraGen, TextGen, TextGenConfig, TERA_KEY_LEN};
 
@@ -91,6 +93,135 @@ impl MapReduce for ByteHistogram {
     fn reduce(&self, _key: &usize, count: u64) -> u64 {
         count
     }
+}
+
+/// What [`ProbedSort`]'s key comparisons report while a merge round is
+/// open: armed by the round's own trace events, so it sees exactly the
+/// comparisons the merge makes, as the round runs.
+#[derive(Default)]
+struct MergeProbe {
+    armed: AtomicBool,
+    rounds_started: AtomicUsize,
+    inside: AtomicUsize,
+    peak: AtomicUsize,
+    panic_in_merge: bool,
+}
+
+impl MergeProbe {
+    /// The `on_event` hook that arms the probe for the span of a round.
+    fn hook(self: &Arc<Self>) -> Arc<dyn Fn(&TraceEvent) + Send + Sync> {
+        let probe = Arc::clone(self);
+        Arc::new(move |event: &TraceEvent| match event.kind {
+            EventKind::MergeRoundStart { .. } => {
+                probe.rounds_started.fetch_add(1, Ordering::SeqCst);
+                probe.armed.store(true, Ordering::SeqCst);
+            }
+            EventKind::MergeRoundEnd { .. } => probe.armed.store(false, Ordering::SeqCst),
+            _ => {}
+        })
+    }
+}
+
+/// A TeraSort key that compares by its bytes and tells the probe.
+#[derive(Clone)]
+struct ProbedKey(Vec<u8>, Arc<MergeProbe>);
+
+impl Ord for ProbedKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let probe = &self.1;
+        if probe.armed.load(Ordering::SeqCst) {
+            assert!(!probe.panic_in_merge, "injected merge panic");
+            let now = probe.inside.fetch_add(1, Ordering::SeqCst) + 1;
+            probe.peak.fetch_max(now, Ordering::SeqCst);
+            // Stay counted across a reschedule, so ways that may overlap do.
+            std::thread::yield_now();
+            probe.inside.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ProbedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ProbedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for ProbedKey {}
+
+impl std::hash::Hash for ProbedKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+/// [`Sort`] over [`ProbedKey`]s, with no key prefix so every merge
+/// comparison reaches the key; optionally cancels its own job from
+/// inside `reduce`.
+struct ProbedSort {
+    probe: Arc<MergeProbe>,
+    cancel_in_reduce: Option<Arc<ActiveConfig>>,
+}
+
+impl MapReduce for ProbedSort {
+    type Key = ProbedKey;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<ProbedKey, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<ProbedKey, Vec<u8>>) {
+        for rec in RecordFormat::CrLf.records(split) {
+            if rec.len() >= TERA_KEY_LEN {
+                let key = ProbedKey(rec[..TERA_KEY_LEN].to_vec(), Arc::clone(&self.probe));
+                emit.emit(key, rec.to_vec());
+            }
+        }
+    }
+
+    fn reduce(&self, _key: &ProbedKey, value: Vec<u8>) -> Vec<u8> {
+        if let Some(active) = &self.cancel_in_reduce {
+            active.cancel();
+        }
+        value
+    }
+}
+
+/// Run [`ProbedSort`] over 400 Teragen records on 4 workers, the reduce
+/// (and so the merge) width held at `width` by an [`ActiveConfig`].
+fn probed_sort(
+    probe: &Arc<MergeProbe>,
+    pool: PoolMode,
+    merge: MergeMode,
+    width: usize,
+    cancel_in_reduce: bool,
+) -> supmr::Result<Vec<Vec<u8>>> {
+    let active = Arc::new(ActiveConfig::new(4, width, 1));
+    let mut config = base_config();
+    config.record_format = RecordFormat::CrLf;
+    config.split_bytes = 1000;
+    config.merge = merge;
+    config.pool = pool;
+    config.trace = TraceLevel::Wave;
+    config.on_event = Some(probe.hook());
+    config.active = Some(Arc::clone(&active));
+    let job = ProbedSort {
+        probe: Arc::clone(probe),
+        cancel_in_reduce: cancel_in_reduce.then_some(active),
+    };
+    let data = TeraGen::new(33, 400).generate_all();
+    let result = Job::new(job).config(config).run(Input::stream(MemSource::from(data)))?;
+    Ok(result.pairs.into_iter().map(|(_, record)| record).collect())
 }
 
 // ------------------------------------------------------------- helpers
@@ -392,6 +523,51 @@ fn persistent_pool_matches_wave_for_sort_merges_and_prefetch() {
             let pooled = run(PoolMode::Persistent);
             assert_eq!(pooled.pairs, wave.pairs, "merge = {merge:?}, prefetch = {prefetch_depth}");
             assert!(pooled.report.stats.threads_reused > 0);
+        }
+    }
+}
+
+#[test]
+fn sort_is_identical_and_its_merge_capped_across_pools_backends_and_widths() {
+    let mut expected: Option<Vec<Vec<u8>>> = None;
+    for pool in [PoolMode::WavePerRound, PoolMode::Persistent] {
+        let merges = [1, 2, 4, 8].map(|ways| MergeMode::PWay { ways });
+        for merge in [MergeMode::PairwiseRounds].into_iter().chain(merges) {
+            for width in [1usize, 2, 4] {
+                let probe = Arc::new(MergeProbe::default());
+                let sorted = probed_sort(&probe, pool, merge, width, false).unwrap();
+                let case = format!("{pool} pool, {merge:?}, width {width}");
+                assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "{case}: sorted");
+                assert_eq!(expected.get_or_insert_with(|| sorted.clone()), &sorted, "{case}");
+                // The comparisons ran inside the round's span — it is
+                // emitted as the round runs — and never on more threads
+                // than the reduce width allows.
+                let peak = probe.peak.load(Ordering::SeqCst);
+                assert!((1..=width).contains(&peak), "{case}: {peak} threads merged at once");
+            }
+        }
+    }
+}
+
+#[test]
+fn cancel_during_reduce_stops_before_any_merge_round() {
+    for merge in [MergeMode::PairwiseRounds, MergeMode::PWay { ways: 4 }] {
+        let probe = Arc::new(MergeProbe::default());
+        let result = probed_sort(&probe, PoolMode::Persistent, merge, 4, true);
+        assert!(matches!(result, Err(SupmrError::Cancelled)), "{merge:?}: {result:?}");
+        assert_eq!(probe.rounds_started.load(Ordering::SeqCst), 0, "{merge:?}: merge rounds");
+    }
+}
+
+#[test]
+fn panic_in_a_merge_way_fails_the_job_like_a_map_panic() {
+    for pool in [PoolMode::WavePerRound, PoolMode::Persistent] {
+        let probe = Arc::new(MergeProbe { panic_in_merge: true, ..MergeProbe::default() });
+        match probed_sort(&probe, pool, MergeMode::PWay { ways: 4 }, 4, false) {
+            Err(SupmrError::TaskPanic { payload }) => {
+                assert!(payload.contains("injected merge panic"), "{pool}: {payload}")
+            }
+            other => panic!("{pool}: expected a task panic, got {other:?}"),
         }
     }
 }

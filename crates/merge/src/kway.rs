@@ -16,7 +16,7 @@
 
 use crate::loser_tree::LoserTree;
 use crate::run::{ByRef, Natural, Order, SortedRun};
-use rayon::prelude::*;
+use crate::{ScopedThreads, Workers};
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
@@ -50,7 +50,8 @@ pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> (Vec<T>, KwayStats) {
 }
 
 /// Merge `runs` into one sorted vector using `ways` parallel output
-/// partitions: [`merge_runs`] under `T`'s own [`Ord`] (no prefix).
+/// partitions: [`merge_runs`] under `T`'s own [`Ord`] (no prefix), on
+/// [`ScopedThreads`].
 ///
 /// # Panics
 /// Panics if `ways == 0`.
@@ -59,11 +60,12 @@ where
     T: Ord + Send + Sync,
 {
     let runs = runs.into_iter().map(|run| SortedRun::presorted(run, &Natural)).collect();
-    merge_runs(runs, &Natural, ways)
+    merge_runs(runs, &Natural, ways, &ScopedThreads::available())
 }
 
 /// Merge sorted runs into one vector sorted under `order`, using `ways`
-/// parallel output partitions — the p-way kernel behind
+/// output partitions merged side by side on `workers` — the p-way kernel
+/// behind
 /// [`parallel_kway_merge`], [`parallel_sort`](crate::parallel_sort) and
 /// the runtime's merge phase.
 ///
@@ -82,7 +84,12 @@ where
 ///
 /// # Panics
 /// Panics if `ways == 0`.
-pub fn merge_runs<T, O>(mut runs: Vec<SortedRun<T>>, order: &O, ways: usize) -> (Vec<T>, KwayStats)
+pub fn merge_runs<T, O>(
+    mut runs: Vec<SortedRun<T>>,
+    order: &O,
+    ways: usize,
+    workers: &impl Workers,
+) -> (Vec<T>, KwayStats)
 where
     T: Send + Sync,
     O: Order<T> + Sync,
@@ -142,7 +149,7 @@ where
         (lt.comparisons(), filled)
     };
     let partitions = jobs.len();
-    let done: Vec<(u64, usize)> = jobs.into_par_iter().map(merge_way).collect();
+    let done: Vec<(u64, usize)> = workers.run(jobs, merge_way);
     let comparisons = done.iter().map(|&(c, _)| c).sum();
     let filled: usize = done.iter().map(|&(_, f)| f).sum();
     // Memory safety below rests on this: with the ranges tiling the runs
@@ -202,6 +209,7 @@ fn splitter_cuts<T, O: Order<T>>(runs: &[SortedRun<T>], order: &O, ways: usize) 
 mod tests {
     use super::*;
     use crate::run::ByKey;
+    use crate::Inline;
 
     fn runs_interleaved(k: usize, n_per: usize) -> Vec<Vec<u64>> {
         (0..k).map(|i| (0..n_per).map(|j| (j * k + i) as u64).collect()).collect()
@@ -311,7 +319,7 @@ mod tests {
         let expected: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
         let order = ByKey(|k: &u32| u64::from(*k >> 4));
         let sorted = runs.iter().map(|run| SortedRun::presorted(run.clone(), &order)).collect();
-        let (out, stats) = merge_runs(sorted, &order, 4);
+        let (out, stats) = merge_runs(sorted, &order, 4, &Inline);
         assert_eq!(out, expected);
         assert_eq!(stats, KwayStats { comparisons: 2, elements_moved: 252, partitions: 1 });
         // One overlapping boundary and it is a real merge again.
@@ -320,7 +328,7 @@ mod tests {
         let mut expected: Vec<(u32, usize)> = runs.iter().flatten().copied().collect();
         expected.sort_by_key(|&(k, _)| k);
         let sorted = runs.into_iter().map(|run| SortedRun::presorted(run, &order)).collect();
-        let (out, stats) = merge_runs(sorted, &order, 4);
+        let (out, stats) = merge_runs(sorted, &order, 4, &Inline);
         assert_eq!(out, expected);
         assert!(stats.comparisons > 2);
     }
@@ -340,7 +348,7 @@ mod tests {
             .into_iter()
             .map(|run| SortedRun::presorted(run, &ByKey(|k: &u32| u64::from(*k >> 3))))
             .collect();
-        let (out, _) = merge_runs(runs, &ByKey(|k: &u32| u64::from(*k >> 3)), 4);
+        let (out, _) = merge_runs(runs, &ByKey(|k: &u32| u64::from(*k >> 3)), 4, &ScopedThreads(4));
         assert!(out.iter().enumerate().all(|(i, (k, t))| *k == i as u32 && **t == i as u32));
         assert!(tokens.iter().all(|t| Arc::strong_count(t) == 2));
         drop(out);

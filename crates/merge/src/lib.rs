@@ -26,6 +26,15 @@
 //!   "step curve" of the paper's Fig. 1 is observable.
 //! * [`sort`] — parallel run sort + configurable merge backend: the
 //!   "OpenMP sort" comparator.
+//! * [`Workers`] — the one seam to whoever owns the threads. A parallel
+//!   round here is a `Vec` of jobs that borrow the runs, the order and
+//!   disjoint slices of the output; [`merge_runs`], [`pairwise_rounds`]
+//!   and the run sort hand it to a `Workers` and get the results back in
+//!   job order. [`Inline`] runs it on the caller, [`ScopedThreads`] on
+//!   threads spawned for the call (what the `T: Ord` entry points use),
+//!   and the `supmr` runtime passes its own executor, so its merge phase
+//!   runs on the job's workers under the job's width. What a thread does
+//!   for a round is the same wherever it came from: [`Batch::drain`].
 //! * [`frame`], [`external`], [`folded`] — the out-of-core side: the
 //!   frame codec, run files written and read a block at a time through
 //!   it, and the streaming merges (plain and combiner-folding) that run
@@ -82,7 +91,6 @@
 pub mod external;
 pub mod folded;
 pub mod frame;
-pub mod heap;
 pub mod kway;
 pub mod loser_tree;
 pub mod pairwise;
@@ -95,9 +103,133 @@ pub use external::{
 };
 pub use folded::{merge_by_key, merge_fold, merge_fold_by, FoldedMerge};
 pub use frame::{crc32, push_frame, split_frame, FrameError};
-pub use heap::heap_kway_merge;
 pub use kway::{kway_merge, merge_runs, parallel_kway_merge, KwayStats};
 pub use loser_tree::{merge_iterators, merge_iterators_by, LoserTree};
-pub use pairwise::{pairwise_merge_rounds, pairwise_rounds, PairwiseStats};
+pub use pairwise::{pairwise_merge_rounds, pairwise_round, pairwise_rounds, PairwiseStats};
 pub use run::{ByKey, Natural, Order, SortedRun};
 pub use sort::{parallel_sort, MergeBackend, SortStats};
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
+
+/// Whoever runs a round's jobs: "run these borrowed jobs, hand back
+/// their results in job order".
+///
+/// `run` returns only when every job has finished, and a job's panic
+/// reaches the caller only after the others are done — which is what
+/// lets jobs borrow from the caller's frame. Calling `run` from inside a
+/// job is not supported: an implementation with a fixed set of threads
+/// would wait on itself.
+pub trait Workers {
+    /// Apply `job` to every element of `jobs`; results in job order.
+    fn run<J: Send, R: Send>(&self, jobs: Vec<J>, job: impl Fn(J) -> R + Sync) -> Vec<R>;
+}
+
+/// Runs every job on the calling thread, in order — the serial baseline
+/// whose work counters tests can pin.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Inline;
+
+impl Workers for Inline {
+    fn run<J: Send, R: Send>(&self, jobs: Vec<J>, job: impl Fn(J) -> R + Sync) -> Vec<R> {
+        jobs.into_iter().map(job).collect()
+    }
+}
+
+/// One round's work, whoever's threads run it: the jobs behind an index
+/// and a slot per result. Threads call [`drain`](Batch::drain);
+/// [`finish`](Batch::finish) hands the results back once they all have.
+/// [`ScopedThreads`] is this plus spawned threads; the `supmr` runtime
+/// lends it to its resident pool.
+pub struct Batch<'f, J, R, F> {
+    job: &'f F,
+    state: Mutex<BatchState<J, R>>,
+}
+
+struct BatchState<J, R> {
+    /// Jobs not yet taken, each with its index in the original order.
+    jobs: std::iter::Enumerate<std::vec::IntoIter<J>>,
+    /// What each job returned, or panicked with, by job index.
+    slots: Vec<Option<std::thread::Result<R>>>,
+}
+
+impl<'f, J, R, F: Fn(usize, J) -> R> Batch<'f, J, R, F> {
+    /// A batch applying `job` to every element of `jobs` and its index.
+    pub fn new(jobs: Vec<J>, job: &'f F) -> Self {
+        let slots = jobs.iter().map(|_| None).collect();
+        Batch { job, state: Mutex::new(BatchState { jobs: jobs.into_iter().enumerate(), slots }) }
+    }
+
+    // No job runs under the lock, so its data is valid at every step
+    // and a poison flag says nothing.
+    fn state(&self) -> std::sync::MutexGuard<'_, BatchState<J, R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run jobs until none is left: what one thread does for a round. A
+    /// panicking job is caught and kept; the thread goes on, so every
+    /// job of a batch runs and `drain` never unwinds.
+    pub fn drain(&self) {
+        let mut finished = None;
+        loop {
+            // One lock per job: store the last result, take the next job.
+            let next = {
+                let mut state = self.state();
+                if let Some((index, result)) = finished.take() {
+                    state.slots[index] = Some(result);
+                }
+                state.jobs.next()
+            };
+            let Some((index, item)) = next else { return };
+            finished = Some((index, catch_unwind(AssertUnwindSafe(|| (self.job)(index, item)))));
+        }
+    }
+
+    /// The results in job order, or the panic of the first job that
+    /// panicked re-raised. Call once every `drain` has returned.
+    pub fn finish(self) -> Vec<R> {
+        let slots = self.state.into_inner().unwrap_or_else(PoisonError::into_inner).slots;
+        slots
+            .into_iter()
+            .map(|slot| match slot.expect("a drained batch ran every job") {
+                Ok(result) => result,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
+    }
+}
+
+/// Runs each call's jobs on up to this many threads, spawned for the
+/// call and joined before it returns; the threads pull jobs from one
+/// queue, so a few large jobs balance across them.
+#[derive(Debug, Clone, Copy)]
+pub struct ScopedThreads(pub usize);
+
+impl ScopedThreads {
+    /// As many threads as the machine runs at once.
+    pub fn available() -> ScopedThreads {
+        ScopedThreads(std::thread::available_parallelism().map_or(1, usize::from))
+    }
+
+    /// [`Workers::run`] with each job's index passed along.
+    pub fn run_indexed<J: Send, R: Send>(
+        &self,
+        jobs: Vec<J>,
+        job: impl Fn(usize, J) -> R + Sync,
+    ) -> Vec<R> {
+        let threads = self.0.min(jobs.len());
+        let batch = Batch::new(jobs, &job);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| batch.drain());
+            }
+        });
+        batch.finish()
+    }
+}
+
+impl Workers for ScopedThreads {
+    fn run<J: Send, R: Send>(&self, jobs: Vec<J>, job: impl Fn(J) -> R + Sync) -> Vec<R> {
+        self.run_indexed(jobs, |_, item| job(item))
+    }
+}

@@ -12,9 +12,8 @@
 //! comparison independently of wall-clock noise on small machines.
 
 use crate::run::{Natural, Order, SortedRun};
-use rayon::prelude::*;
+use crate::{Inline, ScopedThreads, Workers};
 use std::cmp::Ordering;
-use std::time::{Duration, Instant};
 
 /// Work counters from an iterative pairwise merge.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,13 +29,9 @@ pub struct PairwiseStats {
     /// Number of concurrent pair-merges in each round: k/2, k/4, …, 1.
     /// The step-down utilization curve is this sequence.
     pub wave_widths: Vec<usize>,
-    /// Wall-clock duration of each round, parallel to `wave_widths` —
-    /// the runtime turns these into retroactive `MergeRound` trace
-    /// spans.
-    pub round_times: Vec<Duration>,
-    /// Elements written by each round, parallel to `round_times` (sums
-    /// to `elements_moved`). The runtime pairs these with the per-round
-    /// durations when feeding `supmr.merge.*` registry families, so a
+    /// Elements written by each round, parallel to `wave_widths` (sums
+    /// to `elements_moved`). The runtime pairs these with its own timing
+    /// of each round when feeding `supmr.merge.*` registry families, so a
     /// scrape shows which round moved how many keys and how slowly.
     pub round_keys: Vec<u64>,
 }
@@ -84,8 +79,8 @@ fn merge_two<T, O: Order<T>>([a, b]: [SortedRun<T>; 2], order: &O) -> (SortedRun
 }
 
 /// Iteratively merge `runs` down to one sorted vector, two at a time, with
-/// each round's pair-merges running in parallel (`parallel = true`) or
-/// serially — the latter exists so work counters can be verified
+/// each round's pair-merges on [`ScopedThreads`] (`parallel = true`) or
+/// [`Inline`] — the latter exists so work counters can be verified
 /// deterministically in unit tests. [`pairwise_rounds`] under `T`'s own
 /// [`Ord`] (no prefix).
 pub fn pairwise_merge_rounds<T>(runs: Vec<Vec<T>>, parallel: bool) -> (Vec<T>, PairwiseStats)
@@ -93,16 +88,21 @@ where
     T: Ord + Send,
 {
     let runs = runs.into_iter().map(|run| SortedRun::presorted(run, &Natural)).collect();
-    pairwise_rounds(runs, &Natural, parallel)
+    if parallel {
+        pairwise_rounds(runs, &Natural, &ScopedThreads::available())
+    } else {
+        pairwise_rounds(runs, &Natural, &Inline)
+    }
 }
 
 /// The baseline's rounds over sorted runs under any [`Order`] — the same
 /// run type and prefix-first comparison the p-way kernel gets, so the
-/// two backends differ only in how often they move the data.
+/// two backends differ only in how often they move the data. Each
+/// round's pair-merges run side by side on `workers`.
 pub fn pairwise_rounds<T, O>(
     mut runs: Vec<SortedRun<T>>,
     order: &O,
-    parallel: bool,
+    workers: &impl Workers,
 ) -> (Vec<T>, PairwiseStats)
 where
     T: Send,
@@ -111,47 +111,58 @@ where
     let mut stats = PairwiseStats::default();
     runs.retain(|r| !r.is_empty());
     while runs.len() > 1 {
-        let round_start = Instant::now();
-        stats.rounds += 1;
-        let pairs = runs.len() / 2;
-        stats.wave_widths.push(pairs);
-
-        let mut iter = runs.into_iter();
-        let mut jobs: Vec<(SortedRun<T>, Option<SortedRun<T>>)> = Vec::with_capacity(pairs + 1);
-        while let Some(a) = iter.next() {
-            jobs.push((a, iter.next()));
-        }
-
-        // The third field records whether a real merge happened: an odd
-        // run carried to the next round unmerged is not re-scanned, so it
-        // does not count toward elements moved.
-        let do_job = |(a, b): (SortedRun<T>, Option<SortedRun<T>>)| match b {
-            Some(b) => {
-                let (r, c) = merge_two([a, b], order);
-                (r, c, true)
-            }
-            None => (a, 0, false),
-        };
-        let merged: Vec<(SortedRun<T>, u64, bool)> = if parallel {
-            jobs.into_par_iter().map(do_job).collect()
-        } else {
-            jobs.into_iter().map(do_job).collect()
-        };
-
-        runs = Vec::with_capacity(merged.len());
-        let mut round_keys = 0u64;
-        for (r, c, was_merged) in merged {
-            stats.comparisons += c;
-            if was_merged {
-                round_keys += r.len() as u64;
-            }
-            runs.push(r);
-        }
-        stats.elements_moved += round_keys;
-        stats.round_keys.push(round_keys);
-        stats.round_times.push(round_start.elapsed());
+        runs = pairwise_round(runs, order, workers, &mut stats);
     }
     (runs.pop().map(SortedRun::into_items).unwrap_or_default(), stats)
+}
+
+/// One round of [`pairwise_rounds`], counted into `stats`: merge `runs`
+/// two at a time into half as many (an odd last run is carried over).
+/// For callers that act between rounds — trace them, check for a cancel:
+/// drop empty runs, then loop on this while more than one run is left.
+pub fn pairwise_round<T, O>(
+    runs: Vec<SortedRun<T>>,
+    order: &O,
+    workers: &impl Workers,
+    stats: &mut PairwiseStats,
+) -> Vec<SortedRun<T>>
+where
+    T: Send,
+    O: Order<T> + Sync,
+{
+    stats.rounds += 1;
+    let pairs = runs.len() / 2;
+    stats.wave_widths.push(pairs);
+
+    let mut iter = runs.into_iter();
+    let mut jobs: Vec<(SortedRun<T>, Option<SortedRun<T>>)> = Vec::with_capacity(pairs + 1);
+    while let Some(a) = iter.next() {
+        jobs.push((a, iter.next()));
+    }
+
+    // The third field records whether a real merge happened: an odd
+    // run carried to the next round unmerged is not re-scanned, so it
+    // does not count toward elements moved.
+    let merged = workers.run(jobs, |(a, b)| match b {
+        Some(b) => {
+            let (r, c) = merge_two([a, b], order);
+            (r, c, true)
+        }
+        None => (a, 0, false),
+    });
+
+    let mut next = Vec::with_capacity(merged.len());
+    let mut round_keys = 0u64;
+    for (r, c, was_merged) in merged {
+        stats.comparisons += c;
+        if was_merged {
+            round_keys += r.len() as u64;
+        }
+        next.push(r);
+    }
+    stats.elements_moved += round_keys;
+    stats.round_keys.push(round_keys);
+    next
 }
 
 #[cfg(test)]
@@ -195,7 +206,6 @@ mod tests {
         let runs: Vec<Vec<u64>> = (0..16).map(|i| vec![i as u64]).collect();
         let (_, stats) = pairwise_merge_rounds(runs, false);
         assert_eq!(stats.wave_widths, vec![8, 4, 2, 1]);
-        assert_eq!(stats.round_times.len(), stats.wave_widths.len());
         assert_eq!(stats.round_keys, vec![16, 16, 16, 16]);
     }
 

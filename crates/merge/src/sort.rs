@@ -12,7 +12,7 @@
 use crate::kway::{merge_runs, KwayStats};
 use crate::pairwise::{pairwise_rounds, PairwiseStats};
 use crate::run::{Natural, SortedRun};
-use rayon::prelude::*;
+use crate::{ScopedThreads, Workers};
 
 /// How sorted runs are combined into the final array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,21 +61,22 @@ impl SortStats {
 }
 
 /// Sort `data` by splitting it into `run_count` runs, sorting runs in
-/// parallel, and combining them with `backend`.
+/// parallel, and combining them with `backend`, all on [`ScopedThreads`].
 ///
 /// `run_count` models the number of worker threads the paper's runtimes
-/// would use (e.g. 32 hardware contexts); it is independent of the actual
-/// rayon pool size so work-counter experiments are machine-independent.
+/// would use (e.g. 32 hardware contexts); it is independent of how many
+/// threads actually run, so work-counter experiments are
+/// machine-independent.
 ///
 /// # Panics
 /// Panics if `run_count == 0`.
 pub fn parallel_sort<T>(
-    data: Vec<T>,
+    mut data: Vec<T>,
     run_count: usize,
     backend: MergeBackend,
 ) -> (Vec<T>, SortStats)
 where
-    T: Ord + Clone + Send + Sync,
+    T: Ord + Send + Sync,
 {
     assert!(run_count > 0, "need at least one run");
     let n = data.len();
@@ -83,21 +84,27 @@ where
         return (data, SortStats { runs: usize::from(n == 1), ..SortStats::default() });
     }
 
-    // Split into near-equal runs and sort each in parallel with the one
-    // run sort, which both backends then consume.
+    // Split into near-equal runs — by move, from the tail, so the cuts
+    // fall where `chunks(run_len)` would put them — and sort each in
+    // parallel with the one run sort, which both backends then consume.
     let run_len = n.div_ceil(run_count.min(n));
-    let chunks: Vec<Vec<T>> = data.chunks(run_len).map(<[T]>::to_vec).collect();
-    let runs: Vec<SortedRun<T>> =
-        chunks.into_par_iter().map(|run| SortedRun::sort(run, &Natural)).collect();
+    let mut chunks = Vec::with_capacity(n.div_ceil(run_len));
+    while data.len() > run_len {
+        chunks.push(data.split_off((data.len() - 1) / run_len * run_len));
+    }
+    chunks.push(data);
+    chunks.reverse();
+    let workers = ScopedThreads::available();
+    let runs = workers.run(chunks, |run| SortedRun::sort(run, &Natural));
     let run_total = runs.len();
 
     match backend {
         MergeBackend::PairwiseRounds => {
-            let (out, stats) = pairwise_rounds(runs, &Natural, true);
+            let (out, stats) = pairwise_rounds(runs, &Natural, &workers);
             (out, SortStats::from_pairwise(run_total, &stats))
         }
         MergeBackend::PWay { ways } => {
-            let (out, stats) = merge_runs(runs, &Natural, ways.max(1));
+            let (out, stats) = merge_runs(runs, &Natural, ways.max(1), &workers);
             (out, SortStats::from_kway(run_total, &stats))
         }
     }

@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use supmr_merge::{
     kway_merge, merge_runs, pairwise_merge_rounds, pairwise_rounds, parallel_kway_merge,
-    parallel_sort, ByKey, MergeBackend, SortedRun,
+    parallel_sort, ByKey, MergeBackend, ScopedThreads, SortedRun,
 };
 
 /// Arbitrary sorted runs: up to 12 runs of up to 200 small values.
@@ -145,7 +145,11 @@ proptest! {
         batches in arb_tagged_batches(),
         regime in 0u8..3,
         ways in 1usize..12,
+        threads in 1usize..5,
     ) {
+        // Who runs the ways and the pair-merges is one more input that
+        // must not show in the output; one thread runs them in order.
+        let workers = ScopedThreads(threads);
         let order = ByKey(prefix_of(regime));
         // Stable sort of the concatenation: by key, then (batch, position).
         let mut expected: Vec<(u16, (usize, usize))> = batches.iter().flatten().copied().collect();
@@ -159,10 +163,10 @@ proptest! {
             prop_assert!(run.items().windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
         }
         // `ways` may exceed the element count; empty batches are empty runs.
-        let (pway, stats) = merge_runs(runs(), &order, ways);
+        let (pway, stats) = merge_runs(runs(), &order, ways, &workers);
         prop_assert_eq!(&pway, &expected);
         prop_assert_eq!(stats.elements_moved as usize, expected.len());
-        let (pairwise, _) = pairwise_rounds(runs(), &order, true);
+        let (pairwise, _) = pairwise_rounds(runs(), &order, &workers);
         prop_assert_eq!(&pairwise, &expected);
     }
 
@@ -171,6 +175,7 @@ proptest! {
         keys in vec(vec(0u8..4, 0..60), 0..7),
         regime in 0u8..3,
         ways in 1usize..10,
+        threads in 1usize..5,
     ) {
         // Four distinct keys over up to nine ways: every splitter falls
         // inside a block of duplicates that spans all runs.
@@ -190,7 +195,7 @@ proptest! {
                 SortedRun::presorted(tagged, &order)
             })
             .collect();
-        let (out, _) = merge_runs(runs, &order, ways);
+        let (out, _) = merge_runs(runs, &order, ways, &ScopedThreads(threads));
         prop_assert_eq!(out.len(), keys.iter().map(Vec::len).sum::<usize>());
         for w in out.windows(2) {
             prop_assert!(w[0].0 <= w[1].0);

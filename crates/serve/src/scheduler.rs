@@ -24,8 +24,8 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 use supmr::pool::WorkerPool;
 use supmr::spill::{MemoryAccountant, SpillMetrics};
-use supmr::FairShare;
-use supmr_metrics::{Counter, Gauge, Registry};
+use supmr::{FairShare, PoolMetrics};
+use supmr_metrics::{Counter, Gauge, Registry, Tracer};
 
 /// Daemon-level configuration: the shared facilities every job runs
 /// against.
@@ -174,7 +174,13 @@ impl Scheduler {
         let metrics = ServeMetrics::register(&registry);
         let workers = config.workers.max(1);
         let inner = Arc::new(SchedulerInner {
-            pool: WorkerPool::new(workers),
+            // Every tenant's map, reduce and merge waves run here, so
+            // the daemon-level `supmr.pool.*` rows are the box's load.
+            pool: WorkerPool::new_instrumented(
+                workers,
+                Tracer::off(),
+                Some(PoolMetrics::register(&registry)),
+            ),
             shares: FairShare::new(workers),
             metrics,
             registry,

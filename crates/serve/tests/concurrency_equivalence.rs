@@ -7,6 +7,7 @@
 //! spilling is allowed to change any answer.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use supmr_serve::{
     reference_output, AppSpec, JobSpec, JobStatus, Priority, Scheduler, ServeConfig,
@@ -96,4 +97,56 @@ proptest! {
         }
         scheduler.shutdown(Duration::from_secs(30));
     }
+}
+
+/// Two sorting tenants on a 2-thread pool and a 2-slot fair share: the
+/// merges run on the shared pool like every other wave — the in-flight
+/// gauge sees them, there is nowhere else for them to run — so the box
+/// never carries more running tasks than the pool has threads.
+#[test]
+fn two_sorting_tenants_merge_on_the_shared_pool() {
+    let scheduler = Scheduler::start(ServeConfig {
+        workers: 2,
+        max_concurrent: 2,
+        queue_depth: 3,
+        memory_budget: None,
+        default_job_workers: 2,
+    });
+    let in_flight = supmr::PoolMetrics::register(scheduler.registry()).in_flight;
+    let done = AtomicBool::new(false);
+    let (peak, handles) = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Acquire) {
+                peak = peak.max(in_flight.value());
+                std::thread::yield_now();
+            }
+            peak
+        });
+        let handles = [1u64, 2].map(|seed| {
+            let spec = JobSpec {
+                app: AppSpec::TeraSort,
+                seed,
+                input_bytes: 100 * 20_000,
+                ..JobSpec::default()
+            };
+            scheduler.submit(spec).expect("admitted")
+        });
+        let settled = scheduler.wait_idle(Duration::from_secs(120));
+        done.store(true, Ordering::Release);
+        assert!(settled, "both tenants settled");
+        (sampler.join().expect("sampler"), handles)
+    });
+    assert!((1..=2).contains(&peak), "pool in-flight peaked at {peak} on 2 threads");
+    assert_eq!(in_flight.value(), 0, "nothing left running");
+    for handle in &handles {
+        let status = handle.status_json();
+        assert_eq!(handle.status(), JobStatus::Completed, "{}", status.render());
+        let stats = status.get("report").and_then(|r| r.get("stats")).expect("report stats");
+        assert_eq!(stats.get("merge_rounds").and_then(|v| v.as_f64()), Some(1.0));
+        // Map, reduce, run-formation and merge waves all dispatched to
+        // the host's threads; the job spawned only its ingest threads.
+        assert!(stats.get("threads_reused").and_then(|v| v.as_f64()) >= Some(4.0));
+    }
+    scheduler.shutdown(Duration::from_secs(30));
 }
