@@ -88,9 +88,9 @@
 //! scrape endpoint for the duration of a run
 //! ([`Job::metrics_addr`](runtime::Job::metrics_addr)): the runtimes,
 //! worker pool, and merge backends then maintain `supmr.*` counter,
-//! gauge, and HDR-histogram families ([`runtime::JobMetrics`],
-//! [`pool::PoolMetrics`]) cheap enough to leave on under load, and the
-//! job report folds the final percentile snapshot into its JSON.
+//! gauge, and HDR-histogram families cheap enough to leave on under
+//! load, and the job report folds the final percentile snapshot into
+//! its JSON.
 
 pub mod api;
 pub mod chunk;
@@ -112,8 +112,8 @@ pub use parse::{parse_duration, parse_size, ParseError};
 pub use pool::{FairShare, PoolMetrics, PoolMode, ShareTicket};
 pub use runtime::{
     run_with, ActionRecord, ActiveConfig, FrameIter, GovernorConfig, GovernorReport, HandoffStats,
-    Input, IterationReport, Job, JobConfig, JobMetrics, JobReport, JobResult, JobStats, MergeMode,
-    Pipeline, PipelineResult, SharedRun, Stage, StageData, StageId, StageMetrics, StageReport,
+    Input, IterationReport, Job, JobConfig, JobReport, JobResult, JobStats, MergeMode, Pipeline,
+    PipelineResult, SharedRun, Stage, StageData, StageId, StageReport,
 };
 pub use spill::{MemoryAccountant, PairCodec, SpillMetrics};
 pub use supmr_metrics::{

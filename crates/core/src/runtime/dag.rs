@@ -92,24 +92,22 @@
 //! [`MemoryAccountant`]: crate::spill::MemoryAccountant
 
 use super::handoff::StageData;
+use super::probe::{pipeline_totals, stage_ended, stage_started, StageMetrics};
 use super::{
-    compose_callbacks, diagnose, flow_ledger, run_stage, Input, JobConfig, JobReport, JobStats,
-    StageMetrics, StageOutput, StageReport, StageResult, StageWiring,
+    run_stage, Input, JobConfig, JobReport, JobScope, StageOutput, StageReport, StageResult,
+    StageWiring,
 };
 use crate::api::MapReduce;
 use crate::chunk::Chunking;
 use crate::error::{panic_payload_string, Result, SupmrError};
-use crate::pool::{Executor, PoolMetrics, PoolMode, WorkerPool};
+use crate::pool::Executor;
 use crate::spill::{MemoryAccountant, SpillMetrics};
 use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use supmr_metrics::sampler::UtilizationSampler;
-use supmr_metrics::{
-    DebugState, EventKind, MetricsServer, Phase, PhaseTimings, Registry, TraceRing, Tracer,
-};
+use supmr_metrics::Tracer;
 use supmr_storage::RecordFormat;
 
 /// Handle to a stage within the [`Pipeline`] that created it — the only
@@ -215,16 +213,10 @@ impl<J: MapReduce> Stage<J> {
     }
 }
 
-/// Execution context a stage driver receives: the pipeline's executor
-/// and tracer, borrowed for the duration of the stage.
-struct StageCtx<'p> {
-    exec: Executor<'p>,
-    tracer: &'p Tracer,
-}
-
 /// A prepared stage execution: everything resolved on the coordinator,
-/// ready to run on a driver thread.
-type StageRun = Box<dyn for<'p> FnOnce(StageCtx<'p>) -> Result<ErasedOutcome> + Send>;
+/// ready to run on a driver thread against the pipeline's executor and
+/// tracer.
+type StageRun = Box<dyn for<'p> FnOnce(Executor<'p>, &'p Tracer) -> Result<ErasedOutcome> + Send>;
 
 /// A finished stage with its key/output types erased so the scheduler
 /// stays monomorphization-free across heterogeneous stages.
@@ -235,13 +227,6 @@ struct ErasedOutcome {
     pairs: Option<Box<dyn Any + Send>>,
     report: JobReport,
     out_pairs: u64,
-}
-
-/// Pipeline-wide facilities every stage execution shares.
-struct SharedRun {
-    base: JobConfig,
-    registry: Option<Registry>,
-    accountant: Option<Arc<MemoryAccountant>>,
 }
 
 /// Object-safe view of a [`Stage`] the scheduler drives.
@@ -258,7 +243,7 @@ trait ErasedStage: Send {
         iteration: u64,
         feed: Option<StageData>,
         wants_handoff: bool,
-        shared: &SharedRun,
+        scope: &JobScope<'_>,
     ) -> Result<StageRun>;
 }
 
@@ -285,21 +270,22 @@ impl<J: MapReduce> ErasedStage for Stage<J> {
         iteration: u64,
         feed: Option<StageData>,
         wants_handoff: bool,
-        shared: &SharedRun,
+        scope: &JobScope<'_>,
     ) -> Result<StageRun> {
         let app = (self.factory)(iteration);
-        let mut config = self.config.clone().unwrap_or_else(|| shared.base.clone());
+        let base = &scope.config;
+        let mut config = self.config.clone().unwrap_or_else(|| base.clone());
         // Pipeline-owned facilities: one registry, tracer, sampler,
         // scrape server, pool, and byte budget for every stage.
-        config.metrics = shared.registry.clone();
+        config.metrics = base.metrics.clone();
         config.metrics_addr = None;
         config.sample_utilization = None;
         config.on_event = None;
-        config.trace = shared.base.trace;
-        config.pool = shared.base.pool;
-        config.memory_budget = shared.base.memory_budget;
-        config.spill_dir = shared.base.spill_dir.clone();
-        config.spill_store = shared.base.spill_store.clone();
+        config.trace = base.trace;
+        config.pool = base.pool;
+        config.memory_budget = base.memory_budget;
+        config.spill_dir = base.spill_dir.clone();
+        config.spill_store = base.spill_store.clone();
         let input = match (feed, &mut self.input) {
             (Some(data), None) => {
                 // A fed stage maps over the upstream hand-off buffer:
@@ -330,14 +316,14 @@ impl<J: MapReduce> ErasedStage for Stage<J> {
             false => None,
         };
         let app = Arc::new(app);
-        let accountant = shared.accountant.clone();
+        let accountant = scope.accountant.clone();
         // Spill runs from concurrent stages and successive iterations
         // share one store: the prefix keeps their run names disjoint.
         let run_prefix = format!("s{index:02}-i{iteration:03}-");
-        Ok(Box::new(move |ctx: StageCtx<'_>| {
+        Ok(Box::new(move |exec: Executor<'_>, tracer: &Tracer| {
             let wiring = StageWiring { handoff: codec, accountant, run_prefix };
             let StageResult { output, report } =
-                run_stage(&app, input, &config, ctx.exec, ctx.tracer, wiring)?;
+                run_stage(&app, input, &config, exec, tracer, wiring)?;
             let out_pairs = report.stats.output_pairs;
             Ok(match output {
                 StageOutput::Handoff(data) => {
@@ -429,6 +415,10 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
     /// Set the pipeline-wide configuration: the default for every
     /// stage, and the sole source of the pipeline-owned facilities
     /// (tracing, metrics, sampling, memory budget, spill store).
+    ///
+    /// A pipeline runs ungoverned: [`JobConfig::governor`] still implies
+    /// a registry, as it does for a single job, but no governor thread
+    /// is started and [`JobReport::governor`] stays `None`.
     pub fn config(mut self, config: JobConfig) -> Self {
         self.config = config;
         self
@@ -518,49 +508,12 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
             )));
         }
 
-        let mut config = self.config;
-        config.validate()?;
-        // A scrape endpoint implies a registry for it to expose.
-        if config.metrics_addr.is_some() && config.metrics.is_none() {
-            config.metrics = Some(Registry::new());
-        }
-        let registry = config.metrics.clone();
-        // One bandwidth ledger for the whole pipeline: every stage's
-        // config inherits it, so flows aggregate across stages exactly
-        // like the memory accountant below.
-        let flow = flow_ledger(&mut config);
-        let ring = (config.metrics_addr.is_some() && config.trace.enabled())
-            .then(|| TraceRing::new(TraceRing::DEFAULT_CAP));
-        let server = match (&config.metrics_addr, &registry) {
-            (Some(addr), Some(r)) => {
-                let mut state = DebugState::new(r.clone());
-                if let Some(ring) = &ring {
-                    state = state.with_ring(Arc::clone(ring));
-                }
-                Some(MetricsServer::serve_debug(addr, state).map_err(|e| {
-                    SupmrError::invalid_config(format!("cannot serve metrics on {addr}: {e}"))
-                })?)
-            }
-            _ => None,
-        };
-        let callback = compose_callbacks(config.on_event.clone(), ring.map(|r| r.callback()));
-        let tracer = Tracer::new(config.trace, callback);
-        let sampler = config.sample_utilization.map(UtilizationSampler::start);
-        let pool = (config.pool == PoolMode::Persistent).then(|| {
-            WorkerPool::new_instrumented(
-                config.map_workers.max(config.reduce_workers),
-                tracer.clone(),
-                registry.as_ref().map(PoolMetrics::register),
-            )
-        });
-        let exec = match &pool {
-            Some(p) => Executor::Pool(p),
-            None => Executor::Wave,
-        };
+        let mut scope = JobScope::open(self.config, None, None)?;
+        let registry = scope.config.metrics.clone();
         // One byte ledger for the whole pipeline: concurrent stages
         // budget against it together, so `memory_budget` bounds the
         // pipeline's resident footprint rather than each stage's.
-        let accountant = config.memory_budget.map(|budget| {
+        scope.accountant = scope.config.memory_budget.map(|budget| {
             let metrics = registry.as_ref().map(SpillMetrics::register);
             let mut accountant = MemoryAccountant::new(budget);
             if let Some(m) = &metrics {
@@ -569,12 +522,11 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
             }
             Arc::new(accountant)
         });
-        let stage_metrics: Vec<Option<Arc<StageMetrics>>> = self
+        let stage_metrics: Vec<Option<StageMetrics>> = self
             .stages
             .iter()
             .map(|s| registry.as_ref().map(|r| StageMetrics::register(r, s.name())))
             .collect();
-        let shared = SharedRun { base: config, registry: registry.clone(), accountant };
 
         let t0 = Instant::now();
         let mut stage_reports: Vec<StageReport> = Vec::new();
@@ -585,9 +537,7 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
                 &mut self.stages,
                 iterations,
                 &consumers,
-                &shared,
-                exec,
-                &tracer,
+                &scope,
                 &stage_metrics,
                 &mut stage_reports,
             )?;
@@ -611,82 +561,32 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
             }
         };
 
-        // Aggregate: phase totals sum stage time (which can exceed the
-        // wall total when stages overlap); the wall total is real.
-        let mut timings = PhaseTimings::zero();
-        for p in [Phase::Ingest, Phase::Map, Phase::Reduce, Phase::Merge] {
-            timings.set_phase(p, stage_reports.iter().map(|s| s.timings.phase(p)).sum());
-        }
-        timings.set_total(t0.elapsed());
-        let mut stats = JobStats::default();
-        for sr in &stage_reports {
-            accumulate(&mut stats, &sr.stats);
-        }
-        stats.output_pairs = pairs.len() as u64;
-        if let Some(p) = &pool {
-            // The pool's one-time spawn cost, counted once per pipeline.
-            stats.threads_spawned += p.size() as u64;
-        }
+        let (timings, stats) = pipeline_totals(&stage_reports, t0.elapsed(), pairs.len() as u64);
         let mut report =
             JobReport { timings, stats, stages: stage_reports, ..JobReport::default() };
-        if let Some(s) = sampler {
-            report.util = Some(s.stop());
-        }
-        if tracer.level().enabled() {
-            report.trace = Some(tracer.finish());
-        }
-        if let Some(r) = &registry {
-            report.metrics = Some(r.snapshot());
-        }
-        report.diag = Some(diagnose(&report, &flow, &shared.base));
-        if let Some(s) = server {
-            s.shutdown();
-        }
+        scope.close(&mut report);
         Ok(PipelineResult { pairs, iterations, report })
     }
-}
-
-/// Sum one stage's counters into the pipeline-level totals.
-/// `output_pairs` is set from the terminal output afterwards, and
-/// per-round timelines stay in the per-stage reports.
-fn accumulate(total: &mut JobStats, s: &JobStats) {
-    total.bytes_ingested += s.bytes_ingested;
-    total.ingest_chunks += s.ingest_chunks;
-    total.map_rounds += s.map_rounds;
-    total.map_tasks += s.map_tasks;
-    total.reduce_tasks += s.reduce_tasks;
-    total.threads_spawned += s.threads_spawned;
-    total.threads_reused += s.threads_reused;
-    total.intermediate_pairs += s.intermediate_pairs;
-    total.distinct_keys += s.distinct_keys;
-    total.merge_rounds += s.merge_rounds;
-    total.merge_elements_moved += s.merge_elements_moved;
-    total.map_waiting += s.map_waiting;
-    total.ingest_waiting += s.ingest_waiting;
-    total.spill_runs += s.spill_runs;
-    total.spill_bytes += s.spill_bytes;
 }
 
 /// Run every stage once, respecting dependency order: each stage whose
 /// upstreams are done is dispatched onto its own driver thread, so
 /// independent stages run concurrently over the shared executor.
 /// Returns the terminal stage's pairs (type-erased).
-#[allow(clippy::too_many_arguments)] // internal scheduler plumbing
 fn run_iteration(
     stages: &mut [Box<dyn ErasedStage>],
     iteration: u64,
     consumers: &[usize],
-    shared: &SharedRun,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    stage_metrics: &[Option<Arc<StageMetrics>>],
+    scope: &JobScope<'_>,
+    stage_metrics: &[Option<StageMetrics>],
     stage_reports: &mut Vec<StageReport>,
 ) -> Result<Box<dyn Any + Send>> {
+    let (exec, tracer) = (scope.exec(), &scope.tracer);
     let n = stages.len();
     let mut launched = vec![false; n];
     let mut done = vec![false; n];
     let mut outputs: Vec<Option<StageData>> = vec![None; n];
-    std::thread::scope(|scope| -> Result<Box<dyn Any + Send>> {
+    std::thread::scope(|threads| -> Result<Box<dyn Any + Send>> {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<ErasedOutcome>)>();
         let mut terminal_pairs: Option<Box<dyn Any + Send>> = None;
         let mut completed = 0usize;
@@ -706,28 +606,26 @@ fn run_iteration(
                 let feed = stages[i]
                     .reads()
                     .map(|u| outputs[u].clone().expect("a completed upstream produced a hand-off"));
-                let run = stages[i].prepare(i, iteration, feed, consumers[i] > 0, shared)?;
+                let run = stages[i].prepare(i, iteration, feed, consumers[i] > 0, scope)?;
                 launched[i] = true;
                 let tx = tx.clone();
-                let stage_tracer = tracer.clone();
-                let stage = i as u32;
                 std::thread::Builder::new()
                     .name(format!("supmr-stage-{i}"))
-                    .spawn_scoped(scope, move || {
+                    .spawn_scoped(threads, move || {
                         // The span wraps the whole stage on this driver
                         // thread; inner phase spans nest inside it.
-                        stage_tracer.emit(EventKind::StageStart { stage });
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run(StageCtx { exec, tracer: &stage_tracer })
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(SupmrError::TaskPanic { payload: panic_payload_string(payload) })
-                        });
-                        let pairs = result.as_ref().map(|o| o.out_pairs).unwrap_or(0);
-                        stage_tracer.emit(EventKind::StageEnd { stage, pairs });
+                        let stage = i as u32;
+                        stage_started(tracer, stage);
+                        let result = catch_unwind(AssertUnwindSafe(|| run(exec, tracer)))
+                            .unwrap_or_else(|payload| {
+                                Err(SupmrError::TaskPanic {
+                                    payload: panic_payload_string(payload),
+                                })
+                            });
+                        stage_ended(tracer, stage, result.as_ref().map_or(0, |o| o.out_pairs));
                         // The receiver is gone iff the iteration
                         // already failed; this result is then moot.
-                        let _ = tx.send((stage as usize, result));
+                        let _ = tx.send((i, result));
                     })
                     .expect("spawning a pipeline stage driver thread");
             }
@@ -737,12 +635,11 @@ fn run_iteration(
             completed += 1;
             let handoff_stats = outcome.handoff.as_ref().map(StageData::stats);
             if let Some(m) = &stage_metrics[i] {
-                m.runs.add(1);
-                m.total_us.record_duration_us(outcome.report.timings.total());
-                m.pairs_out.add(outcome.out_pairs);
-                if let Some(h) = &handoff_stats {
-                    m.handoff_bytes.add(h.bytes);
-                }
+                m.executed(
+                    outcome.report.timings.total(),
+                    outcome.out_pairs,
+                    handoff_stats.map(|h| h.bytes),
+                );
             }
             stage_reports.push(StageReport {
                 name: stages[i].name().to_string(),

@@ -21,10 +21,7 @@
 use crate::chunk::IngestChunk;
 use crate::spill::PairCodec;
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::Instant;
 use supmr_merge::{push_frame, split_frame};
-use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::SharedBytes;
 
 /// Counters describing one inter-stage hand-off.
@@ -145,32 +142,12 @@ pub(crate) fn assemble(parts: Vec<FrameBuf>, materialized: bool) -> StageData {
 pub struct FrameIter<'a, K, A> {
     bytes: &'a [u8],
     decode: fn(&[u8]) -> Option<(K, A)>,
-    /// Flow attribution: (ledger, bytes walked so far, walk start).
-    /// Settled once, on drop, so per-frame stepping stays branch-cheap.
-    flow: Option<(Arc<FlowLedger>, u64, Instant)>,
 }
 
 impl<'a, K, A> FrameIter<'a, K, A> {
     /// Walk `bytes` (a whole hand-off split) with `codec`.
     pub fn new(bytes: &'a [u8], codec: PairCodec<K, A>) -> FrameIter<'a, K, A> {
-        FrameIter { bytes, decode: codec.decode, flow: None }
-    }
-
-    /// Attribute the bytes this iterator walks to the shuffle phase of
-    /// `ledger`, recorded once when the iterator drops. Stands down
-    /// (like every `record_owned` caller) if a storage-level meter has
-    /// claimed the phase.
-    pub fn with_flow(mut self, ledger: Arc<FlowLedger>) -> FrameIter<'a, K, A> {
-        self.flow = Some((ledger, 0, Instant::now()));
-        self
-    }
-}
-
-impl<K, A> Drop for FrameIter<'_, K, A> {
-    fn drop(&mut self) {
-        if let Some((ledger, walked, started)) = self.flow.take() {
-            ledger.record_owned(FlowPhase::Shuffle, walked, started.elapsed());
-        }
+        FrameIter { bytes, decode: codec.decode }
     }
 }
 
@@ -184,9 +161,6 @@ impl<K, A> Iterator for FrameIter<'_, K, A> {
         let (payload, rest) =
             split_frame(self.bytes).unwrap_or_else(|e| panic!("corrupt hand-off buffer: {e}"));
         let pair = (self.decode)(payload).expect("undecodable hand-off frame");
-        if let Some((_, walked, _)) = &mut self.flow {
-            *walked += (self.bytes.len() - rest.len()) as u64;
-        }
         self.bytes = rest;
         Some(pair)
     }
@@ -246,25 +220,6 @@ mod tests {
         assert_eq!(data.max_segment_len(), 48);
         let chunk = data.into_chunk();
         assert_eq!(chunk.segments, vec![0..24, 24..72]);
-    }
-
-    #[test]
-    fn frame_iter_attributes_walked_bytes_to_shuffle() {
-        let c = codec();
-        let mut p = FrameBuf::default();
-        p.push(c, &1, &10);
-        p.push(c, &2, &20);
-        let ledger = Arc::new(FlowLedger::new());
-        let decoded: Vec<(u64, u64)> =
-            FrameIter::new(p.bytes(), c).with_flow(Arc::clone(&ledger)).collect();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(ledger.bytes(FlowPhase::Shuffle), 2 * (16 + 8), "frames counted with headers");
-        // An externally-owned phase silences the iterator's recording.
-        let owned = Arc::new(FlowLedger::new());
-        owned.mark_external(FlowPhase::Shuffle);
-        let _: Vec<(u64, u64)> =
-            FrameIter::new(p.bytes(), c).with_flow(Arc::clone(&owned)).collect();
-        assert_eq!(owned.bytes(FlowPhase::Shuffle), 0);
     }
 
     #[test]

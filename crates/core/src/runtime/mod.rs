@@ -10,20 +10,29 @@
 //! and merge phases are shared — the merge backend is chosen by
 //! [`MergeMode`], which is how experiments isolate the paper's two
 //! modifications.
+//!
+//! Two pieces of plumbing are shared by everything here. A `JobScope`
+//! stands up a run's facilities (registry and scrape server, flow
+//! ledger, tracer, sampler, private pool) and folds them into the
+//! report at the end, for a single job and a [`Pipeline`] alike. And
+//! every function of a running stage takes a `StageCtx` — its config,
+//! its executor and its `StageProbe` (`runtime/probe.rs`), the one
+//! writer of the trace, the registry families, the flow ledger, the
+//! phase clock and [`JobStats`]: the functions below say *when* a site
+//! is reached, the probe says what it records.
 
 pub mod builder;
 pub mod dag;
 pub mod governor;
 pub mod handoff;
-pub mod metrics;
 pub mod original;
 pub mod pipeline;
+pub(crate) mod probe;
 
 pub use builder::Job;
 pub use dag::{IterationReport, Pipeline, PipelineResult, Stage, StageId};
 pub use governor::{ActionRecord, ActiveConfig, GovernorConfig, GovernorReport};
 pub use handoff::{FrameIter, HandoffStats, StageData};
-pub use metrics::{JobMetrics, StageMetrics};
 
 use crate::api::{AccOf, MapReduce};
 use crate::chunk::{Chunking, IngestChunk};
@@ -36,6 +45,7 @@ use crate::spill::{
 };
 use crate::split::chunk_splits;
 use parking_lot::Mutex;
+use probe::StageProbe;
 use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,9 +58,9 @@ use supmr_merge::{
 };
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
-    BottleneckReport, DebugState, DiagInputs, EventCallback, EventKind, FlowLedger, FlowPhase,
-    JobTrace, Json, MetricsServer, MetricsSnapshot, Phase, PhaseTimer, PhaseTimings, Registry,
-    StallStats, TraceLevel, TraceRing, Tracer, UtilTrace,
+    BottleneckReport, DebugState, DiagInputs, EventCallback, FlowLedger, FlowPhase, JobTrace, Json,
+    MetricsServer, MetricsSnapshot, Phase, PhaseTimings, Registry, StallStats, TraceLevel,
+    TraceRing, Tracer, UtilTrace,
 };
 use supmr_storage::{
     DataSource, DiskRunStore, FileSet, RecordFormat, RunStore, SharedBytes, SourceExt,
@@ -200,8 +210,8 @@ pub struct JobConfig {
     /// prefetch depth, the absorb sweep mask, and spill watermarks
     /// mid-job (DESIGN.md §3k). Implies a registry, like
     /// [`JobConfig::metrics_addr`]. Decisions are traced as
-    /// [`EventKind::GovernorAction`] and summarized in
-    /// [`JobReport::governor`].
+    /// [`GovernorAction`](supmr_metrics::EventKind::GovernorAction)
+    /// events and summarized in [`JobReport::governor`].
     pub governor: Option<GovernorConfig>,
     /// Pre-built dynamic knobs, normally `None` and built by
     /// [`Job::run`] when [`JobConfig::governor`] is set. Public only so
@@ -420,13 +430,6 @@ pub struct JobStats {
     pub spill_runs: u64,
     /// Framed bytes written into spill run files.
     pub spill_bytes: u64,
-}
-
-impl JobStats {
-    fn add_wave(&mut self, outcome: WaveOutcome) {
-        self.threads_spawned += outcome.threads_spawned;
-        self.threads_reused += outcome.threads_reused;
-    }
 }
 
 /// Everything measured about a finished job, in one handle with a
@@ -661,6 +664,15 @@ impl<J: MapReduce> Default for StageWiring<J> {
     }
 }
 
+/// What every function of a running stage is handed: the stage's
+/// configuration, the executor its waves run on, and the probe it
+/// reports through.
+pub(crate) struct StageCtx<'a> {
+    pub config: &'a JobConfig,
+    pub exec: Executor<'a>,
+    pub probe: StageProbe,
+}
+
 /// Execute one stage: dispatch to the original runtime
 /// ([`Chunking::None`]) or the SupMR ingest chunk pipeline, converting
 /// a panic inside a user map/reduce function into
@@ -675,9 +687,10 @@ pub(crate) fn run_stage<J: MapReduce>(
     tracer: &Tracer,
     wiring: StageWiring<J>,
 ) -> Result<StageResult<J::Key, J::Output>> {
+    let ctx = StageCtx { config, exec, probe: StageProbe::new(config, tracer) };
     let dispatch = catch_unwind(AssertUnwindSafe(|| match config.chunking {
-        Chunking::None => original::run(job, input, config, exec, tracer, wiring),
-        _ => pipeline::run(job, input, config, exec, tracer, wiring),
+        Chunking::None => original::run(job, input, ctx, wiring),
+        _ => pipeline::run(job, input, ctx, wiring),
     }));
     match dispatch {
         Ok(stage_result) => stage_result,
@@ -704,10 +717,112 @@ pub struct SharedRun<'p> {
     pub run_prefix: String,
 }
 
-/// The single-stage orchestration behind [`Job::run`]: validate, stand
-/// up the job-scoped facilities (metrics registry + scrape server,
-/// tracer, utilization sampler, persistent pool), run the one stage,
-/// and fold the teardown artifacts into the report.
+/// The job-scoped facilities a run stands up before its first stage and
+/// tears down after its last, for a single job ([`run_with`]) and a
+/// pipeline ([`Pipeline::run`]) alike: the metrics registry (implied by a
+/// scrape address or a governor) and its scrape/debug server, the flow
+/// ledger, the tracer with its event callbacks, the utilization sampler,
+/// and the job-private persistent pool.
+pub(crate) struct JobScope<'p> {
+    /// The validated configuration, with the registry and flow ledger
+    /// the scope settled on written back so every stage sees them.
+    pub config: JobConfig,
+    pub tracer: Tracer,
+    /// A byte ledger every stage budgets against — a host's partition
+    /// of its global budget, or a pipeline's one ledger. `None` leaves a
+    /// stage to build its own.
+    pub accountant: Option<Arc<MemoryAccountant>>,
+    flow: Arc<FlowLedger>,
+    server: Option<MetricsServer>,
+    sampler: Option<UtilizationSampler>,
+    pool: Option<WorkerPool>,
+    host_pool: Option<&'p WorkerPool>,
+}
+
+impl<'p> JobScope<'p> {
+    /// Validate `config` and stand the facilities up. Waves dispatch
+    /// onto `host_pool`, and stages budget against `accountant`, when
+    /// the host lends them.
+    pub fn open(
+        mut config: JobConfig,
+        host_pool: Option<&'p WorkerPool>,
+        accountant: Option<Arc<MemoryAccountant>>,
+    ) -> Result<JobScope<'p>> {
+        config.validate()?;
+        // A scrape endpoint implies a registry for it to expose; so does
+        // the governor, which samples one.
+        if (config.metrics_addr.is_some() || config.governor.is_some()) && config.metrics.is_none()
+        {
+            config.metrics = Some(Registry::new());
+        }
+        // The ledger from the config (shared with storage-level meters)
+        // or a fresh job-private one; it mirrors into a live registry.
+        let flow = Arc::clone(config.flow.get_or_insert_with(Default::default));
+        if let Some(r) = &config.metrics {
+            flow.attach_registry(r);
+        }
+        // A live server with tracing on gets a bounded event ring behind
+        // `/debug/trace`, fed by the tracer's callback.
+        let ring = (config.metrics_addr.is_some() && config.trace.enabled())
+            .then(|| TraceRing::new(TraceRing::DEFAULT_CAP));
+        let server = match (&config.metrics_addr, &config.metrics) {
+            (Some(addr), Some(r)) => {
+                let mut state = DebugState::new(r.clone());
+                if let Some(ring) = &ring {
+                    state = state.with_ring(Arc::clone(ring));
+                }
+                Some(MetricsServer::serve_debug(addr, state).map_err(|e| {
+                    SupmrError::invalid_config(format!("cannot serve metrics on {addr}: {e}"))
+                })?)
+            }
+            _ => None,
+        };
+        let callback = compose_callbacks(config.on_event.clone(), ring.map(|r| r.callback()));
+        let tracer = Tracer::new(config.trace, callback);
+        let sampler = config.sample_utilization.map(UtilizationSampler::start);
+        let pool = (host_pool.is_none() && config.pool == PoolMode::Persistent).then(|| {
+            WorkerPool::new_instrumented(
+                config.map_workers.max(config.reduce_workers),
+                tracer.clone(),
+                config.metrics.as_ref().map(PoolMetrics::register),
+            )
+        });
+        Ok(JobScope { config, tracer, accountant, flow, server, sampler, pool, host_pool })
+    }
+
+    /// Where the scope's waves run: the host's pool, the scope's own, or
+    /// fresh threads per wave.
+    pub fn exec(&self) -> Executor<'_> {
+        match self.host_pool.or(self.pool.as_ref()) {
+            Some(pool) => Executor::Pool(pool),
+            None => Executor::Wave,
+        }
+    }
+
+    /// Tear down, folding what the facilities gathered into `report`.
+    pub fn close(self, report: &mut JobReport) {
+        if let Some(p) = &self.pool {
+            // The pool's one-time spawn cost, counted once per job.
+            report.stats.threads_spawned += p.size() as u64;
+        }
+        if let Some(s) = self.sampler {
+            report.util = Some(s.stop());
+        }
+        if self.tracer.level().enabled() {
+            report.trace = Some(self.tracer.finish());
+        }
+        if let Some(r) = &self.config.metrics {
+            report.metrics = Some(r.snapshot());
+        }
+        report.diag = Some(diagnose(report, &self.flow, &self.config));
+        if let Some(s) = self.server {
+            s.shutdown();
+        }
+    }
+}
+
+/// The single-stage orchestration behind [`Job::run`]: everything
+/// job-private.
 pub(crate) fn run_single<J: MapReduce>(
     job: J,
     input: Input,
@@ -722,52 +837,14 @@ pub(crate) fn run_single<J: MapReduce>(
 pub fn run_with<J: MapReduce>(
     job: J,
     input: Input,
-    mut config: JobConfig,
+    config: JobConfig,
     shared: SharedRun<'_>,
 ) -> Result<JobResult<J::Key, J::Output>> {
-    config.validate()?;
-    // A scrape endpoint implies a registry for it to expose; so does
-    // the governor, which samples one.
-    if (config.metrics_addr.is_some() || config.governor.is_some()) && config.metrics.is_none() {
-        config.metrics = Some(Registry::new());
-    }
-    let registry = config.metrics.clone();
-    let flow = flow_ledger(&mut config);
-    // A live server with tracing on gets a bounded event ring behind
-    // `/debug/trace`; composed into the tracer's callback below.
-    let ring = (config.metrics_addr.is_some() && config.trace.enabled())
-        .then(|| TraceRing::new(TraceRing::DEFAULT_CAP));
-    let server = match (&config.metrics_addr, &registry) {
-        (Some(addr), Some(r)) => {
-            let mut state = DebugState::new(r.clone());
-            if let Some(ring) = &ring {
-                state = state.with_ring(Arc::clone(ring));
-            }
-            Some(MetricsServer::serve_debug(addr, state).map_err(|e| {
-                SupmrError::invalid_config(format!("cannot serve metrics on {addr}: {e}"))
-            })?)
-        }
-        _ => None,
-    };
-    let callback = compose_callbacks(config.on_event.clone(), ring.map(|r| r.callback()));
-    let tracer = Tracer::new(config.trace, callback);
-    let sampler = config.sample_utilization.map(UtilizationSampler::start);
-    let job = Arc::new(job);
-    let pool = (shared.pool.is_none() && config.pool == PoolMode::Persistent).then(|| {
-        WorkerPool::new_instrumented(
-            config.map_workers.max(config.reduce_workers),
-            tracer.clone(),
-            registry.as_ref().map(PoolMetrics::register),
-        )
-    });
-    let exec = match (shared.pool, &pool) {
-        (Some(host), _) => Executor::Pool(host),
-        (None, Some(p)) => Executor::Pool(p),
-        (None, None) => Executor::Wave,
-    };
+    let mut scope = JobScope::open(config, shared.pool, shared.accountant)?;
     // Stand up the feedback governor: shared dynamic knobs seeded from
     // the static widths, plus the sampling thread that moves them.
-    let governor = config.governor.map(|g| {
+    let governor = scope.config.governor.map(|g| {
+        let config = &mut scope.config;
         let active = config.active.get_or_insert_with(|| {
             Arc::new(ActiveConfig::new(
                 config.map_workers,
@@ -779,58 +856,34 @@ pub fn run_with<J: MapReduce>(
             g,
             config.metrics.clone().expect("the governor implies a registry"),
             Arc::clone(active),
-            tracer.clone(),
+            scope.tracer.clone(),
             governor::GovernorLimits {
                 map_base: config.map_workers,
                 reduce_cap: config.map_workers.max(config.reduce_workers),
             },
         )
     });
-    let wiring =
-        StageWiring { handoff: None, accountant: shared.accountant, run_prefix: shared.run_prefix };
-    let stage = run_stage(&job, input, &config, exec, &tracer, wiring)?;
+    let wiring = StageWiring {
+        handoff: None,
+        accountant: scope.accountant.clone(),
+        run_prefix: shared.run_prefix,
+    };
+    let stage =
+        run_stage(&Arc::new(job), input, &scope.config, scope.exec(), &scope.tracer, wiring)?;
     let mut result = match stage.output {
         StageOutput::Pairs(pairs) => JobResult { pairs, report: stage.report },
         StageOutput::Handoff(_) => unreachable!("single-stage wiring requests no hand-off"),
     };
-    if let Some(p) = &pool {
-        // The pool's one-time spawn cost, counted once per job.
-        result.report.stats.threads_spawned += p.size() as u64;
-    }
-    if let Some(s) = sampler {
-        result.report.util = Some(s.stop());
-    }
-    if tracer.level().enabled() {
-        result.report.trace = Some(tracer.finish());
-    }
     if let Some(g) = governor {
         result.report.governor = Some(g.stop());
     }
-    if let Some(r) = &registry {
-        result.report.metrics = Some(r.snapshot());
-    }
-    result.report.diag = Some(diagnose(&result.report, &flow, &config));
-    if let Some(s) = server {
-        s.shutdown();
-    }
+    scope.close(&mut result.report);
     Ok(result)
-}
-
-/// The job's flow ledger: the one from the config (shared with
-/// storage-level meters), or a fresh job-private one written back so
-/// both runtimes see it. Either way it mirrors into the registry when
-/// one is live.
-pub(crate) fn flow_ledger(config: &mut JobConfig) -> Arc<FlowLedger> {
-    let flow = Arc::clone(config.flow.get_or_insert_with(|| Arc::new(FlowLedger::new())));
-    if let Some(r) = &config.metrics {
-        flow.attach_registry(r);
-    }
-    flow
 }
 
 /// Compose the user's event callback with the debug ring's, preserving
 /// `None` when neither exists (the tracer's zero-cost path).
-pub(crate) fn compose_callbacks(
+fn compose_callbacks(
     user: Option<EventCallback>,
     ring: Option<EventCallback>,
 ) -> Option<EventCallback> {
@@ -847,11 +900,7 @@ pub(crate) fn compose_callbacks(
 /// Fold a finished report plus the flow ledger into the classifier's
 /// inputs and run it — the report-time counterpart of the live
 /// `/debug/diag` endpoint.
-pub(crate) fn diagnose(
-    report: &JobReport,
-    flow: &FlowLedger,
-    config: &JobConfig,
-) -> BottleneckReport {
+fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> BottleneckReport {
     let us = |d: Duration| d.as_micros() as u64;
     let t = &report.timings;
     let snapshot_hist_sum = |name: &str| {
@@ -943,52 +992,24 @@ pub(crate) fn ingest_entire(input: Input) -> io::Result<IngestChunk> {
 
 /// Run one map wave over a chunk's splits. Tasks borrow the job, the
 /// container and the chunk buffer, on wave threads and pool threads alike.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 pub(crate) fn map_wave<J: MapReduce>(
     job: &Arc<J>,
     container: &J::Container,
     chunk: &IngestChunk,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    metrics: Option<&Arc<JobMetrics>>,
+    ctx: &StageCtx<'_>,
     round: u32,
 ) -> WaveOutcome {
-    let splits = chunk_splits(chunk, config.split_bytes, config.record_format);
-    tracer.emit(EventKind::MapWaveStart { round, tasks: splits.len() as u64 });
-    if let Some(m) = metrics {
-        m.wave_tasks.record(splits.len() as u64);
-    }
+    let splits = chunk_splits(chunk, ctx.config.split_bytes, ctx.config.record_format);
     let data = &chunk.data;
-    let task_tracer = tracer.level().tasks().then_some(tracer);
-    let task_flow = config.flow.as_ref();
-    let outcome = exec.run(config.effective_map_workers(), splits, |idx, range| {
-        if let Some(t) = task_tracer {
-            t.emit(EventKind::MapTaskStart { round, task: idx as u64, bytes: range.len() as u64 });
-        }
-        // RAII occupancy guard + latency sample: both survive a
-        // panicking `map` (the guard restores the gauge on unwind).
-        let started = metrics.map(|m| (m.map_in_flight.track(1), Instant::now()));
-        let flow_t0 = task_flow.map(|_| Instant::now());
-        if let Some(m) = metrics {
-            m.scan_bytes.add(range.len() as u64);
-        }
-        let scanned = range.len() as u64;
-        let mut local = container.local();
-        job.map(&data[range], &mut local);
-        container.absorb(local);
-        if let (Some(f), Some(t0)) = (task_flow, flow_t0) {
-            f.record_owned(FlowPhase::Map, scanned, t0.elapsed());
-        }
-        if let (Some(m), Some((_guard, t0))) = (metrics, started) {
-            m.map_task_us.record_duration_us(t0.elapsed());
-        }
-        if let Some(t) = task_tracer {
-            t.emit(EventKind::MapTaskEnd { round, task: idx as u64 });
-        }
-    });
-    tracer.emit(EventKind::MapWaveEnd { round });
-    outcome
+    ctx.probe.map_wave(round, splits.len(), || {
+        ctx.exec.run(ctx.config.effective_map_workers(), splits, |idx, range| {
+            ctx.probe.map_task(round, idx, range.len(), || {
+                let mut local = container.local();
+                job.map(&data[range], &mut local);
+                container.absorb(local);
+            });
+        })
+    })
 }
 
 /// One job's shared out-of-core state, typed by the application.
@@ -1022,10 +1043,10 @@ pub(crate) fn container_hooks(config: &JobConfig) -> ContainerHooks {
 pub(crate) fn setup_spill<J: MapReduce>(
     job: &Arc<J>,
     container: &J::Container,
-    config: &JobConfig,
-    tracer: &Tracer,
+    ctx: &mut StageCtx<'_>,
     wiring: &StageWiring<J>,
 ) -> Result<Option<SpillOf<J>>> {
+    let config = ctx.config;
     let Some(budget) = config.memory_budget else { return Ok(None) };
     let codec = job.spill_codec().ok_or_else(|| {
         SupmrError::invalid_config(
@@ -1070,11 +1091,9 @@ pub(crate) fn setup_spill<J: MapReduce>(
         Arc::clone(&accountant),
         codec,
         store,
-        metrics,
-        tracer.clone(),
         cleanup,
         wiring.run_prefix.clone(),
-        config.flow.clone(),
+        ctx.probe.spill_probe(metrics),
     ));
     let sink = {
         let spill = Arc::clone(&spill);
@@ -1114,6 +1133,34 @@ impl<K, O> PartOut<K, O> {
     }
 }
 
+/// Reduce one partition's key-grouped pairs: into hand-off frames when
+/// `encode` is set (the streamed stage boundary — no pair `Vec` is
+/// built), into output pairs otherwise.
+fn reduce_into<J: MapReduce>(
+    job: &J,
+    grouped: impl Iterator<Item = (J::Key, AccOf<J>)>,
+    encode: Option<PairCodec<J::Key, J::Output>>,
+) -> PartOut<J::Key, J::Output> {
+    match encode {
+        Some(codec) => {
+            let mut frames = handoff::FrameBuf::default();
+            for (k, acc) in grouped {
+                let o = job.reduce(&k, acc);
+                frames.push(codec, &k, &o);
+            }
+            PartOut::from_frames(frames)
+        }
+        None => PartOut::from_pairs(
+            grouped
+                .map(|(k, acc)| {
+                    let out = job.reduce(&k, acc);
+                    (k, out)
+                })
+                .collect(),
+        ),
+    }
+}
+
 /// Shared tail of both runtimes: reduce, merge, and result assembly.
 /// With spilled runs on disk the reduce phase runs as a streaming
 /// external merge per partition; otherwise it is the in-memory
@@ -1122,69 +1169,56 @@ impl<K, O> PartOut<K, O> {
 /// terminal pairs — streamed pair-by-pair out of the reduce workers
 /// when the stage's merge mode is [`MergeMode::Unsorted`], or encoded
 /// after the merge (and counted as materialized) otherwise.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 pub(crate) fn finish_job<J: MapReduce>(
     job: &Arc<J>,
     container: J::Container,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    metrics: Option<&Arc<JobMetrics>>,
-    spill: Option<Arc<JobSpill<J::Key, AccOf<J>>>>,
-    mut timer: PhaseTimer,
-    mut stats: JobStats,
+    spill: Option<SpillOf<J>>,
+    mut ctx: StageCtx<'_>,
     wiring: StageWiring<J>,
 ) -> Result<StageResult<J::Key, J::Output>> {
-    stats.intermediate_pairs = container.total_pairs();
-    stats.distinct_keys = container.distinct_keys() as u64;
-
     // A run that failed to write means the intermediate set is
     // incomplete: surface the parked fault before reducing over it.
     if let Some(sp) = &spill {
         sp.check().map_err(|source| SupmrError::Ingest { chunk: None, source })?;
-        stats.spill_runs = sp.runs_written();
-        stats.spill_bytes = sp.bytes_written();
     }
+    ctx.probe.shuffled(
+        container.total_pairs(),
+        container.distinct_keys() as u64,
+        spill.as_ref().map(|sp| (sp.runs_written(), sp.bytes_written())),
+    );
 
-    config.check_cancelled()?;
+    ctx.config.check_cancelled()?;
     // Stream reduced pairs straight into frames only when no merge
     // reorders them afterwards; a sorted hand-off must materialize.
-    let streamed = wiring.handoff.filter(|_| matches!(config.merge, MergeMode::Unsorted));
-    timer.begin(Phase::Reduce);
-    let reduce_t0 = Instant::now();
+    let streamed = wiring.handoff.filter(|_| matches!(ctx.config.merge, MergeMode::Unsorted));
+    ctx.probe.enter(Phase::Reduce);
     // The external reduce streams each partition out of a key-ordered
     // merge; the in-memory drain leaves partitions in container order.
     let (reduced, presorted) = match &spill {
         Some(sp) if sp.runs_written() > 0 => {
-            (external_reduce(job, container, sp, config, exec, tracer, &mut stats, streamed)?, true)
+            (external_reduce(job, container, sp, &mut ctx, streamed)?, true)
         }
-        _ => (
-            in_memory_reduce(job, container, config, exec, tracer, metrics, &mut stats, streamed),
-            false,
-        ),
+        _ => (in_memory_reduce(job, container, &mut ctx, streamed), false),
     };
-    let reduce_elapsed = reduce_t0.elapsed();
-    timer.end(Phase::Reduce);
+    let reduce_took = ctx.probe.leave(Phase::Reduce);
     // Run guards have deleted their files inside the reduce tasks; this
     // removes the per-job temp spill directory, when we created one.
     drop(spill);
 
-    let output = if streamed.is_some() {
+    let (output, output_pairs) = if streamed.is_some() {
         let data = handoff::assemble(reduced.into_iter().map(|p| p.frames).collect(), false);
-        stats.output_pairs = data.stats.pairs;
-        if let Some(f) = &config.flow {
-            // The framed bytes crossed the stage boundary over the
-            // reduce span that encoded them.
-            f.record_owned(FlowPhase::Shuffle, data.stats.bytes, reduce_elapsed);
-        }
-        StageOutput::Handoff(data)
+        // The framed bytes crossed the stage boundary over the reduce
+        // span that encoded them.
+        ctx.probe.handed_off(data.stats.bytes, reduce_took);
+        let pairs = data.stats.pairs;
+        (StageOutput::Handoff(data), pairs)
     } else {
-        timer.begin(Phase::Merge);
+        ctx.probe.enter(Phase::Merge);
         let parts = reduced.into_iter().map(|p| p.pairs).collect();
-        let pairs = merge_phase(job, parts, presorted, config, exec, tracer, metrics, &mut stats)?;
-        timer.end(Phase::Merge);
-        stats.output_pairs = pairs.len() as u64;
-        match wiring.handoff {
+        let pairs = merge_phase(job, parts, presorted, &mut ctx)?;
+        ctx.probe.leave(Phase::Merge);
+        let output_pairs = pairs.len() as u64;
+        let output = match wiring.handoff {
             // Sorted hand-off: frame the merged pairs as one segment.
             // Every pair counts as materialized.
             Some(codec) => {
@@ -1194,100 +1228,42 @@ pub(crate) fn finish_job<J: MapReduce>(
                     frames.push(codec, k, o);
                 }
                 let data = handoff::assemble(vec![frames], true);
-                if let Some(f) = &config.flow {
-                    f.record_owned(FlowPhase::Shuffle, data.stats.bytes, encode_t0.elapsed());
-                }
+                ctx.probe.handed_off(data.stats.bytes, encode_t0.elapsed());
                 StageOutput::Handoff(data)
             }
             None => StageOutput::Pairs(pairs),
-        }
+        };
+        (output, output_pairs)
     };
 
-    if let Some(m) = metrics {
-        m.jobs_completed.inc();
-    }
-    Ok(StageResult {
-        output,
-        report: JobReport {
-            timings: timer.finish(),
-            stats,
-            util: None,
-            trace: None,
-            metrics: None,
-            stages: Vec::new(),
-            diag: None,
-            governor: None,
-        },
-    })
+    let (timings, stats) = ctx.probe.finish(output_pairs);
+    Ok(StageResult { output, report: JobReport { timings, stats, ..JobReport::default() } })
 }
 
 /// The in-memory reduce wave: decompose the container into per-partition
 /// drain payloads (cheap, here) and materialize each on a reduce worker
 /// (the expensive part), fused with that partition's reduce so the pairs
-/// stay hot in the worker's cache. With `encode` set, each reduced pair
-/// is framed straight into the partition's hand-off buffer instead of a
-/// pair `Vec` — the streamed stage boundary.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
+/// stay hot in the worker's cache.
 fn in_memory_reduce<J: MapReduce>(
     job: &Arc<J>,
     container: J::Container,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    metrics: Option<&Arc<JobMetrics>>,
-    stats: &mut JobStats,
+    ctx: &mut StageCtx<'_>,
     encode: Option<PairCodec<J::Key, J::Output>>,
 ) -> Vec<PartOut<J::Key, J::Output>> {
-    let drains = container.into_drains(config.reduce_workers);
-    tracer.emit(EventKind::ReduceWaveStart { partitions: drains.len() as u64 });
-    let task_tracer = tracer.level().tasks().then_some(tracer);
-    let (reduced, outcome) = exec.run_collect(
-        config.effective_reduce_workers(),
+    let drains = container.into_drains(ctx.config.reduce_workers);
+    ctx.probe.reduce_wave_start(drains.len());
+    let probe = &ctx.probe;
+    let (reduced, outcome) = ctx.exec.run_collect(
+        ctx.config.effective_reduce_workers(),
         drains,
         |idx, payload: <J::Container as Container<J::Key, J::Value, J::Combiner>>::Drain| {
-            if let Some(t) = task_tracer {
-                t.emit(EventKind::DrainPartitionStart { partition: idx as u64 });
-            }
-            let drain_t0 = metrics.map(|_| Instant::now());
-            let part: Vec<(J::Key, AccOf<J>)> = <J::Container>::drain(payload);
-            if let (Some(m), Some(t0)) = (metrics, drain_t0) {
-                m.drain_us.record_duration_us(t0.elapsed());
-            }
-            if let Some(t) = task_tracer {
-                t.emit(EventKind::DrainPartitionEnd { partition: idx as u64 });
-                t.emit(EventKind::ReducePartitionStart { partition: idx as u64 });
-            }
-            let t0 = metrics.map(|_| Instant::now());
-            let out = match encode {
-                Some(codec) => {
-                    let mut frames = handoff::FrameBuf::default();
-                    for (k, acc) in part {
-                        let o = job.reduce(&k, acc);
-                        frames.push(codec, &k, &o);
-                    }
-                    PartOut::from_frames(frames)
-                }
-                None => PartOut::from_pairs(
-                    part.into_iter()
-                        .map(|(k, acc)| {
-                            let out = job.reduce(&k, acc);
-                            (k, out)
-                        })
-                        .collect(),
-                ),
-            };
-            if let (Some(m), Some(t0)) = (metrics, t0) {
-                m.reduce_partition_us.record_duration_us(t0.elapsed());
-            }
-            if let Some(t) = task_tracer {
-                t.emit(EventKind::ReducePartitionEnd { partition: idx as u64 });
-            }
-            out
+            let part: Vec<(J::Key, AccOf<J>)> =
+                probe.drain(Some(idx), || <J::Container>::drain(payload));
+            probe
+                .reduce_partition(idx, None, || reduce_into(job.as_ref(), part.into_iter(), encode))
         },
     );
-    tracer.emit(EventKind::ReduceWaveEnd);
-    stats.reduce_tasks = outcome.tasks;
-    stats.add_wave(outcome);
+    ctx.probe.reduce_wave_end(outcome);
     reduced
 }
 
@@ -1300,15 +1276,11 @@ fn in_memory_reduce<J: MapReduce>(
 /// key ranges — and merge side by side, one task each. Combining
 /// containers keep folding equal keys across runs; identity containers
 /// pass pairs through unfolded.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 fn external_reduce<J: MapReduce>(
     job: &Arc<J>,
     container: J::Container,
-    spill: &Arc<JobSpill<J::Key, AccOf<J>>>,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    stats: &mut JobStats,
+    spill: &SpillOf<J>,
+    ctx: &mut StageCtx<'_>,
     encode: Option<PairCodec<J::Key, J::Output>>,
 ) -> Result<Vec<PartOut<J::Key, J::Output>>> {
     type Grouped<J> = BTreeMap<
@@ -1325,7 +1297,7 @@ fn external_reduce<J: MapReduce>(
         ),
     >;
     let mut grouped: Grouped<J> = BTreeMap::new();
-    for (partition, drain) in container.into_indexed_drains(config.reduce_workers) {
+    for (partition, drain) in container.into_indexed_drains(ctx.config.reduce_workers) {
         grouped.entry(partition).or_default().0.push(drain);
     }
     for run in spill.take_runs() {
@@ -1333,92 +1305,64 @@ fn external_reduce<J: MapReduce>(
     }
     let tasks: Vec<_> = grouped.into_iter().map(|(p, (drains, runs))| (p, drains, runs)).collect();
 
-    tracer.emit(EventKind::ReduceWaveStart { partitions: tasks.len() as u64 });
-    let task_tracer = tracer.level().tasks().then_some(tracer);
+    ctx.probe.reduce_wave_start(tasks.len());
+    let probe = &ctx.probe;
     let store = spill.store();
     let codec = spill.codec();
     let budget = spill.accountant().budget();
-    let spill_metrics = spill.metrics();
-    let merge_flow = config.flow.as_ref();
     let folds = <J::Container as Container<J::Key, J::Value, J::Combiner>>::spill_folds();
-    let (reduced, outcome) = exec.run_collect(
-        config.effective_reduce_workers(),
+    let (reduced, outcome) = ctx.exec.run_collect(
+        ctx.config.effective_reduce_workers(),
         tasks,
         |_idx, (partition, drains, runs)| -> Result<PartOut<J::Key, J::Output>> {
-            if let Some(t) = task_tracer {
-                t.emit(EventKind::ExternalMergeStart {
-                    partition: partition as u64,
-                    runs: runs.len() as u64,
-                });
-            }
-            let t0 = Instant::now();
             let run_bytes: u64 = runs.iter().map(|r| r.bytes).sum();
-            // Read/decode faults inside the merge stream park here (an
-            // iterator can't return Result mid-merge).
-            let parked: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-            let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(drains.len() + runs.len());
-            // The job's order, as in the in-memory merge: the tree
-            // settles most matches on cached prefixes.
-            let order = ByKey(|key: &J::Key| job.key_prefix(key));
-            for payload in drains {
-                let part = SortedRun::sort(<J::Container>::drain(payload), &order);
-                sources.push(Box::new(part.into_items().into_iter()));
-            }
-            let block_bytes = read_block_bytes(budget, runs.len());
-            for run in &runs {
-                let decoded = DecodedRun::open(
-                    store.as_ref(),
-                    &run.name,
-                    codec.decode,
-                    Arc::clone(&parked),
-                    block_bytes,
-                )
-                .map_err(|source| SupmrError::Ingest { chunk: None, source })?;
-                sources.push(Box::new(decoded));
-            }
-            let merged: MergeSource<J> = if folds {
-                Box::new(merge_fold_by(sources, order, |acc, other| {
-                    <J::Combiner as crate::combiner::Combiner<J::Value>>::merge(acc, other);
-                }))
-            } else {
-                Box::new(merge_iterators_by(sources, order))
-            };
-            let out = match encode {
-                Some(codec) => {
-                    let mut frames = handoff::FrameBuf::default();
-                    for (k, acc) in merged {
-                        let o = job.reduce(&k, acc);
-                        frames.push(codec, &k, &o);
-                    }
-                    PartOut::from_frames(frames)
+            probe.reduce_partition(partition, Some((runs.len(), run_bytes)), || {
+                // Read/decode faults inside the merge stream park here
+                // (an iterator can't return Result mid-merge).
+                let parked: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+                let mut sources: Vec<MergeSource<J>> =
+                    Vec::with_capacity(drains.len() + runs.len());
+                // The job's order, as in the in-memory merge: the tree
+                // settles most matches on cached prefixes.
+                let order = ByKey(|key: &J::Key| job.key_prefix(key));
+                for payload in drains {
+                    let part = probe.drain(None, || <J::Container>::drain(payload));
+                    sources.push(Box::new(SortedRun::sort(part, &order).into_items().into_iter()));
                 }
-                None => {
-                    let mut pairs = Vec::new();
-                    for (k, acc) in merged {
-                        let o = job.reduce(&k, acc);
-                        pairs.push((k, o));
-                    }
-                    PartOut::from_pairs(pairs)
+                let block_bytes = read_block_bytes(budget, runs.len());
+                for run in &runs {
+                    let decoded = DecodedRun::open(
+                        store.as_ref(),
+                        &run.name,
+                        codec.decode,
+                        Arc::clone(&parked),
+                        block_bytes,
+                    )
+                    .map_err(|source| SupmrError::Ingest { chunk: None, source })?;
+                    sources.push(Box::new(decoded));
                 }
-            };
-            if let Some(detail) = parked.lock().take() {
-                return Err(SupmrError::Merge { message: detail });
-            }
-            if let Some(m) = &spill_metrics {
-                m.merge_us.record_duration_us(t0.elapsed());
-            }
-            if let Some(f) = merge_flow {
-                f.record_owned(FlowPhase::Merge, run_bytes, t0.elapsed());
-            }
-            if let Some(t) = task_tracer {
-                t.emit(EventKind::ExternalMergeEnd { partition: partition as u64 });
-            }
-            Ok(out)
+                let mut merged: MergeSource<J> = if folds {
+                    Box::new(merge_fold_by(sources, order, |acc, other| {
+                        <J::Combiner as crate::combiner::Combiner<J::Value>>::merge(acc, other);
+                    }))
+                } else {
+                    Box::new(merge_iterators_by(sources, order))
+                };
+                // The stream's lower size bound — the tree's heads plus
+                // the in-memory remainders — is a fraction of what it
+                // yields; hidden, the output grows by doubling from
+                // empty rather than from that odd base (measured: 4 %
+                // of `sort_spill`'s peak RSS).
+                let unsized_stream = std::iter::from_fn(|| merged.next());
+                let out = reduce_into(job.as_ref(), unsized_stream, encode);
+                if let Some(detail) = parked.lock().take() {
+                    return Err(SupmrError::Merge { message: detail });
+                }
+                Ok(out)
+            })
         },
     );
-    tracer.emit(EventKind::ReduceWaveEnd);
-    stats.reduce_tasks = outcome.tasks;
-    stats.add_wave(outcome);
+    ctx.probe.reduce_wave_end(outcome);
     reduced.into_iter().collect()
 }
 
@@ -1430,17 +1374,13 @@ fn external_reduce<J: MapReduce>(
 /// steps order pairs by key, [`MapReduce::key_prefix`] first.
 /// `presorted` partitions (the external reduce's) are runs already.
 /// Cancellation is checked before run formation and before every round.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by both runtimes
 fn merge_phase<J: MapReduce>(
     job: &Arc<J>,
     reduced: Vec<Vec<(J::Key, J::Output)>>,
     presorted: bool,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
-    metrics: Option<&Arc<JobMetrics>>,
-    stats: &mut JobStats,
+    ctx: &mut StageCtx<'_>,
 ) -> Result<Vec<(J::Key, J::Output)>> {
+    let (config, exec) = (ctx.config, ctx.exec);
     if matches!(config.merge, MergeMode::Unsorted) {
         return Ok(reduced.into_iter().flatten().collect());
     }
@@ -1460,23 +1400,16 @@ fn merge_phase<J: MapReduce>(
                 SortedRun::sort(part, &order)
             }
         });
-    stats.add_wave(outcome);
+    ctx.probe.wave(outcome);
 
-    // A merge round as it runs: a cancellation point, its span, its wave
-    // on the job's workers at the reduce width, its row in the registry.
-    let round_start = |round: u32, width: usize| -> Result<(Instant, WaveWorkers<'_>)> {
-        config.check_cancelled()?;
-        tracer.emit(EventKind::MergeRoundStart { round, width: width as u32 });
-        Ok((Instant::now(), exec.at_width(config.effective_reduce_workers())))
-    };
-    let mut round_end = |round: u32, t0: Instant, workers: &WaveWorkers<'_>, keys: u64| {
-        tracer.emit(EventKind::MergeRoundEnd { round });
-        stats.add_wave(workers.outcome());
-        if let Some(m) = metrics {
-            m.merge_round_us.record_duration_us(t0.elapsed());
-            m.merge_keys.add(keys);
-        }
-    };
+    // A merge round as it starts: a cancellation point, its span, its
+    // wave on the job's workers at the reduce width.
+    let round_start =
+        |probe: &StageProbe, round: u32, width: usize| -> Result<(Instant, WaveWorkers<'_>)> {
+            config.check_cancelled()?;
+            let started = probe.merge_round_start(round, width);
+            Ok((started, exec.at_width(config.effective_reduce_workers())))
+        };
     let (merged, rounds, elements_moved) = match config.merge {
         MergeMode::Unsorted => unreachable!("handled above"),
         MergeMode::PairwiseRounds => {
@@ -1484,26 +1417,23 @@ fn merge_phase<J: MapReduce>(
             runs.retain(|run| !run.is_empty());
             while runs.len() > 1 {
                 let round = pw.rounds;
-                let (t0, workers) = round_start(round, runs.len() / 2)?;
+                let (t0, workers) = round_start(&ctx.probe, round, runs.len() / 2)?;
                 runs = pairwise_round(runs, &order, &workers, &mut pw);
-                round_end(round, t0, &workers, pw.round_keys[round as usize]);
+                let keys = pw.round_keys[round as usize];
+                ctx.probe.merge_round_end(round, t0, workers.outcome(), keys);
             }
             let merged = runs.pop().map(SortedRun::into_items).unwrap_or_default();
             (merged, pw.rounds, pw.elements_moved)
         }
         MergeMode::PWay { ways } => {
-            let (t0, workers) = round_start(0, ways)?;
+            let (t0, workers) = round_start(&ctx.probe, 0, ways)?;
             let (merged, kw) = merge_runs(runs, &order, ways, &workers);
-            round_end(0, t0, &workers, kw.elements_moved);
+            ctx.probe.merge_round_end(0, t0, workers.outcome(), kw.elements_moved);
             let rounds = u32::from(kw.partitions >= 1 && !merged.is_empty());
             (merged, rounds, kw.elements_moved)
         }
     };
-    stats.merge_rounds = rounds;
-    stats.merge_elements_moved = elements_moved;
-    if let Some(m) = metrics {
-        m.merge_rounds.add(u64::from(rounds));
-    }
+    ctx.probe.merged(rounds, elements_moved);
     Ok(merged)
 }
 

@@ -25,9 +25,11 @@
 //! next chunk's ingest ([`EventKind::MapWaitingForChunk`], the pipeline
 //! is ingest-bound) or the finished ingest waiting for the mappers to
 //! release it ([`EventKind::IngestWaitingForContainer`], map-bound).
-//! Exactly one side idles per round; both totals accumulate into
-//! [`JobStats`] regardless of the trace level, so the Fig. 2 overlap is
-//! always quantified, not inferred.
+//! Exactly one side idles per round. The round loops only *measure*
+//! the waits; what a wait (or an ingested chunk, or a mapped round)
+//! records is decided by the stage's `StageProbe` (`runtime/probe.rs`),
+//! which totals stalls into `JobStats` regardless of the trace level,
+//! so the Fig. 2 overlap is always quantified, not inferred.
 //!
 //! Two extensions beyond the paper's prototype live here as well:
 //!
@@ -44,7 +46,7 @@
 
 use super::governor::{self, ActiveConfig, AdaptiveGauges};
 use super::{
-    finish_job, map_wave, Input, JobConfig, JobMetrics, JobStats, StageResult, StageWiring,
+    finish_job, map_wave, Input, JobConfig, RoundRecord, StageCtx, StageResult, StageWiring,
 };
 use crate::api::MapReduce;
 use crate::chunk::{
@@ -53,11 +55,11 @@ use crate::chunk::{
 };
 use crate::container::Container;
 use crate::error::{Result, SupmrError};
-use crate::pool::Executor;
+use crate::pool::WaveOutcome;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use supmr_metrics::{EventKind, FlowPhase, Phase, PhaseTimer, Tracer};
+use supmr_metrics::{EventKind, Phase, StallSide, Tracer};
 
 /// Build the chunker matching the configured strategy, rejecting
 /// mismatched input shapes: inter-file and adaptive chunking need a
@@ -95,16 +97,14 @@ fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
 pub(crate) fn run<J: MapReduce>(
     job: &Arc<J>,
     input: Input,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
+    ctx: StageCtx<'_>,
     wiring: StageWiring<J>,
 ) -> Result<StageResult<J::Key, J::Output>> {
-    let chunker = make_chunker(input, config)?;
-    if config.prefetch_depth > 1 {
-        run_buffered(job, chunker, config, exec, tracer, wiring)
+    let chunker = make_chunker(input, ctx.config)?;
+    if ctx.config.prefetch_depth > 1 {
+        run_buffered(job, chunker, ctx, wiring)
     } else {
-        run_double_buffered(job, chunker, config, exec, tracer, wiring)
+        run_double_buffered(job, chunker, ctx, wiring)
     }
 }
 
@@ -146,7 +146,7 @@ fn adaptive_gauges(config: &JobConfig) -> Option<AdaptiveGauges> {
 }
 
 /// What one overlapped ingest reports back to the round loop.
-struct IngestProbe {
+struct Ingested {
     next: io::Result<Option<IngestChunk>>,
     /// Time the read itself took.
     took: Duration,
@@ -159,137 +159,93 @@ struct IngestProbe {
 fn run_double_buffered<J: MapReduce>(
     job: &Arc<J>,
     mut chunker: Box<dyn Chunker>,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
+    mut ctx: StageCtx<'_>,
     wiring: StageWiring<J>,
 ) -> Result<StageResult<J::Key, J::Output>> {
-    let mut timer = PhaseTimer::start_job();
-    timer.mark_fused();
-    let mut stats = JobStats::default();
-    let metrics = config.metrics.as_ref().map(|r| JobMetrics::register(r, "pipeline"));
+    let config = ctx.config;
     // Created once, persists across all map rounds.
     let container = job.make_container();
     container.configure(&super::container_hooks(config));
-    let spill = super::setup_spill(job, &container, config, tracer, &wiring)?;
+    let spill = super::setup_spill(job, &container, &mut ctx, &wiring)?;
     let gauges = adaptive_gauges(config);
     let mut last_tuned_bytes = 0u64;
 
     // Round 0: ingest the first chunk serially.
-    timer.begin(Phase::Ingest);
-    let ingest0 = Instant::now();
+    ctx.probe.enter(Phase::Ingest);
+    let started = Instant::now();
     let mut current = chunker.next_chunk().map_err(|e| SupmrError::ingest(0, e))?;
     if let Some(chunk) = &current {
-        tracer.emit_at(ingest0, EventKind::ChunkIngestStart { chunk: 0 });
-        tracer.emit(EventKind::ChunkIngestEnd { chunk: 0, bytes: chunk.len() as u64 });
-        if let Some(m) = &metrics {
-            m.record_ingest(chunk.len() as u64, ingest0.elapsed());
-        }
-        if let Some(f) = &config.flow {
-            f.record_owned(FlowPhase::Ingest, chunk.len() as u64, ingest0.elapsed());
-        }
+        ctx.probe.chunk_ingested(0, started, chunk.len());
     }
-    timer.end(Phase::Ingest);
+    ctx.probe.leave(Phase::Ingest);
 
     let mut round: u32 = 0;
     while let Some(chunk) = current.take() {
         config.check_cancelled()?;
-        stats.ingest_chunks += 1;
-        stats.bytes_ingested += chunk.len() as u64;
-        stats.map_rounds += 1;
         let next_index = round + 1;
 
-        timer.begin(Phase::Ingest);
-        timer.begin(Phase::Map);
+        ctx.probe.enter(Phase::Ingest);
+        ctx.probe.enter(Phase::Map);
         // "create thread to ingest next chunk / run mappers on previous
         // chunk / destroy thread" — the scope is the create/destroy.
-        let ingest_tracer = tracer.clone();
-        let ingest_metrics = metrics.clone();
-        let ingest_flow = config.flow.clone();
         let chunker_ref = &mut chunker;
-        let (probe, map_time, map_done) = std::thread::scope(|scope| {
+        let (ingested, outcome, map_time, map_done) = std::thread::scope(|scope| {
+            let probe = &ctx.probe;
             let ingest = std::thread::Builder::new()
                 .name("supmr-ingest".to_string())
                 .spawn_scoped(scope, move || {
                     let t0 = Instant::now();
                     let next = chunker_ref.next_chunk();
-                    let took = t0.elapsed();
-                    if let Ok(Some(c)) = &next {
-                        ingest_tracer
-                            .emit_at(t0, EventKind::ChunkIngestStart { chunk: next_index });
-                        ingest_tracer.emit(EventKind::ChunkIngestEnd {
-                            chunk: next_index,
-                            bytes: c.len() as u64,
-                        });
-                        if let Some(m) = &ingest_metrics {
-                            m.record_ingest(c.len() as u64, took);
-                        }
-                        if let Some(f) = &ingest_flow {
-                            f.record_owned(FlowPhase::Ingest, c.len() as u64, took);
-                        }
-                    }
-                    IngestProbe { next, took, done: Instant::now() }
+                    let took = match &next {
+                        Ok(Some(c)) => probe.chunk_ingested(next_index, t0, c.len()),
+                        _ => t0.elapsed(),
+                    };
+                    Ingested { next, took, done: Instant::now() }
                 })
                 .expect("spawning the round's ingest thread");
             let t0 = Instant::now();
-            let outcome =
-                map_wave(job, &container, &chunk, config, exec, tracer, metrics.as_ref(), round);
+            let outcome = map_wave(job, &container, &chunk, &ctx, round);
             let map_time = t0.elapsed();
             let map_done = Instant::now();
-            stats.map_tasks += outcome.tasks;
-            stats.add_wave(outcome);
-            (ingest.join().expect("ingest thread panicked"), map_time, map_done)
+            (ingest.join().expect("ingest thread panicked"), outcome, map_time, map_done)
         });
-        stats.threads_spawned += 1; // the ingest thread
-        timer.end(Phase::Map);
-        timer.end(Phase::Ingest);
+        ctx.probe.leave(Phase::Map);
+        ctx.probe.leave(Phase::Ingest);
+        ctx.probe.round_mapped(chunk.len(), outcome);
+        ctx.probe.ingest_thread_spawned();
 
-        let next = probe.next.map_err(|e| SupmrError::ingest(next_index, e))?;
+        let next = ingested.next.map_err(|e| SupmrError::ingest(next_index, e))?;
         // Exactly one side of the pipeline idled this round: mappers
         // from their wave end until the ingest came back, or the ingest
         // from its read end until the wave released the container.
         if next.is_some() {
-            let map_wait = probe.done.saturating_duration_since(map_done);
-            let ingest_wait = map_done.saturating_duration_since(probe.done);
-            stats.map_waiting += map_wait;
-            stats.ingest_waiting += ingest_wait;
-            if let Some(m) = &metrics {
-                m.record_stalls(map_wait, ingest_wait);
-            }
-            if !map_wait.is_zero() {
-                tracer.emit(EventKind::MapWaitingForChunk {
-                    round,
-                    wait_us: map_wait.as_micros() as u64,
-                });
-            }
-            if !ingest_wait.is_zero() {
-                tracer.emit(EventKind::IngestWaitingForContainer {
-                    chunk: next_index,
-                    wait_us: ingest_wait.as_micros() as u64,
-                });
-            }
+            let map_wait = ingested.done.saturating_duration_since(map_done);
+            let ingest_wait = map_done.saturating_duration_since(ingested.done);
+            let map_wait = ctx.probe.stall(StallSide::Map, round, map_wait);
+            let ingest_wait = ctx.probe.stall(StallSide::Ingest, next_index, ingest_wait);
+            ctx.probe.stalled(map_wait, ingest_wait);
         }
 
-        let feedback =
-            RoundFeedback { chunk_bytes: chunk.len() as u64, ingest: probe.took, map: map_time };
-        chunker.feedback(feedback);
+        let timed =
+            RoundRecord { chunk_bytes: chunk.len() as u64, ingest: ingested.took, map: map_time };
+        chunker.feedback(RoundFeedback {
+            chunk_bytes: timed.chunk_bytes,
+            ingest: timed.ingest,
+            map: timed.map,
+        });
         surface_tuning(
             chunker.tuning(),
             &mut last_tuned_bytes,
             gauges.as_ref(),
             config.active.as_ref(),
-            tracer,
+            ctx.probe.tracer(),
         );
-        stats.rounds.push(super::RoundRecord {
-            chunk_bytes: feedback.chunk_bytes,
-            ingest: feedback.ingest,
-            map: feedback.map,
-        });
+        ctx.probe.round_timed(timed);
         current = next;
         round += 1;
     }
 
-    finish_job(job, container, config, exec, tracer, metrics.as_ref(), spill, timer, stats, wiring)
+    finish_job(job, container, spill, ctx, wiring)
 }
 
 /// Admission gate for the N-buffered producer when a governor may
@@ -362,21 +318,19 @@ impl Drop for GateGuard<'_> {
 fn run_buffered<J: MapReduce>(
     job: &Arc<J>,
     mut chunker: Box<dyn Chunker>,
-    config: &JobConfig,
-    exec: Executor<'_>,
-    tracer: &Tracer,
+    mut ctx: StageCtx<'_>,
     wiring: StageWiring<J>,
 ) -> Result<StageResult<J::Key, J::Output>> {
-    let mut timer = PhaseTimer::start_job();
-    timer.mark_fused();
-    let mut stats = JobStats::default();
-    let metrics = config.metrics.as_ref().map(|r| JobMetrics::register(r, "pipeline"));
+    let config = ctx.config;
     let container = job.make_container();
     container.configure(&super::container_hooks(config));
-    let spill = super::setup_spill(job, &container, config, tracer, &wiring)?;
+    let spill = super::setup_spill(job, &container, &mut ctx, &wiring)?;
 
-    timer.begin(Phase::Ingest);
-    timer.begin(Phase::Map);
+    ctx.probe.enter(Phase::Ingest);
+    ctx.probe.enter(Phase::Map);
+    // The ingest thread shares the probe for as long as it runs; what
+    // the rounds did is folded in once it has let go.
+    let mut mapped: Vec<(usize, WaveOutcome)> = Vec::new();
     let mut map_waiting = Duration::ZERO;
     let gate = config.active.as_ref().map(|a| (Arc::new(PrefetchGate::new()), Arc::clone(a)));
     let capacity = match &gate {
@@ -386,9 +340,7 @@ fn run_buffered<J: MapReduce>(
     let ingest_result: Result<Duration> = std::thread::scope(|scope| {
         let (tx, rx) = std::sync::mpsc::sync_channel::<IngestChunk>(capacity);
         let producer_gate = gate.clone();
-        let producer_tracer = tracer.clone();
-        let producer_metrics = metrics.clone();
-        let producer_flow = config.flow.clone();
+        let probe = &ctx.probe;
         let producer = std::thread::Builder::new()
             .name("supmr-ingest".to_string())
             .spawn_scoped(scope, move || -> (Result<()>, Duration) {
@@ -398,18 +350,7 @@ fn run_buffered<J: MapReduce>(
                     let t0 = Instant::now();
                     match chunker.next_chunk() {
                         Ok(Some(chunk)) => {
-                            producer_tracer
-                                .emit_at(t0, EventKind::ChunkIngestStart { chunk: index });
-                            producer_tracer.emit(EventKind::ChunkIngestEnd {
-                                chunk: index,
-                                bytes: chunk.len() as u64,
-                            });
-                            if let Some(m) = &producer_metrics {
-                                m.record_ingest(chunk.len() as u64, t0.elapsed());
-                            }
-                            if let Some(f) = &producer_flow {
-                                f.record_owned(FlowPhase::Ingest, chunk.len() as u64, t0.elapsed());
-                            }
+                            probe.chunk_ingested(index, t0, chunk.len());
                             let s0 = Instant::now();
                             if let Some((gate, active)) = &producer_gate {
                                 gate.admit(active);
@@ -419,17 +360,7 @@ fn run_buffered<J: MapReduce>(
                             }
                             // Time blocked handing over = buffer full =
                             // the ingest side waiting on the mappers.
-                            let wait = s0.elapsed();
-                            waited += wait;
-                            if !wait.is_zero() {
-                                producer_tracer.emit(EventKind::IngestWaitingForContainer {
-                                    chunk: index,
-                                    wait_us: wait.as_micros() as u64,
-                                });
-                                if let Some(m) = &producer_metrics {
-                                    m.record_stalls(Duration::ZERO, wait);
-                                }
-                            }
+                            waited += probe.stall(StallSide::Ingest, index, s0.elapsed());
                             index += 1;
                         }
                         Ok(None) => break (Ok(()), waited),
@@ -455,23 +386,10 @@ fn run_buffered<J: MapReduce>(
             // first recv is the pipeline filling (the serial first
             // ingest), not a stall.
             let wait = r0.elapsed();
-            if round > 0 && !wait.is_zero() {
-                map_waiting += wait;
-                tracer.emit(EventKind::MapWaitingForChunk {
-                    round: round - 1,
-                    wait_us: wait.as_micros() as u64,
-                });
-                if let Some(m) = &metrics {
-                    m.record_stalls(wait, Duration::ZERO);
-                }
+            if round > 0 {
+                map_waiting += probe.stall(StallSide::Map, round - 1, wait);
             }
-            stats.ingest_chunks += 1;
-            stats.bytes_ingested += chunk.len() as u64;
-            stats.map_rounds += 1;
-            let outcome =
-                map_wave(job, &container, &chunk, config, exec, tracer, metrics.as_ref(), round);
-            stats.map_tasks += outcome.tasks;
-            stats.add_wave(outcome);
+            mapped.push((chunk.len(), map_wave(job, &container, &chunk, &ctx, round)));
             round += 1;
         }
         // On cancellation the producer may be blocked in `send` (full
@@ -485,13 +403,15 @@ fn run_buffered<J: MapReduce>(
         }
         result.map(|()| ingest_waited)
     });
-    stats.ingest_waiting += ingest_result?;
-    stats.map_waiting += map_waiting;
-    stats.threads_spawned += 1; // the long-lived ingest thread
-    timer.end(Phase::Map);
-    timer.end(Phase::Ingest);
+    ctx.probe.stalled(map_waiting, ingest_result?);
+    for (chunk_bytes, outcome) in mapped {
+        ctx.probe.round_mapped(chunk_bytes, outcome);
+    }
+    ctx.probe.ingest_thread_spawned(); // the long-lived one
+    ctx.probe.leave(Phase::Map);
+    ctx.probe.leave(Phase::Ingest);
 
-    finish_job(job, container, config, exec, tracer, metrics.as_ref(), spill, timer, stats, wiring)
+    finish_job(job, container, spill, ctx, wiring)
 }
 
 #[cfg(test)]

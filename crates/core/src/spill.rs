@@ -38,16 +38,14 @@
 //! [`IngestMeter`]: supmr_storage::IngestMeter
 //! [`SupmrError`]: crate::error::SupmrError
 
+use crate::runtime::probe::SpillProbe;
 use parking_lot::Mutex;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun, BLOCK_BYTES};
-use supmr_metrics::{
-    Counter, EventKind, FlowLedger, FlowPhase, Gauge, Histogram, Registry, Tracer,
-};
+use supmr_metrics::{Counter, Gauge, Histogram, Registry};
 use supmr_storage::{RunGuard, RunStore};
 
 /// A lock-cheap byte ledger for the intermediate set.
@@ -343,18 +341,15 @@ pub struct JobSpill<K, A> {
     seq: AtomicU64,
     runs_total: AtomicU64,
     bytes_total: AtomicU64,
-    metrics: Option<Arc<SpillMetrics>>,
-    tracer: Tracer,
     /// A temp directory the runtime created for this job, removed (if
     /// empty) when the spill state drops.
     cleanup_dir: Option<PathBuf>,
     /// Run-name prefix — pipeline stages sharing one explicit store
     /// prefix their runs with the stage index so names never collide.
     run_prefix: String,
-    /// The job's bandwidth ledger; each run write records its framed
-    /// bytes against the spill phase (unless a flow-attributed store
-    /// meter already owns that phase).
-    flow: Option<Arc<FlowLedger>>,
+    /// Where each run write is reported: its span, the `supmr.spill.*`
+    /// families, the spill phase of the job's bandwidth ledger.
+    probe: SpillProbe,
 }
 
 impl<K, A> JobSpill<K, A>
@@ -363,16 +358,13 @@ where
     A: Send + Sync + 'static,
 {
     /// Assemble the job's spill state.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
     pub(crate) fn new(
         accountant: Arc<MemoryAccountant>,
         codec: PairCodec<K, A>,
         store: Arc<dyn RunStore>,
-        metrics: Option<Arc<SpillMetrics>>,
-        tracer: Tracer,
         cleanup_dir: Option<PathBuf>,
         run_prefix: String,
-        flow: Option<Arc<FlowLedger>>,
+        probe: SpillProbe,
     ) -> JobSpill<K, A> {
         JobSpill {
             accountant,
@@ -383,11 +375,9 @@ where
             seq: AtomicU64::new(0),
             runs_total: AtomicU64::new(0),
             bytes_total: AtomicU64::new(0),
-            metrics,
-            tracer,
             cleanup_dir,
             run_prefix,
-            flow,
+            probe,
         }
     }
 
@@ -404,11 +394,6 @@ where
     /// The store runs live on.
     pub(crate) fn store(&self) -> Arc<dyn RunStore> {
         Arc::clone(&self.store)
-    }
-
-    /// The spill metric handles, when a registry is attached.
-    pub(crate) fn metrics(&self) -> Option<Arc<SpillMetrics>> {
-        self.metrics.clone()
     }
 
     /// Runs written so far.
@@ -440,13 +425,8 @@ where
             return;
         }
         let run_id = self.seq.fetch_add(1, Ordering::Relaxed);
-        let task_spans = self.tracer.level().tasks();
-        if task_spans {
-            self.tracer.emit(EventKind::SpillRunStart { run: run_id, partition: partition as u64 });
-        }
-        let t0 = Instant::now();
         let name = format!("{}run-{partition:03}-{run_id:06}", self.run_prefix);
-        let result = (|| -> io::Result<(u64, u64)> {
+        let result = self.probe.spill_run(run_id, partition, || {
             let run = SortedRun::sort(pairs, order);
             let mut writer = RunWriter::from_writer(self.store.create(&name)?);
             for (k, a) in run.items() {
@@ -455,34 +435,20 @@ where
             let (records, bytes) = (writer.records(), writer.bytes());
             writer.finish()?;
             Ok((records, bytes))
-        })();
+        });
         // The guard exists either way: on failure its drop removes the
         // partial file, on success it travels with the run inventory.
         let guard = RunGuard::new(Arc::clone(&self.store), &name);
-        let (records, bytes) = match result {
-            Ok(counts) => counts,
+        match result {
+            Ok((records, bytes)) => {
+                self.runs_total.fetch_add(1, Ordering::Relaxed);
+                self.bytes_total.fetch_add(bytes, Ordering::Relaxed);
+                self.runs.lock().push(SpilledRun { partition, name, records, bytes, guard });
+            }
             Err(e) => {
                 self.error.lock().get_or_insert(e);
-                if task_spans {
-                    self.tracer.emit(EventKind::SpillRunEnd { run: run_id, records: 0, bytes: 0 });
-                }
-                return;
             }
-        };
-        self.runs_total.fetch_add(1, Ordering::Relaxed);
-        self.bytes_total.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.runs.inc();
-            m.bytes.add(bytes);
-            m.drain_us.record_duration_us(t0.elapsed());
         }
-        if let Some(f) = &self.flow {
-            f.record_owned(FlowPhase::Spill, bytes, t0.elapsed());
-        }
-        if task_spans {
-            self.tracer.emit(EventKind::SpillRunEnd { run: run_id, records, bytes });
-        }
-        self.runs.lock().push(SpilledRun { partition, name, records, bytes, guard });
     }
 
     /// Surface any parked run-write error.
@@ -587,9 +553,24 @@ impl<K, A> Iterator for DecodedRun<K, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::probe::StageProbe;
+    use crate::runtime::JobConfig;
     use supmr_merge::ByKey;
-    use supmr_metrics::TraceLevel;
+    use supmr_metrics::Tracer;
     use supmr_storage::MemRunStore;
+
+    /// An uninstrumented spill state over `store`.
+    fn spill_onto(store: Arc<dyn RunStore>) -> JobSpill<u64, u64> {
+        let probe = StageProbe::new(&JobConfig::default(), &Tracer::off()).spill_probe(None);
+        JobSpill::new(
+            Arc::new(MemoryAccountant::new(1024)),
+            u64_codec(),
+            store,
+            None,
+            String::new(),
+            probe,
+        )
+    }
 
     fn u64_codec() -> PairCodec<u64, u64> {
         PairCodec {
@@ -635,16 +616,7 @@ mod tests {
     #[test]
     fn spill_round_trips_sorted_runs() {
         let store = MemRunStore::new();
-        let spill = JobSpill::new(
-            Arc::new(MemoryAccountant::new(1024)),
-            u64_codec(),
-            Arc::new(store.clone()),
-            None,
-            Tracer::new(TraceLevel::Off, None),
-            None,
-            String::new(),
-            None,
-        );
+        let spill = spill_onto(Arc::new(store.clone()));
         spill.spill_partition(3, vec![(9, 1), (2, 2), (5, 3)], &ByKey(|k: &u64| k >> 2));
         assert_eq!(spill.runs_written(), 1);
         let runs = spill.take_runs();
@@ -665,16 +637,7 @@ mod tests {
     #[test]
     fn empty_batches_write_nothing() {
         let store = MemRunStore::new();
-        let spill = JobSpill::new(
-            Arc::new(MemoryAccountant::new(1024)),
-            u64_codec(),
-            Arc::new(store.clone()),
-            None,
-            Tracer::new(TraceLevel::Off, None),
-            None,
-            String::new(),
-            None,
-        );
+        let spill = spill_onto(Arc::new(store.clone()));
         spill.spill_partition(0, Vec::new(), &ByKey(|_: &u64| 0));
         assert_eq!(spill.runs_written(), 0);
         assert!(store.is_empty());
@@ -689,16 +652,7 @@ mod tests {
             4,
             io::ErrorKind::StorageFull,
         );
-        let spill = JobSpill::new(
-            Arc::new(MemoryAccountant::new(1024)),
-            u64_codec(),
-            Arc::new(store),
-            None,
-            Tracer::new(TraceLevel::Off, None),
-            None,
-            String::new(),
-            None,
-        );
+        let spill = spill_onto(Arc::new(store));
         spill.spill_partition(0, vec![(1, 1), (2, 2)], &ByKey(|_: &u64| 0));
         assert_eq!(spill.runs_written(), 0);
         let err = spill.check().unwrap_err();

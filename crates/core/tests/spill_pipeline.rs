@@ -12,6 +12,7 @@ use supmr::combiner::{Identity, Sum};
 use supmr::container::{HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::{Chunking, PairCodec, SupmrError};
+use supmr_metrics::{MetricValue, Registry};
 use supmr_storage::{FaultyRunStore, MemRunStore, MemSource, RunStore};
 
 /// WordCount with a spill codec: `u32 LE` word length, word, `u64 LE`
@@ -296,6 +297,56 @@ fn tiny_budget_actually_spills_and_reports_it() {
     let json = r.report.to_json().render();
     assert!(json.contains("\"spill_runs\""), "report JSON carries spill stats: {json}");
     assert!(store.is_empty(), "run files must be deleted after the merge");
+}
+
+/// Whichever reduce path a job takes, it samples
+/// `supmr.reduce.partition_us` once per reduce task — and a spilled
+/// job's external merges drain their in-memory remainders under
+/// `supmr.container.drain_us` like any other drain.
+#[test]
+fn both_reduce_paths_sample_partition_and_drain_latency() {
+    fn samples<J: MapReduce>(job: J, data: Vec<u8>, budget: Option<u64>) -> (u64, u64, u64, u64) {
+        let registry = Registry::new();
+        let store = MemRunStore::new();
+        let mut config = match budget {
+            Some(budget) => budgeted_config(budget, &store),
+            None => base_config(),
+        };
+        config.metrics = Some(registry.clone());
+        let r = Job::new(job).config(config).run(Input::stream(MemSource::from(data))).unwrap();
+        let count = |name: &str| {
+            let snap = registry.snapshot();
+            let entry = snap.entries.iter().find(|e| e.name == name);
+            match entry.map(|e| &e.value) {
+                Some(MetricValue::Histogram(h)) => h.count,
+                other => panic!("{name} must be a registered histogram, got {other:?}"),
+            }
+        };
+        (
+            r.report.stats.spill_runs,
+            r.report.stats.reduce_tasks,
+            count("supmr.reduce.partition_us"),
+            count("supmr.container.drain_us"),
+        )
+    }
+    type Run = fn(Option<u64>) -> (u64, u64, u64, u64);
+    let shapes: [(&str, Run, u64); 2] = [
+        ("sort", |budget| samples(MiniSort, sort_corpus(700, |i| i * 7919), budget), 6000),
+        ("wordcount", |budget| samples(SpillingWordCount, wide_corpus(), budget), 4096),
+    ];
+    for (shape, run, budget) in shapes {
+        let (runs, tasks, partition_samples, drain_samples) = run(None);
+        assert_eq!(runs, 0, "{shape}: an unbounded run stays in memory");
+        assert!(tasks > 0, "{shape}");
+        assert_eq!(partition_samples, tasks, "{shape}, unbounded");
+        assert_eq!(drain_samples, tasks, "{shape}, unbounded: one drain per partition");
+
+        let (runs, tasks, partition_samples, drain_samples) = run(Some(budget));
+        assert!(runs > 0, "{shape}: a {budget}-byte budget must spill");
+        assert!(tasks > 0, "{shape}");
+        assert_eq!(partition_samples, tasks, "{shape}, budgeted");
+        assert!(drain_samples > 0, "{shape}, budgeted: the remainders it drains are sampled");
+    }
 }
 
 #[test]

@@ -12,10 +12,12 @@ use std::time::Duration;
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
-use supmr::runtime::{Input, Job, JobConfig, JobResult};
+use supmr::runtime::{Input, Job, JobConfig, JobResult, MergeMode};
 use supmr::{Chunking, PoolMode, TraceLevel};
 use supmr_metrics::chrome::to_chrome_json;
-use supmr_metrics::{JobTrace, Json, SpanKey};
+use supmr_metrics::{
+    EventKind, FlowPhase, JobTrace, Json, MetricValue, MetricsSnapshot, Registry, SpanKey,
+};
 use supmr_storage::{MemSource, ThrottledSource, TokenBucket};
 use supmr_workloads::{TextGen, TextGenConfig};
 
@@ -292,4 +294,211 @@ fn chrome_export_parses_and_carries_stalls() {
         "thread-name metadata must be present"
     );
     assert!(stall_count > 0, "a throttled run must export at least one stall event");
+}
+
+/// A family's total across its label sets: counter sums, histogram
+/// observation counts.
+fn family_total(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.entries
+        .iter()
+        .filter(|e| e.name == name)
+        .map(|e| match &e.value {
+            MetricValue::Counter(v) => *v,
+            MetricValue::Histogram(h) => h.count,
+            MetricValue::Gauge(v) => *v as u64,
+        })
+        .sum()
+}
+
+/// Every quantity a job reports through more than one sink — the
+/// report's counters, the registry, the flow ledger, the event trace —
+/// has one writer, so the sinks agree exactly: bytes conserve from
+/// ingest to map, task and round counts match, stall totals are the sum
+/// of the stall events, and no round accounts for more time than passed.
+#[test]
+fn every_sink_agrees_on_bytes_tasks_stalls_and_rounds() {
+    let data = text(96 * 1024);
+    let width = 3usize;
+    let runtimes = [
+        ("original", Chunking::None, 1),
+        ("double-buffered", Chunking::Inter { chunk_bytes: 16 * 1024 }, 1),
+        ("prefetch 3", Chunking::Inter { chunk_bytes: 16 * 1024 }, 3),
+    ];
+    for (runtime, chunking, prefetch_depth) in runtimes {
+        for pool in [PoolMode::WavePerRound, PoolMode::Persistent] {
+            let what = format!("{runtime}, {pool:?}");
+            let cfg = JobConfig {
+                map_workers: width,
+                reduce_workers: 2,
+                split_bytes: 2048,
+                chunking,
+                prefetch_depth,
+                pool,
+                merge: MergeMode::PWay { ways: 2 },
+                trace: TraceLevel::Task,
+                metrics: Some(Registry::new()),
+                ..JobConfig::default()
+            };
+            let result = Job::new(WordCount)
+                .config(cfg)
+                .run(Input::stream(MemSource::from(data.clone())))
+                .unwrap();
+            let report = &result.report;
+            let stats = &report.stats;
+            let snap = report.metrics.as_ref().expect("a registry was attached");
+            let flows = &report.diag.as_ref().expect("jobs are always diagnosed").inputs.flows;
+            let trace = report.trace.as_ref().expect("tracing was on");
+            assert_structural_invariants(trace);
+            let events = trace.ordered_events();
+
+            // Bytes conserve from storage to the mappers, in every sink.
+            let ingested: u64 = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::ChunkIngestEnd { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(stats.bytes_ingested, data.len() as u64, "{what}");
+            assert_eq!(family_total(snap, "supmr.ingest.bytes"), stats.bytes_ingested, "{what}");
+            assert_eq!(flows.get(FlowPhase::Ingest).bytes, stats.bytes_ingested, "{what}");
+            assert_eq!(ingested, stats.bytes_ingested, "{what}");
+            assert_eq!(family_total(snap, "supmr.map.scan_bytes"), stats.bytes_ingested, "{what}");
+            assert_eq!(flows.get(FlowPhase::Map).bytes, stats.bytes_ingested, "{what}");
+
+            // One latency sample and one span per map task; one round
+            // sample per merge round.
+            let task_ends =
+                events.iter().filter(|e| matches!(e.kind, EventKind::MapTaskEnd { .. })).count();
+            assert_eq!(family_total(snap, "supmr.map.task_us"), stats.map_tasks, "{what}");
+            assert_eq!(task_ends as u64, stats.map_tasks, "{what}");
+            assert_eq!(
+                family_total(snap, "supmr.merge.round_us"),
+                u64::from(stats.merge_rounds),
+                "{what}"
+            );
+            assert_eq!(
+                family_total(snap, "supmr.merge.rounds"),
+                u64::from(stats.merge_rounds),
+                "{what}"
+            );
+
+            // Stall totals: the report, the registry and the events.
+            let traced = trace.stall_totals();
+            let us = |d: Duration| d.as_micros() as u64;
+            assert_eq!(family_total(snap, "supmr.stall.map_us"), us(stats.map_waiting), "{what}");
+            assert_eq!(us(traced.map_waiting), us(stats.map_waiting), "{what}");
+            assert_eq!(
+                family_total(snap, "supmr.stall.ingest_us"),
+                us(stats.ingest_waiting),
+                "{what}"
+            );
+            assert_eq!(us(traced.ingest_waiting), us(stats.ingest_waiting), "{what}");
+
+            // Busy + stall fits in the wall clock: per wave across its
+            // workers, per round on the map side.
+            let slop = Duration::from_millis(2);
+            let spans = trace.spans();
+            let mut waves: Vec<(u32, u64, u64)> = spans
+                .iter()
+                .filter_map(|s| match s.key {
+                    SpanKey::MapWave(r) => Some((r, s.start_us, s.dur_us)),
+                    _ => None,
+                })
+                .collect();
+            waves.sort_unstable();
+            assert_eq!(waves.len() as u32, stats.map_rounds, "{what}");
+            for &(round, _, dur_us) in &waves {
+                let busy_us: u64 = spans
+                    .iter()
+                    .filter(|s| matches!(s.key, SpanKey::MapTask(r, _) if r == round))
+                    .map(|s| s.dur_us)
+                    .sum();
+                assert!(
+                    Duration::from_micros(busy_us)
+                        <= Duration::from_micros(dur_us) * width as u32 + slop,
+                    "{what}: round {round} tasks were busy {busy_us} us in a {dur_us} us wave"
+                );
+            }
+            let rounds = trace.rounds();
+            for pair in waves.windows(2) {
+                let (round, start_us, dur_us) = pair[0];
+                let window = Duration::from_micros(pair[1].1 - start_us);
+                let accounted = Duration::from_micros(dur_us) + rounds[round as usize].map_wait;
+                assert!(
+                    accounted <= window + slop,
+                    "{what}: round {round} accounts for {accounted:?} of a {window:?} window"
+                );
+            }
+        }
+    }
+}
+
+/// Zero everything in a rendered report that depends on the clock:
+/// durations, rates, shares and the verdict drawn from them. Counts,
+/// byte totals, names, labels and order stay.
+fn zero_timings(value: &mut Json, timed_family: bool) {
+    match value {
+        Json::Arr(items) => items.iter_mut().for_each(|v| zero_timings(v, timed_family)),
+        Json::Obj(pairs) => {
+            // A metrics entry of a `*_us` family: its whole value is time.
+            let timed = timed_family
+                || pairs.iter().any(|(k, v)| {
+                    k == "name" && v.as_str().is_some_and(|name| name.ends_with("_us"))
+                });
+            for (key, v) in pairs.iter_mut() {
+                let clocked = key.ends_with("_us")
+                    || key == "duration_s"
+                    || key == "mb_per_sec"
+                    || key == "speedup_if_removed"
+                    || key == "shares"
+                    || (timed && key == "value");
+                match v {
+                    Json::Num(_) if clocked => *v = Json::Num(0.0),
+                    Json::Str(_) if key == "verdict" => *v = Json::str("-"),
+                    Json::Obj(inner) if clocked => {
+                        for (k, n) in inner.iter_mut() {
+                            if k != "count" {
+                                *n = Json::Num(0.0);
+                            }
+                        }
+                    }
+                    _ => zero_timings(v, timed),
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The `supmr.job_report.v1` rendering of a seeded one-worker word
+/// count — every section, family name, label, help-free value and count,
+/// in order — is byte-identical to the one captured before the
+/// instrumentation moved behind the probe.
+#[test]
+fn job_report_json_matches_the_golden() {
+    // No generator: the golden must not depend on a random stream.
+    let mut data = Vec::new();
+    for i in 0..6000u32 {
+        let word = i.wrapping_mul(2_654_435_761) % 97;
+        data.extend_from_slice(format!("w{word}").as_bytes());
+        data.push(if i % 11 == 10 { b'\n' } else { b' ' });
+    }
+    data.push(b'\n');
+    let cfg = JobConfig {
+        map_workers: 1,
+        reduce_workers: 1,
+        split_bytes: 2048,
+        chunking: Chunking::Inter { chunk_bytes: 8 * 1024 },
+        merge: MergeMode::PWay { ways: 2 },
+        hash_seed: Some(42),
+        trace: TraceLevel::Wave,
+        metrics: Some(Registry::new()),
+        ..JobConfig::default()
+    };
+    let result = Job::new(WordCount).config(cfg).run(Input::stream(MemSource::from(data))).unwrap();
+    let mut json = result.report.to_json();
+    zero_timings(&mut json, false);
+    let golden = include_str!("golden/job_report_v1.json");
+    assert_eq!(json.render(), golden.trim_end(), "the report's JSON moved");
 }

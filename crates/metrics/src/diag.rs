@@ -23,7 +23,7 @@
 //! [`DiagInputs::from_snapshot`] rebuilds the inputs from a live
 //! [`MetricsSnapshot`], which is how the `/debug/diag` endpoint
 //! classifies a job mid-flight. The decision rules are documented in
-//! DESIGN.md §3j.
+//! DESIGN.md §3d.
 
 use crate::json::Json;
 use crate::registry::{Counter, MetricValue, MetricsSnapshot, Registry};
@@ -298,7 +298,7 @@ pub struct DiagInputs {
     pub flows: FlowSnapshot,
 }
 
-/// Attribution thresholds (DESIGN.md §3j). A share below the floor is
+/// Attribution thresholds (DESIGN.md §3d). A share below the floor is
 /// noise; spilling is categorical evidence the budget binds even at a
 /// small share.
 const PRIMARY_SHARE_MIN: f64 = 0.25;
@@ -460,7 +460,7 @@ pub struct BottleneckReport {
 }
 
 impl BottleneckReport {
-    /// Classify `inputs` (DESIGN.md §3j):
+    /// Classify `inputs` (DESIGN.md §3d):
     ///
     /// 1. A budgeted job that actually spilled is memory-budget-bound
     ///    once spill work clears a small floor or residency presses the

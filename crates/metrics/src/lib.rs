@@ -4,9 +4,9 @@
 //!
 //! 1. **Per-phase wall-clock times** with microsecond granularity using the
 //!    Phoenix++ internal timers (Table II). [`phase`] provides the same
-//!    phase vocabulary (`ingest`/`map`/`reduce`/`merge`) and a
-//!    [`phase::PhaseTimer`] that produces a [`phase::PhaseTimings`]
-//!    breakdown formatted like the paper's table rows.
+//!    phase vocabulary (`ingest`/`map`/`reduce`/`merge`) and the
+//!    [`phase::PhaseTimings`] breakdown formatted like the paper's
+//!    table rows.
 //! 2. **CPU utilization traces** collected with `collectl` (Figs. 1, 3,
 //!    5–7). [`trace`] holds the trace representation (percent busy split
 //!    into user/sys/iowait vs. wall-clock seconds), [`sampler`] collects a
@@ -46,7 +46,6 @@ pub mod registry;
 pub mod sampler;
 pub mod server;
 pub mod stats;
-pub mod stopwatch;
 pub mod svg;
 pub mod trace;
 
@@ -59,12 +58,11 @@ pub use events::{
     TraceEvent, TraceLevel, TraceRing, TraceRound, Tracer,
 };
 pub use json::Json;
-pub use phase::{Phase, PhaseTimer, PhaseTimings};
+pub use phase::{Phase, PhaseTimings};
 pub use registry::{
     Counter, Gauge, GaugeGuard, Histogram, HistogramSnapshot, MetricEntry, MetricKind, MetricValue,
     MetricsSnapshot, Registry,
 };
 pub use server::{DebugState, HttpHandler, HttpRequest, HttpResponse, MetricsServer};
 pub use stats::Summary;
-pub use stopwatch::Stopwatch;
 pub use trace::{UtilSample, UtilTrace};

@@ -3,10 +3,9 @@
 //! Table II of the paper breaks a job into `total`, `read` (ingest), `map`,
 //! `reduce`, and `merge` columns; in SupMR runs the ingest and map phases
 //! are fused by the pipeline, so a breakdown can also report a combined
-//! `read+map` figure. [`PhaseTimings`] is that row, and [`PhaseTimer`] is
-//! the instrument the runtimes drive.
+//! `read+map` figure. [`PhaseTimings`] is that row; the clock that fills
+//! it in belongs to the runtime's probe, its one user.
 
-use crate::stopwatch::Stopwatch;
 use std::fmt;
 use std::time::Duration;
 
@@ -199,124 +198,15 @@ fn ratio(num: Duration, den: Duration) -> f64 {
     }
 }
 
-/// Live instrument that the runtimes drive while a job executes.
-///
-/// Each phase has an accumulating [`Stopwatch`], so a phase that executes in
-/// multiple waves (e.g. `map` once per ingest-chunk round) reports the sum
-/// of its waves. A separate stopwatch covers the whole job.
-#[derive(Debug, Default)]
-pub struct PhaseTimer {
-    watches: [Stopwatch; 6],
-    job: Stopwatch,
-    fused: bool,
-    fused_watch: Stopwatch,
-}
-
-impl PhaseTimer {
-    /// New timer; the job clock starts immediately.
-    pub fn start_job() -> Self {
-        let mut t = PhaseTimer::default();
-        t.job.start();
-        t
-    }
-
-    /// Mark this job as pipelined: ingest and map overlap, and their
-    /// combined wall-clock span is measured by a dedicated fused clock.
-    pub fn mark_fused(&mut self) {
-        self.fused = true;
-    }
-
-    /// Enter a phase.
-    pub fn begin(&mut self, p: Phase) {
-        self.watches[p.index()].start();
-        if self.fused && matches!(p, Phase::Ingest | Phase::Map) {
-            self.fused_watch.start();
-        }
-    }
-
-    /// Leave a phase.
-    pub fn end(&mut self, p: Phase) {
-        self.watches[p.index()].stop();
-        if self.fused
-            && matches!(p, Phase::Ingest | Phase::Map)
-            && !self.watches[Phase::Ingest.index()].is_running()
-            && !self.watches[Phase::Map.index()].is_running()
-        {
-            self.fused_watch.stop();
-        }
-    }
-
-    /// Run `f` inside phase `p`.
-    pub fn in_phase<T>(&mut self, p: Phase, f: impl FnOnce() -> T) -> T {
-        self.begin(p);
-        let out = f();
-        self.end(p);
-        out
-    }
-
-    /// Stop the job clock and produce the final breakdown.
-    pub fn finish(mut self) -> PhaseTimings {
-        self.job.stop();
-        self.fused_watch.stop();
-        let mut t = PhaseTimings::zero();
-        for p in Phase::ALL {
-            t.set_phase(p, self.watches[p.index()].elapsed());
-        }
-        t.set_total(self.job.elapsed());
-        if self.fused {
-            t.set_fused_ingest_map(self.fused_watch.elapsed());
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread::sleep;
 
     #[test]
     fn phases_have_stable_labels() {
         assert_eq!(Phase::Ingest.label(), "read");
         assert_eq!(Phase::Merge.to_string(), "merge");
         assert_eq!(Phase::ALL.len(), 6);
-    }
-
-    #[test]
-    fn timer_accumulates_per_phase_waves() {
-        let mut timer = PhaseTimer::start_job();
-        for _ in 0..3 {
-            timer.in_phase(Phase::Map, || sleep(Duration::from_millis(3)));
-        }
-        timer.in_phase(Phase::Merge, || sleep(Duration::from_millis(4)));
-        let t = timer.finish();
-        assert!(t.phase(Phase::Map) >= Duration::from_millis(9));
-        assert!(t.phase(Phase::Merge) >= Duration::from_millis(4));
-        assert!(t.total() >= t.phase(Phase::Map) + t.phase(Phase::Merge));
-        assert!(!t.is_fused());
-    }
-
-    #[test]
-    fn fused_timer_reports_span_not_sum() {
-        let mut timer = PhaseTimer::start_job();
-        timer.mark_fused();
-        // Overlapping ingest and map: ingest spans the whole interval, map
-        // nests inside it. The fused span must equal the outer interval,
-        // not ingest+map.
-        timer.begin(Phase::Ingest);
-        timer.begin(Phase::Map);
-        sleep(Duration::from_millis(10));
-        timer.end(Phase::Map);
-        timer.end(Phase::Ingest);
-        let t = timer.finish();
-        let fused = t.fused_ingest_map().expect("fused duration");
-        assert!(fused >= Duration::from_millis(10));
-        // Span must be less than the naive sum of the two overlapping
-        // phase clocks.
-        let naive_sum = Duration::from_millis(20);
-        assert!(fused < naive_sum, "fused {fused:?} should be < {naive_sum:?}");
-        assert_eq!(t.phase(Phase::Ingest), fused);
-        assert_eq!(t.phase(Phase::Map), fused);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`Histogram`] — an HDR-style log-bucketed latency/size distribution:
 //!   values below 32 are exact, larger values land in one of 32
 //!   sub-buckets per power of two (≤ 1/32 ≈ 3.2% relative error). Bucket
-//!   arrays are striped like counters; [`HistogramSnapshot`]s merge
-//!   exactly (bucket-wise addition) and answer p50/p90/p99/max.
+//!   arrays are striped like counters and allocated when a stripe is
+//!   first written; [`HistogramSnapshot`]s merge exactly (bucket-wise
+//!   addition) and answer p50/p90/p99/max.
 //!
 //! Handles are registered in a [`Registry`] under dotted names with label
 //! sets (`supmr.map.task_us{runtime="pipeline"}`) and are `Clone` +
@@ -27,7 +28,7 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Number of stripes for counters and histograms. A power of two so the
@@ -163,26 +164,25 @@ impl Drop for GaugeGuard {
     }
 }
 
+#[derive(Default)]
 struct HistShard {
-    buckets: Box<[AtomicU64; BUCKETS]>,
+    /// Allocated by the first `record` into this shard: the array is
+    /// 11 KB, a histogram has [`SHARDS`] of them, and most are only ever
+    /// written from one or two threads. An absent array reads as zeros.
+    buckets: OnceLock<Box<[AtomicU64; BUCKETS]>>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for HistShard {
-    fn default() -> HistShard {
-        // Box the bucket array directly; [AtomicU64; BUCKETS] has no
-        // Default impl for this length, so build from a zeroed Vec.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; BUCKETS]> =
-            v.into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!());
-        HistShard {
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
+impl HistShard {
+    fn buckets(&self) -> &[AtomicU64; BUCKETS] {
+        self.buckets.get_or_init(|| {
+            // [AtomicU64; BUCKETS] has no Default impl for this length,
+            // so build from a zeroed Vec.
+            let zeroed: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
+            zeroed.into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!())
+        })
     }
 }
 
@@ -233,7 +233,7 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         let s = &self.shards[shard()];
-        s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        s.buckets()[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         s.count.fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(v, Ordering::Relaxed);
         s.max.fetch_max(v, Ordering::Relaxed);
@@ -258,7 +258,7 @@ impl Histogram {
             snap.count += s.count.load(Ordering::Relaxed);
             snap.sum += s.sum.load(Ordering::Relaxed);
             snap.max = snap.max.max(s.max.load(Ordering::Relaxed));
-            for (i, b) in s.buckets.iter().enumerate() {
+            for (i, b) in s.buckets.get().into_iter().flat_map(|b| b.iter()).enumerate() {
                 let n = b.load(Ordering::Relaxed);
                 if n > 0 {
                     snap.buckets[i] += n;
@@ -766,6 +766,32 @@ mod tests {
             assert!(est >= truth, "q={q} est={est} truth={truth}");
             assert!(est as f64 <= truth as f64 * (1.0 + 1.0 / 16.0) + 1.0, "q={q} est={est}");
         }
+    }
+
+    #[test]
+    fn shards_allocate_on_first_record_and_absent_ones_read_as_zeros() {
+        let h = Histogram::new();
+        assert!(h.shards.iter().all(|s| s.buckets.get().is_none()), "nothing recorded yet");
+        assert_eq!(h.snapshot(), HistogramSnapshot::empty());
+        let (h, barrier) = (&h, &Barrier::new(4));
+        std::thread::scope(|s| {
+            for t in 1..=4u64 {
+                s.spawn(move || {
+                    // First touches race each other and a snapshot.
+                    barrier.wait();
+                    for v in 0..1000 {
+                        h.record(v * t);
+                    }
+                    assert!(h.snapshot().count >= 1000);
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 4000);
+        assert_eq!(snap.sum, (0..1000u64).sum::<u64>() * (1 + 2 + 3 + 4));
+        assert_eq!(snap.max, 999 * 4);
+        let touched = h.shards.iter().filter(|s| s.buckets.get().is_some()).count();
+        assert!((1..=4).contains(&touched), "four threads write at most four shards: {touched}");
     }
 
     #[test]

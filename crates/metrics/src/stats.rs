@@ -89,17 +89,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Geometric mean of a slice of positive ratios (used to aggregate
-/// speedups). Returns `None` if the slice is empty or has a non-positive
-/// entry.
-pub fn geometric_mean(ratios: &[f64]) -> Option<f64> {
-    if ratios.is_empty() || ratios.iter().any(|&r| r <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = ratios.iter().map(|r| r.ln()).sum();
-    Some((log_sum / ratios.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,15 +129,6 @@ mod tests {
         let d = s.display();
         assert!(d.contains("3.00"));
         assert!(d.contains("n=2"));
-    }
-
-    #[test]
-    fn geometric_mean_of_speedups() {
-        let g = geometric_mean(&[2.0, 8.0]).unwrap();
-        assert!((g - 4.0).abs() < 1e-9);
-        assert!(geometric_mean(&[]).is_none());
-        assert!(geometric_mean(&[1.0, 0.0]).is_none());
-        assert!(geometric_mean(&[1.0, -2.0]).is_none());
     }
 
     #[test]

@@ -186,28 +186,6 @@ impl UtilTrace {
         }
         s
     }
-
-    /// Fraction of trace time spent above a utilization threshold —
-    /// useful for "50–100% more CPU utilization" style claims.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mut above = 0.0;
-        let mut span = 0.0;
-        for w in self.samples.windows(2) {
-            let dt = w[1].t - w[0].t;
-            span += dt;
-            if w[0].total() >= threshold {
-                above += dt;
-            }
-        }
-        if span > 0.0 {
-            above / span
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Shape similarity between two traces: resample both onto `points`
@@ -336,17 +314,6 @@ mod tests {
         assert!((t.mean_total_utilization() - 50.0).abs() < 1e-9);
         assert_eq!(t.peak_total(), 100.0);
         assert_eq!(t.duration(), 2.0);
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let t = UtilTrace::from_samples(vec![
-            sample(0.0, 90.0, 0.0, 0.0),
-            sample(3.0, 90.0, 0.0, 0.0),
-            sample(3.0, 10.0, 0.0, 0.0),
-            sample(4.0, 10.0, 0.0, 0.0),
-        ]);
-        assert!((t.fraction_above(50.0) - 0.75).abs() < 1e-9);
     }
 
     #[test]
