@@ -26,7 +26,7 @@ use crate::api::Emit;
 use crate::combiner::Combiner;
 use crate::spill::SpillHooks;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// One published map run, with its estimated in-memory footprint (the
@@ -40,6 +40,9 @@ struct SizedRun<K, V> {
 pub struct UnlockedContainer<K, V> {
     runs: Mutex<Vec<SizedRun<K, V>>>,
     pairs: AtomicU64,
+    /// Length of the run absorbed last: what the next task's run starts
+    /// out sized for (splits are about equal, so runs are too).
+    last_run_len: AtomicUsize,
     /// Out-of-core wiring ([`Container::configure_spill`]); `None`
     /// keeps absorb on the unmetered hot path.
     spill: Mutex<Option<SpillHooks<K, V>>>,
@@ -55,6 +58,7 @@ impl<K, V> Default for UnlockedContainer<K, V> {
         UnlockedContainer {
             runs: Mutex::new(Vec::new()),
             pairs: AtomicU64::new(0),
+            last_run_len: AtomicUsize::new(0),
             spill: Mutex::new(None),
             splitters: OnceLock::new(),
         }
@@ -164,7 +168,7 @@ where
     type Drain = Vec<(K, V)>;
 
     fn local(&self) -> Self::Local {
-        LocalRun { pairs: Vec::new() }
+        LocalRun { pairs: Vec::with_capacity(self.last_run_len.load(Ordering::Relaxed)) }
     }
 
     fn absorb(&self, local: Self::Local) {
@@ -172,6 +176,7 @@ where
             return;
         }
         self.pairs.fetch_add(local.pairs.len() as u64, Ordering::Relaxed);
+        self.last_run_len.store(local.pairs.len(), Ordering::Relaxed);
         let spill = self.spill.lock().clone();
         let bytes = match &spill {
             Some(h) => local.pairs.iter().map(|(k, v)| (h.size_hint)(k, v) as u64).sum(),

@@ -54,7 +54,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use supmr_merge::{
-    merge_fold_by, merge_iterators_by, merge_runs, pairwise_round, ByKey, PairwiseStats, SortedRun,
+    merge_fold_by, merge_iterators_by, merge_runs, pairwise_round, partitioned_sort, ByKey,
+    PairwiseStats, SortedRun, Workers,
 };
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
@@ -945,7 +946,14 @@ fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> Bottle
             .unwrap_or(0),
         spill_runs: report.stats.spill_runs,
         spill_bytes: report.stats.spill_bytes,
-        spill_busy_us: us(flow.busy(FlowPhase::Spill)) + us(flow.busy(FlowPhase::Merge)),
+        // The merge flow also carries the in-memory merge phase; without
+        // spilled runs that is all it carries, and none of it is the
+        // budget's doing.
+        spill_busy_us: if report.stats.spill_runs == 0 {
+            0
+        } else {
+            us(flow.busy(FlowPhase::Spill)) + us(flow.busy(FlowPhase::Merge))
+        },
         flows: flow.snapshot(),
     };
     BottleneckReport::from_inputs(inputs)
@@ -1366,14 +1374,16 @@ fn external_reduce<J: MapReduce>(
     reduced.into_iter().collect()
 }
 
-/// The merge phase: sort the reduce partitions into runs in parallel (a
-/// wave), then combine the runs with the configured backend — the p-way
-/// round, or each pairwise round, one more wave on `exec` at the reduce
-/// width, so the share cap, the governor's width, the pool's events and
-/// the thread counts cover the merge as they cover map and reduce. Both
-/// steps order pairs by key, [`MapReduce::key_prefix`] first.
-/// `presorted` partitions (the external reduce's) are runs already.
-/// Cancellation is checked before run formation and before every round.
+/// The merge phase: order the reduce partitions' pairs by key,
+/// [`MapReduce::key_prefix`] first, with the configured backend. The
+/// p-way round takes unsorted partitions as they are — one
+/// [`partitioned_sort`], no runs formed — and `presorted` ones (the
+/// external reduce's) as the runs they already are; the pairwise
+/// baseline sorts the partitions into runs in a full-width wave and
+/// merges them round by round. Every round is a wave on `exec` at the
+/// reduce width, so the share cap, the governor's width, the pool's
+/// events and the thread counts cover the merge as they cover map and
+/// reduce. Cancellation is checked on entry and before every round.
 fn merge_phase<J: MapReduce>(
     job: &Arc<J>,
     reduced: Vec<Vec<(J::Key, J::Output)>>,
@@ -1384,24 +1394,13 @@ fn merge_phase<J: MapReduce>(
     if matches!(config.merge, MergeMode::Unsorted) {
         return Ok(reduced.into_iter().flatten().collect());
     }
+    let started = Instant::now();
     config.check_cancelled()?;
     // One ordered partition is the output as it stands and nothing will
     // be compared, so its keys are not read for prefixes either: the
     // phase is a move.
     let moved = presorted && reduced.iter().filter(|part| !part.is_empty()).count() <= 1;
     let order = ByKey(|key: &J::Key| if moved { 0 } else { job.key_prefix(key) });
-    // "each round (1) sorts many small lists in parallel and (2) merges
-    // the lists" — step (1) is a full-width wave for both backends.
-    let (mut runs, outcome) =
-        exec.run_collect(config.effective_map_workers(), reduced, |_, part| {
-            if presorted {
-                SortedRun::presorted(part, &order)
-            } else {
-                SortedRun::sort(part, &order)
-            }
-        });
-    ctx.probe.wave(outcome);
-
     // A merge round as it starts: a cancellation point, its span, its
     // wave on the job's workers at the reduce width.
     let round_start =
@@ -1413,6 +1412,17 @@ fn merge_phase<J: MapReduce>(
     let (merged, rounds, elements_moved) = match config.merge {
         MergeMode::Unsorted => unreachable!("handled above"),
         MergeMode::PairwiseRounds => {
+            // "each round (1) sorts many small lists in parallel and (2)
+            // merges the lists" — step (1) is a full-width wave.
+            let (mut runs, outcome) =
+                exec.run_collect(config.effective_map_workers(), reduced, |_, part| {
+                    if presorted {
+                        SortedRun::presorted(part, &order)
+                    } else {
+                        SortedRun::sort(part, &order)
+                    }
+                });
+            ctx.probe.wave(outcome);
             let mut pw = PairwiseStats::default();
             runs.retain(|run| !run.is_empty());
             while runs.len() > 1 {
@@ -1427,13 +1437,18 @@ fn merge_phase<J: MapReduce>(
         }
         MergeMode::PWay { ways } => {
             let (t0, workers) = round_start(&ctx.probe, 0, ways)?;
-            let (merged, kw) = merge_runs(runs, &order, ways, &workers);
+            let (merged, kw) = if presorted {
+                let runs = workers.run(reduced, |part| SortedRun::presorted(part, &order));
+                merge_runs(runs, &order, ways, &workers)
+            } else {
+                partitioned_sort(reduced, &order, ways, &workers)
+            };
             ctx.probe.merge_round_end(0, t0, workers.outcome(), kw.elements_moved);
             let rounds = u32::from(kw.partitions >= 1 && !merged.is_empty());
             (merged, rounds, kw.elements_moved)
         }
     };
-    ctx.probe.merged(rounds, elements_moved);
+    ctx.probe.merged(rounds, elements_moved, std::mem::size_of::<(J::Key, J::Output)>(), started);
     Ok(merged)
 }
 

@@ -476,13 +476,25 @@ impl StageProbe {
         }
     }
 
-    /// The merge phase took `rounds` rounds and moved `elements_moved`.
-    pub fn merged(&mut self, rounds: u32, elements_moved: u64) {
+    /// The merge phase begun at `started` took `rounds` rounds and moved
+    /// `elements_moved` pairs of `pair_bytes` each.
+    pub fn merged(
+        &mut self,
+        rounds: u32,
+        elements_moved: u64,
+        pair_bytes: usize,
+        started: Instant,
+    ) {
         self.stats.merge_rounds = rounds;
         self.stats.merge_elements_moved = elements_moved;
         if let Some(m) = &self.metrics {
             m.merge_rounds.add(u64::from(rounds));
         }
+        self.flow.record_owned(
+            FlowPhase::Merge,
+            elements_moved * pair_bytes as u64,
+            started.elapsed(),
+        );
     }
 
     /// The stage completed with `output_pairs`: stop the clocks and hand

@@ -11,7 +11,9 @@ use supmr::chunk::AdaptiveConfig;
 use supmr::combiner::{Count, Identity, Sum};
 use supmr::container::{ArrayContainer, HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
-use supmr::{ActiveConfig, Chunking, EventKind, PoolMode, SupmrError, TraceEvent, TraceLevel};
+use supmr::{
+    ActiveConfig, Chunking, EventKind, KeyPrefix, PoolMode, SupmrError, TraceEvent, TraceLevel,
+};
 use supmr_storage::{MemFileSet, MemSource, RecordFormat};
 use supmr_workloads::{small_files_corpus, TeraGen, TextGen, TextGenConfig, TERA_KEY_LEN};
 
@@ -67,6 +69,38 @@ impl MapReduce for Sort {
 
     fn reduce(&self, _key: &Vec<u8>, value: Vec<u8>) -> Vec<u8> {
         value
+    }
+}
+
+/// [`Sort`] on the first `key_len` bytes of each record, with their
+/// prefix: short keys repeat, and the records tell equal keys apart.
+struct PrefixSort {
+    key_len: usize,
+}
+
+impl MapReduce for PrefixSort {
+    type Key = Vec<u8>;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<Vec<u8>, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<Vec<u8>, Vec<u8>>) {
+        for rec in RecordFormat::CrLf.records(split) {
+            emit.emit(rec[..self.key_len.min(rec.len())].to_vec(), rec.to_vec());
+        }
+    }
+
+    fn reduce(&self, _key: &Vec<u8>, value: Vec<u8>) -> Vec<u8> {
+        value
+    }
+
+    fn key_prefix(&self, key: &Vec<u8>) -> u64 {
+        key.key_prefix()
     }
 }
 
@@ -339,6 +373,45 @@ fn sort_produces_globally_sorted_output_on_both_runtimes_and_merges() {
     assert_eq!(supmr.report.stats.merge_rounds, 1);
     assert!(baseline.report.stats.merge_elements_moved > supmr.report.stats.merge_elements_moved);
     assert_eq!(supmr.report.stats.merge_elements_moved, 300);
+}
+
+/// The p-way phase sorts the reduce partitions in one partitioned pass;
+/// the pairwise baseline sorts each into a run and merges the runs.
+/// Byte for byte they are the same stable sort — equal keys in map
+/// order — whether keys are unique or a handful repeated.
+#[test]
+fn pway_equals_pairwise_rounds_byte_for_byte_with_repeated_keys() {
+    let data = TeraGen::new(8, 900).generate_all();
+    for key_len in [1, 2, TERA_KEY_LEN] {
+        // One map worker: runs reach the container in split order.
+        let mut expected: Vec<(Vec<u8>, Vec<u8>)> = RecordFormat::CrLf
+            .records(&data)
+            .map(|rec| (rec[..key_len].to_vec(), rec.to_vec()))
+            .collect();
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        for chunking in [Chunking::None, Chunking::Inter { chunk_bytes: 7000 }] {
+            for merge in [MergeMode::PairwiseRounds, MergeMode::PWay { ways: 3 }] {
+                let config = JobConfig {
+                    map_workers: 1,
+                    reduce_workers: 3,
+                    split_bytes: 2000,
+                    record_format: RecordFormat::CrLf,
+                    chunking,
+                    merge,
+                    ..JobConfig::default()
+                };
+                let sorted = Job::new(PrefixSort { key_len })
+                    .config(config)
+                    .run(Input::stream(MemSource::from(data.clone())))
+                    .unwrap();
+                assert_eq!(sorted.pairs, expected, "{key_len}-byte keys, {chunking:?}, {merge:?}");
+                if matches!(merge, MergeMode::PWay { .. }) {
+                    assert_eq!(sorted.report.stats.merge_rounds, 1);
+                    assert_eq!(sorted.report.stats.merge_elements_moved, 900);
+                }
+            }
+        }
+    }
 }
 
 #[test]

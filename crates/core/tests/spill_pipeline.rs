@@ -285,6 +285,40 @@ fn range_partitioned_sort_matches_unbounded_for_every_key_shape() {
     }
 }
 
+/// A map task's run starts out sized for the run absorbed before it, so
+/// after a split of many short records the runs of few long records hold
+/// far more capacity than pairs. The ledger charges pairs: a budget the
+/// pairs fit in does not spill, and the output is the unbounded one.
+#[test]
+fn run_capacity_carried_from_the_last_run_is_not_charged() {
+    // One 4 KiB split of 5-byte records (~800 pairs, ~45 KB by the
+    // codec's size hint), then ten of two 2000-byte records each
+    // (~41 KB): 86 KB of pairs under a 250 KB budget. Those ten runs'
+    // spare capacity alone — 800 pair slots each — would be 380 KB.
+    let mut data = Vec::new();
+    for i in 0..800u32 {
+        data.extend_from_slice(format!("{:03}:\n", i % 1000).as_bytes());
+    }
+    for i in 0..20u32 {
+        data.extend_from_slice(format!("z{i:02}:{}\n", "x".repeat(2043)).as_bytes());
+    }
+    let mut config = base_config();
+    config.map_workers = 1;
+    config.split_bytes = 4096;
+    let unbounded = Job::new(MiniSort)
+        .config(config.clone())
+        .run(Input::stream(MemSource::from(data.clone())))
+        .unwrap();
+    let store = MemRunStore::new();
+    config.memory_budget = Some(250_000);
+    config.spill_store = Some(Arc::new(store.clone()));
+    let budgeted =
+        Job::new(MiniSort).config(config).run(Input::stream(MemSource::from(data))).unwrap();
+    assert_eq!(budgeted.report.stats.spill_runs, 0, "86 KB of pairs fit a 250 KB budget");
+    assert_eq!(budgeted.pairs.len(), 820);
+    assert_eq!(budgeted.pairs, unbounded.pairs);
+}
+
 #[test]
 fn tiny_budget_actually_spills_and_reports_it() {
     let store = MemRunStore::new();

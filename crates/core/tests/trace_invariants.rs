@@ -366,6 +366,16 @@ fn every_sink_agrees_on_bytes_tasks_stalls_and_rounds() {
             assert_eq!(family_total(snap, "supmr.map.scan_bytes"), stats.bytes_ingested, "{what}");
             assert_eq!(flows.get(FlowPhase::Map).bytes, stats.bytes_ingested, "{what}");
 
+            // The merge moved every output pair once (one p-way round),
+            // and the ledger counts them at their in-memory size.
+            assert_eq!(stats.merge_elements_moved, stats.output_pairs, "{what}");
+            let pair_bytes = std::mem::size_of::<(String, u64)>() as u64;
+            assert_eq!(
+                flows.get(FlowPhase::Merge).bytes,
+                stats.merge_elements_moved * pair_bytes,
+                "{what}"
+            );
+
             // One latency sample and one span per map task; one round
             // sample per merge round.
             let task_ends =

@@ -65,9 +65,9 @@ where
 
 /// Merge sorted runs into one vector sorted under `order`, using `ways`
 /// output partitions merged side by side on `workers` — the p-way kernel
-/// behind
-/// [`parallel_kway_merge`], [`parallel_sort`](crate::parallel_sort) and
-/// the runtime's merge phase.
+/// behind [`parallel_kway_merge`], [`parallel_sort`](crate::parallel_sort)
+/// and, where its partitions are runs already, the runtime's merge phase
+/// (unsorted ones go through [`partitioned_sort`](crate::partitioned_sort)).
 ///
 /// Equal keys never straddle a partition boundary (boundaries are lower
 /// bounds), and within a partition the loser tree is stable, so the merge

@@ -15,12 +15,19 @@
 //!
 //! * [`run`] — the sorted-run type all of them share: elements plus a
 //!   dense side array of order-preserving 8-byte key prefixes, the
-//!   [`Order`] that defines both, and the one run sort.
+//!   [`Order`] that defines both, the one tag sort (a radix sort of
+//!   `(prefix, index)` tags that dereferences only elements whose
+//!   prefixes tie) and the run sort built on it.
 //! * [`loser_tree`] — the flat k-way tournament tree, deciding matches
 //!   on cached prefixes first.
 //! * [`kway`] — single-pass p-way merge, sequential and parallel
 //!   (output-partitioned by splitter keys, every way writing its slice
 //!   of the one output allocation).
+//! * [`partitioned`] — the same single pass when the inputs are not
+//!   sorted yet: key ranges cut along a histogram of the prefixes, every
+//!   way tag-sorting its range and gathering the elements straight from
+//!   the unsorted parts into its slice of the output. No runs are
+//!   formed, so no element moves twice.
 //! * [`pairwise`] — the baseline iterative 2-way merge rounds with
 //!   instrumentation (rounds, elements re-scanned, wave widths) so the
 //!   "step curve" of the paper's Fig. 1 is observable.
@@ -28,13 +35,14 @@
 //!   "OpenMP sort" comparator.
 //! * [`Workers`] — the one seam to whoever owns the threads. A parallel
 //!   round here is a `Vec` of jobs that borrow the runs, the order and
-//!   disjoint slices of the output; [`merge_runs`], [`pairwise_rounds`]
-//!   and the run sort hand it to a `Workers` and get the results back in
-//!   job order. [`Inline`] runs it on the caller, [`ScopedThreads`] on
-//!   threads spawned for the call (what the `T: Ord` entry points use),
-//!   and the `supmr` runtime passes its own executor, so its merge phase
-//!   runs on the job's workers under the job's width. What a thread does
-//!   for a round is the same wherever it came from: [`Batch::drain`].
+//!   disjoint slices of the output; [`merge_runs`], [`partitioned_sort`],
+//!   [`pairwise_rounds`] and the run sort hand it to a `Workers` and get
+//!   the results back in job order. [`Inline`] runs it on the caller,
+//!   [`ScopedThreads`] on threads spawned for the call (what the
+//!   `T: Ord` entry points use), and the `supmr` runtime passes its own
+//!   executor, so its merge phase runs on the job's workers under the
+//!   job's width. What a thread does for a round is the same wherever it
+//!   came from: [`Batch::drain`].
 //! * [`frame`], [`external`], [`folded`] — the out-of-core side: the
 //!   frame codec, run files written and read a block at a time through
 //!   it, and the streaming merges (plain and combiner-folding) that run
@@ -94,6 +102,7 @@ pub mod frame;
 pub mod kway;
 pub mod loser_tree;
 pub mod pairwise;
+pub mod partitioned;
 pub mod run;
 pub mod sort;
 
@@ -106,6 +115,7 @@ pub use frame::{crc32, push_frame, split_frame, FrameError};
 pub use kway::{kway_merge, merge_runs, parallel_kway_merge, KwayStats};
 pub use loser_tree::{merge_iterators, merge_iterators_by, LoserTree};
 pub use pairwise::{pairwise_merge_rounds, pairwise_round, pairwise_rounds, PairwiseStats};
+pub use partitioned::partitioned_sort;
 pub use run::{ByKey, Natural, Order, SortedRun};
 pub use sort::{parallel_sort, MergeBackend, SortStats};
 

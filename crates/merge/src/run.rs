@@ -92,6 +92,100 @@ impl<T, O: Order<T>> Order<&T> for ByRef<O> {
     }
 }
 
+/// An element's key prefix and an index that finds the element: what the
+/// sorts move around in place of the elements themselves.
+pub(crate) type Tag = (u64, usize);
+
+/// Groups of at most this many tags are not split further: one insertion
+/// pass over the whole slice finishes them all.
+const SMALL_GROUP: usize = 8;
+/// A radix pass takes at most this many prefix bits, so that its
+/// counters stay in L1.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Sort `tags` by prefix, then by `order.cmp` of the elements `item`
+/// finds for their indices, then by index — the tag sort under
+/// [`SortedRun::sort`] and [`partitioned_sort`](crate::partitioned_sort).
+/// Returns how many times `order.cmp` ran.
+///
+/// Prefixes are ordered without comparing them: a stable MSD radix
+/// partition on the bits below the ones all of `tags` share (so keys
+/// drawn from a narrow alphabet spread over the buckets as random bytes
+/// do) splits the tags into groups of a few, and one insertion pass over
+/// `(prefix, index)` tuples, which now finds every tag within a few
+/// slots of its place, finishes them. Only elements whose prefixes tie
+/// are dereferenced, by a stable sort of their group, which the tuple
+/// order left sorted by index. Callers pass tags in index order, which
+/// the radix passes then preserve among equal prefixes; any other order
+/// sorts the same, slower. Whatever `order` does, `tags` ends as a
+/// permutation of what it was.
+pub(crate) fn tag_sort<'a, T: 'a, O: Order<T>>(
+    tags: &mut [Tag],
+    item: impl Fn(usize) -> &'a T,
+    order: &O,
+) -> u64 {
+    let Some(&(first, _)) = tags.first() else { return 0 };
+    let differing = tags.iter().fold(0, |bits, tag| bits | (tag.0 ^ first));
+    radix_partition(tags, u64::BITS - differing.leading_zeros());
+    for at in 1..tags.len() {
+        let tag = tags[at];
+        let mut to = at;
+        while to > 0 && tags[to - 1] > tag {
+            tags[to] = tags[to - 1];
+            to -= 1;
+        }
+        tags[to] = tag;
+    }
+    let mut comparisons = 0;
+    for tied in tags.chunk_by_mut(|a, b| a.0 == b.0).filter(|tied| tied.len() > 1) {
+        tied.sort_by(|a, b| {
+            comparisons += 1;
+            order.cmp(item(a.1), item(b.1))
+        });
+    }
+    comparisons
+}
+
+/// Order `tags`, which agree in every prefix bit above the low `bits`,
+/// by prefix down to groups of [`SMALL_GROUP`]: a stable counting sort
+/// on the next digit, then the same within every larger bucket. Tags
+/// with no bits left to tell them apart are sorted as tuples — a scan,
+/// when they came in index order.
+fn radix_partition(tags: &mut [Tag], bits: u32) {
+    if bits == 0 {
+        return tags.sort_unstable();
+    }
+    if tags.len() <= SMALL_GROUP {
+        return;
+    }
+    // About one bucket per tag.
+    let digit_bits = tags.len().ilog2().min(MAX_DIGIT_BITS).min(bits);
+    let shift = bits - digit_bits;
+    let digit = |tag: &Tag| (tag.0 >> shift) as usize & ((1 << digit_bits) - 1);
+    // heads[d] is where the next tag of bucket d goes: the bucket's
+    // start before the scatter, its end after.
+    let mut heads = vec![0usize; (1 << digit_bits) + 1];
+    tags.iter().for_each(|tag| heads[digit(tag) + 1] += 1);
+    let mut total = 0;
+    for head in &mut heads {
+        total += *head;
+        *head = total;
+    }
+    let unordered = tags.to_vec();
+    for tag in &unordered {
+        let head = &mut heads[digit(tag)];
+        tags[*head] = *tag;
+        *head += 1;
+    }
+    let mut start = 0;
+    for &end in &heads[..heads.len() - 1] {
+        if end - start > SMALL_GROUP {
+            radix_partition(&mut tags[start..end], shift);
+        }
+        start = end;
+    }
+}
+
 /// Elements sorted under some [`Order`], plus the dense side array of
 /// their prefixes (`prefixes[i] == order.prefix(&items[i])`).
 ///
@@ -108,25 +202,20 @@ impl<T> SortedRun<T> {
     /// Sort `items` under `order` — the one run sort in the tree. Equal
     /// keys keep their input order: the result is that of a stable sort.
     ///
-    /// Sorts 16-byte `(prefix, index)` tags instead of the elements
-    /// (ties fall through to `order.cmp`, then to the index), then
-    /// applies the permutation to the elements in place, cycle by
-    /// cycle, so element storage is neither reallocated nor shuffled
-    /// `log n` times. When one prefix is all there is — an order
-    /// without one, or keys alike in their first 8 bytes — tags would
-    /// decide nothing and only put an indirection into every
-    /// comparison, so the elements are sorted directly.
+    /// Radix-sorts 16-byte `(prefix, index)` tags instead of the
+    /// elements (`tag_sort`), then applies the permutation to the
+    /// elements in place, cycle by cycle, so element storage is neither
+    /// reallocated nor shuffled `log n` times. When one prefix is all
+    /// there is — an order without one, or keys alike in their first 8
+    /// bytes — tags would decide nothing and only put an indirection
+    /// into every comparison, so the elements are sorted directly.
     pub fn sort<O: Order<T>>(mut items: Vec<T>, order: &O) -> SortedRun<T> {
-        let mut tags: Vec<(u64, usize)> =
+        let mut tags: Vec<Tag> =
             items.iter().enumerate().map(|(i, item)| (order.prefix(item), i)).collect();
         if tags.iter().all(|tag| tag.0 == tags[0].0) {
             items.sort_by(|a, b| order.cmp(a, b));
         } else {
-            tags.sort_unstable_by(|a, b| {
-                order
-                    .cmp_prefixed((a.0, &items[a.1]), (b.0, &items[b.1]))
-                    .then_with(|| a.1.cmp(&b.1))
-            });
+            tag_sort(&mut tags, |i| &items[i], order);
             // `tags[at].1` names the element that belongs at `at`. Walk
             // each cycle once, carrying its first element along by swaps;
             // a settled position is marked by pointing at itself.

@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use supmr_merge::{
     kway_merge, merge_runs, pairwise_merge_rounds, pairwise_rounds, parallel_kway_merge,
-    parallel_sort, ByKey, MergeBackend, ScopedThreads, SortedRun,
+    parallel_sort, partitioned_sort, ByKey, Inline, MergeBackend, ScopedThreads, SortedRun,
 };
 
 /// Arbitrary sorted runs: up to 12 runs of up to 200 small values.
@@ -168,6 +168,10 @@ proptest! {
         prop_assert_eq!(stats.elements_moved as usize, expected.len());
         let (pairwise, _) = pairwise_rounds(runs(), &order, &workers);
         prop_assert_eq!(&pairwise, &expected);
+        // The same order straight from the unsorted batches, no runs.
+        let (partitioned, stats) = partitioned_sort(batches.clone(), &order, ways, &workers);
+        prop_assert_eq!(&partitioned, &expected);
+        prop_assert_eq!(stats.elements_moved as usize, expected.len());
     }
 
     #[test]
@@ -204,4 +208,59 @@ proptest! {
             }
         }
     }
+}
+
+/// `(key, (part, position))` parts of the given sizes, keys drawn by
+/// `key_of` from a seeded xorshift stream.
+fn keyed_parts(sizes: &[usize], key_of: fn(u64) -> u64) -> Vec<Vec<(u64, (usize, usize))>> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(part, &len)| (0..len).map(|at| (key_of(draw()), (part, at))).collect())
+        .collect()
+}
+
+/// The partitioned sort is the stable sort of the concatenation whatever
+/// the prefixes look like — and however many ways, on whichever workers.
+/// Parts are large enough that buckets split again, tie groups form, and
+/// one way holds more than a radix pass's worth of tags.
+#[test]
+fn partitioned_sort_equals_stable_sort_on_hostile_prefix_distributions() {
+    type Dist = (&'static str, fn(u64) -> u64, fn(&u64) -> u64);
+    let distributions: [Dist; 7] = [
+        ("uniform", |r| r, |k| *k),
+        ("high 40 bits shared", |r| 0xABCD_EF01_2300_0000 | (r & 0xFF_FFFF), |k| *k),
+        ("lowercase ascii", |r| u64::from_be_bytes(r.to_be_bytes().map(|b| b'a' + b % 26)), |k| *k),
+        ("one prefix", |r| r % 5000, |_| 0),
+        ("seven keys", |r| r % 7, |k| *k),
+        ("prefixes tie in sixty-fours", |r| r % 100_000, |k| *k >> 6),
+        ("nineteen in twenty alike", |r| if r % 20 == 0 { r } else { 42 << 40 }, |k| *k),
+    ];
+    let sizes = [0, 1, 5000, 0, 1, 3000, 257, 2];
+    let total: usize = sizes.iter().sum();
+    for (name, key_of, prefix) in distributions {
+        let parts = keyed_parts(&sizes, key_of);
+        let order = ByKey(prefix);
+        let mut expected: Vec<_> = parts.iter().flatten().copied().collect();
+        expected.sort_by_key(|&(key, _)| key);
+        for ways in [1, 2, 3, 7, total + 5] {
+            let (inline, stats) = partitioned_sort(parts.clone(), &order, ways, &Inline);
+            assert_eq!(inline, expected, "{name}, {ways} ways, inline");
+            assert_eq!(stats.elements_moved as usize, total, "{name}, {ways} ways");
+            let (threaded, _) = partitioned_sort(parts.clone(), &order, ways, &ScopedThreads(4));
+            assert_eq!(threaded, expected, "{name}, {ways} ways, 4 threads");
+        }
+        // The run sort shares the tag sort: one run of everything.
+        let all: Vec<_> = parts.into_iter().flatten().collect();
+        assert_eq!(SortedRun::sort(all, &order).into_items(), expected, "{name}, one run");
+    }
+    let none: Vec<Vec<(u64, (usize, usize))>> = vec![vec![], vec![]];
+    assert!(partitioned_sort(none, &ByKey(|k: &u64| *k), 3, &Inline).0.is_empty());
 }

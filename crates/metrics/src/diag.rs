@@ -43,7 +43,9 @@ pub enum FlowPhase {
     Shuffle,
     /// Framed bytes written into spill run files.
     Spill,
-    /// Spilled-run bytes read back by the external merge.
+    /// Bytes a merge moved: spilled-run bytes read back by the external
+    /// merge, and the pairs (at their in-memory size) the merge phase
+    /// moved, once per round.
     Merge,
 }
 

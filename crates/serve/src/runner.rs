@@ -5,7 +5,8 @@
 
 use crate::job::JobOutput;
 use crate::spec::{AppSpec, JobSpec};
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 use supmr::pool::WorkerPool;
 use supmr::runtime::{
     ActiveConfig, GovernorConfig, Input, JobConfig, JobReport, JobResult, MergeMode,
@@ -96,8 +97,11 @@ fn build_config(spec: &JobSpec, fac: &JobFacilities<'_>) -> JobConfig {
 
 /// Synthesize the job's input bytes from its generator spec.
 fn generate_input(spec: &JobSpec) -> Vec<u8> {
+    // Every text job draws from the same vocabulary and CDF: built once.
+    static TEXT_GEN: OnceLock<TextGen> = OnceLock::new();
     match spec.app {
-        AppSpec::WordCount | AppSpec::Grep => TextGen::new(TextGenConfig::default())
+        AppSpec::WordCount | AppSpec::Grep => TEXT_GEN
+            .get_or_init(|| TextGen::new(TextGenConfig::default()))
             .generate_bytes(spec.seed, spec.input_bytes as usize),
         AppSpec::TeraSort => TeraGen::with_total_bytes(spec.seed, spec.input_bytes).generate_all(),
     }
@@ -106,6 +110,7 @@ fn generate_input(spec: &JobSpec) -> Vec<u8> {
 /// Run `spec` to completion on the daemon's facilities.
 pub(crate) fn run_job(spec: &JobSpec, fac: JobFacilities<'_>) -> Result<(JobOutput, JobReport)> {
     let config = build_config(spec, &fac);
+    let sorted = !matches!(config.merge, MergeMode::Unsorted);
     let input = Input::stream(MemSource::from(generate_input(spec)));
     let shared = supmr::SharedRun {
         pool: Some(fac.pool),
@@ -113,29 +118,50 @@ pub(crate) fn run_job(spec: &JobSpec, fac: JobFacilities<'_>) -> Result<(JobOutp
         run_prefix: String::new(), // spill stores are per-job temp dirs
     };
     match spec.app {
-        AppSpec::WordCount => summarize(supmr::run_with(WordCount::new(), input, config, shared)?),
+        AppSpec::WordCount => {
+            summarize(supmr::run_with(WordCount::new(), input, config, shared)?, sorted)
+        }
         AppSpec::Grep => {
             let patterns: Vec<Vec<u8>> =
                 spec.patterns.iter().map(|p| p.as_bytes().to_vec()).collect();
-            summarize(supmr::run_with(Grep::new(patterns), input, config, shared)?)
+            summarize(supmr::run_with(Grep::new(patterns), input, config, shared)?, sorted)
         }
-        AppSpec::TeraSort => summarize(supmr::run_with(TeraSort::new(), input, config, shared)?),
+        AppSpec::TeraSort => {
+            summarize(supmr::run_with(TeraSort::new(), input, config, shared)?, sorted)
+        }
     }
 }
 
-/// Anything renderable as a digest line: key and value as bytes plus a
-/// lossy preview form.
+/// FNV-1a over the bytes fed so far.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn feed(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Anything renderable as a digest line — key, tab, value — plus a lossy
+/// preview form.
 trait PairBytes {
-    fn bytes(&self) -> Vec<u8>;
+    fn feed(&self, digest: &mut Fnv1a);
     fn preview(&self) -> String;
 }
 
 impl PairBytes for (supmr::CompactKey, u64) {
-    fn bytes(&self) -> Vec<u8> {
-        let mut b = self.0.as_bytes().to_vec();
-        b.push(b'\t');
-        b.extend_from_slice(self.1.to_string().as_bytes());
-        b
+    fn feed(&self, digest: &mut Fnv1a) {
+        digest.feed(self.0.as_bytes());
+        write!(digest, "\t{}", self.1).expect("feeding a digest cannot fail");
     }
 
     fn preview(&self) -> String {
@@ -144,11 +170,10 @@ impl PairBytes for (supmr::CompactKey, u64) {
 }
 
 impl PairBytes for (Vec<u8>, Vec<u8>) {
-    fn bytes(&self) -> Vec<u8> {
-        let mut b = self.0.clone();
-        b.push(b'\t');
-        b.extend_from_slice(&self.1);
-        b
+    fn feed(&self, digest: &mut Fnv1a) {
+        digest.feed(&self.0);
+        digest.feed(b"\t");
+        digest.feed(&self.1);
     }
 
     fn preview(&self) -> String {
@@ -161,27 +186,27 @@ impl PairBytes for (Vec<u8>, Vec<u8>) {
 /// Collapse a finished run into the status summary: pair count, an
 /// FNV-1a digest over the key-sorted pair stream (order-independent, so
 /// concurrent and sequential executions of the same spec agree), and a
-/// short preview.
-fn summarize<K, O>(result: JobResult<K, O>) -> Result<(JobOutput, JobReport)>
+/// short preview. `sorted` says the job's merge already left the pairs
+/// in key order; otherwise they are sorted here, in place.
+fn summarize<K: Ord, O>(result: JobResult<K, O>, sorted: bool) -> Result<(JobOutput, JobReport)>
 where
-    K: Ord + Clone,
-    O: Clone,
     (K, O): PairBytes,
 {
-    let sorted = result.sorted_pairs();
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for pair in &sorted {
-        for byte in pair.bytes().iter().chain(b"\n") {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
+    let JobResult { mut pairs, report } = result;
+    if !sorted {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+    let mut digest = Fnv1a(0xcbf29ce484222325);
+    for pair in &pairs {
+        pair.feed(&mut digest);
+        digest.feed(b"\n");
     }
     let output = JobOutput {
-        pairs: sorted.len() as u64,
-        digest: format!("fnv1a:{hash:016x}"),
-        preview: sorted.iter().take(PREVIEW_PAIRS).map(PairBytes::preview).collect(),
+        pairs: pairs.len() as u64,
+        digest: format!("fnv1a:{:016x}", digest.0),
+        preview: pairs.iter().take(PREVIEW_PAIRS).map(PairBytes::preview).collect(),
     };
-    Ok((output, result.report))
+    Ok((output, report))
 }
 
 /// Compute the digest a spec *should* produce by running it in

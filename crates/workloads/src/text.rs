@@ -34,8 +34,16 @@ pub struct TextGen {
     config: TextGenConfig,
     /// Cumulative probability table over word ranks.
     cdf: Vec<f64>,
+    /// `guide[s]` is how many CDF entries lie below `s / GUIDE_SLOTS`:
+    /// a draw in slot `s` has its rank between `guide[s]` and
+    /// `guide[s + 1]`.
+    guide: Vec<usize>,
     words: Vec<String>,
 }
+
+/// Slots of the guide table. A power of two, so that a draw's slot and
+/// the slots' boundaries are exact in floating point.
+const GUIDE_SLOTS: usize = 4096;
 
 impl TextGen {
     /// Build a generator (precomputes the vocabulary and Zipf CDF).
@@ -53,8 +61,12 @@ impl TextGen {
             acc += *w / total;
             *w = acc;
         }
+        let cdf = weights;
+        let guide = (0..=GUIDE_SLOTS)
+            .map(|slot| cdf.partition_point(|&c| c < slot as f64 / GUIDE_SLOTS as f64))
+            .collect();
         let words = (0..config.vocabulary).map(synthetic_word).collect();
-        TextGen { config, cdf: weights, words }
+        TextGen { config, cdf, guide, words }
     }
 
     /// The vocabulary, most frequent first.
@@ -64,8 +76,17 @@ impl TextGen {
 
     /// Sample one word rank.
     fn sample_rank(&self, rng: &mut SmallRng) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.config.vocabulary - 1)
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a draw `u` in `[0, 1)` selects: how many CDF entries lie
+    /// below it — a binary search over the CDF, narrowed by the guide
+    /// table to the few entries `u`'s slot can select.
+    fn rank_of(&self, u: f64) -> usize {
+        let slot = (u * GUIDE_SLOTS as f64) as usize;
+        let (from, to) = (self.guide[slot], self.guide[slot + 1]);
+        let rank = from + self.cdf[from..to].partition_point(|&c| c < u);
+        rank.min(self.config.vocabulary - 1)
     }
 
     /// Generate approximately `total_bytes` of newline-terminated text
@@ -129,6 +150,48 @@ mod tests {
             assert!(w.chars().all(|c| c.is_ascii_lowercase()));
         }
     }
+
+    #[test]
+    fn guide_table_selects_what_the_whole_cdf_would() {
+        for (vocabulary, exponent) in [(10_000, 1.0), (1, 1.0), (7, 0.0), (50_000, 1.4)] {
+            let g = TextGen::new(TextGenConfig { vocabulary, exponent, line_len: 80 });
+            let whole = |u: f64| g.cdf.partition_point(|&c| c < u).min(vocabulary - 1);
+            // A regular sweep, and every CDF value with its two
+            // neighbours — where a rank begins and the previous ends.
+            let sweep = (0..1 << 16).map(|i| f64::from(i) / f64::from(1 << 16));
+            let edges = g.cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+            for u in sweep.chain(edges).filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(g.rank_of(u), whole(u), "vocabulary {vocabulary}, draw {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn generated_bytes_match_the_golden_digests() {
+        // The benchmark's reference outputs are computed from these
+        // bytes. They are a function of the `rand` in use: the digests
+        // are those of the stand-in the benchmark is built with
+        // (`benchmark/stubs/rand`), recognised by its first output; the
+        // published crate seeds `SmallRng` differently.
+        if SmallRng::seed_from_u64(1).gen::<u64>() != STAND_IN_FIRST_DRAW {
+            return;
+        }
+        let g = TextGen::new(TextGenConfig::default());
+        let fnv1a = |bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(0xcbf29ce484222325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+        };
+        for (seed, len, digest) in GOLDEN {
+            let text = g.generate_bytes(seed, 1 << 20);
+            assert_eq!((text.len(), fnv1a(&text)), (len, digest), "seed {seed}");
+        }
+    }
+
+    const STAND_IN_FIRST_DRAW: u64 = 0xcfc5_d07f_6f03_c29b;
+    /// `(seed, length, FNV-1a)` of `generate_bytes(seed, 1 << 20)`.
+    const GOLDEN: [(u64, usize, u64); 2] =
+        [(1, 1_048_579, 0x420b_fb71_e239_634f), (42, 1_048_577, 0x6294_a8f7_436d_40cf)];
 
     #[test]
     fn generation_is_deterministic() {
