@@ -41,7 +41,7 @@ impl Xoshiro256 {
 
     /// Uniform in `[0, 1)`, from the top 53 bits of one draw.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform in `[0, n)` by multiply-shift: the high word of one draw
@@ -53,6 +53,12 @@ impl Xoshiro256 {
         assert!(n > 0, "cannot draw below zero");
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
+}
+
+/// The `[0, 1)` value [`Xoshiro256::next_f64`] makes of the draw `x`:
+/// its top 53 bits, scaled.
+pub(crate) fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
