@@ -6,8 +6,8 @@
 //!    chunks ahead help? (Prediction: no, when ingest is the
 //!    bottleneck — the device is already saturated — but it smooths
 //!    variance when map time fluctuates around ingest time.)
-//! 2. **Adaptive vs fixed chunk size** — the paper's future-work
-//!    feedback loop against the best and worst fixed sizes.
+//! 2. **Fixed chunk size** — the same workload at three fixed chunk
+//!    sizes, small to large.
 //! 3. **Merge backend × container** — p-way vs pairwise on the sort
 //!    workload (work counters, since wall-clock parallel gains need
 //!    more hardware contexts than this machine has).
@@ -18,7 +18,6 @@
 //!    hand-tuned static configurations under four storage throttles
 //!    (`supmr_bench::ablation`).
 
-use supmr::chunk::AdaptiveConfig;
 use supmr::pool::PoolMode;
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::Chunking;
@@ -80,8 +79,8 @@ fn main() {
          the throttle; depth>1 saves one thread create/destroy per round)"
     );
 
-    // --- 2: adaptive vs fixed chunk size ---
-    println!("\n== Ablation 2: adaptive vs fixed chunk size (same workload) ==");
+    // --- 2: fixed chunk size ---
+    println!("\n== Ablation 2: fixed chunk size (same workload) ==");
     println!("{:>12} {:>9} {:>8}", "chunking", "total_s", "chunks");
     let fixed_sizes: [(&str, u64); 3] =
         [("64KB", 64 * 1024), ("1MB", 1024 * 1024), ("8MB", 8 * 1024 * 1024)];
@@ -99,26 +98,6 @@ fn main() {
             String::new(),
         ]);
     }
-    let mut cfg = wc_config();
-    cfg.chunking = Chunking::Adaptive(AdaptiveConfig {
-        initial_chunk_bytes: 4 * 1024 * 1024,
-        min_chunk_bytes: 64 * 1024,
-        max_chunk_bytes: 8 * 1024 * 1024,
-        overhead_fraction: 0.05,
-    });
-    let r = Job::new(WordCount::new()).config(cfg).run(throttled(corpus.clone())).unwrap();
-    let total = r.report.timings.total().as_secs_f64();
-    println!(
-        "{:>12} {:>9.2} {:>8}  (feedback-tuned)",
-        "adaptive", total, r.report.stats.ingest_chunks
-    );
-    csv.row(&[
-        "chunk_size".into(),
-        "adaptive".into(),
-        format!("{total:.3}"),
-        format!("{}", r.report.stats.ingest_chunks),
-        String::new(),
-    ]);
 
     // --- 3: merge backend work accounting ---
     println!("\n== Ablation 3: merge backend (sort, 4MB) ==");

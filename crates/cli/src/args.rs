@@ -3,6 +3,8 @@
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
+use supmr::runtime::MergeMode;
+use supmr::{Chunking, PoolMode};
 use supmr_metrics::TraceLevel;
 
 /// Which bundled application to run.
@@ -36,42 +38,6 @@ impl AppKind {
     }
 }
 
-/// Chunking strategy as given on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkingSpec {
-    /// Original runtime.
-    None,
-    /// `inter:SIZE`.
-    Inter(u64),
-    /// `intra:N`.
-    Intra(usize),
-    /// `hybrid:SIZE`.
-    Hybrid(u64),
-    /// `adaptive` (default controller bounds).
-    Adaptive,
-}
-
-/// Merge mode as given on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeSpec {
-    /// Concatenate unsorted.
-    Unsorted,
-    /// Baseline iterative rounds.
-    Pairwise,
-    /// `pway:N`.
-    PWay(usize),
-}
-
-/// Worker provisioning mode as given on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolSpec {
-    /// Spawn and join a fresh wave of threads per round (baseline).
-    #[default]
-    Wave,
-    /// One persistent worker pool for the whole job.
-    Persistent,
-}
-
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliArgs {
@@ -83,10 +49,10 @@ pub struct CliArgs {
     /// Synthesize this many input bytes.
     pub generate: Option<u64>,
     /// Chunking strategy.
-    pub chunking: ChunkingSpec,
+    pub chunking: Chunking,
     /// Merge mode; `None` means "not specified" so each app can apply
     /// its own default (terasort defaults to a p-way merge).
-    pub merge: Option<MergeSpec>,
+    pub merge: Option<MergeMode>,
     /// Worker threads (None = auto).
     pub workers: Option<usize>,
     /// Upper bound on the split size, bytes.
@@ -94,7 +60,7 @@ pub struct CliArgs {
     /// Prefetch depth.
     pub prefetch: usize,
     /// Worker provisioning mode.
-    pub pool: PoolSpec,
+    pub pool: PoolMode,
     /// Storage bandwidth cap, bytes/sec.
     pub throttle: Option<f64>,
     /// Intermediate-set memory budget, bytes; past it the job spills
@@ -168,51 +134,46 @@ pub fn parse_duration(s: &str) -> Result<Duration, CliError> {
     supmr::parse::parse_duration(s).map_err(|e| CliError(e.0))
 }
 
-fn parse_chunking(s: &str) -> Result<ChunkingSpec, CliError> {
+fn parse_chunking(s: &str) -> Result<Chunking, CliError> {
     if s == "none" {
-        return Ok(ChunkingSpec::None);
+        return Ok(Chunking::None);
     }
-    if s == "adaptive" {
-        return Ok(ChunkingSpec::Adaptive);
-    }
-    let (kind, value) = s
-        .split_once(':')
-        .ok_or_else(|| CliError(format!("chunking '{s}' needs kind:value (e.g. inter:64M)")))?;
+    let Some((kind, value)) = s.split_once(':') else {
+        return Err(CliError(format!(
+            "unknown chunking '{s}' (none | inter:SIZE | intra:N | hybrid:SIZE)"
+        )));
+    };
     match kind {
-        "inter" => Ok(ChunkingSpec::Inter(parse_size(value)?.max(1))),
+        "inter" => Ok(Chunking::Inter { chunk_bytes: parse_size(value)? }),
         "intra" => value
-            .parse::<usize>()
-            .map(ChunkingSpec::Intra)
+            .parse()
+            .map(|files_per_chunk| Chunking::Intra { files_per_chunk })
             .map_err(|_| CliError(format!("invalid file count '{value}'"))),
-        "hybrid" => Ok(ChunkingSpec::Hybrid(parse_size(value)?.max(1))),
+        "hybrid" => Ok(Chunking::Hybrid { chunk_bytes: parse_size(value)? }),
         other => Err(CliError(format!("unknown chunking '{other}'"))),
     }
 }
 
-fn parse_pool(s: &str) -> Result<PoolSpec, CliError> {
+fn parse_pool(s: &str) -> Result<PoolMode, CliError> {
     match s {
-        "wave" | "wave-per-round" => Ok(PoolSpec::Wave),
-        "persistent" | "pooled" => Ok(PoolSpec::Persistent),
+        "wave" | "wave-per-round" => Ok(PoolMode::WavePerRound),
+        "persistent" | "pooled" => Ok(PoolMode::Persistent),
         other => Err(CliError(format!("unknown pool mode '{other}' (wave|persistent)"))),
     }
 }
 
-fn parse_merge(s: &str) -> Result<MergeSpec, CliError> {
+fn parse_merge(s: &str) -> Result<MergeMode, CliError> {
     match s {
-        "unsorted" => Ok(MergeSpec::Unsorted),
-        "pairwise" => Ok(MergeSpec::Pairwise),
-        _ => {
-            if let Some(("pway", ways)) = s.split_once(':') {
-                return ways
-                    .parse::<usize>()
-                    .map(MergeSpec::PWay)
-                    .map_err(|_| CliError(format!("invalid way count '{ways}'")));
-            }
-            if s == "pway" {
-                return Ok(MergeSpec::PWay(4));
-            }
-            Err(CliError(format!("unknown merge mode '{s}'")))
-        }
+        "unsorted" => Ok(MergeMode::Unsorted),
+        "pairwise" => Ok(MergeMode::PairwiseRounds),
+        "pway" => Ok(MergeMode::PWay { ways: 4 }),
+        _ => match s.split_once(':') {
+            Some(("pway", ways)) => ways
+                .parse()
+                .map(|ways| MergeMode::PWay { ways })
+                .map_err(|_| CliError(format!("invalid way count '{ways}'"))),
+            _ => Err(CliError(format!("unknown merge mode '{s}'"))),
+        },
     }
 }
 
@@ -224,12 +185,12 @@ pub fn parse_args(argv: &[String]) -> Result<CliArgs, CliError> {
         app,
         input: None,
         generate: None,
-        chunking: ChunkingSpec::None,
+        chunking: Chunking::None,
         merge: None,
         workers: None,
         split_bytes: 1024 * 1024,
         prefetch: 1,
-        pool: PoolSpec::Wave,
+        pool: PoolMode::WavePerRound,
         throttle: None,
         memory_budget: None,
         spill_dir: None,
@@ -398,10 +359,10 @@ mod tests {
         let a = parse_args(&argv("wordcount --generate 1M")).unwrap();
         assert_eq!(a.app, AppKind::WordCount);
         assert_eq!(a.generate, Some(1024 * 1024));
-        assert_eq!(a.chunking, ChunkingSpec::None);
+        assert_eq!(a.chunking, Chunking::None);
         assert_eq!(a.merge, None);
         assert_eq!(a.prefetch, 1);
-        assert_eq!(a.pool, PoolSpec::Wave);
+        assert_eq!(a.pool, PoolMode::WavePerRound);
     }
 
     #[test]
@@ -413,8 +374,8 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.app, AppKind::TeraSort);
-        assert_eq!(a.chunking, ChunkingSpec::Inter(512 * 1024));
-        assert_eq!(a.merge, Some(MergeSpec::PWay(8)));
+        assert_eq!(a.chunking, Chunking::Inter { chunk_bytes: 512 * 1024 });
+        assert_eq!(a.merge, Some(MergeMode::PWay { ways: 8 }));
         assert_eq!(a.workers, Some(4));
         assert_eq!(a.split_bytes, 128 * 1024);
         assert_eq!(a.prefetch, 2);
@@ -433,50 +394,52 @@ mod tests {
 
     #[test]
     fn chunking_specs() {
+        let chunking = |spec: &str| parse_args(&argv(&format!("wc --generate 1K {spec}")));
+        assert_eq!(chunking("--chunking none").unwrap().chunking, Chunking::None);
         assert_eq!(
-            parse_args(&argv("wc --generate 1K --chunking intra:4")).unwrap().chunking,
-            ChunkingSpec::Intra(4)
+            chunking("--chunking inter:64K").unwrap().chunking,
+            Chunking::Inter { chunk_bytes: 64 * 1024 }
         );
         assert_eq!(
-            parse_args(&argv("wc --generate 1K --chunking hybrid:2M")).unwrap().chunking,
-            ChunkingSpec::Hybrid(2 * 1024 * 1024)
+            chunking("--chunking intra:4").unwrap().chunking,
+            Chunking::Intra { files_per_chunk: 4 }
         );
         assert_eq!(
-            parse_args(&argv("wc --generate 1K --chunking adaptive")).unwrap().chunking,
-            ChunkingSpec::Adaptive
+            chunking("--chunking hybrid:2M").unwrap().chunking,
+            Chunking::Hybrid { chunk_bytes: 2 * 1024 * 1024 }
         );
-        assert!(parse_args(&argv("wc --generate 1K --chunking bogus:1")).is_err());
-        assert!(parse_args(&argv("wc --generate 1K --chunking inter")).is_err());
+        assert!(chunking("--chunking bogus:1").is_err());
+        assert!(chunking("--chunking inter").is_err());
+        assert!(chunking("--chunking intra:many").is_err());
+    }
+
+    #[test]
+    fn adaptive_chunking_is_an_error_that_names_it() {
+        let err = parse_args(&argv("wc --generate 1K --chunking adaptive")).unwrap_err();
+        assert!(err.0.contains("'adaptive'"), "{err}");
+        assert!(err.0.contains("inter:SIZE"), "the error lists what is accepted: {err}");
     }
 
     #[test]
     fn merge_specs() {
-        assert_eq!(
-            parse_args(&argv("wc --generate 1K --merge pairwise")).unwrap().merge,
-            Some(MergeSpec::Pairwise)
-        );
-        assert_eq!(
-            parse_args(&argv("wc --generate 1K --merge pway")).unwrap().merge,
-            Some(MergeSpec::PWay(4))
-        );
-        assert!(parse_args(&argv("wc --generate 1K --merge sideways")).is_err());
+        let merge = |spec: &str| parse_args(&argv(&format!("wc --generate 1K --merge {spec}")));
+        assert_eq!(merge("unsorted").unwrap().merge, Some(MergeMode::Unsorted));
+        assert_eq!(merge("pairwise").unwrap().merge, Some(MergeMode::PairwiseRounds));
+        assert_eq!(merge("pway").unwrap().merge, Some(MergeMode::PWay { ways: 4 }));
+        assert_eq!(merge("pway:2").unwrap().merge, Some(MergeMode::PWay { ways: 2 }));
+        assert!(merge("sideways").is_err());
+        assert!(merge("pway:many").is_err());
+        assert!(merge("pairwise:2").is_err());
     }
 
     #[test]
     fn pool_specs() {
-        assert_eq!(
-            parse_args(&argv("wc --generate 1K --pool persistent")).unwrap().pool,
-            PoolSpec::Persistent
-        );
-        assert_eq!(
-            parse_args(&argv("wc --generate 1K --pool pooled")).unwrap().pool,
-            PoolSpec::Persistent
-        );
-        assert_eq!(
-            parse_args(&argv("wc --generate 1K --pool wave-per-round")).unwrap().pool,
-            PoolSpec::Wave
-        );
-        assert!(parse_args(&argv("wc --generate 1K --pool forever")).is_err());
+        let pool = |spec: &str| parse_args(&argv(&format!("wc --generate 1K --pool {spec}")));
+        assert_eq!(pool("persistent").unwrap().pool, PoolMode::Persistent);
+        assert_eq!(pool("pooled").unwrap().pool, PoolMode::Persistent);
+        assert_eq!(pool("wave").unwrap().pool, PoolMode::WavePerRound);
+        assert_eq!(pool("wave-per-round").unwrap().pool, PoolMode::WavePerRound);
+        assert!(pool("forever").is_err());
     }
 
     #[test]

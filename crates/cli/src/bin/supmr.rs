@@ -28,7 +28,7 @@ serve options:
 options:
   --input PATH       file (stream) or directory (file set)
   --generate SIZE    synthesize input (K/M/G suffixes)
-  --chunking SPEC    none | inter:SIZE | intra:N | hybrid:SIZE | adaptive
+  --chunking SPEC    none | inter:SIZE | intra:N | hybrid:SIZE
   --merge SPEC       unsorted | pairwise | pway[:N]
   --workers N        mapper/reducer threads
   --split SIZE       upper bound on the input split size (default 1M)

@@ -15,7 +15,7 @@
 //!   --input PATH        a file (stream input) or a directory (file set)
 //!   --generate SIZE     synthesize an app-appropriate input of SIZE
 //!                       (suffixes K/M/G; e.g. 64M)
-//!   --chunking SPEC     none | inter:SIZE | intra:N | hybrid:SIZE | adaptive
+//!   --chunking SPEC     none | inter:SIZE | intra:N | hybrid:SIZE
 //!   --merge SPEC        unsorted | pairwise | pway:N
 //!   --workers N         mapper/reducer threads          [default: cores]
 //!   --split SIZE        upper bound on the split size   [default: 1M]
@@ -54,6 +54,6 @@ pub mod args;
 pub mod reporter;
 pub mod run;
 
-pub use args::{parse_args, AppKind, ChunkingSpec, CliArgs, CliError, MergeSpec};
+pub use args::{parse_args, AppKind, CliArgs, CliError};
 pub use reporter::SnapshotReporter;
 pub use run::{execute, RunSummary};

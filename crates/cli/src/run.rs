@@ -1,14 +1,13 @@
 //! Execution layer of the `supmr` CLI: build inputs, configure the
 //! runtime, run the selected application, and render a report.
 
-use crate::args::{AppKind, ChunkingSpec, CliArgs, MergeSpec, PoolSpec};
+use crate::args::{AppKind, CliArgs};
 use crate::reporter::SnapshotReporter;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use supmr::chunk::AdaptiveConfig;
 use supmr::runtime::{GovernorConfig, Input, Job, JobConfig, JobReport, JobResult, MergeMode};
-use supmr::{Chunking, PoolMode, Registry, Result};
+use supmr::{Chunking, Registry, Result};
 use supmr_apps::{
     kmeans::run_kmeans, linreg, terasort_pipeline, Grep, Histogram, LinearRegression, TeraSort,
     WordCount,
@@ -48,25 +47,6 @@ impl RunSummary {
     }
 }
 
-fn to_chunking(spec: ChunkingSpec) -> Chunking {
-    match spec {
-        ChunkingSpec::None => Chunking::None,
-        ChunkingSpec::Inter(b) => Chunking::Inter { chunk_bytes: b },
-        ChunkingSpec::Intra(n) => Chunking::Intra { files_per_chunk: n },
-        ChunkingSpec::Hybrid(b) => Chunking::Hybrid { chunk_bytes: b },
-        ChunkingSpec::Adaptive => Chunking::Adaptive(AdaptiveConfig::default()),
-    }
-}
-
-fn to_merge(spec: Option<MergeSpec>, default: MergeMode) -> MergeMode {
-    match spec {
-        None => default,
-        Some(MergeSpec::Unsorted) => MergeMode::Unsorted,
-        Some(MergeSpec::Pairwise) => MergeMode::PairwiseRounds,
-        Some(MergeSpec::PWay(ways)) => MergeMode::PWay { ways },
-    }
-}
-
 fn job_config(
     args: &CliArgs,
     record_format: supmr_storage::RecordFormat,
@@ -79,13 +59,10 @@ fn job_config(
         flow: Some(Arc::clone(flow)),
         split_bytes: args.split_bytes,
         record_format,
-        chunking: to_chunking(args.chunking),
-        merge: to_merge(args.merge, default_merge),
+        chunking: args.chunking,
+        merge: args.merge.unwrap_or(default_merge),
         prefetch_depth: args.prefetch,
-        pool: match args.pool {
-            PoolSpec::Wave => PoolMode::WavePerRound,
-            PoolSpec::Persistent => PoolMode::Persistent,
-        },
+        pool: args.pool,
         trace: args.trace,
         metrics: metrics.cloned(),
         metrics_addr: args.metrics_addr.clone(),
@@ -221,7 +198,7 @@ fn build_input(args: &CliArgs, meter: Option<&IngestMeter>) -> io::Result<Input>
     }
     let bytes = args.generate.expect("validated: generate or input");
     // Intra/hybrid chunking needs a file set; synthesize one.
-    let wants_files = matches!(args.chunking, ChunkingSpec::Intra(_) | ChunkingSpec::Hybrid(_));
+    let wants_files = matches!(args.chunking, Chunking::Intra { .. } | Chunking::Hybrid { .. });
     if wants_files {
         let files = (bytes / (256 * 1024)).clamp(4, 64) as usize;
         let per = (bytes as usize / files).max(1024);
@@ -434,6 +411,7 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
 mod tests {
     use super::*;
     use crate::args::parse_args;
+    use supmr::SupmrError;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -546,9 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_chunking_via_cli() {
-        let s = run("wordcount --generate 256K --chunking adaptive --workers 2");
-        assert!(s.output_pairs() > 0);
+    fn zero_chunk_sizes_are_invalid_config() {
+        for spec in ["inter:0", "hybrid:0", "intra:0"] {
+            let args =
+                parse_args(&argv(&format!("wordcount --generate 64K --chunking {spec}"))).unwrap();
+            match execute(&args) {
+                Err(err) => {
+                    assert!(matches!(err, SupmrError::InvalidConfig { .. }), "{spec}: {err:?}")
+                }
+                Ok(s) => panic!("{spec} ran {} chunks instead of being rejected", s.chunks()),
+            }
+        }
     }
 
     #[test]

@@ -27,10 +27,8 @@
 //! assert_eq!(first.data, b"alpha\nbeta\n");
 //! ```
 
-mod adaptive;
 mod hybrid;
 
-pub use adaptive::{AdaptiveChunker, AdaptiveConfig};
 pub use hybrid::HybridChunker;
 
 use std::io;
@@ -39,7 +37,7 @@ use supmr_storage::scan::{find_byte, find_crlf};
 use supmr_storage::{DataSource, FileSet, RecordFormat, SharedBytes};
 
 /// How the input is partitioned into ingest chunks.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chunking {
     /// No chunking: the original runtime's whole-input ingest.
     None,
@@ -63,10 +61,6 @@ pub enum Chunking {
         /// Target chunk size in bytes.
         chunk_bytes: u64,
     },
-    /// Self-tuning inter-file chunking: the chunk size is retuned every
-    /// round from measured ingest/map times — the paper's future-work
-    /// "feedback loop" (§III-A2, §VIII).
-    Adaptive(AdaptiveConfig),
 }
 
 impl Chunking {
@@ -78,9 +72,8 @@ impl Chunking {
 
 /// One ingest chunk: a contiguous region of input resident in memory.
 ///
-/// `data` is a [`SharedBytes`] view: the ingest thread, the feedback
-/// path, and every map split reference one shared allocation, and
-/// cloning a chunk (or handing its bytes to a map wave) never copies
+/// `data` is a [`SharedBytes`] view: the ingest thread and every map
+/// split reference one shared allocation, and cloning a chunk (or handing its bytes to a map wave) never copies
 /// the payload. Fully resident sources go further — each chunk is a
 /// window of the *source's* buffer, so chunking itself is copy-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,19 +103,6 @@ impl IngestChunk {
     }
 }
 
-/// Measured durations of one completed pipeline round, fed back to
-/// chunkers that tune themselves (the paper's future-work "feedback
-/// loop" for finding the optimal ingest chunk size).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundFeedback {
-    /// Size of the chunk that was mapped this round.
-    pub chunk_bytes: u64,
-    /// Wall-clock time the ingest thread spent reading the *next* chunk.
-    pub ingest: std::time::Duration,
-    /// Wall-clock time of the map wave over this round's chunk.
-    pub map: std::time::Duration,
-}
-
 /// A stream of ingest chunks. The pipeline runtime pulls from this on a
 /// dedicated ingest thread while mappers work on the previous chunk.
 pub trait Chunker: Send {
@@ -131,32 +111,6 @@ pub trait Chunker: Send {
 
     /// Total input bytes this chunker will eventually deliver.
     fn total_bytes(&self) -> u64;
-
-    /// Observe a completed round. Fixed-size chunkers ignore this;
-    /// [`AdaptiveChunker`] uses it to retune its chunk size.
-    fn feedback(&mut self, _round: RoundFeedback) {}
-
-    /// The controller's current internal state, for chunkers that tune
-    /// themselves ([`AdaptiveChunker`]). Fixed-size chunkers have
-    /// nothing to report.
-    fn tuning(&self) -> Option<AdaptiveTuning> {
-        None
-    }
-}
-
-/// A self-tuning chunker's internals at one point in time: the chosen
-/// chunk size plus the fitted per-round cost model (`round ≈ O + bytes/R`)
-/// behind it — surfaced as `supmr.adaptive.*` gauges and
-/// `chunk-feedback` governor actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveTuning {
-    /// Chunk size the next round will use, bytes.
-    pub chunk_bytes: u64,
-    /// Fitted fixed per-round overhead `O`, microseconds (0 until the
-    /// model has two distinct observations).
-    pub overhead_us: u64,
-    /// Fitted map throughput `R`, bytes per second (0 until fitted).
-    pub rate_bytes_per_sec: u64,
 }
 
 /// Window size for scanning past the nominal chunk end to the next
@@ -182,16 +136,6 @@ impl<S: DataSource> InterFileChunker<S> {
     pub fn new(source: S, chunk_bytes: u64, format: RecordFormat) -> Self {
         assert!(chunk_bytes > 0, "chunk size must be non-zero");
         InterFileChunker { source, chunk_bytes, format, offset: 0, index: 0 }
-    }
-
-    /// Change the target chunk size for subsequent chunks (used by the
-    /// adaptive controller).
-    ///
-    /// # Panics
-    /// Panics if `chunk_bytes == 0`.
-    pub fn set_chunk_bytes(&mut self, chunk_bytes: u64) {
-        assert!(chunk_bytes > 0, "chunk size must be non-zero");
-        self.chunk_bytes = chunk_bytes;
     }
 
     /// Does `data` (starting at absolute offset `start`) end on a record

@@ -262,9 +262,8 @@ impl ActiveConfig {
 }
 
 /// Record a decision everywhere it is observable: the trace stream and
-/// the report log. Used by the governor thread and by external
-/// actuators (the adaptive chunk controller).
-pub(crate) fn note_action(
+/// the report log.
+fn note_action(
     active: &ActiveConfig,
     tracer: &Tracer,
     verdict: &'static str,
@@ -397,42 +396,6 @@ impl GovernorMetrics {
         self.reduce_width.set(active.reduce_width() as i64);
         self.prefetch_depth.set(active.prefetch_depth() as i64);
         self.shard_mask.set(active.shard_mask() as i64);
-    }
-}
-
-/// Live `supmr.adaptive.*` handles surfacing the chunk controller's
-/// internals (fitted overhead/throughput and the chosen size).
-pub(crate) struct AdaptiveGauges {
-    chunk_bytes: Gauge,
-    overhead_us: Gauge,
-    rate_bytes_per_sec: Gauge,
-}
-
-impl AdaptiveGauges {
-    pub(crate) fn register(registry: &Registry) -> AdaptiveGauges {
-        AdaptiveGauges {
-            chunk_bytes: registry.gauge(
-                "supmr.adaptive.chunk_bytes",
-                "Chunk size the adaptive controller will use next round.",
-                &[],
-            ),
-            overhead_us: registry.gauge(
-                "supmr.adaptive.overhead_us",
-                "Fitted fixed per-round overhead O, microseconds.",
-                &[],
-            ),
-            rate_bytes_per_sec: registry.gauge(
-                "supmr.adaptive.rate_bytes_per_sec",
-                "Fitted map throughput R, bytes per second.",
-                &[],
-            ),
-        }
-    }
-
-    pub(crate) fn mirror(&self, tuning: &crate::chunk::AdaptiveTuning) {
-        self.chunk_bytes.set(tuning.chunk_bytes.min(i64::MAX as u64) as i64);
-        self.overhead_us.set(tuning.overhead_us.min(i64::MAX as u64) as i64);
-        self.rate_bytes_per_sec.set(tuning.rate_bytes_per_sec.min(i64::MAX as u64) as i64);
     }
 }
 

@@ -265,8 +265,8 @@ impl Default for JobConfig {
 impl JobConfig {
     /// Check the configuration for inconsistent knobs — zero worker
     /// counts, a zero split or chunk size, `prefetch_depth == 0`, a
-    /// zero-way p-way merge, a zero memory budget, an event callback
-    /// without tracing, and the adaptive-chunking shape constraints.
+    /// zero-way p-way merge, a zero memory budget and an event callback
+    /// without tracing.
     ///
     /// Every entry path ([`Job::run`], [`Pipeline::run`], the CLI)
     /// routes through this before any work starts.
@@ -283,26 +283,13 @@ impl JobConfig {
         }
         match self.chunking {
             Chunking::Inter { chunk_bytes: 0 } | Chunking::Hybrid { chunk_bytes: 0 } => {
-                bad("chunk size must be non-zero")
+                return bad("chunk size must be non-zero");
             }
-            Chunking::Intra { files_per_chunk: 0 } => bad("files per chunk must be non-zero"),
-            Chunking::Adaptive(a) => {
-                if a.min_chunk_bytes == 0
-                    || a.min_chunk_bytes > a.initial_chunk_bytes
-                    || a.initial_chunk_bytes > a.max_chunk_bytes
-                    || !(a.overhead_fraction > 0.0 && a.overhead_fraction < 1.0)
-                {
-                    bad("adaptive chunking needs 0 < min <= initial <= max and a fraction in (0,1)")
-                } else if self.prefetch_depth > 1 {
-                    // Feedback cannot reach a chunker owned by the
-                    // buffered ingest thread.
-                    bad("adaptive chunking requires prefetch_depth == 1")
-                } else {
-                    Ok(())
-                }
+            Chunking::Intra { files_per_chunk: 0 } => {
+                return bad("files per chunk must be non-zero");
             }
-            _ => Ok(()),
-        }?;
+            _ => {}
+        }
         if self.prefetch_depth == 0 {
             return bad("prefetch depth must be at least 1");
         }

@@ -34,28 +34,25 @@
 //! which totals stalls into `JobStats` regardless of the trace level,
 //! so the Fig. 2 overlap is always quantified, not inferred.
 //!
-//! Two extensions beyond the paper's prototype live here as well:
+//! One extension beyond the paper's prototype lives here as well:
+//! **deeper prefetch**. `JobConfig::prefetch_depth > 1` replaces the
+//! per-round create/destroy ingest thread with one long-lived ingest
+//! thread pushing into a bounded buffer of that depth (N-buffering
+//! instead of double-buffering), an ablatable design variant. There the
+//! stalls are measured at the buffer boundary: map-side time blocked in
+//! `recv` and ingest-side time blocked in `send`.
 //!
-//! * **Round feedback** — each round's measured ingest/map durations are
-//!   handed back to the chunker, which is how
-//!   [`Chunking::Adaptive`] retunes its chunk size online (the paper's
-//!   future-work feedback loop).
-//! * **Deeper prefetch** — `JobConfig::prefetch_depth > 1` replaces the
-//!   per-round create/destroy ingest thread with one long-lived ingest
-//!   thread pushing into a bounded buffer of that depth (N-buffering
-//!   instead of double-buffering), an ablatable design variant. There
-//!   the stalls are measured at the buffer boundary: map-side time
-//!   blocked in `recv` and ingest-side time blocked in `send`.
+//! [`EventKind::MapWaitingForChunk`]: supmr_metrics::EventKind::MapWaitingForChunk
+//! [`EventKind::IngestWaitingForContainer`]: supmr_metrics::EventKind::IngestWaitingForContainer
 
-use super::governor::{self, ActiveConfig, AdaptiveGauges};
+use super::governor::{self, ActiveConfig};
 use super::{
     finish_job, map_wave, Input, JobConfig, MapTables, RoundRecord, StageCtx, StageResult,
     StageWiring,
 };
 use crate::api::MapReduce;
 use crate::chunk::{
-    AdaptiveChunker, AdaptiveTuning, Chunker, Chunking, HybridChunker, IngestChunk,
-    InterFileChunker, IntraFileChunker, RoundFeedback,
+    Chunker, Chunking, HybridChunker, IngestChunk, InterFileChunker, IntraFileChunker,
 };
 use crate::container::Container;
 use crate::error::{Result, SupmrError};
@@ -63,19 +60,16 @@ use crate::pool::WaveOutcome;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use supmr_metrics::{EventKind, Phase, StallSide, Tracer};
+use supmr_metrics::{Phase, StallSide};
 
 /// Build the chunker matching the configured strategy, rejecting
-/// mismatched input shapes: inter-file and adaptive chunking need a
-/// stream, intra-file and hybrid chunking need a file set.
+/// mismatched input shapes: inter-file chunking needs a stream,
+/// intra-file and hybrid chunking need a file set.
 fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
     let mismatch = |msg: &str| Err(SupmrError::invalid_config(msg));
     match (config.chunking, input) {
         (Chunking::Inter { chunk_bytes }, Input::Stream(s)) => {
             Ok(Box::new(InterFileChunker::new(s, chunk_bytes, config.record_format)))
-        }
-        (Chunking::Adaptive(adaptive), Input::Stream(s)) => {
-            Ok(Box::new(AdaptiveChunker::new(s, config.record_format, adaptive)))
         }
         (Chunking::Intra { files_per_chunk }, Input::Files(f)) => {
             Ok(Box::new(IntraFileChunker::new(f, files_per_chunk)))
@@ -83,8 +77,8 @@ fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
         (Chunking::Hybrid { chunk_bytes }, Input::Files(f)) => {
             Ok(Box::new(HybridChunker::new(f, chunk_bytes, config.record_format)))
         }
-        (Chunking::Inter { .. } | Chunking::Adaptive(_), Input::Files(_)) => {
-            mismatch("inter-file/adaptive chunking requires a stream input; got a file set")
+        (Chunking::Inter { .. }, Input::Files(_)) => {
+            mismatch("inter-file chunking requires a stream input; got a file set")
         }
         (Chunking::Intra { .. } | Chunking::Hybrid { .. }, Input::Stream(_)) => {
             mismatch("intra-file/hybrid chunking requires a file-set input; got a stream")
@@ -107,43 +101,6 @@ pub(crate) fn run<J: MapReduce>(
     } else {
         run_double_buffered(job, chunker, ctx, wiring)
     }
-}
-
-/// Surface a self-tuning chunker's state after a feedback round: mirror
-/// the fitted model into the `supmr.adaptive.*` gauges every round, and
-/// when the chosen size actually moved, record it as a `chunk-feedback`
-/// governor action (trace event, plus the report log when the job runs
-/// under a governor).
-fn surface_tuning(
-    tuning: Option<AdaptiveTuning>,
-    last_chunk_bytes: &mut u64,
-    gauges: Option<&AdaptiveGauges>,
-    active: Option<&Arc<ActiveConfig>>,
-    tracer: &Tracer,
-) {
-    let Some(tuning) = tuning else { return };
-    if let Some(g) = gauges {
-        g.mirror(&tuning);
-    }
-    if tuning.chunk_bytes != *last_chunk_bytes {
-        *last_chunk_bytes = tuning.chunk_bytes;
-        tracer.emit(EventKind::GovernorAction {
-            verdict: "chunk-feedback",
-            knob: "chunk_bytes",
-            value: tuning.chunk_bytes,
-        });
-        if let Some(a) = active {
-            a.record("chunk-feedback", "chunk_bytes", tuning.chunk_bytes);
-        }
-    }
-}
-
-/// The `supmr.adaptive.*` gauge handles, registered only for adaptive
-/// chunking runs with a live registry.
-fn adaptive_gauges(config: &JobConfig) -> Option<AdaptiveGauges> {
-    matches!(config.chunking, Chunking::Adaptive(_))
-        .then(|| config.metrics.as_ref().map(AdaptiveGauges::register))
-        .flatten()
 }
 
 /// What one overlapped ingest reports back to the round loop.
@@ -169,8 +126,6 @@ fn run_double_buffered<J: MapReduce>(
     container.configure(&super::container_hooks(config));
     let spill = super::setup_spill(job, &container, &mut ctx, &wiring)?;
     let tables = MapTables::new(&container, config);
-    let gauges = adaptive_gauges(config);
-    let mut last_tuned_bytes = 0u64;
 
     // Round 0: ingest the first chunk serially.
     ctx.probe.enter(Phase::Ingest);
@@ -228,21 +183,11 @@ fn run_double_buffered<J: MapReduce>(
             ctx.probe.stalled(map_wait, ingest_wait);
         }
 
-        let timed =
-            RoundRecord { chunk_bytes: chunk.len() as u64, ingest: ingested.took, map: map_time };
-        chunker.feedback(RoundFeedback {
-            chunk_bytes: timed.chunk_bytes,
-            ingest: timed.ingest,
-            map: timed.map,
+        ctx.probe.round_timed(RoundRecord {
+            chunk_bytes: chunk.len() as u64,
+            ingest: ingested.took,
+            map: map_time,
         });
-        surface_tuning(
-            chunker.tuning(),
-            &mut last_tuned_bytes,
-            gauges.as_ref(),
-            config.active.as_ref(),
-            ctx.probe.tracer(),
-        );
-        ctx.probe.round_timed(timed);
         current = next;
         round += 1;
     }
@@ -315,10 +260,7 @@ impl Drop for GateGuard<'_> {
 
 /// N-buffered variant: a single long-lived ingest thread streams chunks
 /// through a bounded channel of `prefetch_depth` chunks while the main
-/// thread runs map waves. Round feedback is not delivered here — the
-/// chunker lives on the ingest thread — so adaptive chunking pairs with
-/// `prefetch_depth == 1` (enforced by config validation). Under a
-/// governor the channel is widened to [`governor::PREFETCH_CAP`] and a
+/// thread runs map waves. Under a governor the channel is widened to [`governor::PREFETCH_CAP`] and a
 /// [`PrefetchGate`] enforces the dynamic depth instead.
 fn run_buffered<J: MapReduce>(
     job: &Arc<J>,
@@ -425,7 +367,7 @@ fn run_buffered<J: MapReduce>(
 #[allow(clippy::field_reassign_with_default)] // configs are clearer mutated stepwise
 mod tests {
     use super::*;
-    use crate::chunk::{AdaptiveConfig, Chunking};
+    use crate::chunk::Chunking;
     use supmr_storage::{MemFileSet, MemSource};
 
     #[test]
@@ -442,10 +384,6 @@ mod tests {
         config.chunking = Chunking::Hybrid { chunk_bytes: 100 };
         assert!(make_chunker(Input::files(MemFileSet::new(vec![])), &config).is_ok());
         assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_err());
-
-        config.chunking = Chunking::Adaptive(AdaptiveConfig::default());
-        assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_ok());
-        assert!(make_chunker(Input::files(MemFileSet::new(vec![])), &config).is_err());
 
         config.chunking = Chunking::None;
         assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_err());

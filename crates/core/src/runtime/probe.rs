@@ -279,11 +279,6 @@ impl StageProbe {
         }
     }
 
-    /// The trace the probe writes, for the governor's action events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The handle a [`JobSpill`](crate::spill::JobSpill) records its
     /// runs through. `metrics` also feeds this stage's external merges.
     pub fn spill_probe(&mut self, metrics: Option<Arc<SpillMetrics>>) -> SpillProbe {

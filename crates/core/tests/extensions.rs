@@ -1,16 +1,14 @@
-//! End-to-end tests of the extension features: adaptive chunk sizing
-//! (the paper's future-work feedback loop), hybrid inter/intra-file
-//! chunking, and N-deep prefetch. All must be observationally identical
+//! End-to-end tests of the extension features: hybrid inter/intra-file
+//! chunking and N-deep prefetch. Both must be observationally identical
 //! to the fixed double-buffered pipeline — they reorganize scheduling,
 //! never results.
 
 use supmr::api::{Emit, MapReduce};
-use supmr::chunk::AdaptiveConfig;
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
 use supmr::runtime::{Input, Job, JobConfig};
 use supmr::Chunking;
-use supmr_storage::{MemFileSet, MemSource, ThrottledSource};
+use supmr_storage::{MemFileSet, MemSource};
 use supmr_workloads::{small_files_corpus, TextGen, TextGenConfig};
 
 struct WordCount;
@@ -45,45 +43,6 @@ fn config() -> JobConfig {
 
 fn text(bytes: usize) -> Vec<u8> {
     TextGen::new(TextGenConfig::default()).generate_bytes(17, bytes)
-}
-
-#[test]
-fn adaptive_chunking_end_to_end_matches_baseline() {
-    let data = text(300_000);
-    let baseline = Job::new(WordCount)
-        .config(config())
-        .run(Input::stream(MemSource::from(data.clone())))
-        .unwrap();
-
-    let mut cfg = config();
-    cfg.chunking = Chunking::Adaptive(AdaptiveConfig {
-        initial_chunk_bytes: 16 * 1024,
-        min_chunk_bytes: 2 * 1024,
-        max_chunk_bytes: 128 * 1024,
-        overhead_fraction: 0.05,
-    });
-    // Throttle so rounds take measurable time and the controller gets
-    // meaningful feedback.
-    let piped = Job::new(WordCount)
-        .config(cfg)
-        .run(Input::stream(ThrottledSource::new(MemSource::from(data), 8.0 * 1024.0 * 1024.0)))
-        .unwrap();
-    assert_eq!(piped.sorted_pairs(), baseline.sorted_pairs());
-    assert!(piped.report.stats.ingest_chunks > 1);
-    assert!(piped.report.timings.is_fused());
-}
-
-#[test]
-fn adaptive_requires_depth_one() {
-    let mut cfg = config();
-    cfg.chunking = Chunking::Adaptive(AdaptiveConfig::default());
-    cfg.prefetch_depth = 4;
-    let err = Job::new(WordCount)
-        .config(cfg)
-        .run(Input::stream(MemSource::from(vec![1u8])))
-        .expect_err("adaptive + deep prefetch must be rejected");
-    assert!(matches!(err, supmr::SupmrError::InvalidConfig { .. }), "{err:?}");
-    assert_eq!(err.io_kind(), None);
 }
 
 #[test]
@@ -145,19 +104,4 @@ fn hybrid_with_zero_target_rejected() {
     let mut cfg = config();
     cfg.chunking = Chunking::Hybrid { chunk_bytes: 0 };
     assert!(Job::new(WordCount).config(cfg).run(Input::files(MemFileSet::new(vec![]))).is_err());
-}
-
-#[test]
-fn adaptive_bad_bounds_rejected() {
-    let mut cfg = config();
-    cfg.chunking = Chunking::Adaptive(AdaptiveConfig {
-        initial_chunk_bytes: 1,
-        min_chunk_bytes: 10,
-        max_chunk_bytes: 100,
-        overhead_fraction: 0.05,
-    });
-    assert!(Job::new(WordCount)
-        .config(cfg)
-        .run(Input::stream(MemSource::from(vec![1u8])))
-        .is_err());
 }

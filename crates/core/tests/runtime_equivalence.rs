@@ -7,7 +7,6 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use supmr::api::{Emit, MapReduce};
-use supmr::chunk::AdaptiveConfig;
 use supmr::combiner::{Count, Identity, Sum};
 use supmr::container::{ArrayContainer, HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
@@ -611,7 +610,6 @@ fn persistent_pool_matches_wave_per_round_on_streams() {
         Chunking::None,
         Chunking::Inter { chunk_bytes: 1000 },
         Chunking::Inter { chunk_bytes: 4096 },
-        Chunking::Adaptive(AdaptiveConfig::default()),
     ];
     for chunking in strategies {
         let run = |pool: PoolMode| {

@@ -1,14 +1,14 @@
-//! External sorting: spill sorted runs to disk, stream-merge them back.
+//! Run files: sorted runs spilled to disk and stream-merged back.
 //!
 //! The paper's p-way merge citation — Salzberg, *"Merging Sorted Runs
 //! Using Large Main Memory"* — is an external-merge paper: the classic
 //! discipline for inputs that exceed RAM is to sort bounded in-memory
 //! runs, spill each to a run file, and k-way merge the run streams. The
-//! in-memory SupMR runtime never needs this on the paper's 384GB box,
-//! but a library a downstream user adopts for "large batch computations"
-//! does; this module provides it on top of the same
-//! [`LoserTree`](crate::LoserTree), and the runtime's out-of-core spill
-//! path (`supmr::spill`) builds on the same run format.
+//! in-memory SupMR runtime never needs this on the paper's 384GB box;
+//! its out-of-core spill path (`supmr::spill`) writes runs with
+//! [`RunWriter`] and reads them back with [`RunReader`], and
+//! [`merge_run_files`] merges plain byte runs through the same
+//! [`LoserTree`](crate::LoserTree).
 //!
 //! Records are opaque byte strings ordered lexicographically (the
 //! Terasort order), each framed by the crate's one
@@ -299,90 +299,16 @@ impl<R: Read> Iterator for RunReader<R> {
     }
 }
 
-/// Externally sort a stream of byte records: buffer up to
-/// `run_budget_bytes` in memory, sort, spill as a run file under `dir`,
-/// repeat; returns the run paths with their record counts (the counts
-/// let callers detect truncated merges).
-///
-/// # Panics
-/// Panics if `run_budget_bytes == 0`.
-pub fn spill_sorted_runs(
-    records: impl Iterator<Item = Vec<u8>>,
-    run_budget_bytes: usize,
-    dir: impl AsRef<Path>,
-) -> io::Result<Vec<(PathBuf, u64)>> {
-    assert!(run_budget_bytes > 0, "run budget must be non-zero");
-    let dir = dir.as_ref();
-    let mut paths = Vec::new();
-    let mut buffer: Vec<Vec<u8>> = Vec::new();
-    let mut buffered_bytes = 0usize;
-
-    let spill = |buffer: &mut Vec<Vec<u8>>, paths: &mut Vec<(PathBuf, u64)>| -> io::Result<()> {
-        if buffer.is_empty() {
-            return Ok(());
-        }
-        buffer.sort_unstable();
-        let path = dir.join(format!("run-{:05}.dat", paths.len()));
-        let mut w = RunWriter::create(&path)?;
-        for rec in buffer.drain(..) {
-            w.push(&rec)?;
-        }
-        paths.push(w.finish()?);
-        Ok(())
-    };
-
-    for rec in records {
-        buffered_bytes += rec.len() + 8;
-        buffer.push(rec);
-        if buffered_bytes >= run_budget_bytes {
-            spill(&mut buffer, &mut paths)?;
-            buffered_bytes = 0;
-        }
-    }
-    spill(&mut buffer, &mut paths)?;
-    Ok(paths)
-}
-
 /// Merge previously-spilled run files into one sorted record stream.
 /// The merge is streaming: memory use is one buffered record per run.
 ///
 /// Caveat: mid-stream read errors end the affected run silently (the
 /// iterator protocol has nowhere to put them). Callers that must detect
 /// truncation should compare the merged record count against the counts
-/// returned by [`spill_sorted_runs`], as [`external_sort`] does.
+/// [`RunWriter::finish`] returned for the runs.
 pub fn merge_run_files(paths: &[PathBuf]) -> io::Result<impl Iterator<Item = Vec<u8>>> {
     let readers = paths.iter().map(RunReader::open).collect::<io::Result<Vec<RunReader>>>()?;
     Ok(merge_iterators(readers))
-}
-
-/// Convenience: external sort end-to-end. Spills runs under `dir`,
-/// merges them, and returns the fully sorted records (materialized).
-/// Run files are removed afterwards. A merge that comes back short
-/// (truncated or unreadable run file) is an error, never a silently
-/// smaller output.
-pub fn external_sort(
-    records: impl Iterator<Item = Vec<u8>>,
-    run_budget_bytes: usize,
-    dir: impl AsRef<Path>,
-) -> io::Result<Vec<Vec<u8>>> {
-    let dir = dir.as_ref();
-    let runs = spill_sorted_runs(records, run_budget_bytes, dir)?;
-    let paths: Vec<PathBuf> = runs.iter().map(|(p, _)| p.clone()).collect();
-    let expected: u64 = runs.iter().map(|(_, n)| n).sum();
-    let merged: Vec<Vec<u8>> = merge_run_files(&paths)?.collect();
-    for p in &paths {
-        let _ = std::fs::remove_file(p);
-    }
-    if merged.len() as u64 != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!(
-                "external merge returned {} of {expected} records (truncated run file?)",
-                merged.len()
-            ),
-        ));
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -395,6 +321,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Sort `records` into runs of at most `per_run` records, write each
+    /// with a [`RunWriter`] under `dir`, and return the paths with their
+    /// record counts.
+    fn write_sorted_runs(records: &[Vec<u8>], per_run: usize, dir: &Path) -> Vec<(PathBuf, u64)> {
+        records
+            .chunks(per_run)
+            .enumerate()
+            .map(|(i, run)| {
+                let mut run = run.to_vec();
+                run.sort_unstable();
+                let mut w = RunWriter::create(dir.join(format!("run-{i:05}.dat"))).unwrap();
+                for rec in &run {
+                    w.push(rec).unwrap();
+                }
+                w.finish().unwrap()
+            })
+            .collect()
+    }
+
+    /// Every record of `runs`, in the order [`merge_run_files`] yields.
+    fn merged(runs: &[(PathBuf, u64)]) -> Vec<Vec<u8>> {
+        let paths: Vec<PathBuf> = runs.iter().map(|(p, _)| p.clone()).collect();
+        merge_run_files(&paths).unwrap().collect()
     }
 
     fn random_records(n: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -574,16 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn external_sort_matches_in_memory_sort() {
+    fn merged_runs_match_in_memory_sort() {
         let dir = temp_dir("sorteq");
         let records = random_records(5_000, 9);
         let mut expected = records.clone();
         expected.sort_unstable();
-        // Budget small enough to force many runs.
-        let sorted = external_sort(records.into_iter(), 4 * 1024, &dir).unwrap();
-        assert_eq!(sorted, expected);
-        // Run files cleaned up.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // Small runs, so the merge has many heads.
+        let runs = write_sorted_runs(&records, 200, &dir);
+        assert_eq!(runs.len(), 25);
+        assert_eq!(merged(&runs), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -591,35 +541,57 @@ mod tests {
     fn spill_produces_multiple_sorted_runs() {
         let dir = temp_dir("spill");
         let records = random_records(1_000, 4);
-        let runs = spill_sorted_runs(records.into_iter(), 2 * 1024, &dir).unwrap();
+        let runs = write_sorted_runs(&records, 64, &dir);
         assert!(runs.len() > 3, "expected several runs, got {}", runs.len());
-        let total: u64 = runs.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 1_000);
         for (p, n) in &runs {
             let run: Vec<Vec<u8>> = RunReader::open(p).unwrap().collect();
             assert_eq!(run.len() as u64, *n);
             assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
         }
+        // The writers' counts are what a truncation check compares the
+        // merge against.
+        let total: u64 = runs.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, 1_000);
+        assert_eq!(merged(&runs).len() as u64, total);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_input_yields_no_runs_and_empty_output() {
         let dir = temp_dir("empty");
-        let runs = spill_sorted_runs(std::iter::empty(), 1024, &dir).unwrap();
-        assert!(runs.is_empty());
-        let sorted = external_sort(std::iter::empty(), 1024, &dir).unwrap();
-        assert!(sorted.is_empty());
+        assert!(write_sorted_runs(&[], 16, &dir).is_empty());
+        assert!(merged(&[]).is_empty());
+        // An empty run file merges to nothing alongside a non-empty one.
+        let (empty, n) = RunWriter::create(dir.join("empty.dat")).unwrap().finish().unwrap();
+        assert_eq!(n, 0);
+        let full = write_sorted_runs(&[b"only".to_vec()], 16, &dir);
+        assert!(merged(&[(empty.clone(), 0)]).is_empty());
+        assert_eq!(merged(&[(empty, 0), full[0].clone()]), vec![b"only".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merge_is_stable_across_runs_with_duplicates() {
         let dir = temp_dir("dups");
-        let records: Vec<Vec<u8>> = (0..200).map(|i| vec![(i % 3) as u8]).collect();
-        let sorted = external_sort(records.into_iter(), 64, &dir).unwrap();
-        assert_eq!(sorted.len(), 200);
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        // Every run holds every key, ten times over: ties inside a run
+        // and across runs.
+        let runs: Vec<(PathBuf, u64)> = (0..4u8)
+            .map(|run| {
+                let mut w = RunWriter::create(dir.join(format!("run-{run}.dat"))).unwrap();
+                for key in 0..3u8 {
+                    for _ in 0..10 {
+                        w.push(&[key]).unwrap();
+                    }
+                }
+                w.finish().unwrap()
+            })
+            .collect();
+        let out = merged(&runs);
+        assert_eq!(out.len(), 120);
+        assert!(out.windows(2).all(|w| w[0] <= w[1]));
+        for key in 0..3u8 {
+            assert_eq!(out.iter().filter(|r| r[..] == [key]).count(), 40);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -640,10 +612,10 @@ mod tests {
                 r
             })
             .collect();
-        let sorted = external_sort(records.clone().into_iter(), 3_000, &dir).unwrap();
+        let runs = write_sorted_runs(&records, 30, &dir);
         let mut expected = records;
         expected.sort_unstable();
-        assert_eq!(sorted, expected);
+        assert_eq!(merged(&runs), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -112,10 +112,7 @@ pub mod run;
 pub mod slots;
 pub mod sort;
 
-pub use external::{
-    external_sort, merge_run_files, spill_sorted_runs, RunReadError, RunReader, RunWriter,
-    BLOCK_BYTES,
-};
+pub use external::{merge_run_files, RunReadError, RunReader, RunWriter, BLOCK_BYTES};
 pub use folded::{merge_by_key, merge_fold, merge_fold_by, FoldedMerge};
 pub use frame::{crc32, push_frame, split_frame, FrameError};
 pub use kway::{kway_merge, merge_runs, parallel_kway_merge, KwayStats};

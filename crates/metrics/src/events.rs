@@ -232,10 +232,10 @@ pub enum EventKind {
     /// The feedback governor changed a runtime knob in response to a
     /// live bottleneck verdict (instant).
     GovernorAction {
-        /// The classifier verdict (or controller name) that motivated
-        /// the change, e.g. `"ingest-bound"` or `"chunk-feedback"`.
+        /// The classifier verdict that motivated the change, e.g.
+        /// `"ingest-bound"`.
         verdict: &'static str,
-        /// Which knob moved, e.g. `"map_width"` or `"chunk_bytes"`.
+        /// Which knob moved, e.g. `"map_width"` or `"prefetch_depth"`.
         knob: &'static str,
         /// The knob's new value.
         value: u64,

@@ -25,7 +25,7 @@ run fig5_real               # Fig. 5  on real threads
 run fig6                    # Fig. 6  SupMR sort trace
 run fig7 -- --real          # Fig. 7  HDFS case study
 run chunk_sweep             # chunk-size ablation (+ energy)
-run ablations               # prefetch depth / adaptive / merge backend
+run ablations               # prefetch depth / chunk size / merge backend
 run scaleout_compare        # SVIII scale-up vs scale-out comparison
 
 echo
