@@ -222,13 +222,19 @@ pub fn parse_args(argv: &[String]) -> Result<CliArgs, CliError> {
                 args.workers =
                     Some(value()?.parse().map_err(|_| CliError("invalid worker count".into()))?)
             }
-            "--split" => args.split_bytes = parse_size(&value()?)?.max(1) as usize,
+            "--split" => args.split_bytes = parse_size(&value()?)? as usize,
             "--prefetch" => {
                 args.prefetch =
                     value()?.parse().map_err(|_| CliError("invalid prefetch depth".into()))?
             }
             "--pool" => args.pool = parse_pool(&value()?)?,
-            "--throttle" => args.throttle = Some(parse_size(&value()?)?.max(1) as f64),
+            "--throttle" => {
+                let rate = parse_size(&value()?)?;
+                if rate == 0 {
+                    return Err(CliError("--throttle must be positive".into()));
+                }
+                args.throttle = Some(rate as f64);
+            }
             "--memory-budget" => {
                 let budget = parse_size(&value()?)?;
                 if budget == 0 {
@@ -418,6 +424,14 @@ mod tests {
         let err = parse_args(&argv("wc --generate 1K --chunking adaptive")).unwrap_err();
         assert!(err.0.contains("'adaptive'"), "{err}");
         assert!(err.0.contains("inter:SIZE"), "the error lists what is accepted: {err}");
+    }
+
+    #[test]
+    fn zero_throttle_is_an_error_that_names_it() {
+        let err = parse_args(&argv("wc --generate 1K --throttle 0")).unwrap_err();
+        assert!(err.0.contains("--throttle"), "{err}");
+        let args = parse_args(&argv("wc --generate 1K --throttle 1")).unwrap();
+        assert_eq!(args.throttle, Some(1.0));
     }
 
     #[test]

@@ -1,83 +1,10 @@
-//! The `supmr` command-line tool. See crate docs / `--help` for usage.
+//! The `supmr` command-line tool; `supmr --help` prints its usage.
 
 use std::path::Path;
-use supmr_cli::{execute, parse_args, RunSummary};
+use supmr_cli::{execute, parse_args, RunSummary, USAGE};
 use supmr_metrics::ascii::{render_timeline, ChartOptions};
 use supmr_metrics::chrome::{to_chrome_json, to_jsonl};
 use supmr_metrics::{JobTrace, PhaseTimings};
-
-const USAGE: &str = "\
-usage: supmr <app> [--input PATH | --generate SIZE] [options]
-       supmr serve [--listen ADDR] [serve options]
-
-apps: wordcount terasort grep histogram linreg kmeans
-
-serve options:
-  --listen ADDR      bind address (default 127.0.0.1:8900)
-  --workers N        shared worker pool size (default: cores)
-  --max-concurrent N jobs running at once (default 2)
-  --queue-depth N    bounded admission queue (default 16)
-  --memory-budget SIZE
-                     global budget partitioned across running jobs;
-                     a tenant that outgrows its share spills to disk
-  --job-workers N    per-job wave width default (default: pool size)
-  endpoints: POST /jobs, GET /jobs[/{id}], DELETE /jobs/{id},
-             GET /metrics, GET /debug/governor?job=ID, GET /healthz,
-             POST /shutdown; SIGTERM drains gracefully
-
-options:
-  --input PATH       file (stream) or directory (file set)
-  --generate SIZE    synthesize input (K/M/G suffixes)
-  --chunking SPEC    none | inter:SIZE | intra:N | hybrid:SIZE
-  --merge SPEC       unsorted | pairwise | pway[:N]
-  --workers N        mapper/reducer threads
-  --split SIZE       upper bound on the input split size (default 1M)
-  --prefetch N       ingest chunks buffered ahead (default 1)
-  --pool MODE        wave (spawn/join per round, default) | persistent
-  --throttle RATE    cap storage bandwidth (e.g. 24M = 24 MiB/s)
-  --memory-budget SIZE
-                     cap the intermediate set; past it the job spills
-                     sorted runs to disk and reduces via external merge
-  --spill-dir PATH   where spill runs go (default: per-job temp dir)
-  --trace LEVEL      event tracing: off (default) | wave | task
-  --trace-out PATH   write the trace: .json Chrome trace (chrome://tracing),
-                     .jsonl line-delimited events, .txt ASCII timeline
-                     (implies --trace wave if tracing is off)
-  --metrics-addr A   serve live OpenMetrics at http://A/metrics while the
-                     job runs (curl http://A/metrics)
-  --metrics-interval D
-                     print ASCII metrics snapshots to stderr every D
-                     (500ms, 2s, ...)
-  --diagnose         print the bottleneck diagnosis after the job: the
-                     verdict (ingest-bound, map-bound, shuffle-bound,
-                     memory-budget-bound, reduce/merge-bound), blocked-
-                     time shares, and achieved MB/s per phase
-  --adaptive         run the feedback governor: sample the live metrics,
-                     classify the bottleneck, and retune wave widths,
-                     prefetch depth, the absorb sweep mask, and spill
-                     watermarks mid-job
-  --governor-interval D
-                     governor sampling period (default 50ms; implies
-                     --adaptive)
-  --report-out PATH  write the full job report JSON (timings, metrics,
-                     diagnosis, governor decisions) to PATH
-  --top N            results to print (default 10)
-  --seed N           generator seed (default 42)
-  --hash-seed N      fix the container hash seed for reproducible
-                     key placement (default: random per run)
-  --pattern P        grep pattern (repeatable)
-  --k N --iters N    kmeans parameters
-
-examples:
-  supmr wordcount --generate 64M --chunking inter:4M --throttle 24M
-  supmr wordcount --generate 64M --chunking inter:4M --trace-out trace.json
-  supmr wordcount --generate 64M --metrics-addr 127.0.0.1:9400
-  supmr wordcount --generate 64M --throttle 24M --diagnose
-  supmr wordcount --generate 64M --throttle 24M --adaptive --report-out report.json
-  supmr terasort  --input /data/tera.dat --chunking inter:64M --merge pway:8
-  supmr terasort  --generate 8G --memory-budget 2G --spill-dir /mnt/fast/spill
-  supmr grep      --input logs/ --chunking intra:8 --pattern ERROR
-";
 
 /// Serialize `trace` in the format implied by `path`'s extension.
 fn render_trace(trace: &JobTrace, path: &Path) -> String {

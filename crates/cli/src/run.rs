@@ -15,8 +15,7 @@ use supmr_apps::{
 use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::{
     DataSource, DirFileSet, DiskRunStore, FileSet, FileSource, IngestMeter, MemSource,
-    ObservedFileSet, ObservedRunStore, ObservedSource, RunStore, ThrottledFileSet,
-    ThrottledRunStore, ThrottledSource, TokenBucket,
+    ObservedSource, RunStore, ThrottledSource,
 };
 use supmr_workloads::{
     clustered_points, small_files_corpus, PointsConfig, TeraGen, TextGen, TextGenConfig,
@@ -113,14 +112,14 @@ fn configure_spill(
     });
     let mut store: Arc<dyn RunStore> = Arc::new(DiskRunStore::create(&dir)?);
     if let Some(rate) = args.throttle {
-        store = Arc::new(ThrottledRunStore::new(store, TokenBucket::new(rate)));
+        store = Arc::new(ThrottledSource::new(store, rate));
     }
     if let Some(m) = meter {
         // The spill store gets its own meter clone with its own flow
         // attribution: its reads happen during the external merge, its
         // writes during spills (the source meter's reads are ingest).
         let spill_meter = m.clone().with_flow(Arc::clone(flow), FlowPhase::Merge, FlowPhase::Spill);
-        store = Arc::new(ObservedRunStore::new(store, spill_meter));
+        store = Arc::new(ObservedSource::new(store, spill_meter));
     }
     config.spill_store = Some(store);
     Ok(())
@@ -172,7 +171,7 @@ fn stream_input(src: impl DataSource + 'static, meter: Option<&IngestMeter>) -> 
 /// [`stream_input`]'s file-set counterpart.
 fn files_input(set: impl FileSet + 'static, meter: Option<&IngestMeter>) -> Input {
     match meter {
-        Some(m) => Input::files(ObservedFileSet::new(set, m.clone())),
+        Some(m) => Input::files(ObservedSource::new(set, m.clone())),
         None => Input::files(set),
     }
 }
@@ -184,9 +183,7 @@ fn build_input(args: &CliArgs, meter: Option<&IngestMeter>) -> io::Result<Input>
         if path.is_dir() {
             let set = DirFileSet::open(path)?;
             return Ok(match throttle {
-                Some(rate) => {
-                    files_input(ThrottledFileSet::with_bucket(set, TokenBucket::new(rate)), meter)
-                }
+                Some(rate) => files_input(ThrottledSource::new(set, rate), meter),
                 None => files_input(set, meter),
             });
         }
@@ -205,9 +202,7 @@ fn build_input(args: &CliArgs, meter: Option<&IngestMeter>) -> io::Result<Input>
         let corpus = small_files_corpus(args.seed, files, per);
         let set = supmr_storage::MemFileSet::new(corpus);
         return Ok(match throttle {
-            Some(rate) => {
-                files_input(ThrottledFileSet::with_bucket(set, TokenBucket::new(rate)), meter)
-            }
+            Some(rate) => files_input(ThrottledSource::new(set, rate), meter),
             None => files_input(set, meter),
         });
     }
@@ -534,6 +529,15 @@ mod tests {
                 }
                 Ok(s) => panic!("{spec} ran {} chunks instead of being rejected", s.chunks()),
             }
+        }
+    }
+
+    #[test]
+    fn zero_split_is_invalid_config() {
+        let args = parse_args(&argv("wordcount --generate 64K --split 0")).unwrap();
+        match execute(&args) {
+            Err(err) => assert!(matches!(err, SupmrError::InvalidConfig { .. }), "{err:?}"),
+            Ok(s) => panic!("--split 0 ran {} map tasks, not an error", s.report.stats.map_tasks),
         }
     }
 

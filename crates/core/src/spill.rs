@@ -665,13 +665,10 @@ mod tests {
 
     #[test]
     fn write_faults_are_parked_not_panicked() {
-        use supmr_storage::FaultyRunStore;
+        use supmr_storage::{Fault, FaultySource};
         let inner = MemRunStore::new();
-        let store = FaultyRunStore::fail_writes_after(
-            Arc::new(inner.clone()),
-            4,
-            io::ErrorKind::StorageFull,
-        );
+        let store =
+            FaultySource::new(inner.clone(), Fault::writes_after(4, io::ErrorKind::StorageFull));
         let spill = spill_onto(Arc::new(store));
         spill.spill_partition(0, vec![(1, 1), (2, 2)], &ByKey(|_: &u64| 0));
         assert_eq!(spill.runs_written(), 0);

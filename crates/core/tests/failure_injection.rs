@@ -15,9 +15,7 @@ use supmr::combiner::Sum;
 use supmr::container::HashContainer;
 use supmr::runtime::{Input, Job, JobConfig};
 use supmr::{Chunking, PairCodec, PoolMode, SupmrError};
-use supmr_storage::{
-    FaultyFileSet, FaultyRunStore, FaultySource, MemFileSet, MemRunStore, MemSource,
-};
+use supmr_storage::{Fault, FaultySource, MemFileSet, MemRunStore, MemSource};
 use supmr_workloads::{small_files_corpus, TextGen, TextGenConfig};
 
 struct WordCount;
@@ -99,7 +97,10 @@ fn config() -> JobConfig {
 
 #[test]
 fn original_runtime_surfaces_ingest_errors() {
-    let source = FaultySource::new(MemSource::from(text(100_000)), 50_000, ErrorKind::BrokenPipe);
+    let source = FaultySource::new(
+        MemSource::from(text(100_000)),
+        Fault::at_byte(50_000, ErrorKind::BrokenPipe),
+    );
     let err = Job::new(WordCount).config(config()).run(Input::stream(source)).unwrap_err();
     assert_eq!(err.io_kind(), Some(ErrorKind::BrokenPipe));
 }
@@ -108,7 +109,10 @@ fn original_runtime_surfaces_ingest_errors() {
 fn double_buffered_pipeline_surfaces_mid_stream_errors() {
     // Fault lands several chunks in, so the error happens on the
     // overlapped ingest thread while a map wave is running.
-    let source = FaultySource::new(MemSource::from(text(200_000)), 90_000, ErrorKind::BrokenPipe);
+    let source = FaultySource::new(
+        MemSource::from(text(200_000)),
+        Fault::at_byte(90_000, ErrorKind::BrokenPipe),
+    );
     let mut cfg = config();
     cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
     let err = Job::new(WordCount).config(cfg).run(Input::stream(source)).unwrap_err();
@@ -121,7 +125,10 @@ fn double_buffered_pipeline_surfaces_mid_stream_errors() {
 
 #[test]
 fn buffered_pipeline_surfaces_mid_stream_errors() {
-    let source = FaultySource::new(MemSource::from(text(200_000)), 90_000, ErrorKind::TimedOut);
+    let source = FaultySource::new(
+        MemSource::from(text(200_000)),
+        Fault::at_byte(90_000, ErrorKind::TimedOut),
+    );
     let mut cfg = config();
     cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
     cfg.prefetch_depth = 4;
@@ -131,7 +138,8 @@ fn buffered_pipeline_surfaces_mid_stream_errors() {
 
 #[test]
 fn fault_on_first_chunk_fails_before_any_round() {
-    let source = FaultySource::new(MemSource::from(text(50_000)), 0, ErrorKind::NotFound);
+    let source =
+        FaultySource::new(MemSource::from(text(50_000)), Fault::at_byte(0, ErrorKind::NotFound));
     let mut cfg = config();
     cfg.chunking = Chunking::Inter { chunk_bytes: 8 * 1024 };
     let err = Job::new(WordCount).config(cfg).run(Input::stream(source)).unwrap_err();
@@ -145,7 +153,8 @@ fn fault_on_first_chunk_fails_before_any_round() {
 #[test]
 fn intra_file_pipeline_surfaces_file_errors() {
     let files = small_files_corpus(6, 9, 2_000);
-    let faulty = FaultyFileSet::new(MemFileSet::new(files), 5, ErrorKind::PermissionDenied);
+    let faulty =
+        FaultySource::new(MemFileSet::new(files), Fault::file(5, ErrorKind::PermissionDenied));
     let mut cfg = config();
     cfg.chunking = Chunking::Intra { files_per_chunk: 2 };
     let err = Job::new(WordCount).config(cfg).run(Input::files(faulty)).unwrap_err();
@@ -155,7 +164,8 @@ fn intra_file_pipeline_surfaces_file_errors() {
 #[test]
 fn hybrid_pipeline_surfaces_file_errors() {
     let files = small_files_corpus(6, 6, 2_000);
-    let faulty = FaultyFileSet::new(MemFileSet::new(files), 3, ErrorKind::PermissionDenied);
+    let faulty =
+        FaultySource::new(MemFileSet::new(files), Fault::file(3, ErrorKind::PermissionDenied));
     let mut cfg = config();
     cfg.chunking = Chunking::Hybrid { chunk_bytes: 3_000 };
     let err = Job::new(WordCount).config(cfg).run(Input::files(faulty)).unwrap_err();
@@ -165,7 +175,7 @@ fn hybrid_pipeline_surfaces_file_errors() {
 #[test]
 fn original_runtime_surfaces_file_errors() {
     let files = small_files_corpus(6, 4, 1_000);
-    let faulty = FaultyFileSet::new(MemFileSet::new(files), 0, ErrorKind::Interrupted);
+    let faulty = FaultySource::new(MemFileSet::new(files), Fault::file(0, ErrorKind::Interrupted));
     let err = Job::new(WordCount).config(config()).run(Input::files(faulty)).unwrap_err();
     assert_eq!(err.io_kind(), Some(ErrorKind::Interrupted));
 }
@@ -207,7 +217,10 @@ fn pooled_map_panic_fails_the_job_with_the_original_payload() {
 
 #[test]
 fn pooled_job_surfaces_ingest_errors_and_joins_the_pool() {
-    let source = FaultySource::new(MemSource::from(text(200_000)), 90_000, ErrorKind::BrokenPipe);
+    let source = FaultySource::new(
+        MemSource::from(text(200_000)),
+        Fault::at_byte(90_000, ErrorKind::BrokenPipe),
+    );
     let mut cfg = config();
     cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
     cfg.pool = PoolMode::Persistent;
@@ -223,7 +236,7 @@ fn spill_store_filling_up_under_concurrent_spillers_fails_the_job_cleanly() {
     // boundary, with every run — whole or cut short — removed.
     let store = MemRunStore::new();
     let faulty =
-        FaultyRunStore::fail_writes_after(Arc::new(store.clone()), 20_000, ErrorKind::StorageFull);
+        FaultySource::new(store.clone(), Fault::writes_after(20_000, ErrorKind::StorageFull));
     let mut cfg = config();
     cfg.map_workers = 4;
     cfg.reduce_workers = 3;
@@ -248,7 +261,8 @@ fn fault_beyond_input_never_fires() {
         .config(config())
         .run(Input::stream(MemSource::from(data.clone())))
         .unwrap();
-    let source = FaultySource::new(MemSource::from(data), u64::MAX, ErrorKind::BrokenPipe);
+    let source =
+        FaultySource::new(MemSource::from(data), Fault::at_byte(u64::MAX, ErrorKind::BrokenPipe));
     let mut cfg = config();
     cfg.chunking = Chunking::Inter { chunk_bytes: 8 * 1024 };
     let result = Job::new(WordCount).config(cfg).run(Input::stream(source)).unwrap();

@@ -12,7 +12,7 @@ use supmr::container::{HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::{Chunking, PairCodec, SupmrError};
 use supmr_metrics::{MetricValue, Registry};
-use supmr_storage::{FaultyRunStore, MemRunStore, MemSource, RunStore};
+use supmr_storage::{Fault, FaultySource, MemRunStore, MemSource, RunStore};
 use supmr_workloads::check::{check, Gen};
 
 /// WordCount with a spill codec: `u32 LE` word length, word, `u64 LE`
@@ -529,7 +529,7 @@ fn zero_budget_is_rejected() {
 #[test]
 fn run_write_faults_surface_as_ingest_errors() {
     let store = MemRunStore::new();
-    let faulty = FaultyRunStore::fail_writes_after(Arc::new(store.clone()), 0, ErrorKind::Other);
+    let faulty = FaultySource::new(store.clone(), Fault::writes_after(0, ErrorKind::Other));
     let mut config = base_config();
     config.memory_budget = Some(64);
     config.spill_store = Some(Arc::new(faulty));
@@ -546,7 +546,7 @@ fn run_read_faults_surface_as_typed_errors_not_panics() {
     let store = MemRunStore::new();
     // Writes succeed (runs land intact), reads die partway through the
     // external merge.
-    let faulty = FaultyRunStore::fail_reads_after(Arc::new(store.clone()), 32, ErrorKind::Other);
+    let faulty = FaultySource::new(store.clone(), Fault::reads_after(32, ErrorKind::Other));
     let mut config = base_config();
     config.memory_budget = Some(64);
     config.spill_store = Some(Arc::new(faulty));
@@ -649,10 +649,9 @@ fn run_store_faults_under_concurrent_spill_and_wide_reduce_stay_typed() {
 
         for (what, fail_at) in [("ENOSPC after some runs", written / 2), ("short write", 13)] {
             let store = MemRunStore::new();
-            let faulty = FaultyRunStore::fail_writes_after(
-                Arc::new(store.clone()),
-                fail_at,
-                ErrorKind::StorageFull,
+            let faulty = FaultySource::new(
+                store.clone(),
+                Fault::writes_after(fail_at, ErrorKind::StorageFull),
             );
             let err = run(Arc::new(faulty)).err().unwrap_or_else(|| panic!("{what}: must fail"));
             assert!(matches!(err, SupmrError::Ingest { .. }), "{what}: got {err:?}");
@@ -661,11 +660,8 @@ fn run_store_faults_under_concurrent_spill_and_wide_reduce_stay_typed() {
         }
 
         let store = MemRunStore::new();
-        let faulty = FaultyRunStore::fail_reads_after(
-            Arc::new(store.clone()),
-            written / 2,
-            ErrorKind::Other,
-        );
+        let faulty =
+            FaultySource::new(store.clone(), Fault::reads_after(written / 2, ErrorKind::Other));
         let err = run(Arc::new(faulty)).err().expect("read fault must fail the job");
         assert!(matches!(err, SupmrError::Merge { .. } | SupmrError::Ingest { .. }), "got {err:?}");
         assert!(store.is_empty(), "runs must be removed after a read fault");

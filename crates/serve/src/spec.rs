@@ -150,6 +150,15 @@ fn size_field(value: &Json, field: &str) -> Result<u64, SpecError> {
     }
 }
 
+/// A size the job cannot run at zero: rejected here rather than queued
+/// to fail `JobConfig::validate` later.
+fn nonzero_size_field(value: &Json, field: &str) -> Result<u64, SpecError> {
+    match size_field(value, field)? {
+        0 => Err(bad(format!("{field}: must be non-zero"))),
+        n => Ok(n),
+    }
+}
+
 fn uint_field(value: &Json, field: &str) -> Result<u64, SpecError> {
     match value {
         Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => Ok(*n as u64),
@@ -214,9 +223,11 @@ impl JobSpec {
                 "reduce_workers" => {
                     spec.reduce_workers = Some(uint_field(value, "reduce_workers")? as usize)
                 }
-                "split" => spec.split_bytes = Some(size_field(value, "split")?),
-                "chunk" => spec.chunk_bytes = Some(size_field(value, "chunk")?),
-                "memory_budget" => spec.memory_budget = Some(size_field(value, "memory_budget")?),
+                "split" => spec.split_bytes = Some(nonzero_size_field(value, "split")?),
+                "chunk" => spec.chunk_bytes = Some(nonzero_size_field(value, "chunk")?),
+                "memory_budget" => {
+                    spec.memory_budget = Some(nonzero_size_field(value, "memory_budget")?)
+                }
                 "hash_seed" => spec.hash_seed = Some(uint_field(value, "hash_seed")?),
                 "patterns" => {
                     let arr = value.as_arr().ok_or_else(|| bad("patterns: expected an array"))?;
@@ -311,6 +322,9 @@ mod tests {
             (br#"{"app":"wordcount","generate":"-4K"}"#, "generate"),
             (br#"{"app":"wordcount","generate":0}"#, "non-empty"),
             (br#"{"app":"wordcount","workers":0}"#, "non-zero"),
+            (br#"{"app":"wordcount","split":0}"#, "split: must be non-zero"),
+            (br#"{"app":"wordcount","chunk":"0K"}"#, "chunk: must be non-zero"),
+            (br#"{"app":"terasort","memory_budget":0}"#, "memory_budget: must be non-zero"),
             (br#"{"app":"grep"}"#, "pattern"),
             (br#"{"app":"wordcount","priority":"urgent"}"#, "priority"),
             (br#"not json"#, "invalid JSON"),

@@ -12,21 +12,31 @@
 //!   the unit of intra-file chunking.
 //! * [`record::RecordFormat`] — how records terminate, so inter-file
 //!   chunking can adjust split points to record boundaries.
-//! * [`throttle`] — a token-bucket rate limiter and throttled source
-//!   wrappers that emulate a bounded-bandwidth device (the RAID-0) with
-//!   real wall-clock pacing.
+//! * [`shape`] — [`Shaped`], the one wrapper that puts a simulated
+//!   [`Device`] in front of a source, a file set or a run store. Three
+//!   devices exist, one per storage concern, and each wraps all three
+//!   interfaces:
+//!   * [`throttle`] — [`TokenBucket`] paces the bytes
+//!     ([`ThrottledSource`]) to emulate a bounded-bandwidth device (the
+//!     RAID-0) with real wall-clock pacing;
+//!   * [`observe`] — [`IngestMeter`] counts bytes, calls and time spent
+//!     inside the storage layer ([`ObservedSource`]), the storage-side
+//!     complement of the runtime's event tracer;
+//!   * [`fault`] — a [`Fault`] fails reads or writes by a deterministic
+//!     rule ([`FaultySource`]) for error-path tests.
 //! * [`hdfs`] — a simulated scale-out store: N datanodes with per-node
 //!   disk bandwidth behind one shared, rate-limited link (the Fig. 7
 //!   case study).
-//! * [`observe`] — metered source wrappers ([`IngestMeter`]) that count
-//!   bytes, reads, and time spent inside the storage layer, the
-//!   ingest-side complement of the runtime's event tracer.
 //! * [`spill`] — named run stores for the runtime's out-of-core spill
-//!   pipeline, stackable with the same throttle/observe/fault
-//!   decorators so spilled runs share the simulated device.
-
+//!   pipeline; wrapped like any source, spilled runs share the
+//!   simulated device.
+//!
 //! ```
-//! use supmr_storage::{DataSource, MemSource, SourceExt, ThrottledSource};
+//! use std::io::{Read, Write};
+//! use supmr_storage::{
+//!     DataSource, IngestMeter, MemRunStore, MemSource, ObservedSource, RunStore, SourceExt,
+//!     ThrottledSource,
+//! };
 //!
 //! // A 1KB in-memory input served through a paced "device".
 //! let mut src = ThrottledSource::new(
@@ -35,6 +45,16 @@
 //! );
 //! assert_eq!(src.len(), 1024);
 //! assert_eq!(src.read_range(100, 24).unwrap(), vec![7u8; 24]);
+//!
+//! // The same wrappers stack on a run store: metered spill I/O on that
+//! // device.
+//! let meter = IngestMeter::new();
+//! let runs = ObservedSource::new(ThrottledSource::new(MemRunStore::new(), 64e6), meter.clone());
+//! runs.create("run0").unwrap().write_all(b"spilled").unwrap();
+//! let mut back = Vec::new();
+//! runs.open("run0").unwrap().read_to_end(&mut back).unwrap();
+//! assert_eq!(back, b"spilled");
+//! assert_eq!((meter.bytes_written(), meter.bytes_read()), (7, 7));
 //! ```
 
 pub mod fault;
@@ -42,22 +62,21 @@ pub mod hdfs;
 pub mod observe;
 pub mod record;
 pub mod scan;
+pub mod shape;
 pub mod shared;
 pub mod source;
 pub mod spill;
 pub mod throttle;
 
-pub use fault::{FaultyFileSet, FaultySource};
+pub use fault::{Fault, FaultySource};
 pub use hdfs::{HdfsConfig, HdfsSource};
-pub use observe::{IngestMeter, ObservedFileSet, ObservedSource};
+pub use observe::{IngestMeter, ObservedSource};
 pub use record::RecordFormat;
 pub use scan::{find_byte, find_crlf, ByteClass};
+pub use shape::{Device, Shaped, Transfer};
 pub use shared::SharedBytes;
 pub use source::{
     CachedSource, DataSource, DirFileSet, FileSet, FileSource, MemFileSet, MemSource, SourceExt,
 };
-pub use spill::{
-    DiskRunStore, FaultyRunStore, MemRunStore, ObservedRunStore, RunGuard, RunStore,
-    ThrottledRunStore,
-};
-pub use throttle::{ThrottledFileSet, ThrottledSource, TokenBucket};
+pub use spill::{DiskRunStore, MemRunStore, RunGuard, RunStore};
+pub use throttle::{ThrottledSource, TokenBucket};

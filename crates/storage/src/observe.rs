@@ -1,23 +1,21 @@
-//! Ingest-side observability: metered wrappers around sources.
+//! Storage-side observability: the metering device.
 //!
 //! The runtime's tracer sees the pipeline's view of ingest (chunk spans,
 //! stalls); [`IngestMeter`] sees the storage layer's view — how many
-//! bytes crossed the [`DataSource`] / [`FileSet`] boundary, in how many
-//! reads, and how long
-//! those reads took inside the source. Comparing the two separates "the
-//! disk was slow" from "the pipeline did not ask" when diagnosing an
-//! ingest-bound run.
+//! bytes crossed the source, file-set and run-store boundary, in how
+//! many calls, and how long those took inside the storage layer.
+//! Comparing the two separates "the disk was slow" from "the pipeline
+//! did not ask" when diagnosing an ingest-bound run.
 //!
-//! Wrap any source with [`ObservedSource`] / [`ObservedFileSet`] and
-//! keep a clone of the meter; the counters are shared atomics, so the
-//! meter can be polled from another thread while the job runs.
+//! The meter is a [`Device`]: wrap any source, file set or run store in
+//! an [`ObservedSource`] and keep a clone of the meter; the counters are
+//! shared atomics, so the meter can be polled from another thread while
+//! the job runs.
 
-use crate::shared::SharedBytes;
-use crate::source::{DataSource, FileSet};
-use std::io;
+use crate::shape::{Device, Shaped, Transfer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use supmr_metrics::{Counter, FlowLedger, FlowPhase, Histogram, Registry};
 
 #[derive(Debug, Default)]
@@ -174,7 +172,7 @@ impl IngestMeter {
         Duration::from_nanos(self.inner.write_nanos.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn record(&self, bytes: u64, elapsed: Duration) {
+    fn record(&self, bytes: u64, elapsed: Duration) {
         self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
         self.inner.read_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
@@ -188,7 +186,7 @@ impl IngestMeter {
         }
     }
 
-    pub(crate) fn record_write(&self, bytes: u64, elapsed: Duration) {
+    fn record_write(&self, bytes: u64, elapsed: Duration) {
         self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         self.inner.writes.fetch_add(1, Ordering::Relaxed);
         self.inner.write_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
@@ -203,115 +201,40 @@ impl IngestMeter {
     }
 }
 
-/// A [`DataSource`] wrapper that meters every read through an
-/// [`IngestMeter`]. Forwards [`shared`](DataSource::shared) (zero-copy
-/// stays zero-copy); a taken view is counted as one read of the full
-/// source length.
-#[derive(Debug)]
-pub struct ObservedSource<S> {
-    inner: S,
-    meter: IngestMeter,
-}
-
-impl<S: DataSource> ObservedSource<S> {
-    /// Wrap `inner`, reporting into `meter`.
-    pub fn new(inner: S, meter: IngestMeter) -> Self {
-        ObservedSource { inner, meter }
+impl Device for IngestMeter {
+    fn after(&self, transfer: Transfer, bytes: u64, elapsed: Duration) {
+        match transfer {
+            Transfer::StreamWrite(_) => self.record_write(bytes, elapsed),
+            _ => self.record(bytes, elapsed),
+        }
     }
 
-    /// The shared meter (clone it to keep polling after the source is
-    /// moved into a job).
-    pub fn meter(&self) -> &IngestMeter {
-        &self.meter
+    /// A view passes, counted once as one read of its length.
+    fn passes_views(&self) -> bool {
+        true
     }
 
-    /// Unwrap, discarding the meter handle.
-    pub fn into_inner(self) -> S {
-        self.inner
+    fn describe(&self, inner: String) -> String {
+        format!("observed {inner}")
     }
 }
 
-impl<S: DataSource> DataSource for ObservedSource<S> {
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
+/// A source, file set or run store metered through an [`IngestMeter`]:
+/// reads feed its read families, run writes its write families.
+pub type ObservedSource<T> = Shaped<T, IngestMeter>;
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let start = Instant::now();
-        let n = self.inner.read_at(offset, buf)?;
-        self.meter.record(n as u64, start.elapsed());
-        Ok(n)
-    }
-
-    fn shared(&mut self) -> Option<SharedBytes> {
-        let start = Instant::now();
-        let view = self.inner.shared()?;
-        self.meter.record(view.len() as u64, start.elapsed());
-        Some(view)
-    }
-
-    fn describe(&self) -> String {
-        format!("observed {}", self.inner.describe())
-    }
-}
-
-/// A [`FileSet`] wrapper that meters every file read; the [`FileSet`]
-/// counterpart of [`ObservedSource`].
-#[derive(Debug)]
-pub struct ObservedFileSet<F> {
-    inner: F,
-    meter: IngestMeter,
-}
-
-impl<F: FileSet> ObservedFileSet<F> {
-    /// Wrap `inner`, reporting into `meter`.
-    pub fn new(inner: F, meter: IngestMeter) -> Self {
-        ObservedFileSet { inner, meter }
-    }
-
-    /// The shared meter.
-    pub fn meter(&self) -> &IngestMeter {
-        &self.meter
-    }
-
-    /// Unwrap, discarding the meter handle.
-    pub fn into_inner(self) -> F {
-        self.inner
-    }
-}
-
-impl<F: FileSet> FileSet for ObservedFileSet<F> {
-    fn file_count(&self) -> usize {
-        self.inner.file_count()
-    }
-
-    fn file_len(&self, idx: usize) -> u64 {
-        self.inner.file_len(idx)
-    }
-
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        let start = Instant::now();
-        let data = self.inner.read_file(idx)?;
-        self.meter.record(data.len() as u64, start.elapsed());
-        Ok(data)
-    }
-
-    fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {
-        let start = Instant::now();
-        let view = self.inner.shared_file(idx)?;
-        self.meter.record(view.len() as u64, start.elapsed());
-        Some(view)
-    }
-
-    fn describe(&self) -> String {
-        format!("observed {}", self.inner.describe())
+impl<T> ObservedSource<T> {
+    /// Wrap `inner`, reporting into `meter` (keep a clone to poll it
+    /// after the wrapper moves into a job).
+    pub fn new(inner: T, meter: IngestMeter) -> Self {
+        Shaped { inner, device: meter }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{MemFileSet, MemSource, SourceExt};
+    use crate::source::{DataSource, FileSet, MemFileSet, MemSource, SourceExt};
     use crate::throttle::ThrottledSource;
 
     #[test]
@@ -417,7 +340,7 @@ mod tests {
     fn file_set_reads_are_metered() {
         let meter = IngestMeter::new();
         let files = MemFileSet::new(vec![vec![0u8; 100], vec![0u8; 250]]);
-        let mut set = ObservedFileSet::new(files, meter.clone());
+        let mut set = ObservedSource::new(files, meter.clone());
         assert_eq!(set.file_count(), 2);
         assert_eq!(set.total_len(), 350);
         set.read_file(0).unwrap();

@@ -32,9 +32,9 @@ pub trait DataSource: Send {
 
     /// A zero-copy view of the *entire* source, if the bytes are already
     /// resident in shared memory. `None` (the default) means callers must
-    /// fall back to [`read_at`](DataSource::read_at) copies. Pacing
-    /// wrappers ([`ThrottledSource`](crate::ThrottledSource),
-    /// [`FaultySource`](crate::FaultySource)) keep the default so their
+    /// fall back to [`read_at`](DataSource::read_at) copies. Pacing and
+    /// fault wrappers ([`ThrottledSource`](crate::ThrottledSource),
+    /// [`FaultySource`](crate::FaultySource)) refuse the view so their
     /// per-read behavior cannot be bypassed.
     fn shared(&mut self) -> Option<SharedBytes> {
         None
@@ -272,7 +272,7 @@ pub trait FileSet: Send {
     /// in shared memory. Mirrors [`DataSource::shared`]: `None` (the
     /// default) means callers fall back to
     /// [`read_file`](FileSet::read_file) copies, and pacing/fault
-    /// wrappers keep the default.
+    /// wrappers refuse the view.
     fn shared_file(&mut self, _idx: usize) -> Option<SharedBytes> {
         None
     }

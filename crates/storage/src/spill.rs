@@ -3,24 +3,20 @@
 //! The runtime's spill pipeline (`supmr::spill`) writes sorted runs when
 //! the memory accountant trips and streams them back for the external
 //! reduce merge. This module owns the *where*: a [`RunStore`] names runs
-//! and hands out byte sinks/sources, so the same decorator stack that
-//! shapes ingest applies to spill traffic — [`ThrottledRunStore`] paces
-//! runs through a [`TokenBucket`] (the `--throttle` device simulation
-//! charges spill I/O too), [`ObservedRunStore`] feeds the
-//! `supmr.storage.*` families of an [`IngestMeter`], and
-//! [`FaultyRunStore`] injects deterministic failures for error-path
-//! tests. [`RunGuard`] is the RAII cleanup: a run file a panic leaves
-//! behind is deleted when its guard unwinds.
+//! and hands out byte sinks/sources, so the same wrappers that shape
+//! ingest apply to spill traffic: a run store in a
+//! [`ThrottledSource`](crate::ThrottledSource) draws on the `--throttle`
+//! device's token bucket, in an [`ObservedSource`](crate::ObservedSource)
+//! it feeds the `supmr.storage.*` read and write families, and in a
+//! [`FaultySource`](crate::FaultySource) it fails deterministically for
+//! error-path tests. [`RunGuard`] is the RAII cleanup: a run file a panic
+//! leaves behind is deleted when its guard unwinds.
 
-use crate::observe::IngestMeter;
-use crate::throttle::TokenBucket;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use supmr_metrics::unpoisoned;
 
 /// Named byte blobs for spill runs.
@@ -41,6 +37,24 @@ pub trait RunStore: Send + Sync {
     /// Human-readable description for reports and errors.
     fn describe(&self) -> String {
         "run store".to_string()
+    }
+}
+
+impl<R: RunStore + ?Sized> RunStore for Arc<R> {
+    fn create(&self, name: &str) -> io::Result<Box<dyn Write + Send>> {
+        (**self).create(name)
+    }
+
+    fn open(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
+        (**self).open(name)
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        (**self).remove(name)
+    }
+
+    fn describe(&self) -> String {
+        (**self).describe()
     }
 }
 
@@ -179,265 +193,6 @@ impl RunStore for MemRunStore {
     }
 }
 
-/// Paces spill reads and writes through a (possibly shared) token
-/// bucket — share the ingest bucket and spill traffic competes with
-/// ingest for the same simulated device, exactly like a real disk.
-pub struct ThrottledRunStore {
-    inner: Arc<dyn RunStore>,
-    bucket: TokenBucket,
-}
-
-impl ThrottledRunStore {
-    /// Pace `inner` through `bucket`.
-    pub fn new(inner: Arc<dyn RunStore>, bucket: TokenBucket) -> ThrottledRunStore {
-        ThrottledRunStore { inner, bucket }
-    }
-}
-
-struct ThrottledWriter {
-    inner: Box<dyn Write + Send>,
-    bucket: TokenBucket,
-}
-
-impl Write for ThrottledWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bucket.acquire(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-struct ThrottledReader {
-    inner: Box<dyn Read + Send>,
-    bucket: TokenBucket,
-}
-
-impl Read for ThrottledReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.bucket.acquire(n as u64);
-        Ok(n)
-    }
-}
-
-impl RunStore for ThrottledRunStore {
-    fn create(&self, name: &str) -> io::Result<Box<dyn Write + Send>> {
-        Ok(Box::new(ThrottledWriter {
-            inner: self.inner.create(name)?,
-            bucket: self.bucket.clone(),
-        }))
-    }
-
-    fn open(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
-        Ok(Box::new(ThrottledReader { inner: self.inner.open(name)?, bucket: self.bucket.clone() }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn describe(&self) -> String {
-        format!("{} @ {:.1} MB/s", self.inner.describe(), self.bucket.rate() / (1024.0 * 1024.0))
-    }
-}
-
-/// Meters spill I/O through an [`IngestMeter`]: reads feed the
-/// `supmr.storage.bytes_read` family, writes the
-/// `supmr.storage.bytes_written` family.
-pub struct ObservedRunStore {
-    inner: Arc<dyn RunStore>,
-    meter: IngestMeter,
-}
-
-impl ObservedRunStore {
-    /// Wrap `inner`, reporting into `meter`.
-    pub fn new(inner: Arc<dyn RunStore>, meter: IngestMeter) -> ObservedRunStore {
-        ObservedRunStore { inner, meter }
-    }
-}
-
-struct ObservedWriter {
-    inner: Box<dyn Write + Send>,
-    meter: IngestMeter,
-}
-
-impl Write for ObservedWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let start = Instant::now();
-        let n = self.inner.write(buf)?;
-        self.meter.record_write(n as u64, start.elapsed());
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-struct ObservedReader {
-    inner: Box<dyn Read + Send>,
-    meter: IngestMeter,
-}
-
-impl Read for ObservedReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let start = Instant::now();
-        let n = self.inner.read(buf)?;
-        self.meter.record(n as u64, start.elapsed());
-        Ok(n)
-    }
-}
-
-impl RunStore for ObservedRunStore {
-    fn create(&self, name: &str) -> io::Result<Box<dyn Write + Send>> {
-        Ok(Box::new(ObservedWriter { inner: self.inner.create(name)?, meter: self.meter.clone() }))
-    }
-
-    fn open(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
-        Ok(Box::new(ObservedReader { inner: self.inner.open(name)?, meter: self.meter.clone() }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn describe(&self) -> String {
-        format!("observed {}", self.inner.describe())
-    }
-}
-
-#[derive(Debug)]
-struct FaultyState {
-    read_fail_at: Option<u64>,
-    write_fail_at: Option<u64>,
-    kind: io::ErrorKind,
-    read_bytes: AtomicU64,
-    write_bytes: AtomicU64,
-}
-
-impl FaultyState {
-    fn check(&self, ctr: &AtomicU64, limit: Option<u64>, n: u64, dir: &str) -> io::Result<()> {
-        let Some(limit) = limit else { return Ok(()) };
-        if ctr.fetch_add(n, Ordering::Relaxed) + n > limit {
-            return Err(io::Error::new(
-                self.kind,
-                format!("injected spill {dir} fault at byte {limit}"),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Injects deterministic failures into spill I/O, the run-store
-/// counterpart of [`FaultySource`](crate::FaultySource): reads (or
-/// writes) fail once the cumulative bytes across all streams pass a
-/// threshold.
-pub struct FaultyRunStore {
-    inner: Arc<dyn RunStore>,
-    state: Arc<FaultyState>,
-}
-
-impl FaultyRunStore {
-    /// Fail all reads after `fail_at` cumulative bytes with `kind`.
-    pub fn fail_reads_after(
-        inner: Arc<dyn RunStore>,
-        fail_at: u64,
-        kind: io::ErrorKind,
-    ) -> FaultyRunStore {
-        FaultyRunStore {
-            inner,
-            state: Arc::new(FaultyState {
-                read_fail_at: Some(fail_at),
-                write_fail_at: None,
-                kind,
-                read_bytes: AtomicU64::new(0),
-                write_bytes: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Fail all writes after `fail_at` cumulative bytes with `kind`.
-    pub fn fail_writes_after(
-        inner: Arc<dyn RunStore>,
-        fail_at: u64,
-        kind: io::ErrorKind,
-    ) -> FaultyRunStore {
-        FaultyRunStore {
-            inner,
-            state: Arc::new(FaultyState {
-                read_fail_at: None,
-                write_fail_at: Some(fail_at),
-                kind,
-                read_bytes: AtomicU64::new(0),
-                write_bytes: AtomicU64::new(0),
-            }),
-        }
-    }
-}
-
-struct FaultyWriter {
-    inner: Box<dyn Write + Send>,
-    state: Arc<FaultyState>,
-}
-
-impl Write for FaultyWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.state.check(
-            &self.state.write_bytes,
-            self.state.write_fail_at,
-            buf.len() as u64,
-            "write",
-        )?;
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-struct FaultyReader {
-    inner: Box<dyn Read + Send>,
-    state: Arc<FaultyState>,
-}
-
-impl Read for FaultyReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.state.check(
-            &self.state.read_bytes,
-            self.state.read_fail_at,
-            buf.len() as u64,
-            "read",
-        )?;
-        self.inner.read(buf)
-    }
-}
-
-impl RunStore for FaultyRunStore {
-    fn create(&self, name: &str) -> io::Result<Box<dyn Write + Send>> {
-        Ok(Box::new(FaultyWriter {
-            inner: self.inner.create(name)?,
-            state: Arc::clone(&self.state),
-        }))
-    }
-
-    fn open(&self, name: &str) -> io::Result<Box<dyn Read + Send>> {
-        Ok(Box::new(FaultyReader { inner: self.inner.open(name)?, state: Arc::clone(&self.state) }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn describe(&self) -> String {
-        format!("{} (faulty)", self.inner.describe())
-    }
-}
-
 /// Deletes a named run on drop unless [`keep`](RunGuard::keep) was
 /// called: a panic that unwinds through the spill pipeline removes its
 /// run files instead of leaking them into the spill directory.
@@ -481,6 +236,8 @@ impl Drop for RunGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Fault, FaultySource, IngestMeter, ObservedSource, ThrottledSource, TokenBucket};
+    use std::time::Instant;
 
     fn temp_store(tag: &str) -> (DiskRunStore, PathBuf) {
         let dir = std::env::temp_dir().join(format!("supmr-spill-{tag}"));
@@ -555,7 +312,7 @@ mod tests {
     fn throttled_store_paces_writes() {
         let store = Arc::new(MemRunStore::new());
         let bucket = TokenBucket::with_burst(1_000_000.0, 32.0 * 1024.0);
-        let throttled = ThrottledRunStore::new(store.clone(), bucket);
+        let throttled = ThrottledSource::with_bucket(store.clone(), bucket);
         let t0 = Instant::now();
         // 150KB at 1MB/s minus the 32KiB burst: >= ~0.11s.
         write_run(&throttled, "slow", &vec![7u8; 150_000]);
@@ -568,7 +325,7 @@ mod tests {
     fn observed_store_feeds_both_directions() {
         let store = Arc::new(MemRunStore::new());
         let meter = IngestMeter::new();
-        let observed = ObservedRunStore::new(store, meter.clone());
+        let observed = ObservedSource::new(store, meter.clone());
         write_run(&observed, "m", &vec![1u8; 4096]);
         assert_eq!(meter.bytes_written(), 4096);
         assert!(meter.write_calls() >= 1);
@@ -581,7 +338,7 @@ mod tests {
     fn faulty_store_fails_reads_past_the_threshold() {
         let store = Arc::new(MemRunStore::new());
         write_run(store.as_ref(), "r", &vec![2u8; 8192]);
-        let faulty = FaultyRunStore::fail_reads_after(store, 1024, io::ErrorKind::BrokenPipe);
+        let faulty = FaultySource::new(store, Fault::reads_after(1024, io::ErrorKind::BrokenPipe));
         let mut rd = faulty.open("r").unwrap();
         let mut buf = vec![0u8; 512];
         rd.read_exact(&mut buf).unwrap();
@@ -596,7 +353,8 @@ mod tests {
     #[test]
     fn faulty_store_fails_writes_past_the_threshold() {
         let store = Arc::new(MemRunStore::new());
-        let faulty = FaultyRunStore::fail_writes_after(store, 1024, io::ErrorKind::StorageFull);
+        let faulty =
+            FaultySource::new(store, Fault::writes_after(1024, io::ErrorKind::StorageFull));
         let mut w = faulty.create("w").unwrap();
         w.write_all(&vec![3u8; 512]).unwrap();
         let err = w.write_all(&vec![3u8; 1024]).unwrap_err();

@@ -3,18 +3,18 @@
 //! Real-execution experiments need to reproduce the paper's storage
 //! environment — a 3-disk RAID-0 capped at 384 MB/s — on machines whose
 //! page cache would otherwise serve the scaled-down inputs at tens of
-//! GB/s. [`TokenBucket`] implements the standard rate limiter and
-//! [`ThrottledSource`]/[`ThrottledFileSet`] wrap any source with it, so an
-//! ingest of B bytes takes ≈ B/rate wall-clock seconds and genuinely
-//! overlaps with computation the way a slow device does.
+//! GB/s. [`TokenBucket`] implements the standard rate limiter and is the
+//! pacing [`Device`]: [`ThrottledSource`] puts it in front of a source, a
+//! file set or a run store, so moving B bytes takes ≈ B/rate wall-clock
+//! seconds and genuinely overlaps with computation the way a slow device
+//! does.
 //!
 //! The bucket's arithmetic is a pure state machine over nanosecond
 //! timestamps ([`BucketState`]) so its invariants are unit- and
 //! property-testable without sleeping; the blocking wrapper adds real
 //! time.
 
-use crate::source::{DataSource, FileSet};
-use std::io;
+use crate::shape::{Device, Shaped, Transfer};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use supmr_metrics::unpoisoned;
@@ -165,96 +165,38 @@ impl TokenBucket {
     }
 }
 
-/// A [`DataSource`] decorator that paces reads through a token bucket.
-#[derive(Debug)]
-pub struct ThrottledSource<S> {
-    inner: S,
-    bucket: TokenBucket,
+impl Device for TokenBucket {
+    /// Pace: the transfer returns once its bytes have drawn their tokens.
+    fn after(&self, _: Transfer, bytes: u64, _: Duration) {
+        self.acquire(bytes);
+    }
+
+    fn describe(&self, inner: String) -> String {
+        format!("{inner} @ {:.1} MB/s", self.rate() / (1024.0 * 1024.0))
+    }
 }
 
-impl<S: DataSource> ThrottledSource<S> {
+/// A source, file set or run store paced through a [`TokenBucket`].
+pub type ThrottledSource<T> = Shaped<T, TokenBucket>;
+
+impl<T> ThrottledSource<T> {
     /// Pace `inner` at `rate_bytes_per_sec` with a private bucket.
-    pub fn new(inner: S, rate_bytes_per_sec: f64) -> Self {
+    pub fn new(inner: T, rate_bytes_per_sec: f64) -> Self {
         Self::with_bucket(inner, TokenBucket::new(rate_bytes_per_sec))
     }
 
-    /// Pace `inner` through a (possibly shared) bucket.
-    pub fn with_bucket(inner: S, bucket: TokenBucket) -> Self {
-        ThrottledSource { inner, bucket }
-    }
-
-    /// The shared bucket (clone to attach more sources to the same
-    /// device).
-    pub fn bucket(&self) -> &TokenBucket {
-        &self.bucket
-    }
-
-    /// Unwrap the inner source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: DataSource> DataSource for ThrottledSource<S> {
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read_at(offset, buf)?;
-        self.bucket.acquire(n as u64);
-        Ok(n)
-    }
-
-    fn describe(&self) -> String {
-        format!("{} @ {:.1} MB/s", self.inner.describe(), self.bucket.rate() / (1024.0 * 1024.0))
-    }
-}
-
-/// A [`FileSet`] decorator that paces whole-file reads through a token
-/// bucket.
-#[derive(Debug)]
-pub struct ThrottledFileSet<F> {
-    inner: F,
-    bucket: TokenBucket,
-}
-
-impl<F: FileSet> ThrottledFileSet<F> {
-    /// Pace `inner` at `rate_bytes_per_sec`.
-    pub fn new(inner: F, rate_bytes_per_sec: f64) -> Self {
-        Self::with_bucket(inner, TokenBucket::new(rate_bytes_per_sec))
-    }
-
-    /// Pace `inner` through a shared bucket.
-    pub fn with_bucket(inner: F, bucket: TokenBucket) -> Self {
-        ThrottledFileSet { inner, bucket }
-    }
-}
-
-impl<F: FileSet> FileSet for ThrottledFileSet<F> {
-    fn file_count(&self) -> usize {
-        self.inner.file_count()
-    }
-
-    fn file_len(&self, idx: usize) -> u64 {
-        self.inner.file_len(idx)
-    }
-
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        let data = self.inner.read_file(idx)?;
-        self.bucket.acquire(data.len() as u64);
-        Ok(data)
-    }
-
-    fn describe(&self) -> String {
-        format!("{} @ {:.1} MB/s", self.inner.describe(), self.bucket.rate() / (1024.0 * 1024.0))
+    /// Pace `inner` through a (possibly shared) bucket: share the ingest
+    /// bucket with a run store and spill traffic competes with ingest
+    /// for the same simulated device, like a real disk.
+    pub fn with_bucket(inner: T, bucket: TokenBucket) -> Self {
+        Shaped { inner, device: bucket }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{MemFileSet, MemSource, SourceExt};
+    use crate::source::{DataSource, FileSet, MemFileSet, MemSource, SourceExt};
 
     const SEC: u64 = 1_000_000_000;
 
@@ -358,7 +300,7 @@ mod tests {
     #[test]
     fn throttled_fileset_paces_and_preserves_contents() {
         let files = vec![vec![1u8; 50_000], vec![2u8; 50_000]];
-        let mut fs = ThrottledFileSet::with_bucket(
+        let mut fs = ThrottledSource::with_bucket(
             MemFileSet::new(files.clone()),
             TokenBucket::with_burst(1_000_000.0, 32.0 * 1024.0),
         );

@@ -11,7 +11,7 @@ use supmr::runtime::{Input, Job, JobConfig};
 use supmr::Chunking;
 use supmr_apps::WordCount;
 use supmr_metrics::PhaseTimings;
-use supmr_storage::{DirFileSet, ThrottledFileSet, TokenBucket};
+use supmr_storage::{DirFileSet, ThrottledSource};
 use supmr_workloads::files::write_corpus_dir;
 
 fn main() {
@@ -23,10 +23,7 @@ fn main() {
 
     // Serve the files through a 12 MB/s "disk".
     let throttled = || {
-        ThrottledFileSet::with_bucket(
-            DirFileSet::open(&dir).expect("open corpus"),
-            TokenBucket::new(12.0 * 1024.0 * 1024.0),
-        )
+        ThrottledSource::new(DirFileSet::open(&dir).expect("open corpus"), 12.0 * 1024.0 * 1024.0)
     };
 
     let base_config = JobConfig { map_workers: 4, reduce_workers: 4, ..JobConfig::default() };

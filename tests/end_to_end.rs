@@ -34,12 +34,8 @@ fn wordcount_from_real_files_through_throttled_pipeline() {
     let _ = std::fs::remove_dir_all(&dir);
     write_corpus_dir(&dir, 5, 12, 64 * 1024).unwrap();
 
-    let throttled = || {
-        supmr_storage::ThrottledFileSet::new(
-            DirFileSet::open(&dir).unwrap(),
-            64.0 * 1024.0 * 1024.0,
-        )
-    };
+    let throttled =
+        || ThrottledSource::new(DirFileSet::open(&dir).unwrap(), 64.0 * 1024.0 * 1024.0);
     let baseline =
         Job::new(WordCount::new()).config(config(3)).run(Input::files(throttled())).unwrap();
     let mut piped_config = config(3);
