@@ -4,16 +4,18 @@
 //! because the map phase is a tiny fraction of the ingest-bound job,
 //! the end-to-end speedup is only a few seconds.
 //!
-//! `--real` also drives the actual runtime through the simulated-HDFS
-//! `DataSource` (32 datanode buckets behind one shared link bucket) at
-//! a scaled size.
+//! `--real` also drives the actual runtime at a scaled size through the
+//! one device every byte crosses: the link, a `ThrottledSource` at a
+//! scaled "1GbE". The 32 datanodes together serve far more than the
+//! link carries, so no per-node pacing would bind — `supmr-sim` models
+//! the same case as one device too (`MachineSpec::paper_testbed_hdfs`).
 
 use supmr::runtime::{Input, Job, JobConfig};
 use supmr::Chunking;
 use supmr_apps::WordCount;
 use supmr_bench::{emit_figure, trace_with_phase_marks};
 use supmr_sim::{simulate, AppProfile, JobModel, MachineSpec, PipelineParams};
-use supmr_storage::{HdfsConfig, HdfsSource, MemSource};
+use supmr_storage::{MemSource, ThrottledSource};
 use supmr_workloads::{TextGen, TextGenConfig};
 
 fn main() {
@@ -56,32 +58,23 @@ fn main() {
     if std::env::args().any(|a| a == "--real") {
         run_real();
     } else {
-        println!("\n(re-run with --real to drive the real runtime through the HDFS-sim source)");
+        println!("\n(re-run with --real to drive the real runtime behind the simulated link)");
     }
 }
 
 fn run_real() {
-    println!("\n== real runtime through the simulated HDFS source (scaled) ==");
+    println!("\n== real runtime behind the simulated HDFS link (scaled) ==");
     let data = TextGen::new(TextGenConfig::default()).generate_bytes(7, 8 * 1024 * 1024);
-    let cluster = |payload: Vec<u8>| {
-        HdfsSource::new(
-            MemSource::from(payload),
-            HdfsConfig {
-                datanodes: 32,
-                node_disk_rate: 64.0 * 1024.0 * 1024.0,
-                link_rate: 12.0 * 1024.0 * 1024.0, // scaled "1GbE"
-                block_size: 256 * 1024,
-            },
-        )
-    };
+    // The scaled "1GbE" link.
+    let link =
+        |payload: Vec<u8>| ThrottledSource::new(MemSource::from(payload), 12.0 * 1024.0 * 1024.0);
     let mut config = JobConfig { map_workers: 4, reduce_workers: 4, ..JobConfig::default() };
     let original = Job::new(WordCount::new())
         .config(config.clone())
-        .run(Input::stream(cluster(data.clone())))
+        .run(Input::stream(link(data.clone())))
         .unwrap();
     config.chunking = Chunking::Inter { chunk_bytes: 512 * 1024 };
-    let piped =
-        Job::new(WordCount::new()).config(config).run(Input::stream(cluster(data))).unwrap();
+    let piped = Job::new(WordCount::new()).config(config).run(Input::stream(link(data))).unwrap();
 
     assert_eq!(original.sorted_pairs(), piped.sorted_pairs());
     println!(

@@ -4,7 +4,6 @@
 use crate::args::{AppKind, CliArgs};
 use crate::reporter::SnapshotReporter;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use supmr::runtime::{GovernorConfig, Input, Job, JobConfig, JobReport, JobResult, MergeMode};
 use supmr::{Chunking, Registry, Result};
@@ -14,8 +13,8 @@ use supmr_apps::{
 };
 use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::{
-    DataSource, DirFileSet, DiskRunStore, FileSet, FileSource, IngestMeter, MemSource,
-    ObservedSource, RunStore, ThrottledSource,
+    DirFileSet, DiskRunStore, FileSource, IngestMeter, MemFileSet, MemSource, ObservedSource,
+    RunStore, ThrottledSource, TokenBucket,
 };
 use supmr_workloads::{
     clustered_points, small_files_corpus, PointsConfig, TeraGen, TextGen, TextGenConfig,
@@ -51,7 +50,7 @@ fn job_config(
     record_format: supmr_storage::RecordFormat,
     default_merge: MergeMode,
     metrics: Option<&Registry>,
-    meter: Option<&IngestMeter>,
+    storage: &Storage,
     flow: &Arc<FlowLedger>,
 ) -> io::Result<JobConfig> {
     let mut config = JobConfig {
@@ -79,42 +78,30 @@ fn job_config(
         }
         config.governor = Some(governor);
     }
-    configure_spill(args, meter, flow, &mut config)?;
+    configure_spill(args, storage, flow, &mut config)?;
     Ok(config)
 }
 
 /// Apply `--memory-budget`/`--spill-dir`. Spill runs go through the
-/// storage layer like ingest does: under `--throttle` they draw from a
-/// token bucket, and with metrics attached they feed the storage meter —
-/// which requires building the run store here rather than leaving it to
-/// the runtime.
+/// run's storage device like ingest does, so the CLI builds the run
+/// store rather than leaving it to the runtime.
 fn configure_spill(
     args: &CliArgs,
-    meter: Option<&IngestMeter>,
+    storage: &Storage,
     flow: &Arc<FlowLedger>,
     config: &mut JobConfig,
 ) -> io::Result<()> {
     let Some(budget) = args.memory_budget else { return Ok(()) };
     config.memory_budget = Some(budget);
-    if args.throttle.is_none() && meter.is_none() {
-        // Nothing to wrap; the runtime manages the store (and cleans up
-        // the temp directory when no --spill-dir is given).
-        config.spill_dir = args.spill_dir.clone();
-        return Ok(());
+    let disk = match &args.spill_dir {
+        Some(dir) => DiskRunStore::create(dir)?,
+        None => DiskRunStore::temp()?,
+    };
+    let mut store: Arc<dyn RunStore> = Arc::new(disk);
+    if let Some(bucket) = &storage.bucket {
+        store = Arc::new(ThrottledSource::with_bucket(store, bucket.clone()));
     }
-    static CLI_SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = args.spill_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "supmr-spill-{}-{}",
-            std::process::id(),
-            CLI_SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    });
-    let mut store: Arc<dyn RunStore> = Arc::new(DiskRunStore::create(&dir)?);
-    if let Some(rate) = args.throttle {
-        store = Arc::new(ThrottledSource::new(store, rate));
-    }
-    if let Some(m) = meter {
+    if let Some(m) = &storage.meter {
         // The spill store gets its own meter clone with its own flow
         // attribution: its reads happen during the external merge, its
         // writes during spills (the source meter's reads are ingest).
@@ -159,59 +146,62 @@ fn generated_bytes(app: AppKind, seed: u64, bytes: u64, k: usize) -> Vec<u8> {
     }
 }
 
-/// Wrap a stream source into an [`Input`], metering it if a meter is
-/// present (`--metrics-*` flags feed `supmr.storage.*` families).
-fn stream_input(src: impl DataSource + 'static, meter: Option<&IngestMeter>) -> Input {
-    match meter {
-        Some(m) => Input::stream(ObservedSource::new(src, m.clone())),
-        None => Input::stream(src),
-    }
+/// The run's one storage device: under `--throttle`, one token bucket
+/// that ingest and spill I/O both draw from, as they share a disk; with
+/// `--metrics-*`, the meter that counts them.
+#[derive(Clone)]
+struct Storage {
+    bucket: Option<TokenBucket>,
+    meter: Option<IngestMeter>,
 }
 
-/// [`stream_input`]'s file-set counterpart.
-fn files_input(set: impl FileSet + 'static, meter: Option<&IngestMeter>) -> Input {
-    match meter {
-        Some(m) => Input::files(ObservedSource::new(set, m.clone())),
-        None => Input::files(set),
-    }
-}
-
-/// Build the job input from the CLI arguments.
-fn build_input(args: &CliArgs, meter: Option<&IngestMeter>) -> io::Result<Input> {
-    let throttle = args.throttle;
-    if let Some(path) = &args.input {
-        if path.is_dir() {
-            let set = DirFileSet::open(path)?;
-            return Ok(match throttle {
-                Some(rate) => files_input(ThrottledSource::new(set, rate), meter),
-                None => files_input(set, meter),
-            });
+impl Storage {
+    /// Put `input` behind the device: paced, then metered.
+    fn input(&self, input: Input) -> Input {
+        match input {
+            Input::Stream(mut src) => {
+                if let Some(bucket) = &self.bucket {
+                    src = Box::new(ThrottledSource::with_bucket(src, bucket.clone()));
+                }
+                if let Some(meter) = &self.meter {
+                    src = Box::new(ObservedSource::new(src, meter.clone()));
+                }
+                Input::Stream(src)
+            }
+            Input::Files(mut set) => {
+                if let Some(bucket) = &self.bucket {
+                    set = Box::new(ThrottledSource::with_bucket(set, bucket.clone()));
+                }
+                if let Some(meter) = &self.meter {
+                    set = Box::new(ObservedSource::new(set, meter.clone()));
+                }
+                Input::Files(set)
+            }
         }
-        let src = FileSource::open(path)?;
-        return Ok(match throttle {
-            Some(rate) => stream_input(ThrottledSource::new(src, rate), meter),
-            None => stream_input(src, meter),
-        });
+    }
+}
+
+/// Build the job input from the CLI arguments, behind the run's device.
+fn build_input(args: &CliArgs, storage: &Storage) -> io::Result<Input> {
+    if let Some(path) = &args.input {
+        let input = if path.is_dir() {
+            Input::files(DirFileSet::open(path)?)
+        } else {
+            Input::stream(FileSource::open(path)?)
+        };
+        return Ok(storage.input(input));
     }
     let bytes = args.generate.expect("validated: generate or input");
     // Intra/hybrid chunking needs a file set; synthesize one.
     let wants_files = matches!(args.chunking, Chunking::Intra { .. } | Chunking::Hybrid { .. });
-    if wants_files {
+    let input = if wants_files {
         let files = (bytes / (256 * 1024)).clamp(4, 64) as usize;
         let per = (bytes as usize / files).max(1024);
-        let corpus = small_files_corpus(args.seed, files, per);
-        let set = supmr_storage::MemFileSet::new(corpus);
-        return Ok(match throttle {
-            Some(rate) => files_input(ThrottledSource::new(set, rate), meter),
-            None => files_input(set, meter),
-        });
-    }
-    let data = generated_bytes(args.app, args.seed, bytes, args.k);
-    let src = MemSource::from(data);
-    Ok(match throttle {
-        Some(rate) => stream_input(ThrottledSource::new(src, rate), meter),
-        None => stream_input(src, meter),
-    })
+        Input::files(MemFileSet::new(small_files_corpus(args.seed, files, per)))
+    } else {
+        Input::stream(MemSource::from(generated_bytes(args.app, args.seed, bytes, args.k)))
+    };
+    Ok(storage.input(input))
 }
 
 /// Run the job described by `args` and return a printable summary.
@@ -245,13 +235,16 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
     // storage meters (which own the phases they meter) and the runtime
     // (which records the rest and classifies the bottleneck).
     let flow = Arc::new(FlowLedger::new());
-    let meter = registry.map(|r| {
-        IngestMeter::with_registry(r).with_flow(
-            Arc::clone(&flow),
-            FlowPhase::Ingest,
-            FlowPhase::Spill,
-        )
-    });
+    let storage = Storage {
+        bucket: args.throttle.map(TokenBucket::new),
+        meter: registry.map(|r| {
+            IngestMeter::with_registry(r).with_flow(
+                Arc::clone(&flow),
+                FlowPhase::Ingest,
+                FlowPhase::Spill,
+            )
+        }),
+    };
     match args.app {
         AppKind::WordCount => {
             let config = job_config(
@@ -259,12 +252,10 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 supmr_storage::RecordFormat::Newline,
                 MergeMode::Unsorted,
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
-            let r = Job::new(WordCount::new())
-                .config(config)
-                .run(build_input(args, meter.as_ref())?)?;
+            let r = Job::new(WordCount::new()).config(config).run(build_input(args, &storage)?)?;
             let mut pairs = r.pairs.clone();
             pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             let lines = pairs.iter().take(top).map(|(w, c)| format!("{c:>10}  {w}")).collect();
@@ -278,10 +269,10 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 TeraSort::record_format(),
                 MergeMode::PWay { ways: 4 },
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
-            let input = build_input(args, meter.as_ref())?;
+            let input = build_input(args, &storage)?;
             let (pairs, report) = if args.pipeline {
                 // Two-stage partition→sort pipeline: same output, but
                 // the report (and any scraped metrics) break down by
@@ -307,14 +298,13 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 supmr_storage::RecordFormat::Newline,
                 MergeMode::Unsorted,
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
             let patterns: Vec<Vec<u8>> =
                 args.patterns.iter().map(|p| p.clone().into_bytes()).collect();
-            let r = Job::new(Grep::new(patterns))
-                .config(config)
-                .run(build_input(args, meter.as_ref())?)?;
+            let r =
+                Job::new(Grep::new(patterns)).config(config).run(build_input(args, &storage)?)?;
             let mut pairs = r.pairs.clone();
             pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
             let lines = pairs.iter().take(top).map(|(p, c)| format!("{c:>10}  {p}")).collect();
@@ -326,12 +316,10 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 Histogram::record_format(),
                 MergeMode::Unsorted,
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
-            let r = Job::new(Histogram::new())
-                .config(config)
-                .run(build_input(args, meter.as_ref())?)?;
+            let r = Job::new(Histogram::new()).config(config).run(build_input(args, &storage)?)?;
             let mut pairs = r.pairs.clone();
             pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
             let lines = pairs
@@ -350,12 +338,12 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 supmr_storage::RecordFormat::Newline,
                 MergeMode::Unsorted,
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
             let r = Job::new(LinearRegression::new())
                 .config(config)
-                .run(build_input(args, meter.as_ref())?)?;
+                .run(build_input(args, &storage)?)?;
             let lines = match linreg::fit(&r.pairs) {
                 Some(f) => {
                     vec![format!("y = {:.6}x + {:.6}   (n = {})", f.slope, f.intercept, f.n)]
@@ -370,16 +358,16 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
                 supmr_storage::RecordFormat::Newline,
                 MergeMode::Unsorted,
                 registry,
-                meter.as_ref(),
+                &storage,
                 &flow,
             )?;
             // kmeans re-ingests per iteration: rebuild the input each time.
             let args2 = args.clone();
-            let meter2 = meter.clone();
+            let storage2 = storage.clone();
             let init: Vec<(f64, f64)> =
                 (0..args.k).map(|i| (i as f64 * 3.1 + 0.5, i as f64 * -2.3)).collect();
             let result = run_kmeans(
-                move || build_input(&args2, meter2.as_ref()),
+                move || build_input(&args2, &storage2),
                 init,
                 &config,
                 args.iters,
@@ -627,6 +615,27 @@ mod tests {
             other => panic!("expected a bytes_written counter, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn throttle_paces_ingest_and_spill_through_one_bucket() {
+        // One device: what the read+map phase ingests and spills draws
+        // on one 2 MiB/s bucket, so it moves at most rate × wall + one
+        // burst. A lower bound on time: a slow machine only adds wall.
+        let rate: f64 = 2.0 * 1024.0 * 1024.0;
+        let burst = (rate / 10.0).max(64.0 * 1024.0); // TokenBucket::new's
+        let s = run("wordcount --generate 2M --chunking inter:512K --workers 2 --throttle 2M \
+             --memory-budget 32K");
+        let stats = &s.report.stats;
+        assert!(stats.spill_runs > 0, "a 32K budget must spill");
+        let moved = (stats.bytes_ingested + stats.spill_bytes) as f64;
+        let floor = (moved - burst) / rate;
+        let wall = s.report.timings.ingest_map_span().as_secs_f64();
+        assert!(
+            wall >= floor,
+            "read+map moved {moved} B in {wall:.3} s: {:.2} MiB/s past a 2 MiB/s device",
+            moved / wall / (1024.0 * 1024.0)
+        );
     }
 
     #[test]

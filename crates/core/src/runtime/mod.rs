@@ -48,7 +48,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use supmr_merge::{
@@ -1073,22 +1072,11 @@ pub(crate) fn setup_spill<J: MapReduce>(
             "memory_budget is set but the application provides no spill codec",
         )
     })?;
-    let (store, cleanup): (Arc<dyn RunStore>, Option<PathBuf>) =
-        match (&config.spill_store, &config.spill_dir) {
-            (Some(store), _) => (Arc::clone(store), None),
-            (None, Some(dir)) => (Arc::new(DiskRunStore::create(dir)?), None),
-            (None, None) => {
-                // Unique per job within the process; removed (with the
-                // runs already gone) when the spill state drops.
-                static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-                let dir = std::env::temp_dir().join(format!(
-                    "supmr-spill-{}-{}",
-                    std::process::id(),
-                    SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                (Arc::new(DiskRunStore::create(&dir)?), Some(dir))
-            }
-        };
+    let store: Arc<dyn RunStore> = match (&config.spill_store, &config.spill_dir) {
+        (Some(store), _) => Arc::clone(store),
+        (None, Some(dir)) => Arc::new(DiskRunStore::create(dir)?),
+        (None, None) => Arc::new(DiskRunStore::temp()?),
+    };
     let metrics = config.metrics.as_ref().map(SpillMetrics::register);
     let accountant = match &wiring.accountant {
         // A pipeline-shared ledger arrives fully built (gauge attached
@@ -1111,7 +1099,6 @@ pub(crate) fn setup_spill<J: MapReduce>(
         Arc::clone(&accountant),
         codec,
         store,
-        cleanup,
         wiring.run_prefix.clone(),
         ctx.probe.spill_probe(metrics),
     ));

@@ -40,7 +40,6 @@
 
 use crate::runtime::probe::SpillProbe;
 use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun, BLOCK_BYTES};
@@ -340,9 +339,6 @@ pub struct JobSpill<K, A> {
     seq: AtomicU64,
     runs_total: AtomicU64,
     bytes_total: AtomicU64,
-    /// A temp directory the runtime created for this job, removed (if
-    /// empty) when the spill state drops.
-    cleanup_dir: Option<PathBuf>,
     /// Run-name prefix — pipeline stages sharing one explicit store
     /// prefix their runs with the stage index so names never collide.
     run_prefix: String,
@@ -361,7 +357,6 @@ where
         accountant: Arc<MemoryAccountant>,
         codec: PairCodec<K, A>,
         store: Arc<dyn RunStore>,
-        cleanup_dir: Option<PathBuf>,
         run_prefix: String,
         probe: SpillProbe,
     ) -> JobSpill<K, A> {
@@ -374,7 +369,6 @@ where
             seq: AtomicU64::new(0),
             runs_total: AtomicU64::new(0),
             bytes_total: AtomicU64::new(0),
-            cleanup_dir,
             run_prefix,
             probe,
         }
@@ -467,16 +461,6 @@ where
     /// Take the run inventory (the reduce phase consumes it once).
     pub(crate) fn take_runs(&self) -> Vec<SpilledRun> {
         std::mem::take(&mut *unpoisoned(self.runs.lock()))
-    }
-}
-
-impl<K, A> Drop for JobSpill<K, A> {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.cleanup_dir {
-            // Guards have removed the run files by now; only an empty
-            // directory is removed, and failure is not an error.
-            let _ = std::fs::remove_dir(dir);
-        }
     }
 }
 
@@ -586,7 +570,6 @@ mod tests {
             Arc::new(MemoryAccountant::new(1024)),
             u64_codec(),
             store,
-            None,
             String::new(),
             probe,
         )

@@ -2,9 +2,10 @@
 //!
 //! The paper's ingest bottleneck exists because primary storage is slower
 //! than the compute fabric: a 3-disk RAID-0 topping out at 384 MB/s, or a
-//! 32-node HDFS behind a single 1GbE link. This crate provides the storage
-//! abstraction the runtime ingests from, plus implementations that
-//! reproduce those environments on commodity hardware:
+//! 32-node HDFS behind a single 1GbE link. Each is one shared device:
+//! every byte crosses the array, or the link, at its one rate. This crate
+//! provides the storage abstraction the runtime ingests from, plus
+//! implementations that reproduce those devices on commodity hardware:
 //!
 //! * [`source::DataSource`] — byte-addressed sequential input (one large
 //!   file — Terasort-style).
@@ -18,15 +19,14 @@
 //!   interfaces:
 //!   * [`throttle`] — [`TokenBucket`] paces the bytes
 //!     ([`ThrottledSource`]) to emulate a bounded-bandwidth device (the
-//!     RAID-0) with real wall-clock pacing;
+//!     RAID-0, or the HDFS case study's one link: its 32 datanodes
+//!     together serve far more than the link carries) with real
+//!     wall-clock pacing;
 //!   * [`observe`] — [`IngestMeter`] counts bytes, calls and time spent
 //!     inside the storage layer ([`ObservedSource`]), the storage-side
 //!     complement of the runtime's event tracer;
 //!   * [`fault`] — a [`Fault`] fails reads or writes by a deterministic
 //!     rule ([`FaultySource`]) for error-path tests.
-//! * [`hdfs`] — a simulated scale-out store: N datanodes with per-node
-//!   disk bandwidth behind one shared, rate-limited link (the Fig. 7
-//!   case study).
 //! * [`spill`] — named run stores for the runtime's out-of-core spill
 //!   pipeline; wrapped like any source, spilled runs share the
 //!   simulated device.
@@ -58,7 +58,6 @@
 //! ```
 
 pub mod fault;
-pub mod hdfs;
 pub mod observe;
 pub mod record;
 pub mod scan;
@@ -69,7 +68,6 @@ pub mod spill;
 pub mod throttle;
 
 pub use fault::{Fault, FaultySource};
-pub use hdfs::{HdfsConfig, HdfsSource};
 pub use observe::{IngestMeter, ObservedSource};
 pub use record::RecordFormat;
 pub use scan::{find_byte, find_crlf, ByteClass};

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use supmr_metrics::unpoisoned;
 
@@ -67,14 +68,29 @@ impl<R: RunStore + ?Sized> RunStore for Arc<R> {
 #[derive(Debug)]
 pub struct DiskRunStore {
     dir: PathBuf,
+    /// Whether the store made `dir` for itself ([`DiskRunStore::temp`])
+    /// and so removes it on drop.
+    temp: bool,
 }
 
 impl DiskRunStore {
-    /// Use (and create) `dir` as the spill directory.
+    /// Use (and create) `dir` as the spill directory. The directory is
+    /// the caller's: the store never removes it.
     pub fn create(dir: impl Into<PathBuf>) -> io::Result<DiskRunStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(DiskRunStore { dir })
+        Ok(DiskRunStore { dir, temp: false })
+    }
+
+    /// A fresh directory under the system temp dir, unique within the
+    /// process (`supmr-spill-<pid>-<n>`), removed when the store drops.
+    pub fn temp() -> io::Result<DiskRunStore> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("supmr-spill-{}-{n}", std::process::id()));
+        let mut store = DiskRunStore::create(dir)?;
+        store.temp = true;
+        Ok(store)
     }
 
     /// The spill directory.
@@ -84,6 +100,17 @@ impl DiskRunStore {
 
     fn path(&self, name: &str) -> PathBuf {
         self.dir.join(name)
+    }
+}
+
+impl Drop for DiskRunStore {
+    fn drop(&mut self) {
+        if self.temp {
+            // Run guards hold the store, so their runs are gone by now;
+            // only an empty directory is removed, and failure is not an
+            // error.
+            let _ = std::fs::remove_dir(&self.dir);
+        }
     }
 }
 
@@ -267,7 +294,23 @@ mod tests {
         // Removing a missing run is not an error.
         store.remove("p0-run0.dat").unwrap();
         assert!(store.describe().contains("disk runs"));
+        drop(store);
+        assert!(dir.is_dir(), "a named directory is the caller's to remove");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_store_removes_its_directory_after_the_last_clone() {
+        let store = Arc::new(DiskRunStore::temp().unwrap());
+        let dir = store.dir().clone();
+        assert!(dir.is_dir());
+        assert_ne!(DiskRunStore::temp().unwrap().dir(), &dir, "each store gets its own directory");
+        write_run(store.as_ref(), "r", b"run");
+        let guard = RunGuard::new(store.clone(), "r");
+        drop(store);
+        assert!(dir.join("r").is_file(), "the guard's clone keeps the store alive");
+        drop(guard);
+        assert!(!dir.exists(), "the last clone removed the emptied directory");
     }
 
     #[test]

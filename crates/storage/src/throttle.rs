@@ -95,9 +95,9 @@ impl BucketState {
 
 /// A thread-safe, blocking token bucket over the wall clock.
 ///
-/// Cloning shares the underlying bucket, so several sources can contend
-/// for the same device bandwidth (e.g. 32 HDFS datanode streams behind one
-/// 1GbE link).
+/// Cloning shares the underlying bucket, so several endpoints contend
+/// for the same device bandwidth (e.g. the `supmr` CLI's ingest source
+/// and spill run store under one `--throttle` rate).
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     state: Arc<Mutex<BucketState>>,
@@ -315,17 +315,22 @@ mod tests {
 
     #[test]
     fn shared_bucket_is_contended() {
-        // Two sources on one bucket: total wall time reflects combined
-        // bytes.
+        // One device: a source read and a run-store write on two threads
+        // draw on one bucket, so together they move at most rate × wall
+        // plus one burst.
+        use crate::{MemRunStore, RunStore};
+        use std::io::Write;
         let bucket = TokenBucket::with_burst(1_000_000.0, 32.0 * 1024.0);
-        let mut a =
+        let mut src =
             ThrottledSource::with_bucket(MemSource::from(vec![0u8; 75_000]), bucket.clone());
-        let mut b = ThrottledSource::with_bucket(MemSource::from(vec![0u8; 75_000]), bucket);
+        let store = ThrottledSource::with_bucket(MemRunStore::new(), bucket);
         let t0 = Instant::now();
-        a.read_all().unwrap();
-        b.read_all().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| src.read_all().unwrap());
+            s.spawn(|| store.create("run").unwrap().write_all(&[0u8; 75_000]).unwrap());
+        });
         let dt = t0.elapsed().as_secs_f64();
         // 150KB total minus 32KiB burst at 1MB/s ≈ 0.117s minimum.
-        assert!(dt >= 0.10, "combined reads took {dt}s");
+        assert!(dt >= 0.117, "combined transfers took {dt}s");
     }
 }

@@ -14,7 +14,7 @@ use supmr_apps::{
 };
 use supmr_metrics::{Bottleneck, FlowPhase, Phase, Registry};
 use supmr_sim::{simulate, AppProfile, JobModel, MachineSpec, PipelineParams};
-use supmr_storage::{DirFileSet, FileSource, HdfsConfig, HdfsSource, MemSource, ThrottledSource};
+use supmr_storage::{DirFileSet, FileSource, MemSource, ThrottledSource};
 use supmr_workloads::{
     files::write_corpus_dir, small_files_corpus, TeraGen, TextGen, TextGenConfig,
 };
@@ -180,17 +180,9 @@ fn default_key_prefix_sorts_like_a_prefixed_app_under_both_merge_backends() {
 #[test]
 fn hdfs_source_feeds_the_pipeline() {
     let payload = TextGen::new(TextGenConfig::default()).generate_bytes(3, 512 * 1024);
-    let cluster = |data: Vec<u8>| {
-        HdfsSource::new(
-            MemSource::from(data),
-            HdfsConfig {
-                datanodes: 8,
-                node_disk_rate: 1e9,
-                link_rate: 32.0 * 1024.0 * 1024.0,
-                block_size: 64 * 1024,
-            },
-        )
-    };
+    // The HDFS case study's one shared link (DESIGN.md §2).
+    let cluster =
+        |data: Vec<u8>| ThrottledSource::new(MemSource::from(data), 32.0 * 1024.0 * 1024.0);
     let baseline = Job::new(WordCount::new())
         .config(config(2))
         .run(Input::stream(cluster(payload.clone())))
