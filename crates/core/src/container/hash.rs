@@ -190,7 +190,7 @@ where
             if !map.is_empty() {
                 let pairs: Vec<(K, C::Acc)> =
                     map.into_iter().map(|(pk, acc)| (pk.key, acc)).collect();
-                (hooks.sink)(partition_of(idx, hooks.partitions), pairs);
+                hooks.sink.pairs(partition_of(idx, hooks.partitions), pairs);
             }
             hooks.accountant.release(est);
         }
@@ -372,7 +372,7 @@ where
             guard.reserve(batch.len());
             let mut added: u64 = 0;
             for (pk, acc) in batch {
-                let size = spill.as_ref().map(|h| (h.size_hint)(&pk.key, &acc) as u64);
+                let size = spill.as_ref().map(|h| (h.codec.size_hint)(&pk.key, &acc) as u64);
                 match guard.entry(pk) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         C::merge(e.get_mut(), acc);
@@ -607,15 +607,17 @@ mod tests {
 
     #[test]
     fn absorb_stops_timing_before_the_spill_it_triggers() {
-        use crate::spill::MemoryAccountant;
+        use crate::spill::{BatchSink, MemoryAccountant, PairCodec};
         use std::time::Duration;
 
         let nap = Duration::from_millis(100);
+        let codec = PairCodec { encode: |_, _, _| {}, decode: |_| None, size_hint: |_, _| 10 };
         let hooks = SpillHooks {
             accountant: Arc::new(MemoryAccountant::new(40)),
             partitions: 1,
-            size_hint: |_, _| 10,
-            sink: Arc::new(move |_, _| std::thread::sleep(nap)),
+            codec,
+            key_prefix: Arc::new(|_: &String| 0),
+            sink: Arc::new(BatchSink { codec, f: move |_, _| std::thread::sleep(nap) }),
         };
         let c = WC::new();
         assert!(c.configure_spill(&hooks));

@@ -11,56 +11,220 @@
 //! *task* (to publish the run), zero per pair, and the runs double as
 //! the sorted-run inputs the merge phase consumes.
 //!
-//! Under a memory budget the runs leave for disk **key-range
-//! partitioned**: the first spill samples `p − 1` splitter keys (`p` the
-//! job's reduce width) from the runs then resident, and from then on
-//! every drained run — and, at the end, the in-memory remainder — is cut
-//! along those splitters into up to `p` batches tagged with their range.
-//! The external reduce thereby gets `p` disjoint key ranges to merge in
-//! parallel, and its outputs, taken in range order, are one sorted
-//! sequence. The splitters only balance the ranges: any splitters,
-//! however skewed, give sorted output.
+//! Under a memory budget a run is held **encoded**: each pair is
+//! encoded with the job's codec as it is emitted and dropped, and the
+//! run is one payload buffer with an end offset and a key prefix per
+//! record — what the ledger is charged for. The runs leave for disk
+//! **key-range partitioned**: the first spill samples `p − 1` splitter
+//! keys (`p` the job's reduce width) from the runs then resident, and
+//! from then on every spilled run is put in the job's order by sorting
+//! its `(prefix, index)` tags — decoding only keys whose prefixes tie,
+//! once each — and its payloads are written, as they are, one run file
+//! per key range. At the end the in-memory remainder is decoded into
+//! the same ranges. The external reduce thereby gets `p` disjoint key
+//! ranges to merge in parallel, and its outputs, taken in range order,
+//! are one sorted sequence. The splitters only balance the ranges: any
+//! splitters, however skewed, give sorted output.
 
 use super::{Absorbed, Container};
 use crate::api::Emit;
 use crate::combiner::Combiner;
-use crate::spill::SpillHooks;
+use crate::spill::{KeyPrefixFn, PairCodec, SpillHooks};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use supmr_metrics::unpoisoned;
 
-/// One published map run, with its estimated in-memory footprint (the
-/// summed codec size hints; 0 when no budget is configured).
-struct SizedRun<K, V> {
-    bytes: u64,
-    pairs: Vec<(K, V)>,
+/// One map run under a memory budget: its records' codec payloads back
+/// to back, with each record's end offset and key prefix.
+struct EncodedRun {
+    payload: Vec<u8>,
+    ends: Vec<usize>,
+    prefixes: Vec<u64>,
+}
+
+impl EncodedRun {
+    fn with_capacity(bytes: usize, records: usize) -> EncodedRun {
+        EncodedRun {
+            payload: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(records),
+            prefixes: Vec::with_capacity(records),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The bytes the run holds, by length: payloads and index entries.
+    /// Capacity a run was sized with but never filled is not charged.
+    fn held_bytes(&self) -> u64 {
+        let index = std::mem::size_of::<usize>() + std::mem::size_of::<u64>();
+        (self.payload.len() + self.len() * index) as u64
+    }
+
+    fn record(&self, at: usize) -> &[u8] {
+        let start = if at == 0 { 0 } else { self.ends[at - 1] };
+        &self.payload[start..self.ends[at]]
+    }
+
+    /// Decode record `at`, parking a failure on the job.
+    fn decode<K, V>(&self, at: usize, hooks: &SpillHooks<K, V>) -> Option<(K, V)> {
+        let pair = (hooks.codec.decode)(self.record(at));
+        if pair.is_none() {
+            hooks.sink.undecodable(format!("undecodable record {at} in a held map run"));
+        }
+        pair
+    }
+
+    fn key<K, V>(&self, at: usize, hooks: &SpillHooks<K, V>) -> Option<K> {
+        self.decode(at, hooks).map(|(key, _)| key)
+    }
+
+    /// Decode every record into `out(range, pair)`, the range from
+    /// `splitters`; undecodable records are parked on the job.
+    fn decode_into<K: Ord + Clone, V>(
+        &self,
+        hooks: &SpillHooks<K, V>,
+        splitters: &Splitters<K>,
+        mut out: impl FnMut(usize, (K, V)),
+    ) {
+        for at in 0..self.len() {
+            if let Some(pair) = self.decode(at, hooks) {
+                out(splitters.range_of(self.prefixes[at], &pair.0), pair);
+            }
+        }
+    }
+
+    /// Put the run in the job's order and sink its payloads, one run
+    /// per non-empty key range. Tags sort by prefix; a record's key is
+    /// decoded — once — only where its prefix ties another record's or
+    /// a splitter's.
+    fn spill<K: Ord + Clone, V>(&self, splitters: &Splitters<K>, hooks: &SpillHooks<K, V>) {
+        let mut tags: Vec<(u64, usize)> = self.prefixes.iter().copied().zip(0..).collect();
+        tags.sort_unstable();
+        let mut per_range = vec![0usize; splitters.keys.len() + 1];
+        for tied in tags.chunk_by_mut(|a, b| a.0 == b.0) {
+            let span = splitters.span_of(tied[0].0);
+            if tied.len() == 1 && span.is_empty() {
+                per_range[span.start] += 1;
+                continue;
+            }
+            let keys: Option<Vec<K>> = tied.iter().map(|&(_, at)| self.key(at, hooks)).collect();
+            let Some(keys) = keys else {
+                // The job fails at the next phase boundary; the tied
+                // records keep their index order meanwhile.
+                per_range[span.start] += tied.len();
+                continue;
+            };
+            let mut keyed: Vec<(K, usize)> =
+                keys.into_iter().zip(tied.iter().map(|t| t.1)).collect();
+            keyed.sort_unstable();
+            for (tag, (key, at)) in tied.iter_mut().zip(keyed) {
+                tag.1 = at;
+                per_range[splitters.range_in(span.clone(), &key)] += 1;
+            }
+        }
+        let mut start = 0;
+        for (range, count) in per_range.into_iter().enumerate() {
+            let cut = &tags[start..start + count];
+            start += count;
+            if !cut.is_empty() {
+                hooks.sink.encoded(range, &mut cut.iter().map(|&(_, at)| self.record(at)));
+            }
+        }
+    }
+}
+
+/// The ascending keys that cut the key space into reduce ranges, with
+/// their prefixes. Range `i` holds the keys with exactly `i` splitters
+/// at or below them, so equal keys always share a range.
+struct Splitters<K> {
+    keys: Vec<K>,
+    prefixes: Vec<u64>,
+}
+
+impl<K: Ord + Clone> Splitters<K> {
+    /// `ranges − 1` splitters that roughly equipartition the keys of
+    /// `runs`: quantiles of a regular sample of every run, decoded. Map
+    /// runs are unsorted, so regular offsets are as good as random
+    /// ones.
+    fn sample<V>(runs: &[EncodedRun], hooks: &SpillHooks<K, V>) -> Splitters<K> {
+        const OVERSAMPLE: usize = 32;
+        let ranges = hooks.partitions;
+        let mut sample: Vec<(u64, K)> = Vec::new();
+        for run in runs {
+            let len = run.len();
+            let take = (ranges * OVERSAMPLE).min(len);
+            sample.extend((0..take).filter_map(|i| {
+                let at = i * len / take;
+                run.key(at, hooks).map(|key| (run.prefixes[at], key))
+            }));
+        }
+        sample.sort_unstable();
+        if sample.is_empty() {
+            return Splitters::default();
+        }
+        let (prefixes, keys) =
+            (1..ranges).map(|r| sample[r * sample.len() / ranges].clone()).unzip();
+        Splitters { keys, prefixes }
+    }
+
+    /// The splitters whose prefix is `prefix`: a record with that
+    /// prefix has every splitter before them at or below its key and
+    /// every one after them above it, and needs its key compared only
+    /// with them.
+    fn span_of(&self, prefix: u64) -> std::ops::Range<usize> {
+        self.prefixes.partition_point(|&p| p < prefix)
+            ..self.prefixes.partition_point(|&p| p <= prefix)
+    }
+
+    /// The key range of `key`, given the splitters of its prefix.
+    fn range_in(&self, span: std::ops::Range<usize>, key: &K) -> usize {
+        span.start + self.keys[span].partition_point(|s| s <= key)
+    }
+
+    /// The key range of `key`, whose prefix is `prefix`.
+    fn range_of(&self, prefix: u64, key: &K) -> usize {
+        self.range_in(self.span_of(prefix), key)
+    }
+}
+
+impl<K> Default for Splitters<K> {
+    fn default() -> Self {
+        Splitters { keys: Vec::new(), prefixes: Vec::new() }
+    }
 }
 
 /// Run-per-task storage for unique-key workloads.
 pub struct UnlockedContainer<K, V> {
-    runs: Mutex<Vec<SizedRun<K, V>>>,
+    /// Typed runs, published when the job has no memory budget.
+    runs: Mutex<Vec<Vec<(K, V)>>>,
+    /// Encoded runs, published under a budget.
+    encoded: Mutex<Vec<EncodedRun>>,
     pairs: AtomicU64,
-    /// Length of the run absorbed last: what the next task's run starts
-    /// out sized for (splits are about equal, so runs are too).
+    /// Records and payload bytes of the run absorbed last: what the
+    /// next task's run starts out sized for (splits are about equal, so
+    /// runs are too).
     last_run_len: AtomicUsize,
-    /// Out-of-core wiring ([`Container::configure_spill`]); `None`
-    /// keeps absorb on the unmetered hot path.
-    spill: Mutex<Option<SpillHooks<K, V>>>,
-    /// The ascending keys that cut the key space into reduce ranges,
-    /// fixed by the first spill (never set by a job that never spills).
-    /// Range `i` holds the keys with exactly `i` splitters at or below
-    /// them, so equal keys always share a range.
-    splitters: OnceLock<Vec<K>>,
+    last_run_bytes: AtomicUsize,
+    /// Out-of-core wiring ([`Container::configure_spill`]); unset keeps
+    /// runs typed and absorb on the unmetered hot path.
+    spill: OnceLock<SpillHooks<K, V>>,
+    /// The splitters, fixed by the first spill (never set by a job that
+    /// never spills).
+    splitters: OnceLock<Splitters<K>>,
 }
 
 impl<K, V> Default for UnlockedContainer<K, V> {
     fn default() -> Self {
         UnlockedContainer {
             runs: Mutex::new(Vec::new()),
+            encoded: Mutex::new(Vec::new()),
             pairs: AtomicU64::new(0),
             last_run_len: AtomicUsize::new(0),
-            spill: Mutex::new(None),
+            last_run_bytes: AtomicUsize::new(0),
+            spill: OnceLock::new(),
             splitters: OnceLock::new(),
         }
     }
@@ -75,7 +239,7 @@ impl<K, V> UnlockedContainer<K, V> {
     /// Number of runs published so far (= completed map tasks that
     /// emitted at least one pair).
     pub fn run_count(&self) -> usize {
-        unpoisoned(self.runs.lock()).len()
+        unpoisoned(self.runs.lock()).len() + unpoisoned(self.encoded.lock()).len()
     }
 
     /// Total pairs published (inherent counterpart of
@@ -85,77 +249,47 @@ impl<K, V> UnlockedContainer<K, V> {
     }
 }
 
-/// `ranges − 1` splitters that roughly equipartition the keys of
-/// `runs` (not empty): quantiles of a regular sample of every run. Map
-/// runs are unsorted, so regular offsets are as good as random ones.
-fn sample_splitters<K: Ord + Clone, V>(runs: &[SizedRun<K, V>], ranges: usize) -> Vec<K> {
-    const OVERSAMPLE: usize = 32;
-    let mut sample: Vec<&K> = Vec::new();
-    for run in runs {
-        let len = run.pairs.len();
-        let take = (ranges * OVERSAMPLE).min(len);
-        sample.extend((0..take).map(|i| &run.pairs[i * len / take].0));
-    }
-    sample.sort_unstable();
-    (1..ranges).map(|r| sample[r * sample.len() / ranges].clone()).collect()
-}
-
-/// The key range `key` belongs to: how many splitters are at or below
-/// it.
-fn range_of<K: Ord>(splitters: &[K], key: &K) -> usize {
-    splitters.partition_point(|s| s <= key)
-}
-
-/// Cut `pairs` into one batch per key range, in range order (some may
-/// be empty; no splitters, one range).
-fn cut_by_range<K: Ord, V>(splitters: &[K], pairs: Vec<(K, V)>) -> Vec<Vec<(K, V)>> {
-    if splitters.is_empty() {
-        return vec![pairs];
-    }
-    let ranges = splitters.len() + 1;
-    let mut cut: Vec<Vec<(K, V)>> =
-        (0..ranges).map(|_| Vec::with_capacity(pairs.len() / ranges)).collect();
-    for pair in pairs {
-        cut[range_of(splitters, &pair.0)].push(pair);
-    }
-    cut
-}
-
 impl<K: Ord + Clone, V> UnlockedContainer<K, V> {
     /// Spill largest published runs until the ledger is below its low
-    /// watermark, each cut into its key ranges and sunk as one run file
-    /// per range. Every absorber that trips the high watermark drains:
-    /// victims are whole runs taken under the run-list lock, so
-    /// concurrent spillers never share one.
+    /// watermark, each put in order, cut into its key ranges and sunk
+    /// as one run file per range. Every absorber that trips the high
+    /// watermark drains: victims are whole runs taken under the
+    /// run-list lock, so concurrent spillers never share one.
     fn spill_down(&self, hooks: &SpillHooks<K, V>) {
         while hooks.accountant.over_low() {
             let (run, splitters) = {
-                let mut runs = unpoisoned(self.runs.lock());
+                let mut runs = unpoisoned(self.encoded.lock());
                 let victim =
-                    runs.iter().enumerate().max_by_key(|(_, r)| r.bytes).map(|(idx, _)| idx);
+                    runs.iter().enumerate().max_by_key(|(_, r)| r.held_bytes()).map(|(idx, _)| idx);
                 let Some(idx) = victim else { break };
-                let splitters =
-                    self.splitters.get_or_init(|| sample_splitters(&runs, hooks.partitions));
+                let splitters = self.splitters.get_or_init(|| Splitters::sample(&runs, hooks));
                 (runs.swap_remove(idx), splitters)
             };
-            for (range, batch) in cut_by_range(splitters, run.pairs).into_iter().enumerate() {
-                if !batch.is_empty() {
-                    (hooks.sink)(range, batch);
-                }
-            }
-            hooks.accountant.release(run.bytes);
+            run.spill(splitters, hooks);
+            hooks.accountant.release(run.held_bytes());
         }
     }
 }
 
-/// Thread-local run under construction.
-pub struct LocalRun<K, V> {
-    pairs: Vec<(K, V)>,
+/// Thread-local run under construction: typed pairs, or under a budget
+/// the run encoded as it is emitted.
+pub struct LocalRun<K, V>(Local<K, V>);
+
+enum Local<K, V> {
+    Pairs(Vec<(K, V)>),
+    Encoded { run: EncodedRun, codec: PairCodec<K, V>, key_prefix: KeyPrefixFn<K> },
 }
 
 impl<K, V> Emit<K, V> for LocalRun<K, V> {
     fn emit(&mut self, key: K, value: V) {
-        self.pairs.push((key, value));
+        match &mut self.0 {
+            Local::Pairs(pairs) => pairs.push((key, value)),
+            Local::Encoded { run, codec, key_prefix } => {
+                (codec.encode)(&key, &value, &mut run.payload);
+                run.ends.push(run.payload.len());
+                run.prefixes.push(key_prefix(&key));
+            }
+        }
     }
 }
 
@@ -169,38 +303,56 @@ where
     type Drain = Vec<(K, V)>;
 
     fn local(&self) -> Self::Local {
-        LocalRun { pairs: Vec::with_capacity(self.last_run_len.load(Ordering::Relaxed)) }
+        let records = self.last_run_len.load(Ordering::Relaxed);
+        LocalRun(match self.spill.get() {
+            None => Local::Pairs(Vec::with_capacity(records)),
+            Some(hooks) => Local::Encoded {
+                run: EncodedRun::with_capacity(
+                    self.last_run_bytes.load(Ordering::Relaxed),
+                    records,
+                ),
+                codec: hooks.codec,
+                key_prefix: std::sync::Arc::clone(&hooks.key_prefix),
+            },
+        })
     }
 
     fn absorb(&self, local: Self::Local) -> Absorbed {
-        if local.pairs.is_empty() {
-            return Absorbed::default();
-        }
         let started = Instant::now();
-        let entries = local.pairs.len() as u64;
-        self.pairs.fetch_add(entries, Ordering::Relaxed);
-        self.last_run_len.store(local.pairs.len(), Ordering::Relaxed);
-        let spill = unpoisoned(self.spill.lock()).clone();
-        let bytes = match &spill {
-            Some(h) => local.pairs.iter().map(|(k, v)| (h.size_hint)(k, v) as u64).sum(),
-            None => 0,
+        let (entries, lock_wait, charged) = match local.0 {
+            Local::Pairs(pairs) if !pairs.is_empty() => {
+                let entries = pairs.len();
+                let waited = Instant::now();
+                let mut runs = unpoisoned(self.runs.lock());
+                let lock_wait = waited.elapsed();
+                runs.push(pairs);
+                (entries, lock_wait, 0)
+            }
+            Local::Encoded { run, .. } if run.len() > 0 => {
+                let (entries, bytes) = (run.len(), run.held_bytes());
+                self.last_run_bytes.store(run.payload.len(), Ordering::Relaxed);
+                let waited = Instant::now();
+                let mut runs = unpoisoned(self.encoded.lock());
+                let lock_wait = waited.elapsed();
+                runs.push(run);
+                (entries, lock_wait, bytes)
+            }
+            _ => return Absorbed::default(),
         };
-        let waited = Instant::now();
-        let mut runs = unpoisoned(self.runs.lock());
-        let lock_wait = waited.elapsed();
-        runs.push(SizedRun { bytes, pairs: local.pairs });
-        drop(runs);
+        self.pairs.fetch_add(entries as u64, Ordering::Relaxed);
+        self.last_run_len.store(entries, Ordering::Relaxed);
         let busy = started.elapsed();
-        if let Some(hooks) = &spill {
-            if hooks.accountant.charge(bytes) {
+        if let Some(hooks) = self.spill.get() {
+            if hooks.accountant.charge(charged) {
                 self.spill_down(hooks);
             }
         }
-        Absorbed { entries, locks: 1, lock_wait, busy, table: None }
+        Absorbed { entries: entries as u64, locks: 1, lock_wait, busy, table: None }
     }
 
     fn configure_spill(&self, hooks: &SpillHooks<K, V>) -> bool {
-        *unpoisoned(self.spill.lock()) = Some(hooks.clone());
+        // Called at most once, before any run exists.
+        let _ = self.spill.set(hooks.clone());
         true
     }
 
@@ -211,13 +363,18 @@ where
         false
     }
 
-    /// The in-memory remainder cut along the same splitters as the
+    /// The in-memory remainder decoded into the same key ranges as the
     /// spilled runs: one drain per non-empty key range, tagged with it.
     fn into_indexed_drains(self, _parts: usize) -> Vec<(usize, Self::Drain)> {
         let splitters = self.splitters.into_inner().unwrap_or_default();
-        let mut ranges: Vec<Vec<(K, V)>> = (0..=splitters.len()).map(|_| Vec::new()).collect();
-        for pair in unpoisoned(self.runs.into_inner()).into_iter().flat_map(|run| run.pairs) {
-            ranges[range_of(&splitters, &pair.0)].push(pair);
+        let mut ranges: Vec<Vec<(K, V)>> = (0..=splitters.keys.len()).map(|_| Vec::new()).collect();
+        for (key, value) in unpoisoned(self.runs.into_inner()).into_iter().flatten() {
+            ranges[splitters.range_in(0..splitters.keys.len(), &key)].push((key, value));
+        }
+        if let Some(hooks) = self.spill.get() {
+            for run in unpoisoned(self.encoded.into_inner()) {
+                run.decode_into(hooks, &splitters, |range, pair| ranges[range].push(pair));
+            }
         }
         ranges.into_iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()).collect()
     }
@@ -234,9 +391,18 @@ where
     /// Returns one drain per map run, ignoring `parts`: the runs are
     /// exactly the sorted lists the merge phase operates on, and keeping
     /// them separate is what lets the merge experiments control the
-    /// baseline's round count.
+    /// baseline's round count. Encoded runs are decoded.
     fn into_drains(self, _parts: usize) -> Vec<Self::Drain> {
-        unpoisoned(self.runs.into_inner()).into_iter().map(|r| r.pairs).collect()
+        let mut drains = unpoisoned(self.runs.into_inner());
+        if let Some(hooks) = self.spill.get() {
+            let one_range = Splitters::default();
+            drains.extend(unpoisoned(self.encoded.into_inner()).iter().map(|run| {
+                let mut pairs = Vec::with_capacity(run.len());
+                run.decode_into(hooks, &one_range, |_, pair| pairs.push(pair));
+                pairs
+            }));
+        }
+        drains
     }
 
     /// A run already *is* reduce input; draining is the identity.
@@ -263,20 +429,46 @@ mod tests {
         <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::into_partitions(c, 99)
     }
 
+    /// Spill wiring over a `budget`-byte ledger whose sink hands every
+    /// batch, decoded, to `f`. Prefixes are coarse (`key / 8`), so
+    /// records and splitters tie on them.
+    fn hooks(
+        budget: u64,
+        partitions: usize,
+        f: impl Fn(usize, Vec<(u64, String)>) + Send + Sync + 'static,
+    ) -> SpillHooks<u64, String> {
+        use crate::spill::{BatchSink, MemoryAccountant};
+        use std::sync::Arc;
+
+        let codec = PairCodec {
+            encode: |k: &u64, v: &String, buf: &mut Vec<u8>| {
+                buf.extend_from_slice(&k.to_le_bytes());
+                buf.extend_from_slice(v.as_bytes());
+            },
+            decode: |rec| {
+                let key = u64::from_le_bytes(rec.get(..8)?.try_into().ok()?);
+                Some((key, String::from_utf8(rec[8..].to_vec()).ok()?))
+            },
+            size_hint: |_, _| 10,
+        };
+        SpillHooks {
+            accountant: Arc::new(MemoryAccountant::new(budget)),
+            partitions,
+            codec,
+            key_prefix: Arc::new(|k| k / 8),
+            sink: Arc::new(BatchSink { codec, f }),
+        }
+    }
+
     #[test]
     fn spilled_and_resident_pairs_share_disjoint_key_ranges() {
-        use crate::spill::MemoryAccountant;
         use std::sync::Arc;
 
         type Sunk = Arc<Mutex<Vec<(usize, Vec<(u64, String)>)>>>;
         let sunk: Sunk = Arc::default();
         let sink_log = Arc::clone(&sunk);
-        let hooks = SpillHooks {
-            accountant: Arc::new(MemoryAccountant::new(400)),
-            partitions: 3,
-            size_hint: |_, _| 10,
-            sink: Arc::new(move |range, batch| unpoisoned(sink_log.lock()).push((range, batch))),
-        };
+        let hooks =
+            hooks(400, 3, move |range, batch| unpoisoned(sink_log.lock()).push((range, batch)));
         let c = UnlockedContainer::new();
         assert!(
             <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::configure_spill(
@@ -284,7 +476,8 @@ mod tests {
             )
         );
         // Keys 0..60 in a scattered order, every key three times over,
-        // eight pairs to a run: the ledger trips on the fifth run.
+        // eight pairs to a run (~210 bytes held): the ledger trips on
+        // the second run.
         let keys = (0..180u64).map(|i| i * 7 % 60);
         for run in keys.collect::<Vec<_>>().chunks(8) {
             absorb_run(&c, run.iter().map(|&k| (k, format!("v{k}"))).collect());
@@ -315,24 +508,17 @@ mod tests {
 
     #[test]
     fn absorb_reports_its_run_and_stops_timing_before_the_spill_it_triggers() {
-        use crate::spill::MemoryAccountant;
-        use std::sync::Arc;
         use std::time::{Duration, Instant};
 
         let nap = Duration::from_millis(100);
-        let hooks = SpillHooks {
-            accountant: Arc::new(MemoryAccountant::new(40)),
-            partitions: 1,
-            size_hint: |_, _| 10,
-            sink: Arc::new(move |_, _| std::thread::sleep(nap)),
-        };
+        let hooks = hooks(40, 1, move |_, _| std::thread::sleep(nap));
         let c = UnlockedContainer::new();
         <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::configure_spill(
             &c, &hooks,
         );
         let started = Instant::now();
         let absorbed = absorb_run(&c, (0..8).map(|k| (k, String::new())).collect());
-        assert!(started.elapsed() >= nap, "80 bytes against a 40-byte budget must spill");
+        assert!(started.elapsed() >= nap, "192 bytes against a 40-byte budget must spill");
         assert_eq!((absorbed.entries, absorbed.locks), (8, 1));
         assert!(absorbed.busy < nap, "{absorbed:?}: spilling is not absorb time");
         assert!(absorbed.lock_wait <= absorbed.busy, "{absorbed:?}");

@@ -40,7 +40,8 @@ use crate::container::{Container, ContainerHooks};
 use crate::error::{panic_payload_string, Result, SupmrError};
 use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WaveWorkers, WorkerPool};
 use crate::spill::{
-    read_block_bytes, DecodedRun, JobSpill, MemoryAccountant, SpillHooks, SpillMetrics, SpilledRun,
+    read_block_bytes, DecodedRun, JobSpill, KeyPrefixFn, MemoryAccountant, SpillHooks,
+    SpillMetrics, SpilledRun,
 };
 use crate::split::{chunk_splits, wave_split_bytes};
 use probe::StageProbe;
@@ -1095,25 +1096,24 @@ pub(crate) fn setup_spill<J: MapReduce>(
     if let Some(active) = &config.active {
         active.attach_accountant(Arc::clone(&accountant));
     }
+    let key_prefix: KeyPrefixFn<J::Key> = {
+        let job = Arc::clone(job);
+        Arc::new(move |key: &J::Key| job.key_prefix(key))
+    };
     let spill = Arc::new(JobSpill::new(
         Arc::clone(&accountant),
         codec,
+        Arc::clone(&key_prefix),
         store,
         wiring.run_prefix.clone(),
         ctx.probe.spill_probe(metrics),
     ));
-    let sink = {
-        let spill = Arc::clone(&spill);
-        let job = Arc::clone(job);
-        Arc::new(move |partition: usize, pairs: Vec<(J::Key, AccOf<J>)>| {
-            spill.spill_partition(partition, pairs, &ByKey(|key: &J::Key| job.key_prefix(key)));
-        })
-    };
     let hooks = SpillHooks {
         accountant,
         partitions: config.reduce_workers,
-        size_hint: codec.size_hint,
-        sink,
+        codec,
+        key_prefix,
+        sink: Arc::clone(&spill) as _,
     };
     if !container.configure_spill(&hooks) {
         return Err(SupmrError::invalid_config(
@@ -1153,6 +1153,7 @@ pub(crate) fn finish_job<J: MapReduce>(
     // incomplete: surface the parked fault before reducing over it.
     if let Some(sp) = &spill {
         sp.check().map_err(|source| SupmrError::Ingest { chunk: None, source })?;
+        sp.check_decodes()?;
     }
     ctx.probe.shuffled(
         container.total_pairs(),
@@ -1172,6 +1173,11 @@ pub(crate) fn finish_job<J: MapReduce>(
         _ => (in_memory_reduce(job, container, &mut ctx), false),
     };
     ctx.probe.leave(Phase::Reduce);
+    // A held record that did not decode into its drain is missing from
+    // what was reduced.
+    if let Some(sp) = &spill {
+        sp.check_decodes()?;
+    }
     // Run guards have deleted their files inside the reduce tasks; this
     // removes the per-job temp spill directory, when we created one.
     drop(spill);

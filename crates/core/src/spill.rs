@@ -22,16 +22,21 @@
 //!   every worker.
 //! * [`SpillHooks`] — the wiring a container receives via
 //!   [`Container::configure_spill`]: the accountant, the job's reduce
-//!   partition count (so spilled runs carry final partition tags), and
-//!   the sink that turns a drained batch into a run file.
-//! * [`JobSpill`] — the job-level sink behind that hook: sorts each
-//!   batch, encodes it frame by frame straight into [`RunWriter`]'s
-//!   output block (the shared frame codec of `supmr-merge`) onto the
-//!   configured
-//!   [`RunStore`] (so `--throttle` pacing and [`IngestMeter`]
-//!   observation apply to spill traffic), guards every run file with a
-//!   [`RunGuard`], and parks I/O errors for the runtime to surface as
-//!   typed [`SupmrError`]s — the sink itself never panics the map wave.
+//!   partition count (so spilled runs carry final partition tags), the
+//!   codec and key prefix, and the [`SpillSink`] its drained batches
+//!   go to. A container spills in one of two shapes: typed pairs the
+//!   sink sorts and encodes (the hash container's folded shards), or
+//!   codec payloads it already holds in the job's order (the unlocked
+//!   container, which under a budget encodes every pair as it is
+//!   emitted and spills a run's payloads as they are).
+//! * [`JobSpill`] — the job-level sink behind that hook: both shapes go
+//!   through one run writer, which frames each record straight into
+//!   [`RunWriter`]'s output block (the shared frame codec of
+//!   `supmr-merge`) onto the configured [`RunStore`] (so `--throttle`
+//!   pacing and [`IngestMeter`] observation apply to spill traffic),
+//!   guards every run file with a [`RunGuard`], and parks I/O errors and
+//!   undecodable payloads for the runtime to surface as typed
+//!   [`SupmrError`]s — the sink itself never panics the map wave.
 //!
 //! [`MapReduce::spill_codec`]: crate::api::MapReduce::spill_codec
 //! [`Container::configure_spill`]: crate::container::Container::configure_spill
@@ -42,7 +47,7 @@ use crate::runtime::probe::SpillProbe;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use supmr_merge::{Order, RunReadError, RunReader, RunWriter, SortedRun, BLOCK_BYTES};
+use supmr_merge::{ByKey, RunReadError, RunReader, RunWriter, SortedRun, BLOCK_BYTES};
 use supmr_metrics::{unpoisoned, Counter, Gauge, Histogram, Registry};
 use supmr_storage::{RunGuard, RunStore};
 
@@ -184,7 +189,10 @@ pub struct PairCodec<K, A> {
     /// Decode one record; `None` marks an undecodable record (surfaced
     /// as [`SupmrError::Merge`](crate::error::SupmrError::Merge)).
     pub decode: fn(&[u8]) -> Option<(K, A)>,
-    /// Approximate in-memory footprint of one pair, for the accountant.
+    /// Approximate in-memory footprint of one typed pair, for the
+    /// accountant. Read by the hash container only: the unlocked
+    /// container holds encoded pairs under a budget and charges their
+    /// bytes.
     pub size_hint: fn(&K, &A) -> usize,
 }
 
@@ -202,9 +210,28 @@ impl<K, A> std::fmt::Debug for PairCodec<K, A> {
     }
 }
 
-/// Turn one drained batch into a sorted run file tagged with its
-/// partition ([`SpillHooks::sink`]).
-pub type SpillSink<K, A> = Arc<dyn Fn(usize, Vec<(K, A)>) + Send + Sync>;
+/// An application's order-preserving key digest
+/// ([`MapReduce::key_prefix`](crate::api::MapReduce::key_prefix)), as
+/// the spill wiring carries it.
+pub type KeyPrefixFn<K> = Arc<dyn Fn(&K) -> u64 + Send + Sync>;
+
+/// Where a container's drained batches become run files
+/// ([`SpillHooks::sink`]): [`JobSpill`] in a job. No method panics;
+/// failures are parked on the job, which fails at its next phase
+/// boundary.
+pub trait SpillSink<K, A>: Send + Sync {
+    /// Sort `pairs` under the job's order and write them as one run
+    /// tagged `partition`.
+    fn pairs(&self, partition: usize, pairs: Vec<(K, A)>);
+
+    /// Write `payloads` — codec encodings already in the job's order —
+    /// as one run tagged `partition`, one frame each.
+    fn encoded(&self, partition: usize, payloads: &mut dyn ExactSizeIterator<Item = &[u8]>);
+
+    /// A held payload the codec could not decode: the job fails with
+    /// [`SupmrError::Merge`](crate::error::SupmrError::Merge).
+    fn undecodable(&self, detail: String);
+}
 
 /// The wiring a container receives when the job runs under a memory
 /// budget ([`Container::configure_spill`]).
@@ -224,11 +251,15 @@ pub struct SpillHooks<K, A> {
     /// first spill (so its partitions, in index order, are also in key
     /// order).
     pub partitions: usize,
-    /// The codec's footprint estimator, for charging the ledger.
-    pub size_hint: fn(&K, &A) -> usize,
-    /// Turn one drained batch into a sorted run file tagged with its
-    /// partition. Never panics; I/O errors are parked on the job.
-    pub sink: SpillSink<K, A>,
+    /// The job's codec: the hash container charges the ledger by its
+    /// size hint, the unlocked container encodes pairs with it as they
+    /// are emitted.
+    pub codec: PairCodec<K, A>,
+    /// The job's key prefix, which orders runs before any key is
+    /// compared.
+    pub key_prefix: KeyPrefixFn<K>,
+    /// Where drained batches go.
+    pub sink: Arc<dyn SpillSink<K, A>>,
 }
 
 impl<K, A> Clone for SpillHooks<K, A> {
@@ -236,7 +267,8 @@ impl<K, A> Clone for SpillHooks<K, A> {
         SpillHooks {
             accountant: Arc::clone(&self.accountant),
             partitions: self.partitions,
-            size_hint: self.size_hint,
+            codec: self.codec,
+            key_prefix: Arc::clone(&self.key_prefix),
             sink: Arc::clone(&self.sink),
         }
     }
@@ -330,12 +362,15 @@ pub(crate) struct SpilledRun {
 pub struct JobSpill<K, A> {
     accountant: Arc<MemoryAccountant>,
     codec: PairCodec<K, A>,
+    key_prefix: KeyPrefixFn<K>,
     store: Arc<dyn RunStore>,
     runs: Mutex<Vec<SpilledRun>>,
     /// First I/O error hit while writing a run; surfaced by the runtime
     /// as [`SupmrError::Ingest`](crate::error::SupmrError::Ingest) at
     /// the next phase boundary.
     error: Mutex<Option<io::Error>>,
+    /// First held payload that did not decode ([`SpillSink::undecodable`]).
+    undecodable: Mutex<Option<String>>,
     seq: AtomicU64,
     runs_total: AtomicU64,
     bytes_total: AtomicU64,
@@ -356,6 +391,7 @@ where
     pub(crate) fn new(
         accountant: Arc<MemoryAccountant>,
         codec: PairCodec<K, A>,
+        key_prefix: KeyPrefixFn<K>,
         store: Arc<dyn RunStore>,
         run_prefix: String,
         probe: SpillProbe,
@@ -363,9 +399,11 @@ where
         JobSpill {
             accountant,
             codec,
+            key_prefix,
             store,
             runs: Mutex::new(Vec::new()),
             error: Mutex::new(None),
+            undecodable: Mutex::new(None),
             seq: AtomicU64::new(0),
             runs_total: AtomicU64::new(0),
             bytes_total: AtomicU64::new(0),
@@ -399,32 +437,24 @@ where
         self.bytes_total.load(Ordering::Relaxed)
     }
 
-    /// Sink one drained batch as a run tagged `partition`, sorted
-    /// under `order` (by key, the job's
-    /// [`MapReduce::key_prefix`](crate::api::MapReduce::key_prefix)
-    /// first).
+    /// Write one run tagged `partition`: `fill` sorts (if it must) and
+    /// pushes its records. Every run file is named, timed, guarded and
+    /// inventoried here.
     ///
     /// Called from map workers mid-wave (via [`SpillHooks::sink`]), so
     /// it must not panic: I/O failures are parked and the batch is
     /// dropped — the job fails with the parked error at the next phase
     /// boundary, exactly like an ingest fault.
-    pub(crate) fn spill_partition(
+    fn write_run(
         &self,
         partition: usize,
-        pairs: Vec<(K, A)>,
-        order: &impl Order<(K, A)>,
+        fill: impl FnOnce(&mut RunWriter<Box<dyn io::Write + Send>>) -> io::Result<()>,
     ) {
-        if pairs.is_empty() {
-            return;
-        }
         let run_id = self.seq.fetch_add(1, Ordering::Relaxed);
         let name = format!("{}run-{partition:03}-{run_id:06}", self.run_prefix);
         let result = self.probe.spill_run(run_id, partition, || {
-            let run = SortedRun::sort(pairs, order);
             let mut writer = RunWriter::from_writer(self.store.create(&name)?);
-            for (k, a) in run.items() {
-                writer.push_with(|block| (self.codec.encode)(k, a, block))?;
-            }
+            fill(&mut writer)?;
             let (records, bytes) = (writer.records(), writer.bytes());
             writer.finish()?;
             Ok((records, bytes))
@@ -458,9 +488,56 @@ where
         }
     }
 
+    /// Surface any parked undecodable payload, as a merge error: the
+    /// intermediate set the reduce saw is missing it.
+    pub(crate) fn check_decodes(&self) -> crate::error::Result<()> {
+        match unpoisoned(self.undecodable.lock()).take() {
+            Some(message) => Err(crate::error::SupmrError::Merge { message }),
+            None => Ok(()),
+        }
+    }
+
     /// Take the run inventory (the reduce phase consumes it once).
     pub(crate) fn take_runs(&self) -> Vec<SpilledRun> {
         std::mem::take(&mut *unpoisoned(self.runs.lock()))
+    }
+}
+
+impl<K, A> SpillSink<K, A> for JobSpill<K, A>
+where
+    K: Ord + Send + Sync + 'static,
+    A: Send + Sync + 'static,
+{
+    /// Sorted by key, the job's
+    /// [`MapReduce::key_prefix`](crate::api::MapReduce::key_prefix)
+    /// first.
+    fn pairs(&self, partition: usize, pairs: Vec<(K, A)>) {
+        if pairs.is_empty() {
+            return;
+        }
+        self.write_run(partition, |writer| {
+            let run = SortedRun::sort(pairs, &ByKey(|key: &K| (self.key_prefix)(key)));
+            for (k, a) in run.items() {
+                writer.push_with(|block| (self.codec.encode)(k, a, block))?;
+            }
+            Ok(())
+        });
+    }
+
+    fn encoded(&self, partition: usize, payloads: &mut dyn ExactSizeIterator<Item = &[u8]>) {
+        if payloads.len() == 0 {
+            return;
+        }
+        self.write_run(partition, |writer| {
+            for payload in payloads {
+                writer.push(payload)?;
+            }
+            Ok(())
+        });
+    }
+
+    fn undecodable(&self, detail: String) {
+        unpoisoned(self.undecodable.lock()).get_or_insert(detail);
     }
 }
 
@@ -554,12 +631,38 @@ impl<K, A> Iterator for DecodedRun<K, A> {
     }
 }
 
+/// A sink for container unit tests: hands every batch, decoded, to `f`
+/// with its partition.
+#[cfg(test)]
+pub(crate) struct BatchSink<K, A, F> {
+    pub codec: PairCodec<K, A>,
+    pub f: F,
+}
+
+#[cfg(test)]
+impl<K, A, F> SpillSink<K, A> for BatchSink<K, A, F>
+where
+    F: Fn(usize, Vec<(K, A)>) + Send + Sync,
+{
+    fn pairs(&self, partition: usize, pairs: Vec<(K, A)>) {
+        (self.f)(partition, pairs);
+    }
+
+    fn encoded(&self, partition: usize, payloads: &mut dyn ExactSizeIterator<Item = &[u8]>) {
+        let decode = self.codec.decode;
+        (self.f)(partition, payloads.map(|p| decode(p).expect("a payload it encoded")).collect());
+    }
+
+    fn undecodable(&self, detail: String) {
+        panic!("{detail}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::probe::StageProbe;
     use crate::runtime::JobConfig;
-    use supmr_merge::ByKey;
     use supmr_metrics::Tracer;
     use supmr_storage::MemRunStore;
 
@@ -569,6 +672,7 @@ mod tests {
         JobSpill::new(
             Arc::new(MemoryAccountant::new(1024)),
             u64_codec(),
+            Arc::new(|k: &u64| k >> 2),
             store,
             String::new(),
             probe,
@@ -620,7 +724,7 @@ mod tests {
     fn spill_round_trips_sorted_runs() {
         let store = MemRunStore::new();
         let spill = spill_onto(Arc::new(store.clone()));
-        spill.spill_partition(3, vec![(9, 1), (2, 2), (5, 3)], &ByKey(|k: &u64| k >> 2));
+        spill.pairs(3, vec![(9, 1), (2, 2), (5, 3)]);
         assert_eq!(spill.runs_written(), 1);
         let runs = spill.take_runs();
         assert_eq!(runs.len(), 1);
@@ -638,10 +742,42 @@ mod tests {
     }
 
     #[test]
+    fn encoded_payloads_are_framed_as_they_are() {
+        let store = MemRunStore::new();
+        let spill = spill_onto(Arc::new(store.clone()));
+        let payloads: Vec<Vec<u8>> = [(2u64, 7u64), (5, 8), (9, 9)]
+            .iter()
+            .map(|(k, a)| {
+                let mut buf = Vec::new();
+                (u64_codec().encode)(k, a, &mut buf);
+                buf
+            })
+            .collect();
+        spill.encoded(1, &mut payloads.iter().map(Vec::as_slice));
+        spill.encoded(1, &mut payloads[..0].iter().map(Vec::as_slice));
+        let runs = spill.take_runs();
+        assert_eq!(runs.len(), 1, "an empty batch writes no run");
+        assert_eq!((runs[0].partition, runs[0].records, runs[0].bytes), (1, 3, 3 * 24));
+        let err = Arc::new(Mutex::new(None));
+        let decoded: Vec<(u64, u64)> =
+            DecodedRun::open(&store, &runs[0].name, 3, u64_codec().decode, Arc::clone(&err), 64)
+                .unwrap()
+                .collect();
+        assert_eq!(decoded, vec![(2, 7), (5, 8), (9, 9)], "payloads keep their order");
+        spill.undecodable("first".into());
+        spill.undecodable("second".into());
+        match spill.check_decodes() {
+            Err(crate::error::SupmrError::Merge { message }) => assert_eq!(message, "first"),
+            other => panic!("an undecodable payload is a merge error, got {other:?}"),
+        }
+        assert!(spill.check_decodes().is_ok(), "error surfaces once");
+    }
+
+    #[test]
     fn empty_batches_write_nothing() {
         let store = MemRunStore::new();
         let spill = spill_onto(Arc::new(store.clone()));
-        spill.spill_partition(0, Vec::new(), &ByKey(|_: &u64| 0));
+        spill.pairs(0, Vec::new());
         assert_eq!(spill.runs_written(), 0);
         assert!(store.is_empty());
     }
@@ -653,7 +789,7 @@ mod tests {
         let store =
             FaultySource::new(inner.clone(), Fault::writes_after(4, io::ErrorKind::StorageFull));
         let spill = spill_onto(Arc::new(store));
-        spill.spill_partition(0, vec![(1, 1), (2, 2)], &ByKey(|_: &u64| 0));
+        spill.pairs(0, vec![(1, 1), (2, 2)]);
         assert_eq!(spill.runs_written(), 0);
         let err = spill.check().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
@@ -684,7 +820,7 @@ mod tests {
     fn a_run_cut_at_a_frame_boundary_parks_a_truncation() {
         let store = MemRunStore::new();
         let spill = spill_onto(Arc::new(store.clone()));
-        spill.spill_partition(0, vec![(1, 1), (2, 2), (3, 3)], &ByKey(|_: &u64| 0));
+        spill.pairs(0, vec![(1, 1), (2, 2), (3, 3)]);
         let runs = spill.take_runs();
         // Each frame is an 8-byte header and a 16-byte payload.
         let mut bytes = Vec::new();

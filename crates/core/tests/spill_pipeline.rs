@@ -10,7 +10,7 @@ use supmr::api::{Emit, MapReduce};
 use supmr::combiner::{Identity, Sum};
 use supmr::container::{HashContainer, UnlockedContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
-use supmr::{Chunking, PairCodec, SupmrError};
+use supmr::{Chunking, KeyPrefix, PairCodec, SupmrError};
 use supmr_metrics::{MetricValue, Registry};
 use supmr_storage::{Fault, FaultySource, MemRunStore, MemSource, RunStore};
 use supmr_workloads::check::{check, Gen};
@@ -374,6 +374,172 @@ fn range_partitioned_sort_matches_unbounded_for_every_key_shape() {
                 }
             }
         }
+    }
+}
+
+/// Decodes made by [`TiedSort`]'s codec, across all threads.
+static TIED_DECODES: AtomicUsize = AtomicUsize::new(0);
+
+/// MiniSort with 11-byte keys that agree in their first 8 bytes and a
+/// byte-string key prefix, so every prefix ties and a spilled run's
+/// order rests on decoded keys. Its codec counts decodes.
+struct TiedSort;
+
+impl MapReduce for TiedSort {
+    type Key = Vec<u8>;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<Vec<u8>, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<Vec<u8>, Vec<u8>>) {
+        for rec in split.split(|&b| b == b'\n').filter(|r| !r.is_empty()) {
+            emit.emit(rec[..rec.len().min(11)].to_vec(), rec.to_vec());
+        }
+    }
+
+    fn reduce(&self, _k: &Vec<u8>, rec: Vec<u8>) -> Vec<u8> {
+        rec
+    }
+
+    fn key_prefix(&self, key: &Vec<u8>) -> u64 {
+        key.key_prefix()
+    }
+
+    fn spill_codec(&self) -> Option<PairCodec<Vec<u8>, Vec<u8>>> {
+        fn decode(rec: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+            TIED_DECODES.fetch_add(1, Ordering::SeqCst);
+            (MiniSort.spill_codec()?.decode)(rec)
+        }
+        Some(PairCodec { decode, ..MiniSort.spill_codec()? })
+    }
+}
+
+/// Keys whose prefixes tie go through the encoded spill in key order,
+/// each decoded once per sort: for a budget from "every absorb spills"
+/// up, the budgeted sort is the unbounded one — byte for byte where keys
+/// are unique, as the same key-ordered multiset where they repeat — and
+/// the map phase decodes no more than every record once plus the
+/// splitter sample. (A sort that decoded per comparison would decode
+/// each run's records about `2 log₂ n` times.)
+#[test]
+fn prefix_ties_through_the_encoded_path_decode_each_key_once_per_sort() {
+    type KeyOf = fn(u32) -> u32;
+    let shapes: [(&str, bool, KeyOf); 2] = [
+        ("unique, shuffled", true, |i| i * 7919),
+        ("five keys, duplicates on both sides of every splitter", false, |i| (i % 5) * 3000),
+    ];
+    const RECORDS: usize = 700;
+    for (shape, unique, key_of) in shapes {
+        let mut data = Vec::new();
+        for line in sort_corpus(RECORDS as u32, key_of).split_inclusive(|&b| b == b'\n') {
+            data.extend_from_slice(b"tiedkey:");
+            data.extend_from_slice(line);
+        }
+        for reduce_workers in [2usize, 3] {
+            let mut config = base_config();
+            config.split_bytes = 1024;
+            config.reduce_workers = reduce_workers;
+            let unbounded = Job::new(TiedSort)
+                .config(config.clone())
+                .run(Input::stream(MemSource::from(data.clone())))
+                .unwrap();
+            for budget in [1u64, 900, 6000] {
+                let what = format!("{shape}, {reduce_workers} reduce workers, budget {budget}");
+                let store = MemRunStore::new();
+                let mut cfg = config.clone();
+                cfg.memory_budget = Some(budget);
+                cfg.spill_store = Some(Arc::new(store.clone()));
+                let before = TIED_DECODES.load(Ordering::SeqCst);
+                let spilled = Job::new(TiedSort)
+                    .config(cfg)
+                    .run(Input::stream(MemSource::from(data.clone())))
+                    .unwrap();
+                let decodes = TIED_DECODES.load(Ordering::SeqCst) - before;
+                let stats = &spilled.report.stats;
+                assert!(stats.spill_runs > 0, "{what}: must spill");
+                assert!(store.is_empty(), "{what}: run files must be deleted after the merge");
+                // The reduce decodes every record exactly once, read back
+                // from its run or drained from memory; the rest is the
+                // map phase's: spill sorts and the splitter sample.
+                let samples = (stats.map_tasks as usize * reduce_workers * 32).min(RECORDS);
+                assert!(decodes >= RECORDS, "{what}: {decodes} decodes");
+                assert!(
+                    decodes - RECORDS <= RECORDS + samples,
+                    "{what}: the map phase decoded {} times for {RECORDS} records and at most \
+                     {samples} samples",
+                    decodes - RECORDS
+                );
+                assert!(
+                    spilled.pairs.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "{what}: output must be in key order"
+                );
+                if unique {
+                    assert_eq!(spilled.pairs, unbounded.pairs, "{what}");
+                } else {
+                    let (mut a, mut b) = (unbounded.pairs.clone(), spilled.pairs);
+                    a.sort();
+                    b.sort();
+                    assert_eq!(a, b, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// MiniSort whose codec cannot decode the records of key `bad`.
+struct UndecodableSort;
+
+impl MapReduce for UndecodableSort {
+    type Key = Vec<u8>;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<Vec<u8>, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<Vec<u8>, Vec<u8>>) {
+        MiniSort.map(split, emit);
+    }
+
+    fn reduce(&self, _k: &Vec<u8>, rec: Vec<u8>) -> Vec<u8> {
+        rec
+    }
+
+    fn spill_codec(&self) -> Option<PairCodec<Vec<u8>, Vec<u8>>> {
+        fn decode(rec: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+            (MiniSort.spill_codec()?.decode)(rec).filter(|(key, _)| key != b"bad")
+        }
+        Some(PairCodec { decode, ..MiniSort.spill_codec()? })
+    }
+}
+
+/// A held record that does not decode — when a spill sorts it, when
+/// the splitters are sampled, or when the remainder is drained, on a
+/// job that spills and on one that never does — fails the job with a
+/// typed merge error, not a panic, and leaves no run behind.
+#[test]
+fn undecodable_held_records_fail_the_job_as_merge_errors() {
+    let mut data = sort_corpus(700, |i| i * 7919);
+    data.extend_from_slice(b"bad:payload\n");
+    for budget in [1u64, 900, 1 << 30] {
+        let store = MemRunStore::new();
+        let err = Job::new(UndecodableSort)
+            .config(budgeted_config(budget, &store))
+            .run(Input::stream(MemSource::from(data.clone())))
+            .expect_err("an undecodable record must fail the job");
+        match err {
+            SupmrError::Merge { message } => assert!(message.contains("undecodable"), "{message}"),
+            other => panic!("budget {budget}: want a merge error, got {other:?}"),
+        }
+        assert!(store.is_empty(), "budget {budget}: run files must be deleted");
     }
 }
 

@@ -32,6 +32,11 @@ use std::path::{Path, PathBuf};
 /// `read` call.
 pub const BLOCK_BYTES: usize = 256 * 1024;
 
+/// Room a [`RunWriter`]'s block has past [`BLOCK_BYTES`]: the block is
+/// written once a frame takes it to `BLOCK_BYTES` or beyond, so with
+/// this much headroom no frame of up to this length ever grows it.
+const BLOCK_HEADROOM: usize = 64 * 1024;
+
 /// What went wrong while reading a run file.
 ///
 /// `Io` is the transport failing (disk error, injected fault); `Corrupt`
@@ -101,9 +106,9 @@ impl From<RunReadError> for io::Error {
 /// Generic over the sink so spill runs can be written through the
 /// storage layer (throttled, observed, fault-injected); plain file runs
 /// use the [`RunWriter::create`] constructor. Frames collect in one
-/// block that goes to the sink whole each time it reaches
-/// [`BLOCK_BYTES`]; [`finish`](RunWriter::finish) writes the last one,
-/// so a writer dropped unfinished leaves a short run behind.
+/// block, allocated once, that goes to the sink whole each time it
+/// reaches [`BLOCK_BYTES`]; [`finish`](RunWriter::finish) writes the
+/// last one, so a writer dropped unfinished leaves a short run behind.
 pub struct RunWriter<W: Write = File> {
     out: W,
     path: PathBuf,
@@ -130,7 +135,8 @@ impl<W: Write> RunWriter<W> {
     ///
     /// [`finish`]: RunWriter::finish
     pub fn from_writer(out: W) -> RunWriter<W> {
-        RunWriter { out, path: PathBuf::new(), block: Vec::new(), records: 0, bytes: 0 }
+        let block = Vec::with_capacity(BLOCK_BYTES + BLOCK_HEADROOM);
+        RunWriter { out, path: PathBuf::new(), block, records: 0, bytes: 0 }
     }
 
     /// Append one record (caller guarantees run order).
@@ -315,6 +321,25 @@ pub fn merge_run_files(paths: &[PathBuf]) -> io::Result<impl Iterator<Item = Vec
 mod tests {
     use super::*;
     use supmr_workloads::Xoshiro256;
+
+    #[test]
+    fn the_writer_block_is_allocated_once() {
+        let mut writer = RunWriter::from_writer(io::sink());
+        let capacity = writer.block.capacity();
+        // 114-byte payloads, a spilled TeraSort pair's length, through
+        // four block writes.
+        let record = [7u8; 114];
+        for _ in 0..4 * BLOCK_BYTES / (record.len() + crate::frame::FRAME_HEADER) + 1 {
+            writer.push(&record).unwrap();
+            assert_eq!(writer.block.capacity(), capacity, "after {} records", writer.records());
+        }
+        let long = vec![1u8; BLOCK_HEADROOM - crate::frame::FRAME_HEADER];
+        for _ in 0..8 {
+            writer.push(&long).unwrap();
+        }
+        assert_eq!(writer.block.capacity(), capacity, "a frame of the headroom's length fits");
+        writer.finish().unwrap();
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("supmr-external-{tag}"));
