@@ -10,10 +10,10 @@
 //! boundaries (inter-file behaviour), so every chunk is close to the
 //! target size regardless of the directory's shape.
 
-use super::{Chunker, IngestChunk};
+use super::{Chunker, IngestChunk, Recycler};
 use std::io;
 use std::ops::Range;
-use supmr_storage::{FileSet, RecordFormat, SharedBytes};
+use supmr_storage::{FileSet, RecordFormat};
 
 /// Byte-targeted chunking over a [`FileSet`] with mixed file sizes.
 pub struct HybridChunker<F> {
@@ -27,6 +27,7 @@ pub struct HybridChunker<F> {
     carry: Option<(Vec<u8>, usize)>,
     index: usize,
     offset: u64,
+    buffers: Recycler,
 }
 
 impl<F: FileSet> HybridChunker<F> {
@@ -37,7 +38,16 @@ impl<F: FileSet> HybridChunker<F> {
     /// Panics if `chunk_bytes == 0`.
     pub fn new(files: F, chunk_bytes: u64, format: RecordFormat) -> Self {
         assert!(chunk_bytes > 0, "chunk size must be non-zero");
-        HybridChunker { files, chunk_bytes, format, next_file: 0, carry: None, index: 0, offset: 0 }
+        HybridChunker {
+            files,
+            chunk_bytes,
+            format,
+            next_file: 0,
+            carry: None,
+            index: 0,
+            offset: 0,
+            buffers: Recycler::default(),
+        }
     }
 
     /// Take up to `want` bytes (extended to a record boundary) from a
@@ -54,7 +64,8 @@ impl<F: FileSet> HybridChunker<F> {
 impl<F: FileSet> Chunker for HybridChunker<F> {
     fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>> {
         let target = self.chunk_bytes as usize;
-        let mut data: Vec<u8> = Vec::new();
+        let mut data = self.buffers.take(target);
+        data.clear();
         let mut segments: Vec<Range<usize>> = Vec::new();
 
         loop {
@@ -85,15 +96,15 @@ impl<F: FileSet> Chunker for HybridChunker<F> {
             if !data.is_empty() && data.len() + flen > 2 * target {
                 break;
             }
-            let buf = self.files.read_file(self.next_file)?;
+            let idx = self.next_file;
             self.next_file += 1;
-            if buf.len() > target {
+            if flen > target {
                 // Oversized file: split it; first piece goes here.
-                self.carry = Some((buf, 0));
+                self.carry = Some((self.files.read_file(idx)?, 0));
                 continue;
             }
             let start = data.len();
-            data.extend_from_slice(&buf);
+            self.files.append_file(idx, &mut data)?;
             segments.push(start..data.len());
         }
 
@@ -103,7 +114,7 @@ impl<F: FileSet> Chunker for HybridChunker<F> {
         let chunk = IngestChunk {
             index: self.index,
             offset: self.offset,
-            data: SharedBytes::from(data),
+            data: self.buffers.seal(data),
             segments,
         };
         self.index += 1;

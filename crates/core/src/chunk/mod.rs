@@ -14,6 +14,12 @@
 //!   into one chunk; the user chooses how many files per chunk, and "if
 //!   the user-defined chunk size is higher than the number of files left
 //!   in the job, then the last chunk is smaller than the rest."
+//!
+//! A chunker whose input is not resident reads each chunk into a buffer
+//! of its own, which the chunk's [`SharedBytes`] adopts without a copy.
+//! Once every view of a chunk has dropped, the chunker takes its buffer
+//! back and reads a later chunk into it, so a double-buffered job
+//! cycles two buffers instead of faulting in a fresh one per chunk.
 
 //! ```
 //! use supmr::chunk::{Chunker, InterFileChunker};
@@ -73,9 +79,12 @@ impl Chunking {
 /// One ingest chunk: a contiguous region of input resident in memory.
 ///
 /// `data` is a [`SharedBytes`] view: the ingest thread and every map
-/// split reference one shared allocation, and cloning a chunk (or handing its bytes to a map wave) never copies
-/// the payload. Fully resident sources go further — each chunk is a
-/// window of the *source's* buffer, so chunking itself is copy-free.
+/// split reference one shared allocation, and cloning a chunk (or
+/// handing its bytes to a map wave) never copies the payload. Fully
+/// resident sources go further — each chunk is a window of the
+/// *source's* buffer, so chunking itself is copy-free. Otherwise the
+/// allocation is the chunker's read buffer, which it reuses for a later
+/// chunk once every view of this one has dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestChunk {
     /// Chunk sequence number (0-based).
@@ -118,6 +127,68 @@ pub trait Chunker: Send {
 /// keeps extending window by window.
 const BOUNDARY_WINDOW: usize = 4096;
 
+/// The buffers of the chunks a chunker has handed out. Each is kept as
+/// one more view, so its reference count falls to 1 once every view the
+/// job took of the chunk has dropped; the buffer is then taken back and
+/// the next chunk read into it.
+#[derive(Default)]
+struct Recycler {
+    lent: Vec<SharedBytes>,
+}
+
+impl Recycler {
+    /// A buffer with room for `capacity` bytes: a lent one that nothing
+    /// else views any more, or a new one. A reclaimed buffer keeps its
+    /// old length and bytes; [`read_into`] overwrites them.
+    fn take(&mut self, capacity: usize) -> Vec<u8> {
+        let mut buf = match self.lent.iter().position(|b| b.ref_count() == 1) {
+            Some(i) => self.lent.swap_remove(i).try_reclaim().unwrap_or_default(),
+            None => Vec::new(),
+        };
+        // Other buffers nothing views any more are not needed for this
+        // chunk: free them rather than hold them until the input ends.
+        self.lent.retain(|b| b.ref_count() > 1);
+        if buf.capacity() < capacity {
+            buf.clear(); // growing must not copy the old chunk's bytes
+            buf.reserve_exact(capacity);
+        }
+        buf
+    }
+
+    /// Adopt a filled buffer as a chunk's bytes, keeping a view of it to
+    /// take it back later.
+    fn seal(&mut self, buf: Vec<u8>) -> SharedBytes {
+        let data = SharedBytes::from(buf);
+        self.lent.push(data.clone());
+        data
+    }
+}
+
+/// Read `source` from `offset` into `buf[at..at + want]`, stopping early
+/// at end of input; returns the bytes read. `buf` grows to cover the
+/// range if it is shorter, and bytes it already holds are overwritten,
+/// not zeroed first.
+fn read_into<S: DataSource>(
+    source: &mut S,
+    offset: u64,
+    buf: &mut Vec<u8>,
+    at: usize,
+    want: usize,
+) -> io::Result<usize> {
+    if buf.len() < at + want {
+        buf.resize(at + want, 0);
+    }
+    let mut filled = 0;
+    while filled < want {
+        let n = source.read_at(offset + filled as u64, &mut buf[at + filled..at + want])?;
+        if n == 0 {
+            break;
+        }
+        filled += n;
+    }
+    Ok(filled)
+}
+
 /// Inter-file chunking of a [`DataSource`].
 pub struct InterFileChunker<S> {
     source: S,
@@ -125,6 +196,7 @@ pub struct InterFileChunker<S> {
     format: RecordFormat,
     offset: u64,
     index: usize,
+    buffers: Recycler,
 }
 
 impl<S: DataSource> InterFileChunker<S> {
@@ -135,7 +207,14 @@ impl<S: DataSource> InterFileChunker<S> {
     /// Panics if `chunk_bytes == 0`.
     pub fn new(source: S, chunk_bytes: u64, format: RecordFormat) -> Self {
         assert!(chunk_bytes > 0, "chunk size must be non-zero");
-        InterFileChunker { source, chunk_bytes, format, offset: 0, index: 0 }
+        InterFileChunker {
+            source,
+            chunk_bytes,
+            format,
+            offset: 0,
+            index: 0,
+            buffers: Recycler::default(),
+        }
     }
 
     /// Does `data` (starting at absolute offset `start`) end on a record
@@ -152,12 +231,19 @@ impl<S: DataSource> InterFileChunker<S> {
         }
     }
 
-    /// Extend `data` past the nominal end until it finishes on a record
-    /// boundary (or EOF).
-    fn extend_to_boundary(&mut self, data: &mut Vec<u8>, start: u64) -> io::Result<()> {
+    /// Extend the chunk `buf[..end]` (starting at absolute offset
+    /// `start`) past its nominal end until it finishes on a record
+    /// boundary (or EOF), reading each window straight into the tail of
+    /// `buf`; returns the new end.
+    fn extend_to_boundary(
+        &mut self,
+        buf: &mut Vec<u8>,
+        mut end: usize,
+        start: u64,
+    ) -> io::Result<usize> {
         let total = self.source.len();
-        while !self.ends_complete(data, start) {
-            let abs_end = start + data.len() as u64;
+        while !self.ends_complete(&buf[..end], start) {
+            let abs_end = start + end as u64;
             if abs_end >= total {
                 break; // trailing partial record travels with this chunk
             }
@@ -169,42 +255,22 @@ impl<S: DataSource> InterFileChunker<S> {
                 }
                 _ => BOUNDARY_WINDOW,
             };
-            let mut window = vec![0u8; want.min((total - abs_end) as usize)];
-            let mut filled = 0;
-            while filled < window.len() {
-                let n = self.source.read_at(abs_end + filled as u64, &mut window[filled..])?;
-                if n == 0 {
-                    break;
-                }
-                filled += n;
-            }
-            window.truncate(filled);
-            if window.is_empty() {
+            let want = want.min((total - abs_end) as usize);
+            let n = read_into(&mut self.source, abs_end, buf, end, want)?;
+            if n == 0 {
                 break;
             }
-            // Append up to and including the first terminator in the
+            // Keep up to and including the first terminator in the
             // window (accounting for a \r left hanging at the seam).
-            match self.format {
-                RecordFormat::Newline => {
-                    if let Some(i) = find_byte(&window, b'\n') {
-                        data.extend_from_slice(&window[..=i]);
-                    } else {
-                        data.extend_from_slice(&window);
-                    }
-                }
-                RecordFormat::CrLf => {
-                    if data.last() == Some(&b'\r') && window[0] == b'\n' {
-                        data.push(b'\n');
-                    } else if let Some(i) = find_crlf(&window) {
-                        data.extend_from_slice(&window[..i + 2]);
-                    } else {
-                        data.extend_from_slice(&window);
-                    }
-                }
-                _ => data.extend_from_slice(&window),
-            }
+            let window = &buf[end..end + n];
+            end += match self.format {
+                RecordFormat::Newline => find_byte(window, b'\n').map_or(n, |i| i + 1),
+                RecordFormat::CrLf if buf[end - 1] == b'\r' && window[0] == b'\n' => 1,
+                RecordFormat::CrLf => find_crlf(window).map_or(n, |i| i + 2),
+                _ => n,
+            };
         }
-        Ok(())
+        Ok(end)
     }
 }
 
@@ -235,22 +301,15 @@ impl<S: DataSource> Chunker for InterFileChunker<S> {
         }
 
         let want = self.chunk_bytes.min(total - self.offset) as usize;
-        let mut data = vec![0u8; want];
-        let mut filled = 0;
-        while filled < want {
-            let n = self.source.read_at(self.offset + filled as u64, &mut data[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        data.truncate(filled);
-        if data.is_empty() {
+        let mut buf = self.buffers.take(want + BOUNDARY_WINDOW);
+        let filled = read_into(&mut self.source, self.offset, &mut buf, 0, want)?;
+        if filled == 0 {
             return Ok(None);
         }
-        self.extend_to_boundary(&mut data, self.offset)?;
+        let end = self.extend_to_boundary(&mut buf, filled, self.offset)?;
+        buf.truncate(end);
 
-        let data = SharedBytes::from(data);
+        let data = self.buffers.seal(buf);
         let chunk = IngestChunk {
             index: self.index,
             offset: self.offset,
@@ -313,6 +372,7 @@ pub struct IntraFileChunker<F> {
     next_file: usize,
     index: usize,
     offset: u64,
+    buffers: Recycler,
 }
 
 impl<F: FileSet> IntraFileChunker<F> {
@@ -322,7 +382,14 @@ impl<F: FileSet> IntraFileChunker<F> {
     /// Panics if `files_per_chunk == 0`.
     pub fn new(files: F, files_per_chunk: usize) -> Self {
         assert!(files_per_chunk > 0, "files per chunk must be non-zero");
-        IntraFileChunker { files, files_per_chunk, next_file: 0, index: 0, offset: 0 }
+        IntraFileChunker {
+            files,
+            files_per_chunk,
+            next_file: 0,
+            index: 0,
+            offset: 0,
+            buffers: Recycler::default(),
+        }
     }
 }
 
@@ -352,20 +419,23 @@ impl<F: FileSet> Chunker for IntraFileChunker<F> {
             }
         }
 
-        // Pre-size to the first file's length, then grow dynamically —
-        // "the runtime dynamically increases the allocated space to
-        // ensure that all files in the intra-file chunk are collocated".
-        let mut data = Vec::with_capacity(self.files.file_len(self.next_file) as usize);
+        // Pre-size to the files' listed lengths; a file that has grown
+        // since it was listed still fits — "the runtime dynamically
+        // increases the allocated space to ensure that all files in the
+        // intra-file chunk are collocated".
+        let listed = (self.next_file..end_file).map(|i| self.files.file_len(i) as usize).sum();
+        let mut data = self.buffers.take(listed);
+        data.clear();
         let mut segments = Vec::with_capacity(end_file - self.next_file);
         for i in self.next_file..end_file {
             let start = data.len();
-            data.extend_from_slice(&self.files.read_file(i)?);
+            self.files.append_file(i, &mut data)?;
             segments.push(start..data.len());
         }
         let chunk = IngestChunk {
             index: self.index,
             offset: self.offset,
-            data: SharedBytes::from(data),
+            data: self.buffers.seal(data),
             segments,
         };
         self.offset += chunk.data.len() as u64;
@@ -382,7 +452,7 @@ impl<F: FileSet> Chunker for IntraFileChunker<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supmr_storage::{MemFileSet, MemSource};
+    use supmr_storage::{MemFileSet, MemSource, ThrottledSource};
 
     fn newline_input(records: usize, record_len: usize) -> Vec<u8> {
         let mut out = Vec::new();
@@ -400,6 +470,44 @@ mod tests {
             out.push(chunk);
         }
         out
+    }
+
+    /// Drain `c`, dropping each chunk before the next is read, so every
+    /// read after the first overwrites a recycled buffer. The chunks
+    /// come back as owned copies.
+    fn drain_recycled(mut c: impl Chunker) -> Vec<IngestChunk> {
+        let mut out = Vec::new();
+        while let Some(chunk) = c.next_chunk().unwrap() {
+            out.push(IngestChunk { data: SharedBytes::from(chunk.data.to_vec()), ..chunk });
+        }
+        out
+    }
+
+    /// Drain `c` the way a double-buffered job does: chunk i is held
+    /// while chunk i + 1 is read and dropped before chunk i + 2 is.
+    /// Returns the chunk count, the number of distinct buffers the
+    /// chunks were read into, and the bytes.
+    fn double_buffered(mut c: impl Chunker) -> (usize, usize, Vec<u8>) {
+        let (mut chunks, mut buffers, mut bytes) = (0, Vec::new(), Vec::new());
+        let mut held: Option<IngestChunk> = None;
+        // A shared buffer of the dropped chunk's length, allocated and
+        // held after each round, takes that chunk's buffer if it went
+        // back to the allocator: only a buffer the chunker kept can be
+        // read into again.
+        let mut between_rounds = Vec::new();
+        while let Some(chunk) = c.next_chunk().unwrap() {
+            chunks += 1;
+            if !buffers.contains(&chunk.data.as_ptr()) {
+                buffers.push(chunk.data.as_ptr());
+            }
+            bytes.extend_from_slice(&chunk.data);
+            if let Some(previous) = held.replace(chunk) {
+                let len = previous.len();
+                drop(previous);
+                between_rounds.push(SharedBytes::from(vec![1u8; len]));
+            }
+        }
+        (chunks, buffers.len(), bytes)
     }
 
     #[test]
@@ -587,8 +695,75 @@ mod tests {
                     chunk_bytes,
                     format,
                 ));
+                let recycled = drain_recycled(InterFileChunker::new(
+                    CopyOnly(MemSource::from(input.clone())),
+                    chunk_bytes,
+                    format,
+                ));
                 assert_eq!(fast, copy, "format {format:?}, chunk_bytes {chunk_bytes}");
+                assert_eq!(
+                    fast, recycled,
+                    "recycled: format {format:?}, chunk_bytes {chunk_bytes}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn non_resident_chunks_cycle_two_buffers() {
+        let input = newline_input(4000, 10);
+        // A throttled source refuses shared views, so every chunk is read.
+        let source = ThrottledSource::new(MemSource::from(input.clone()), 1e12);
+        let (chunks, buffers, bytes) =
+            double_buffered(InterFileChunker::new(source, 4096, RecordFormat::Newline));
+        assert!(chunks >= 8, "{chunks} chunks");
+        assert!(buffers <= 2, "{chunks} chunks were read into {buffers} buffers");
+        assert_eq!(bytes, input);
+    }
+
+    #[test]
+    fn file_set_chunkers_cycle_two_buffers() {
+        let files: Vec<Vec<u8>> = (0..64).map(|i| format!("{i:099}\n").into_bytes()).collect();
+        let input = files.concat();
+        for (name, (chunks, buffers, bytes)) in [
+            ("intra", double_buffered(IntraFileChunker::new(MemFileSet::new(files.clone()), 4))),
+            (
+                "hybrid",
+                double_buffered(HybridChunker::new(
+                    MemFileSet::new(files.clone()),
+                    400,
+                    RecordFormat::Newline,
+                )),
+            ),
+        ] {
+            assert_eq!(chunks, 16, "{name}");
+            assert!(buffers <= 2, "{name}: {chunks} chunks were read into {buffers} buffers");
+            assert_eq!(bytes, input, "{name}");
+        }
+    }
+
+    #[test]
+    fn held_chunks_and_splits_are_never_overwritten() {
+        let input = newline_input(2000, 10);
+        let mut chunker = InterFileChunker::new(
+            CopyOnly(MemSource::from(input.clone())),
+            1000,
+            RecordFormat::Newline,
+        );
+        // Keep every third chunk whole and a one-record split of every
+        // other one; drop the rest of each chunk at once.
+        let mut held = Vec::new();
+        while let Some(chunk) = chunker.next_chunk().unwrap() {
+            let start = chunk.offset as usize;
+            if chunk.index % 3 == 0 {
+                held.push((start, chunk.data.clone()));
+            } else {
+                held.push((start, chunk.data.slice(0..10)));
+            }
+        }
+        assert!(held.len() >= 20);
+        for (start, bytes) in &held {
+            assert_eq!(&bytes[..], &input[*start..start + bytes.len()], "the view at {start}");
         }
     }
 

@@ -917,7 +917,7 @@ fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> Bottle
 ///
 /// Sources whose bytes are already resident in shared memory
 /// ([`DataSource::shared`]) are wrapped zero-copy; everything else is
-/// read once and sealed into a [`SharedBytes`] allocation.
+/// read once into one buffer that the [`SharedBytes`] adopts.
 pub(crate) fn ingest_entire(input: Input) -> io::Result<IngestChunk> {
     match input {
         Input::Stream(mut s) => {
@@ -938,11 +938,11 @@ pub(crate) fn ingest_entire(input: Input) -> io::Result<IngestChunk> {
                     return Ok(IngestChunk { index: 0, offset: 0, segments, data });
                 }
             }
-            let mut data = Vec::new();
+            let mut data = Vec::with_capacity(f.total_len() as usize);
             let mut segments = Vec::with_capacity(f.file_count());
             for i in 0..f.file_count() {
                 let start = data.len();
-                data.extend_from_slice(&f.read_file(i)?);
+                f.append_file(i, &mut data)?;
                 segments.push(start..data.len());
             }
             Ok(IngestChunk { index: 0, offset: 0, segments, data: SharedBytes::from(data) })

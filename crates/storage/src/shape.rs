@@ -147,8 +147,8 @@ impl<F: FileSet, D: Device> FileSet for Shaped<F, D> {
         self.inner.file_len(idx)
     }
 
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        self.transfer(Transfer::File(idx), |f| f.read_file(idx), Vec::len)
+    fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+        self.transfer(Transfer::File(idx), |f| f.append_file(idx, buf), |&n| n)
     }
 
     fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {

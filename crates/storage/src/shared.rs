@@ -1,15 +1,22 @@
 //! Shared immutable byte buffers.
 //!
 //! [`SharedBytes`] is the currency of the zero-copy ingest path: one
-//! reference-counted allocation (`Arc<[u8]>`) with a window onto it.
-//! The ingest thread seals a chunk's bytes into a `SharedBytes` once;
-//! the chunker, the feedback path, and every map split then hold cheap
-//! clones (an `Arc` bump plus two indices) of the same allocation
-//! instead of copying the payload per consumer.
+//! reference-counted vector (`Arc<Vec<u8>>`) with a window onto it.
+//! The ingest thread reads a chunk into a vector and the `SharedBytes`
+//! *adopts* it: the vector's allocation becomes the shared one, so the
+//! bytes are written to memory once. The chunker, the feedback path and
+//! every map split then hold cheap clones (an `Arc` bump plus two
+//! indices) of the same allocation instead of copying the payload per
+//! consumer.
 //!
 //! Windows never re-slice the underlying storage: [`SharedBytes::slice`]
 //! produces a narrower view of the *same* allocation, so a resident
 //! source can hand out per-chunk views of one file-sized buffer.
+//!
+//! Once the last other view has dropped, the vector can be taken back
+//! ([`SharedBytes::try_reclaim`]) and the next chunk read into it: a
+//! double-buffered pipeline cycles two buffers instead of faulting in a
+//! fresh one per chunk.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -21,7 +28,7 @@ use std::sync::Arc;
 /// the payload is never duplicated.
 #[derive(Clone)]
 pub struct SharedBytes {
-    buf: Arc<[u8]>,
+    buf: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -29,7 +36,7 @@ pub struct SharedBytes {
 impl SharedBytes {
     /// An empty buffer (no allocation is shared).
     pub fn empty() -> Self {
-        SharedBytes { buf: Arc::from([]), start: 0, end: 0 }
+        SharedBytes::from(Vec::new())
     }
 
     /// Length of this view in bytes.
@@ -76,6 +83,15 @@ impl SharedBytes {
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.buf)
     }
+
+    /// Take back the whole vector behind this view if this is its last
+    /// view (the reference count says no other is alive); otherwise
+    /// return the view unchanged. The vector keeps its length and
+    /// contents.
+    pub fn try_reclaim(self) -> Result<Vec<u8>, SharedBytes> {
+        let SharedBytes { buf, start, end } = self;
+        Arc::try_unwrap(buf).map_err(|buf| SharedBytes { buf, start, end })
+    }
 }
 
 impl Default for SharedBytes {
@@ -99,19 +115,11 @@ impl AsRef<[u8]> for SharedBytes {
 }
 
 impl From<Vec<u8>> for SharedBytes {
-    /// Seal an owned vector into a shared buffer (one final copy into
-    /// the `Arc` allocation; every subsequent clone is free).
+    /// Adopt an owned vector as the shared buffer: its allocation is
+    /// kept, no byte is copied, and every later clone is free.
     fn from(v: Vec<u8>) -> Self {
-        let buf: Arc<[u8]> = Arc::from(v);
-        let end = buf.len();
-        SharedBytes { buf, start: 0, end }
-    }
-}
-
-impl From<Arc<[u8]>> for SharedBytes {
-    fn from(buf: Arc<[u8]>) -> Self {
-        let end = buf.len();
-        SharedBytes { buf, start: 0, end }
+        let end = v.len();
+        SharedBytes { buf: Arc::new(v), start: 0, end }
     }
 }
 
@@ -218,6 +226,29 @@ mod tests {
         assert_eq!(e.len(), 0);
         let whole = SharedBytes::from(b"ab".to_vec());
         assert!(whole.slice(1..1).is_empty());
+    }
+
+    #[test]
+    fn adopting_a_vector_keeps_its_allocation() {
+        let v = b"adopted, not copied".to_vec();
+        let ptr = v.as_ptr();
+        let shared = SharedBytes::from(v);
+        assert_eq!(shared.as_ptr(), ptr);
+        assert_eq!(shared.slice(9..12).as_ptr(), ptr.wrapping_add(9));
+    }
+
+    #[test]
+    fn only_the_last_view_reclaims_the_vector() {
+        let v = b"chunk bytes".to_vec();
+        let ptr = v.as_ptr();
+        let whole = SharedBytes::from(v);
+        let split = whole.slice(0..5);
+        let whole = whole.try_reclaim().expect_err("a split still views the buffer");
+        assert_eq!(whole, b"chunk bytes", "a failed reclaim leaves the view as it was");
+        drop(split);
+        let back = whole.try_reclaim().expect("no other view is alive");
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back, b"chunk bytes");
     }
 
     #[test]

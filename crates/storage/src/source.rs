@@ -11,7 +11,6 @@ use crate::shared::SharedBytes;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A byte-addressed input that the ingest phase reads sequentially.
 ///
@@ -99,12 +98,12 @@ impl<S: DataSource + ?Sized> SourceExt for S {}
 /// An in-memory source; the backing bytes are shared so cloning is cheap.
 #[derive(Debug, Clone)]
 pub struct MemSource {
-    data: Arc<[u8]>,
+    data: SharedBytes,
 }
 
 impl MemSource {
-    /// Wrap a byte buffer.
-    pub fn new(data: impl Into<Arc<[u8]>>) -> MemSource {
+    /// Wrap a byte buffer; an owned vector is adopted, not copied.
+    pub fn new(data: impl Into<SharedBytes>) -> MemSource {
         MemSource { data: data.into() }
     }
 
@@ -138,7 +137,7 @@ impl DataSource for MemSource {
     }
 
     fn shared(&mut self) -> Option<SharedBytes> {
-        Some(SharedBytes::from(Arc::clone(&self.data)))
+        Some(self.data.clone())
     }
 
     fn describe(&self) -> String {
@@ -196,7 +195,7 @@ impl DataSource for FileSource {
 /// re-ingests its input every pass pays the slow device exactly once.
 pub struct CachedSource<S> {
     inner: S,
-    cache: Option<Arc<[u8]>>,
+    cache: Option<SharedBytes>,
 }
 
 impl<S: DataSource> CachedSource<S> {
@@ -210,13 +209,13 @@ impl<S: DataSource> CachedSource<S> {
         self.cache.is_some()
     }
 
-    /// A cheap handle to the cached bytes, filling the cache if needed.
-    pub fn cached(&mut self) -> io::Result<Arc<[u8]>> {
+    /// A cheap handle to the cached bytes, filling the cache if needed
+    /// (the one read of the inner source is adopted, not copied).
+    pub fn cached(&mut self) -> io::Result<SharedBytes> {
         if self.cache.is_none() {
-            let data = self.inner.read_all()?;
-            self.cache = Some(Arc::from(data));
+            self.cache = Some(SharedBytes::from(self.inner.read_all()?));
         }
-        Ok(Arc::clone(self.cache.as_ref().expect("just filled")))
+        Ok(self.cache.clone().expect("just filled"))
     }
 }
 
@@ -241,7 +240,7 @@ impl<S: DataSource> DataSource for CachedSource<S> {
     fn shared(&mut self) -> Option<SharedBytes> {
         // Only a *warm* cache is zero-copy; a cold one would have to pay
         // the inner device first, and errors cannot surface from here.
-        self.cache.as_ref().map(|c| SharedBytes::from(Arc::clone(c)))
+        self.cache.clone()
     }
 
     fn describe(&self) -> String {
@@ -265,13 +264,22 @@ pub trait FileSet: Send {
     /// May panic if `idx >= file_count()`.
     fn file_len(&self, idx: usize) -> u64;
 
-    /// Read the whole contents of file `idx`.
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>>;
+    /// Append the whole contents of file `idx` to `buf`, returning the
+    /// number of bytes appended. A chunker passes its chunk buffer, so
+    /// the file's bytes land in the chunk without a per-file copy.
+    fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize>;
+
+    /// Read the whole contents of file `idx` into a new vector.
+    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
+        let mut buf = Vec::with_capacity(self.file_len(idx) as usize);
+        self.append_file(idx, &mut buf)?;
+        Ok(buf)
+    }
 
     /// A zero-copy view of file `idx`, if its bytes are already resident
     /// in shared memory. Mirrors [`DataSource::shared`]: `None` (the
     /// default) means callers fall back to
-    /// [`read_file`](FileSet::read_file) copies, and pacing/fault
+    /// [`append_file`](FileSet::append_file) copies, and pacing/fault
     /// wrappers refuse the view.
     fn shared_file(&mut self, _idx: usize) -> Option<SharedBytes> {
         None
@@ -297,8 +305,8 @@ impl<F: FileSet + ?Sized> FileSet for Box<F> {
         (**self).file_len(idx)
     }
 
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        (**self).read_file(idx)
+    fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+        (**self).append_file(idx, buf)
     }
 
     fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {
@@ -313,18 +321,18 @@ impl<F: FileSet + ?Sized> FileSet for Box<F> {
 /// An in-memory file set.
 #[derive(Debug, Clone, Default)]
 pub struct MemFileSet {
-    files: Vec<Arc<[u8]>>,
+    files: Vec<SharedBytes>,
 }
 
 impl MemFileSet {
-    /// Build from a list of file contents.
+    /// Build from a list of file contents (adopted, not copied).
     pub fn new(files: Vec<Vec<u8>>) -> MemFileSet {
-        MemFileSet { files: files.into_iter().map(Arc::from).collect() }
+        MemFileSet { files: files.into_iter().map(SharedBytes::from).collect() }
     }
 
     /// Append one file.
     pub fn push(&mut self, contents: Vec<u8>) {
-        self.files.push(Arc::from(contents));
+        self.files.push(SharedBytes::from(contents));
     }
 }
 
@@ -337,12 +345,13 @@ impl FileSet for MemFileSet {
         self.files[idx].len() as u64
     }
 
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        Ok(self.files[idx].to_vec())
+    fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+        buf.extend_from_slice(&self.files[idx]);
+        Ok(self.files[idx].len())
     }
 
     fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {
-        Some(SharedBytes::from(Arc::clone(&self.files[idx])))
+        Some(self.files[idx].clone())
     }
 }
 
@@ -384,8 +393,8 @@ impl FileSet for DirFileSet {
         self.lens[idx]
     }
 
-    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
-        std::fs::read(&self.paths[idx])
+    fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+        File::open(&self.paths[idx])?.read_to_end(buf)
     }
 }
 

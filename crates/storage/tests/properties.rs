@@ -1,7 +1,7 @@
 //! Property tests for the storage substrate: split-point adjustment must
 //! partition inputs without losing or duplicating bytes, boundaries must
 //! be genuine record boundaries, and the token bucket must never exceed
-//! its configured rate.
+//! its configured rate, however many takers share it.
 
 use supmr_storage::scan::{self, ByteClass};
 use supmr_storage::throttle::BucketState;
@@ -200,6 +200,36 @@ fn token_bucket_never_exceeds_rate_plus_burst() {
                 granted,
                 ceiling,
                 elapsed_secs
+            );
+        }
+    });
+}
+
+#[test]
+fn two_takers_share_one_bucket_without_exceeding_it() {
+    check("two_takers_share_one_bucket_without_exceeding_it", 256, |g| {
+        let rate = g.range(10.0f64..1e6);
+        let burst = g.range(10.0f64..1e5);
+        // Each taker reads its own increasing clock; their takes reach
+        // the one bucket interleaved, so the bucket can see a timestamp
+        // older than the last one it refilled at.
+        let steps =
+            g.vec(1..80, |g| (g.bool(), g.range(0u64..100_000), g.range(0u64..300_000_000)));
+        let mut b = BucketState::new(rate, burst, 0);
+        let mut clocks = [0u64; 2];
+        let mut granted = [0u64; 2];
+        for (second, want, dt) in steps {
+            let who = usize::from(second);
+            clocks[who] += dt;
+            let got = b.take(want, clocks[who]);
+            assert!(got <= want, "taker {who} asked for {want} and was granted {got}");
+            granted[who] += got;
+            let elapsed_secs = clocks[0].max(clocks[1]) as f64 / 1e9;
+            let total = granted[0] + granted[1];
+            let ceiling = burst + rate * elapsed_secs + 1.0;
+            assert!(
+                total as f64 <= ceiling,
+                "takers were granted {granted:?} = {total} > ceiling {ceiling} at t={elapsed_secs}s"
             );
         }
     });
