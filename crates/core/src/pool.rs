@@ -33,9 +33,15 @@
 //! The pool's threads outlive the call, so handing them a reference to
 //! the caller's batch erases a lifetime: the module's one `unsafe`, in
 //! [`WorkerPool::run_collect_capped`].
+//!
+//! A batch's width is a [`Width`]: fixed at dispatch, or live, moving
+//! while the batch runs (a served job's width under its fair share). A
+//! pooled batch's tickets read it before every task, so a lowered width
+//! frees threads at the next task boundary and a raised one wakes the
+//! dispatcher to queue more tickets.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -161,16 +167,56 @@ impl PoolMetrics {
     }
 }
 
+/// How wide a batch may run.
+#[derive(Debug, Clone, Copy)]
+pub enum Width<'c> {
+    /// Set once, at dispatch.
+    Fixed(usize),
+    /// A job's width knob under its share cap (0 = no cap), both of
+    /// which may move while the batch runs: the governor moves the knob,
+    /// the serve daemon's fair share the cap. On a pool, each ticket
+    /// reads them again before every task.
+    Live {
+        /// The width the job runs at.
+        base: &'c AtomicUsize,
+        /// The ceiling it runs under.
+        cap: &'c AtomicUsize,
+    },
+}
+
+impl Width<'_> {
+    /// The width as of now.
+    pub fn now(&self) -> usize {
+        match *self {
+            Width::Fixed(width) => width,
+            Width::Live { base, cap } => {
+                let base = base.load(Ordering::Relaxed);
+                match cap.load(Ordering::Relaxed) {
+                    0 => base,
+                    cap => base.min(cap),
+                }
+            }
+        }
+    }
+}
+
+impl From<usize> for Width<'_> {
+    fn from(width: usize) -> Self {
+        Width::Fixed(width)
+    }
+}
+
 /// What a ticket points at: a dispatching caller's batch, and how many
 /// of its tickets are still queued or running.
 struct Dispatch<'b> {
-    /// The batch's [`Batch::drain`], its types erased.
+    /// The batch's drain, its types erased.
     drain: &'b (dyn Fn() + Sync + 'b),
-    /// Read and written under the injector lock only, which is what
-    /// orders it; the atomic is for `Sync`.
-    live: AtomicUsize,
-    /// Signalled, under the injector lock, whenever a ticket finishes.
-    settled: Condvar,
+    /// Written under the injector lock only, which is what orders it;
+    /// the drain reads it unlocked, as a hint.
+    live: &'b AtomicUsize,
+    /// Signalled, under the injector lock, whenever a ticket finishes
+    /// or the batch's width rises above its tickets.
+    settled: &'b Condvar,
 }
 
 /// The pool's injector: tickets in dispatch order.
@@ -287,17 +333,20 @@ impl WorkerPool {
     }
 
     /// [`run_collect`](WorkerPool::run_collect) with batch concurrency
-    /// capped at `cap` tasks, even when the pool has more threads — how
+    /// capped at `width` tasks, even when the pool has more threads — how
     /// a dynamically narrowed wave width reaches a persistent pool. The
-    /// batch queues `min(cap, pool size, tasks)` tickets, each good for
+    /// batch queues `min(width, pool size, tasks)` tickets, each good for
     /// one thread draining it, so at most that many bodies execute at
-    /// once and the other threads are never woken.
+    /// once and the other threads are never woken. A [`Width::Live`]
+    /// batch follows its width while it runs: a ticket above it retires
+    /// before its next task, and a raise queues more tickets.
     ///
     /// # Panics
-    /// Panics if `cap == 0` and there is at least one task.
-    pub fn run_collect_capped<T, R, F>(
+    /// Panics if the width is 0 at dispatch and there is at least one
+    /// task.
+    pub fn run_collect_capped<'c, T, R, F>(
         &self,
-        cap: usize,
+        width: impl Into<Width<'c>>,
         tasks: Vec<T>,
         f: F,
     ) -> (Vec<R>, WaveOutcome)
@@ -310,10 +359,11 @@ impl WorkerPool {
         if n == 0 {
             return (Vec::new(), WaveOutcome::default());
         }
-        assert!(cap > 0, "a pooled batch needs at least one worker");
-        let effective = cap.min(self.size());
-        self.tracer.emit(EventKind::PoolDispatch { tasks: n as u64, workers: effective as u64 });
-        let tickets = effective.min(n);
+        let width = width.into();
+        let workers = width.now();
+        assert!(workers > 0, "a pooled batch needs at least one worker");
+        let workers = workers.min(self.size()) as u64;
+        self.tracer.emit(EventKind::PoolDispatch { tasks: n as u64, workers });
         let meter = self.metrics.as_ref().map(|m| {
             m.queue_depth.add(n as i64);
             (m, Instant::now())
@@ -327,12 +377,43 @@ impl WorkerPool {
             f(idx, task)
         };
         let batch = Batch::new(tasks, &metered);
+        let want = || width.now().min(self.size()).min(n);
+        let mut queued = want();
+        let live = AtomicUsize::new(0);
+        let settled = Condvar::new();
+        // Set when a drain finds the batch empty: tickets still queued
+        // then have nothing to do. Set before, and read under, the
+        // injector lock, which orders it.
+        let ran_out = AtomicBool::new(false);
+        // Tickets inside the batch. Before each task, one that finds more
+        // of them than the width allows retires and frees its thread; the
+        // others go on, so the batch still runs every task. One that
+        // finds the width above the tickets queued wakes this thread to
+        // queue more (the unlocked reads are a hint: this thread decides
+        // under the lock). A fixed width never retires or adds a ticket.
+        // Acquire/release: a ticket that sees another's retirement runs
+        // its next task after that one's last.
+        let inside = AtomicUsize::new(0);
+        let over = |inside: usize| (inside > width.now().max(1)).then(|| inside - 1);
+        let go = || {
+            if inside.fetch_update(Ordering::AcqRel, Ordering::Acquire, over).is_ok() {
+                return false;
+            }
+            if want() > live.load(Ordering::Relaxed) && !ran_out.load(Ordering::Relaxed) {
+                let _injector = unpoisoned(self.shared.injector.lock());
+                settled.notify_one();
+            }
+            true
+        };
+        let drain = || {
+            inside.fetch_add(1, Ordering::AcqRel);
+            if batch.drain_while(&go) {
+                inside.fetch_sub(1, Ordering::AcqRel);
+                ran_out.store(true, Ordering::Relaxed);
+            }
+        };
         {
-            let dispatch = Dispatch {
-                drain: &|| batch.drain(),
-                live: AtomicUsize::new(tickets),
-                settled: Condvar::new(),
-            };
+            let dispatch = Dispatch { drain: &drain, live: &live, settled: &settled };
             // SAFETY: this extends the borrows in `dispatch` (of `batch`,
             // and through it of `f`, the tasks and whatever they borrow)
             // to `'static` so the resident threads can hold them; what
@@ -344,34 +425,46 @@ impl WorkerPool {
             // worker always comes back) and then, under the injector
             // lock, decrements `live` and signals — its last touches. The
             // loop ends only on seeing `live == 0` under that same lock,
-            // so after them. Nothing in the block can unwind: the locks
-            // ignore poisoning (`unpoisoned`), a failed allocation aborts,
-            // and no caller-provided code runs on this thread inside it.
+            // so after them; tickets it queues later count in `live`
+            // before they are queued. Nothing in the block can unwind: the
+            // locks ignore poisoning (`unpoisoned`), a failed allocation
+            // aborts, and no caller-provided code runs on this thread
+            // inside it.
             let ticket: &'static Dispatch<'static> = unsafe {
                 std::mem::transmute::<&Dispatch<'_>, &'static Dispatch<'static>>(&dispatch)
             };
             let mut injector = unpoisoned(self.shared.injector.lock());
-            for _ in 0..tickets {
-                injector.tickets.push_back(ticket);
-                self.shared.work.notify_one();
-            }
-            while dispatch.live.load(Ordering::Relaxed) > 0 {
-                injector = unpoisoned(dispatch.settled.wait(injector));
-                if dispatch.live.load(Ordering::Relaxed) < tickets {
-                    // A `drain` returned, so no task is left to take:
-                    // tickets still queued have nothing to do, and waiting
-                    // for busy threads to find that out would tie this
-                    // batch's end to some other batch's tasks.
-                    let queued = injector.tickets.len();
+            let mut more = queued;
+            loop {
+                live.fetch_add(more, Ordering::Relaxed);
+                for _ in 0..more {
+                    injector.tickets.push_back(ticket);
+                    self.shared.work.notify_one();
+                }
+                if live.load(Ordering::Relaxed) == 0 {
+                    break;
+                }
+                injector = unpoisoned(settled.wait(injector));
+                more = 0;
+                if ran_out.load(Ordering::Relaxed) {
+                    // No task is left to take: tickets still queued have
+                    // nothing to do, and waiting for busy threads to find
+                    // that out would tie this batch's end to some other
+                    // batch's tasks.
+                    let before = injector.tickets.len();
                     injector.tickets.retain(|t| !std::ptr::eq(*t, ticket));
-                    dispatch.live.fetch_sub(queued - injector.tickets.len(), Ordering::Relaxed);
+                    live.fetch_sub(before - injector.tickets.len(), Ordering::Relaxed);
+                } else {
+                    // A live width may have risen above the tickets.
+                    more = want().saturating_sub(live.load(Ordering::Relaxed));
+                    queued += more;
                 }
             }
         }
 
         let results = batch.finish();
         let outcome =
-            WaveOutcome { tasks: n as u64, threads_spawned: 0, threads_reused: tickets as u64 };
+            WaveOutcome { tasks: n as u64, threads_spawned: 0, threads_reused: queued as u64 };
         if let Some(m) = &self.metrics {
             m.threads_reused.add(outcome.threads_reused);
         }
@@ -407,12 +500,13 @@ impl Drop for WorkerPool {
 /// a borrowed persistent pool. The two run the same batch body and
 /// differ only in who provides the threads.
 ///
-/// The `workers` argument of [`Executor::run`] caps concurrency in both
+/// The `width` argument of [`Executor::run`] caps concurrency in both
 /// modes: a wave spawns that many threads; a pool (provisioned once per
 /// job, sized for the larger of map/reduce workers) queues that many
 /// tickets via [`WorkerPool::run_collect_capped`] — which is how the
 /// governor's wave-width actuation and a tenant's share cap apply to
-/// either backend, and to every wave: map, reduce and merge.
+/// either backend, and to every wave: map, reduce and merge. On a pool,
+/// a [`Width::Live`] width also acts within a wave, at every task.
 #[derive(Clone, Copy)]
 pub enum Executor<'p> {
     /// Spawn/join a fresh wave per call ([`PoolMode::WavePerRound`]).
@@ -423,24 +517,30 @@ pub enum Executor<'p> {
 
 impl<'p> Executor<'p> {
     /// Execute `tasks`, blocking until all complete.
-    pub fn run<T, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> WaveOutcome
+    pub fn run<'c, T, F>(&self, width: impl Into<Width<'c>>, tasks: Vec<T>, f: F) -> WaveOutcome
     where
         T: Send,
         F: Fn(usize, T) + Sync,
     {
-        self.run_collect(workers, tasks, f).1
+        self.run_collect(width, tasks, f).1
     }
 
-    /// Execute `tasks` collecting per-task results in task order.
-    pub fn run_collect<T, R, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, WaveOutcome)
+    /// Execute `tasks` collecting per-task results in task order. A
+    /// spawned wave takes a live width as it stands at dispatch.
+    pub fn run_collect<'c, T, R, F>(
+        &self,
+        width: impl Into<Width<'c>>,
+        tasks: Vec<T>,
+        f: F,
+    ) -> (Vec<R>, WaveOutcome)
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
         match self {
-            Executor::Wave => run_wave_collect(workers, tasks, f),
-            Executor::Pool(pool) => pool.run_collect_capped(workers, tasks, f),
+            Executor::Wave => run_wave_collect(width.into().now(), tasks, f),
+            Executor::Pool(pool) => pool.run_collect_capped(width, tasks, f),
         }
     }
 
@@ -492,7 +592,8 @@ impl supmr_merge::Workers for WaveWorkers<'_> {
 /// registers or its ticket drops) every live tenant's callback is
 /// invoked with its recomputed cap `max(1, slots·weight/Σweights)`.
 /// Jobs route the callback into their `ActiveConfig` share cap, so
-/// wave widths (static or governor-raised) actuate within the share.
+/// wave widths (static or governor-raised) actuate within the share —
+/// at every task of a pooled wave ([`Width::Live`]).
 pub struct FairShare {
     slots: usize,
     tenants: Mutex<Vec<Tenant>>,
@@ -893,6 +994,98 @@ mod tests {
         // second capped batch completes instead of deadlocking.
         let (results, _) = pool.run_collect_capped(1, vec![10, 20], |_, x| x * 2);
         assert_eq!(results, vec![20, 40]);
+    }
+
+    /// A task's element, counting its own drops.
+    struct Tracked<'a>(usize, &'a AtomicUsize);
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Run 16 drop-counted tasks on a two-thread pool at the live width
+    /// `base` under `cap`. `task` gets each task's index and the
+    /// in-flight count, this task included. Checks that every task ran,
+    /// and its element dropped, exactly once.
+    fn live_batch(
+        base: &AtomicUsize,
+        cap: &AtomicUsize,
+        task: impl Fn(usize, &AtomicUsize) + Sync,
+    ) -> WaveOutcome {
+        let pool = WorkerPool::new(2);
+        let (in_flight, drops) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let runs: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        let tasks = (0..16).map(|i| Tracked(i, &drops)).collect();
+        let (_, outcome) =
+            pool.run_collect_capped(Width::Live { base, cap }, tasks, |idx, t: Tracked| {
+                runs[t.0].fetch_add(1, Ordering::SeqCst);
+                in_flight.fetch_add(1, Ordering::SeqCst);
+                task(idx, &in_flight);
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+            });
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "every task runs once");
+        assert_eq!(drops.load(Ordering::SeqCst), 16, "every element drops once");
+        assert_eq!(outcome.tasks, 16);
+        outcome
+    }
+
+    #[test]
+    fn lowered_live_width_retires_a_ticket_mid_batch() {
+        // The first two tasks meet, so both tickets are in flight; the
+        // cap, or else the job's own width, drops from 2 to 1 while they
+        // still are. From then on, the ticket above it must retire
+        // before its next task.
+        for lower_cap in [true, false] {
+            let (base, cap) = (AtomicUsize::new(2), AtomicUsize::new(2));
+            let lowered = if lower_cap { &cap } else { &base };
+            let barrier = std::sync::Barrier::new(2);
+            let peak_after = AtomicUsize::new(0);
+            let outcome = live_batch(&base, &cap, |idx, in_flight| {
+                if idx < 2 {
+                    barrier.wait();
+                    if idx == 0 {
+                        lowered.store(1, Ordering::Relaxed);
+                    }
+                    barrier.wait();
+                } else {
+                    peak_after.fetch_max(in_flight.load(Ordering::SeqCst), Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+            let peak_after = peak_after.load(Ordering::SeqCst);
+            assert_eq!(peak_after, 1, "cap lowered: {lower_cap}: one task at a time after");
+            assert_eq!(outcome.threads_reused, 2);
+        }
+    }
+
+    #[test]
+    fn raised_live_width_queues_another_ticket_mid_batch() {
+        // One ticket runs task 0, which raises the cap, or else the job's
+        // own width, from 1 to 2. The same ticket sees that before task
+        // 1, which waits until another task has started beside it: only
+        // a ticket queued after the raise can run one.
+        for raise_cap in [true, false] {
+            let (base, cap) = if raise_cap { (2, 1) } else { (1, 2) };
+            let (base, cap) = (AtomicUsize::new(base), AtomicUsize::new(cap));
+            let raised = if raise_cap { &cap } else { &base };
+            let peak = AtomicUsize::new(0);
+            let outcome = live_batch(&base, &cap, |idx, in_flight| {
+                peak.fetch_max(in_flight.load(Ordering::SeqCst), Ordering::SeqCst);
+                if idx == 0 {
+                    raised.store(2, Ordering::Relaxed);
+                } else if idx == 1 {
+                    let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                    while peak.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert_eq!(peak, 2, "cap raised: {raise_cap}: the raise widened the running batch");
+            assert_eq!(outcome.threads_reused, 2, "one ticket at dispatch, one topped up");
+        }
     }
 
     #[test]

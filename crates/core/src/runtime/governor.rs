@@ -35,6 +35,7 @@
 //! count, the container's hash seed) is never touched mid-job, so any
 //! action sequence yields byte-identical output (property-tested below).
 
+use crate::pool::Width;
 use crate::spill::MemoryAccountant;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -107,9 +108,12 @@ pub struct ActiveConfig {
     /// Multi-tenant fair-share ceiling on both wave widths (0 = no
     /// cap). The serve daemon's share ledger moves this as jobs come
     /// and go; the governor's own raises stay clamped underneath it,
-    /// so per-job tuning actuates *within* the job's share.
+    /// so per-job tuning actuates *within* the job's share. Pooled waves
+    /// run under it live: their tasks follow it, and the width knobs,
+    /// as they move.
     share_cap: AtomicUsize,
-    /// Cooperative cancellation flag, polled at round/phase boundaries.
+    /// Cooperative cancellation flag, polled before every map and
+    /// reduce task and at round/phase boundaries.
     cancelled: AtomicBool,
     /// The job's byte ledger, attached once spill wiring exists — the
     /// governor's low-watermark lever.
@@ -150,7 +154,7 @@ impl ActiveConfig {
 
     /// Current effective map wave width, clamped under the share cap.
     pub fn map_width(&self) -> usize {
-        self.capped(self.map_width.load(Ordering::Relaxed))
+        self.live(&self.map_width).now()
     }
 
     /// Move the map wave width (clamped to at least 1).
@@ -161,7 +165,7 @@ impl ActiveConfig {
     /// Current effective reduce wave width, clamped under the share
     /// cap.
     pub fn reduce_width(&self) -> usize {
-        self.capped(self.reduce_width.load(Ordering::Relaxed))
+        self.live(&self.reduce_width).now()
     }
 
     /// Move the reduce wave width (clamped to at least 1). Partition
@@ -190,11 +194,28 @@ impl ActiveConfig {
         self.shard_mask.store(mask.min(SHARD_MASK_CAP), Ordering::Relaxed);
     }
 
-    #[inline]
-    fn capped(&self, w: usize) -> usize {
-        match self.share_cap.load(Ordering::Relaxed) {
-            0 => w,
-            cap => w.min(cap),
+    /// `base` under the share cap, as it stands whenever it is read.
+    fn live<'a>(&'a self, base: &'a AtomicUsize) -> Width<'a> {
+        Width::Live { base, cap: &self.share_cap }
+    }
+
+    /// The map wave width a batch runs at: live under a share cap, so
+    /// its tasks follow the cap and the map width as they move, and
+    /// fixed at dispatch without one.
+    pub(crate) fn map_batch_width(&self) -> Width<'_> {
+        self.batch_width(&self.map_width)
+    }
+
+    /// [`map_batch_width`](ActiveConfig::map_batch_width) for reduce
+    /// waves.
+    pub(crate) fn reduce_batch_width(&self) -> Width<'_> {
+        self.batch_width(&self.reduce_width)
+    }
+
+    fn batch_width<'a>(&'a self, base: &'a AtomicUsize) -> Width<'a> {
+        match self.share_cap() {
+            0 => Width::Fixed(base.load(Ordering::Relaxed)),
+            _ => self.live(base),
         }
     }
 
@@ -204,6 +225,8 @@ impl ActiveConfig {
     }
 
     /// Set the fair-share ceiling on both wave widths; 0 removes it.
+    /// Running pooled waves follow it at their next task: a lowered cap
+    /// retires threads, a raised one has more queued.
     pub fn set_share_cap(&self, cap: usize) {
         self.share_cap.store(cap, Ordering::Relaxed);
     }

@@ -38,7 +38,7 @@ use crate::api::{AccOf, MapReduce};
 use crate::chunk::{Chunking, IngestChunk};
 use crate::container::{Container, ContainerHooks};
 use crate::error::{panic_payload_string, Result, SupmrError};
-use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WaveWorkers, WorkerPool};
+use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WaveWorkers, Width, WorkerPool};
 use crate::spill::{
     read_block_bytes, DecodedRun, JobSpill, KeyPrefixFn, MemoryAccountant, SpillHooks,
     SpillMetrics, SpilledRun,
@@ -316,22 +316,24 @@ impl JobConfig {
         Ok(())
     }
 
-    /// Effective map wave width: the governor's dynamic knob when one
-    /// is live, else the static [`JobConfig::map_workers`].
-    pub(crate) fn effective_map_workers(&self) -> usize {
-        self.active.as_ref().map_or(self.map_workers, |a| a.map_width())
+    /// The map wave width: the governor's dynamic knob when one is
+    /// live, else the static [`JobConfig::map_workers`]; live under a
+    /// share cap ([`ActiveConfig::set_share_cap`]).
+    pub(crate) fn map_width(&self) -> Width<'_> {
+        self.active.as_ref().map_or(Width::Fixed(self.map_workers), |a| a.map_batch_width())
     }
 
-    /// Effective reduce wave width (scheduling only — partition counts
-    /// always come from the static [`JobConfig::reduce_workers`]).
-    pub(crate) fn effective_reduce_workers(&self) -> usize {
-        self.active.as_ref().map_or(self.reduce_workers, |a| a.reduce_width())
+    /// The reduce wave width (scheduling only — partition counts always
+    /// come from the static [`JobConfig::reduce_workers`]).
+    pub(crate) fn reduce_width(&self) -> Width<'_> {
+        self.active.as_ref().map_or(Width::Fixed(self.reduce_workers), |a| a.reduce_batch_width())
     }
 
     /// Cooperative cancellation point: fail with
     /// [`SupmrError::Cancelled`] once any holder of the job's
-    /// [`ActiveConfig`] has called `cancel()`. Checked at round and
-    /// phase boundaries, so a cancelled job stops within one wave.
+    /// [`ActiveConfig`] has called `cancel()`. Checked before every map
+    /// and reduce task and at round and phase boundaries, so a
+    /// cancelled job starts no task after it sees the flag.
     pub(crate) fn check_cancelled(&self) -> Result<()> {
         match &self.active {
             Some(a) if a.is_cancelled() => Err(SupmrError::Cancelled),
@@ -1002,11 +1004,10 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
     pub fn flush(self, ctx: &mut StageCtx<'_>) {
         let Some(free) = self.free else { return };
         let (container, probe) = (self.container, &ctx.probe);
-        let outcome = ctx.exec.run(
-            ctx.config.effective_map_workers(),
-            unpoisoned(free.into_inner()),
-            |_, local| probe.absorb::<J>(container, local),
-        );
+        let outcome =
+            ctx.exec.run(ctx.config.map_width(), unpoisoned(free.into_inner()), |_, local| {
+                probe.absorb::<J>(container, local)
+            });
         ctx.probe.wave(outcome);
     }
 }
@@ -1015,6 +1016,7 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
 /// [`JobConfig::split_bytes`] long and fine enough to give every worker
 /// one ([`wave_split_bytes`]). Tasks borrow the job, the map phase's
 /// handles and the chunk buffer, on wave threads and pool threads alike.
+/// A task of a cancelled job does not start.
 pub(crate) fn map_wave<J: MapReduce>(
     job: &Arc<J>,
     tables: &MapTables<'_, J>,
@@ -1022,12 +1024,15 @@ pub(crate) fn map_wave<J: MapReduce>(
     ctx: &StageCtx<'_>,
     round: u32,
 ) -> WaveOutcome {
-    let width = ctx.config.effective_map_workers();
-    let split_bytes = wave_split_bytes(chunk.len(), ctx.config.split_bytes, width);
+    let width = ctx.config.map_width();
+    let split_bytes = wave_split_bytes(chunk.len(), ctx.config.split_bytes, width.now());
     let splits = chunk_splits(chunk, split_bytes, ctx.config.record_format);
     let data = &chunk.data;
     ctx.probe.map_wave(round, splits.len(), || {
         ctx.exec.run(width, splits, |idx, range| {
+            if ctx.config.check_cancelled().is_err() {
+                return;
+            }
             tables.task(&ctx.probe, |local| {
                 ctx.probe.map_task(round, idx, range.len(), || job.map(&data[range], local));
             });
@@ -1173,6 +1178,8 @@ pub(crate) fn finish_job<J: MapReduce>(
         _ => (in_memory_reduce(job, container, &mut ctx), false),
     };
     ctx.probe.leave(Phase::Reduce);
+    // A cancelled reduce wave left its partitions unreduced.
+    ctx.config.check_cancelled()?;
     // A held record that did not decode into its drain is missing from
     // what was reduced.
     if let Some(sp) = &spill {
@@ -1202,7 +1209,8 @@ pub(crate) fn finish_job<J: MapReduce>(
 /// The in-memory reduce wave: decompose the container into per-partition
 /// drain payloads (cheap, here) and materialize each on a reduce worker
 /// (the expensive part), fused with that partition's reduce so the pairs
-/// stay hot in the worker's cache.
+/// stay hot in the worker's cache. A task of a cancelled job drops its
+/// payload unreduced.
 fn in_memory_reduce<J: MapReduce>(
     job: &Arc<J>,
     container: J::Container,
@@ -1210,11 +1218,14 @@ fn in_memory_reduce<J: MapReduce>(
 ) -> Reduced<J> {
     let drains = container.into_drains(ctx.config.reduce_workers);
     ctx.probe.reduce_wave_start(drains.len());
-    let probe = &ctx.probe;
+    let (config, probe) = (ctx.config, &ctx.probe);
     let (reduced, outcome) = ctx.exec.run_collect(
-        ctx.config.effective_reduce_workers(),
+        config.reduce_width(),
         drains,
         |idx, payload: <J::Container as Container<J::Key, J::Value, J::Combiner>>::Drain| {
+            if config.check_cancelled().is_err() {
+                return Vec::new();
+            }
             let part: Vec<(J::Key, AccOf<J>)> =
                 probe.drain(Some(idx), || <J::Container>::drain(payload));
             probe.reduce_partition(idx, None, || reduce_into(job.as_ref(), part.into_iter()))
@@ -1295,7 +1306,8 @@ fn external_reduce<J: MapReduce>(
         unpoisoned(parked.lock()).take().map(|message| SupmrError::Merge { message })
     };
     let run_stats = |runs: &[SpilledRun]| Some((runs.len(), runs.iter().map(|r| r.bytes).sum()));
-    let width = ctx.config.effective_reduce_workers();
+    let config = ctx.config;
+    let width = config.reduce_width();
 
     if <J::Container as Container<J::Key, J::Value, J::Combiner>>::combines() {
         ctx.probe.reduce_wave_start(grouped.len());
@@ -1304,6 +1316,7 @@ fn external_reduce<J: MapReduce>(
             width,
             grouped.into_iter().collect(),
             |_, (partition, (drains, runs))| -> Result<Vec<(J::Key, J::Output)>> {
+                config.check_cancelled()?;
                 probe.reduce_partition(partition, run_stats(&runs), || {
                     let parked = Arc::default();
                     let remainders = drains
@@ -1349,6 +1362,7 @@ fn external_reduce<J: MapReduce>(
         width,
         tasks.into_iter().zip(slots.windows()).collect(),
         |_, ((partition, remainders, runs), mut window)| -> Result<()> {
+            config.check_cancelled()?;
             probe.reduce_partition(partition, run_stats(&runs), || {
                 let parked = Arc::default();
                 let len = window.capacity();
@@ -1419,7 +1433,7 @@ fn merge_phase<J: MapReduce>(
         |probe: &StageProbe, round: u32, width: usize| -> Result<(Instant, WaveWorkers<'_>)> {
             config.check_cancelled()?;
             let started = probe.merge_round_start(round, width);
-            Ok((started, exec.at_width(config.effective_reduce_workers())))
+            Ok((started, exec.at_width(config.reduce_width().now())))
         };
     let (merged, rounds, elements_moved) = match config.merge {
         MergeMode::Unsorted => unreachable!("handled above"),
@@ -1427,14 +1441,13 @@ fn merge_phase<J: MapReduce>(
         MergeMode::PairwiseRounds => {
             // "each round (1) sorts many small lists in parallel and (2)
             // merges the lists" — step (1) is a full-width wave.
-            let (mut runs, outcome) =
-                exec.run_collect(config.effective_map_workers(), reduced, |_, part| {
-                    if presorted {
-                        SortedRun::presorted(part, &order)
-                    } else {
-                        SortedRun::sort(part, &order)
-                    }
-                });
+            let (mut runs, outcome) = exec.run_collect(config.map_width(), reduced, |_, part| {
+                if presorted {
+                    SortedRun::presorted(part, &order)
+                } else {
+                    SortedRun::sort(part, &order)
+                }
+            });
             ctx.probe.wave(outcome);
             let mut pw = PairwiseStats::default();
             while runs.len() > 1 {

@@ -71,7 +71,7 @@ where
     ctx.probe.enter(Phase::Map);
     let pair_bytes = std::mem::size_of::<(UK, UO)>();
     let outcome = ctx.probe.map_wave(0, parts.len(), || {
-        ctx.exec.run(ctx.config.effective_map_workers(), parts, |idx, part| {
+        ctx.exec.run(ctx.config.map_width(), parts, |idx, part| {
             let mut local = container.local();
             ctx.probe.map_task(0, idx, part.len() * pair_bytes, || {
                 for (key, value) in part {

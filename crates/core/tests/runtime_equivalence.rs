@@ -258,6 +258,79 @@ impl MapReduce for ProbedSort {
     }
 }
 
+/// [`WordCount`] that counts the map tasks it starts and cancels its own
+/// job from inside the first.
+struct CancelInMap {
+    active: Arc<ActiveConfig>,
+    started: Arc<AtomicUsize>,
+}
+
+impl MapReduce for CancelInMap {
+    type Key = String;
+    type Value = u64;
+    type Combiner = Sum;
+    type Output = u64;
+    type Container = HashContainer<String, u64, Sum>;
+
+    fn make_container(&self) -> Self::Container {
+        HashContainer::default()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<String, u64>) {
+        if self.started.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.active.cancel();
+        }
+        WordCount.map(split, emit);
+    }
+
+    fn reduce(&self, _key: &String, acc: u64) -> u64 {
+        acc
+    }
+}
+
+/// [`WordCount`] whose first map task raises its own job's map width
+/// from 1 to 2, and whose second waits until a third has started beside
+/// it. Records the most map tasks it saw in flight.
+struct WidenInMap {
+    active: Arc<ActiveConfig>,
+    started: AtomicUsize,
+    in_flight: AtomicUsize,
+    peak: Arc<AtomicUsize>,
+}
+
+impl MapReduce for WidenInMap {
+    type Key = String;
+    type Value = u64;
+    type Combiner = Sum;
+    type Output = u64;
+    type Container = HashContainer<String, u64, Sum>;
+
+    fn make_container(&self) -> Self::Container {
+        HashContainer::default()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<String, u64>) {
+        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        match self.started.fetch_add(1, Ordering::SeqCst) {
+            0 => self.active.set_map_width(2),
+            1 => {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while self.peak.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            _ => {}
+        }
+        WordCount.map(split, emit);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn reduce(&self, _key: &String, acc: u64) -> u64 {
+        acc
+    }
+}
+
 /// Run [`ProbedSort`] over 400 Teragen records on 4 workers, the reduce
 /// (and so the merge) width held at `width` by an [`ActiveConfig`].
 fn probed_sort(
@@ -704,6 +777,66 @@ fn sort_is_identical_and_its_merge_capped_across_pools_backends_and_widths() {
             }
         }
     }
+}
+
+#[test]
+fn cancel_in_the_first_map_task_starts_no_task_after_it() {
+    // 256 KiB in 4 KiB splits: 64 map tasks in one wave, or 16 in each of
+    // four 64 KiB chunks. Only tasks already running beside the first may
+    // start; every later one sees the flag.
+    const WIDTH: usize = 2;
+    let data = text_input(256 * 1024);
+    for chunking in [Chunking::None, Chunking::Inter { chunk_bytes: 64 * 1024 }] {
+        for pool in [PoolMode::WavePerRound, PoolMode::Persistent] {
+            let active = Arc::new(ActiveConfig::new(WIDTH, WIDTH, 1));
+            let started = Arc::new(AtomicUsize::new(0));
+            let config = JobConfig {
+                map_workers: WIDTH,
+                reduce_workers: WIDTH,
+                split_bytes: 4096,
+                chunking,
+                pool,
+                active: Some(Arc::clone(&active)),
+                ..JobConfig::default()
+            };
+            let job = CancelInMap { active, started: Arc::clone(&started) };
+            let result =
+                Job::new(job).config(config).run(Input::stream(MemSource::from(data.clone())));
+            assert!(matches!(result, Err(SupmrError::Cancelled)), "{chunking:?} {pool:?}");
+            let started = started.load(Ordering::SeqCst);
+            assert!(started <= WIDTH, "{chunking:?} {pool:?}: {started} map tasks started");
+        }
+    }
+}
+
+#[test]
+fn map_width_raised_mid_wave_widens_the_running_wave_under_a_share_cap() {
+    // One unchunked wave of 16 splits on a two-thread pool, started at
+    // map width 1 under a share cap of 2: a governor's raise must reach
+    // the wave already running, not wait for the next one.
+    let data = text_input(64 * 1024);
+    let active = Arc::new(ActiveConfig::new(1, 1, 1));
+    active.set_share_cap(2);
+    let config = JobConfig {
+        map_workers: 2,
+        reduce_workers: 2,
+        split_bytes: 4096,
+        chunking: Chunking::None,
+        pool: PoolMode::Persistent,
+        active: Some(Arc::clone(&active)),
+        ..JobConfig::default()
+    };
+    let peak = Arc::new(AtomicUsize::new(0));
+    let job = WidenInMap {
+        active,
+        started: AtomicUsize::new(0),
+        in_flight: AtomicUsize::new(0),
+        peak: Arc::clone(&peak),
+    };
+    let result =
+        Job::new(job).config(config).run(Input::stream(MemSource::from(data))).expect("widened");
+    assert!(!result.pairs.is_empty());
+    assert_eq!(peak.load(Ordering::SeqCst), 2, "the raise widened the running wave");
 }
 
 #[test]

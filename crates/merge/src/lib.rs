@@ -184,17 +184,29 @@ impl<'f, J, R, F: Fn(usize, J) -> R> Batch<'f, J, R, F> {
     /// panicking job is caught and kept; the thread goes on, so every
     /// job of a batch runs and `drain` never unwinds.
     pub fn drain(&self) {
+        self.drain_while(|| true);
+    }
+
+    /// [`drain`](Batch::drain), asking `go` before each job whether to
+    /// take it. Returns `true` when the batch ran out and `false` when
+    /// `go` stopped this thread first; the jobs it left are for the
+    /// threads still draining, so one of them must not stop.
+    pub fn drain_while(&self, mut go: impl FnMut() -> bool) -> bool {
         let mut finished = None;
         loop {
+            let stop = !go();
             // One lock per job: store the last result, take the next job.
             let next = {
                 let mut state = self.state();
                 if let Some((index, result)) = finished.take() {
                     state.slots[index] = Some(result);
                 }
+                if stop {
+                    return false;
+                }
                 state.jobs.next()
             };
-            let Some((index, item)) = next else { return };
+            let Some((index, item)) = next else { return true };
             finished = Some((index, catch_unwind(AssertUnwindSafe(|| (self.job)(index, item)))));
         }
     }

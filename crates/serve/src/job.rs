@@ -139,8 +139,8 @@ impl JobHandle {
     }
 
     /// Request cancellation: a queued job is cancelled outright; a
-    /// running job gets its cooperative flag raised and stops at the
-    /// next wave boundary. Returns `false` when already terminal.
+    /// running job gets its cooperative flag raised and starts no map
+    /// or reduce task after it. Returns `false` when already terminal.
     pub fn cancel(&self) -> bool {
         let mut s = unpoisoned(self.state.lock());
         match s.status {

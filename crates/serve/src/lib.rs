@@ -8,14 +8,21 @@
 //! * **HTTP surface** ([`daemon`]) — `POST /jobs` (a hand-rolled,
 //!   serde-free JSON spec decoder, [`spec`]), `GET /jobs/{id}` (status
 //!   plus the full `supmr.job_report.v1` report and an output digest on
-//!   completion), `DELETE /jobs/{id}` (cooperative cancel), and
+//!   completion), `DELETE /jobs/{id}` (cooperative cancel: a running
+//!   job starts no map or reduce task after it), and
 //!   `GET /metrics` (every family of every job, labelled `job_id=`),
 //!   mounted on the generalized request machinery of
 //!   [`supmr_metrics::server`].
 //! * **Scheduler** ([`scheduler`]) — a bounded admission queue with
 //!   priority classes; runner threads dispatch map/reduce waves of
 //!   concurrent jobs onto **one shared persistent worker pool**, with
-//!   per-job wave-width caps from a weighted [`supmr::FairShare`].
+//!   per-job width caps from a weighted [`supmr::FairShare`]. A cap
+//!   acts at every task, not only between waves: a lowered cap frees
+//!   threads at their next task, and a raised one widens the running
+//!   wave.
+//! * **One wave per generated input** — inputs are synthesized in
+//!   memory, so a spec without `chunk` maps them in one wave; `chunk`
+//!   opts into the ingest pipeline.
 //! * **Budget partitioning** — one global memory budget re-partitioned
 //!   across live tenants by priority weight
 //!   ([`supmr::spill::MemoryAccountant::set_budget`]): a job that

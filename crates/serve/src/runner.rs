@@ -2,6 +2,14 @@
 //! build the [`JobConfig`] from the spec, synthesize the input, run the
 //! right application through [`supmr::run_with`], and reduce the output
 //! to an independently-checkable [`JobOutput`].
+//!
+//! The input is generated in memory, so there is no read for ingest
+//! chunks to hide behind map work: a spec without `chunk` runs
+//! [`Chunking::None`], one map wave over the resident bytes, which the
+//! runtime takes without a copy. A spec with `chunk` runs the ingest
+//! pipeline at that chunk size. Either way the job's wave widths, its
+//! fair-share cap and its cancel flag act before every map and reduce
+//! task.
 
 use crate::job::JobOutput;
 use crate::spec::{AppSpec, JobSpec};
@@ -22,9 +30,6 @@ use supmr_workloads::{TeraGen, TextGen, TextGenConfig};
 /// keeps a job's output byte-identical however many neighbors it runs
 /// beside, which is what the status digest promises.
 const DEFAULT_HASH_SEED: u64 = 0xC0FFEE;
-
-/// Default ingest chunk size when the spec does not choose one.
-const DEFAULT_CHUNK_BYTES: u64 = 256 * 1024;
 
 /// How many output pairs the status preview shows.
 const PREVIEW_PAIRS: usize = 5;
@@ -66,7 +71,9 @@ fn build_config(spec: &JobSpec, fac: &JobFacilities<'_>) -> JobConfig {
     let mut config = JobConfig {
         map_workers: workers(spec.map_workers),
         reduce_workers: workers(spec.reduce_workers),
-        chunking: Chunking::Inter { chunk_bytes: spec.chunk_bytes.unwrap_or(DEFAULT_CHUNK_BYTES) },
+        chunking: spec
+            .chunk_bytes
+            .map_or(Chunking::None, |chunk_bytes| Chunking::Inter { chunk_bytes }),
         trace: TraceLevel::Wave,
         on_event: Some(fac.ring.callback()),
         metrics: Some(fac.registry.clone()),
@@ -281,6 +288,36 @@ mod tests {
         let pool = WorkerPool::new(2);
         let (out, _) = run_job(&spec, facilities(&pool, 2)).expect("sort run");
         assert_eq!(out.pairs, 200, "every record survives the sort");
+    }
+
+    #[test]
+    fn unchunked_specs_map_in_one_wave_with_the_chunked_digest() {
+        // The governed word count runs under a share cap, as the daemon
+        // runs it: the governor's moves reach its one wave at its tasks.
+        let pool = WorkerPool::new(2);
+        let cases = [
+            (AppSpec::WordCount, false),
+            (AppSpec::Grep, false),
+            (AppSpec::TeraSort, false),
+            (AppSpec::WordCount, true),
+        ];
+        for (app, governor) in cases {
+            let patterns = if app == AppSpec::Grep { vec!["ca".to_string()] } else { Vec::new() };
+            let spec =
+                JobSpec { app, patterns, input_bytes: 512 * 1024, governor, ..JobSpec::default() };
+            let fac = facilities(&pool, 2);
+            fac.active.set_share_cap(if governor { 1 } else { 0 });
+            let (whole, report) = run_job(&spec, fac).expect("one wave");
+            let stats = &report.stats;
+            assert_eq!((stats.map_rounds, stats.ingest_chunks), (1, 1), "{app:?} {governor}");
+            assert!(whole.pairs > 0, "{app:?}");
+
+            let chunked = JobSpec { chunk_bytes: Some(64 * 1024), ..spec };
+            let (piped, report) = run_job(&chunked, facilities(&pool, 2)).expect("chunked");
+            assert!(report.stats.map_rounds >= 4, "{app:?}: {} rounds", report.stats.map_rounds);
+            assert_eq!(whole.digest, piped.digest, "{app:?}: chunking never changes the answer");
+            assert_eq!(whole.pairs, piped.pairs, "{app:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Scheduling is cooperative rather than preemptive: a job's wave
 //! widths are clamped to its [`supmr::FairShare`] allocation (weighted
-//! by priority class), so a heavy neighbor narrows instead of starving
-//! others, and a tenant whose budget partition shrinks spills to disk
+//! by priority class), re-read before every task, so a heavy neighbor
+//! narrows instead of starving others, and a tenant whose budget
+//! partition shrinks spills to disk
 //! (PR 5 machinery) instead of failing. The per-job feedback governor,
 //! when requested, actuates inside that share — its width moves are
 //! capped by the same ticket.

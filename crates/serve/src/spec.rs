@@ -105,7 +105,10 @@ pub struct JobSpec {
     pub reduce_workers: Option<usize>,
     /// Upper bound on the input split size in bytes.
     pub split_bytes: Option<u64>,
-    /// Ingest chunk size in bytes (inter-file chunking).
+    /// Ingest chunk size in bytes. `Some` runs the ingest pipeline in
+    /// chunks of this size (inter-file chunking), one map wave each;
+    /// `None` maps the resident input in one wave, since a generated
+    /// input has no read for chunks to hide.
     pub chunk_bytes: Option<u64>,
     /// Job-requested memory budget. Under a daemon-wide budget the
     /// tenant partition governs instead; this engages out-of-core
