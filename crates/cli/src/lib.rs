@@ -50,7 +50,7 @@ options:
   --merge SPEC       unsorted | pairwise | pway[:N]
   --workers N        mapper/reducer threads
   --split SIZE       upper bound on the input split size (default 1M)
-  --prefetch N       ingest chunks buffered ahead (default 1)
+  --prefetch N       chunks read ahead, the one being read included (default 1)
   --pool MODE        wave (spawn/join per round, default) | persistent
   --throttle RATE    cap storage bandwidth (e.g. 24M = 24 MiB/s)
   --memory-budget SIZE

@@ -46,9 +46,9 @@ use supmr_metrics::{
     unpoisoned, Bottleneck, Counter, EventKind, Gauge, GovernorSample, Json, Registry, Tracer,
 };
 
-/// Widest prefetch depth the governor may request (chunks buffered
-/// ahead of the mappers in the N-buffered pipeline).
-pub(crate) const PREFETCH_CAP: usize = 8;
+/// Deepest prefetch the governor may request (chunks the mappers have
+/// not yet taken, counting the one being read).
+const PREFETCH_CAP: usize = 8;
 
 /// Widest absorb lock-sweep rotation mask (the container has 64 lock
 /// shards, so offsets cover `0..=63`).

@@ -139,10 +139,9 @@ pub struct JobConfig {
     /// Worker provisioning: fresh threads per wave (the paper's
     /// observable per-chunk overhead) or one persistent pool per job.
     pub pool: PoolMode,
-    /// How many ingest chunks may be buffered ahead of the mappers.
-    /// `1` is the paper's double-buffering (one ingest thread created
-    /// and destroyed per round); larger values use one long-lived
-    /// ingest thread with a bounded buffer of this depth.
+    /// How many ingest chunks the mappers may not yet have taken, the
+    /// one being read included. `1` is the paper's double buffering (two
+    /// buffers); depth *d* holds *d*+1. A governor ([`JobConfig::governor`]) moves it live.
     pub prefetch_depth: usize,
     /// If set, sample real CPU utilization at this interval for the
     /// duration of the job (collectl-style trace in the result).
@@ -329,6 +328,12 @@ impl JobConfig {
         self.active.as_ref().map_or(Width::Fixed(self.reduce_workers), |a| a.reduce_batch_width())
     }
 
+    /// The ingest prefetch depth: the governor's dynamic knob when one
+    /// is live, else the static [`JobConfig::prefetch_depth`].
+    pub(crate) fn live_prefetch_depth(&self) -> usize {
+        self.active.as_ref().map_or(self.prefetch_depth, |a| a.prefetch_depth())
+    }
+
     /// Cooperative cancellation point: fail with
     /// [`SupmrError::Cancelled`] once any holder of the job's
     /// [`ActiveConfig`] has called `cancel()`. Checked before every map
@@ -349,7 +354,7 @@ impl JobConfig {
 pub struct RoundRecord {
     /// Bytes of the chunk mapped this round.
     pub chunk_bytes: u64,
-    /// Time the overlapped ingest of the *next* chunk took.
+    /// Time the read of the *next* chunk took (zero in the last round).
     pub ingest: Duration,
     /// Time this round's map wave took.
     pub map: Duration,
@@ -369,10 +374,10 @@ pub struct JobStats {
     pub map_tasks: u64,
     /// Reduce tasks (partitions) executed.
     pub reduce_tasks: u64,
-    /// Threads spawned across all waves plus ingest threads — the
-    /// recurring thread cost the chunk-size discussion is about. With
-    /// [`PoolMode::Persistent`] the pool's threads are counted exactly
-    /// once, at job start.
+    /// Threads spawned across all waves plus one ingest thread per
+    /// pipelined stage; the waves' under [`PoolMode::WavePerRound`] are
+    /// the recurring cost the chunk-size discussion is about. With
+    /// [`PoolMode::Persistent`] the pool's threads count once, at start.
     pub threads_spawned: u64,
     /// Pool-thread dispatches that replaced a spawn — the per-wave cost
     /// a persistent pool avoided (0 in [`PoolMode::WavePerRound`]).
@@ -388,9 +393,8 @@ pub struct JobStats {
     /// Elements written during merging across all rounds (the
     /// "re-scanning" cost; equals output pairs for a single-pass merge).
     pub merge_elements_moved: u64,
-    /// Per-round pipeline timeline (empty for the original runtime and
-    /// for `prefetch_depth > 1`, where rounds are not individually
-    /// bounded).
+    /// Per-round pipeline timeline: one record per map round at every
+    /// prefetch depth (empty for the original runtime).
     pub rounds: Vec<RoundRecord>,
     /// Total time the map side sat idle waiting for a chunk's ingest to
     /// complete — the pipeline was ingest-bound for this long. Always

@@ -1,6 +1,6 @@
 //! The SupMR runtime: the ingest chunk pipeline.
 //!
-//! Implements the paper's pseudo-code (§III-B) directly:
+//! Implements the paper's pseudo-code (§III-B):
 //!
 //! ```text
 //! partition input into ingest chunks
@@ -14,38 +14,37 @@
 //! ```
 //!
 //! A job over n chunks executes n+1 rounds: round 0 ingests chunk 0
-//! serially (nothing else to overlap with); each subsequent round runs a
-//! full map wave on chunk *i* while a dedicated ingest thread reads chunk
-//! *i+1* (double-buffering). The intermediate container is created once
-//! and **persists across every map round** (§III-C) — each wave's local
-//! emitters absorb into the same shared container. A combining job
-//! without a memory budget keeps its worker tables across rounds too
-//! (`MapTables`), and absorbs them in one wave after the last round,
-//! still inside the map phase.
+//! serially (nothing else to overlap with); each later round runs a map
+//! wave on chunk *i* while chunk *i+1* is read. The thread the paper
+//! creates and destroys per round is one ingest thread that lives for
+//! the stage and hands chunks to the map loop through one bounded
+//! `Handoff`. Its bound, the **prefetch depth**, counts the chunks
+//! the mappers have not yet taken, the one being read included: depth 1
+//! is the paper's double buffering (two buffers; chunk *i+1* is read
+//! during round *i*, and the next read waits for that round to end),
+//! depth *d* holds *d*+1 buffers.
+//! The depth is read live, like the map width, so a governor that
+//! deepens it lets the ingest thread read further ahead from the
+//! mappers' next take on. The per-round thread cost of §III-A2 stays
+//! visible in the map waves of `PoolMode::WavePerRound`.
 //!
-//! The pipeline is also where the job's **stall accounting** is
-//! measured: each round ends with either the mappers waiting for the
-//! next chunk's ingest ([`EventKind::MapWaitingForChunk`], the pipeline
-//! is ingest-bound) or the finished ingest waiting for the mappers to
-//! release it ([`EventKind::IngestWaitingForContainer`], map-bound).
-//! Exactly one side idles per round. The round loops only *measure*
-//! the waits; what a wait (or an ingested chunk, or a mapped round)
-//! records is decided by the stage's `StageProbe` (`runtime/probe.rs`),
-//! which totals stalls into `JobStats` regardless of the trace level,
-//! so the Fig. 2 overlap is always quantified, not inferred.
+//! The intermediate container is created once and **persists across
+//! every map round** (§III-C). A combining job without a memory budget
+//! keeps its worker tables across rounds too (`MapTables`), and absorbs
+//! them in one wave after the last round, still inside the map phase.
 //!
-//! One extension beyond the paper's prototype lives here as well:
-//! **deeper prefetch**. `JobConfig::prefetch_depth > 1` replaces the
-//! per-round create/destroy ingest thread with one long-lived ingest
-//! thread pushing into a bounded buffer of that depth (N-buffering
-//! instead of double-buffering), an ablatable design variant. There the
-//! stalls are measured at the buffer boundary: map-side time blocked in
-//! `recv` and ingest-side time blocked in `send`.
+//! **Stalls** are measured where one side waits on the other: the
+//! mappers for the next chunk ([`EventKind::MapWaitingForChunk`],
+//! ingest-bound) and the ingest thread for the mappers to take the
+//! chunk it read ([`EventKind::IngestWaitingForContainer`], map-bound);
+//! at depth 1 exactly one side idles per round. The stage's `StageProbe`
+//! decides what a wait records and totals stalls into `JobStats` at
+//! every trace level, so the Fig. 2 overlap is always quantified.
 //!
 //! [`EventKind::MapWaitingForChunk`]: supmr_metrics::EventKind::MapWaitingForChunk
 //! [`EventKind::IngestWaitingForContainer`]: supmr_metrics::EventKind::IngestWaitingForContainer
 
-use super::governor::{self, ActiveConfig};
+use super::probe::StageProbe;
 use super::{
     finish_job, map_wave, Input, JobConfig, MapTables, RoundRecord, StageCtx, StageResult,
     StageWiring,
@@ -57,10 +56,10 @@ use crate::chunk::{
 use crate::container::Container;
 use crate::error::{Result, SupmrError};
 use crate::pool::WaveOutcome;
-use std::io;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use supmr_metrics::{Phase, StallSide};
+use supmr_metrics::{unpoisoned, Phase, StallSide};
 
 /// Build the chunker matching the configured strategy, rejecting
 /// mismatched input shapes: inter-file chunking needs a stream,
@@ -92,35 +91,11 @@ fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
 pub(crate) fn run<J: MapReduce>(
     job: &Arc<J>,
     input: Input,
-    ctx: StageCtx<'_>,
-    wiring: StageWiring,
-) -> Result<StageResult<J::Key, J::Output>> {
-    let chunker = make_chunker(input, ctx.config)?;
-    if ctx.config.prefetch_depth > 1 {
-        run_buffered(job, chunker, ctx, wiring)
-    } else {
-        run_double_buffered(job, chunker, ctx, wiring)
-    }
-}
-
-/// What one overlapped ingest reports back to the round loop.
-struct Ingested {
-    next: io::Result<Option<IngestChunk>>,
-    /// Time the read itself took.
-    took: Duration,
-    /// When the read finished (the ingest side idles from here until
-    /// the map wave releases the container).
-    done: Instant,
-}
-
-/// The paper's pipeline: one ingest thread per round (double buffering).
-fn run_double_buffered<J: MapReduce>(
-    job: &Arc<J>,
-    mut chunker: Box<dyn Chunker>,
     mut ctx: StageCtx<'_>,
     wiring: StageWiring,
 ) -> Result<StageResult<J::Key, J::Output>> {
     let config = ctx.config;
+    let mut chunker = make_chunker(input, config)?;
     // Created once, persists across all map rounds.
     let container = job.make_container();
     container.configure(&super::container_hooks(config));
@@ -130,237 +105,167 @@ fn run_double_buffered<J: MapReduce>(
     // Round 0: ingest the first chunk serially.
     ctx.probe.enter(Phase::Ingest);
     let started = Instant::now();
-    let mut current = chunker.next_chunk().map_err(|e| SupmrError::ingest(0, e))?;
-    if let Some(chunk) = &current {
+    let first = chunker.next_chunk().map_err(|e| SupmrError::ingest(0, e))?;
+    if let Some(chunk) = &first {
         ctx.probe.chunk_ingested(0, started, chunk.len());
     }
-    ctx.probe.leave(Phase::Ingest);
-
-    let mut round: u32 = 0;
-    while let Some(chunk) = current.take() {
-        config.check_cancelled()?;
-        let next_index = round + 1;
-
-        ctx.probe.enter(Phase::Ingest);
-        ctx.probe.enter(Phase::Map);
-        // "create thread to ingest next chunk / run mappers on previous
-        // chunk / destroy thread" — the scope is the create/destroy.
-        let chunker_ref = &mut chunker;
-        let (ingested, outcome, map_time, map_done) = std::thread::scope(|scope| {
-            let probe = &ctx.probe;
+    ctx.probe.enter(Phase::Map);
+    if let Some(first) = first {
+        let handoff = Handoff::default();
+        // The ingest thread shares the probe for as long as it runs; what
+        // the rounds did is folded in once it has let go.
+        let (mapped, ingest_waiting) = std::thread::scope(|scope| {
+            let (handoff, probe) = (&handoff, &ctx.probe);
             let ingest = std::thread::Builder::new()
                 .name("supmr-ingest".to_string())
-                .spawn_scoped(scope, move || {
-                    let t0 = Instant::now();
-                    let next = chunker_ref.next_chunk();
-                    let took = match &next {
-                        Ok(Some(c)) => probe.chunk_ingested(next_index, t0, c.len()),
-                        _ => t0.elapsed(),
-                    };
-                    Ingested { next, took, done: Instant::now() }
-                })
-                .expect("spawning the round's ingest thread");
-            let t0 = Instant::now();
-            let outcome = map_wave(job, &tables, &chunk, &ctx, round);
-            let map_time = t0.elapsed();
-            let map_done = Instant::now();
-            (ingest.join().expect("ingest thread panicked"), outcome, map_time, map_done)
+                .spawn_scoped(scope, move || read_ahead(chunker, handoff, probe, config))
+                .expect("spawning the pipeline ingest thread");
+            let mapped = map_rounds(job, &tables, first, handoff, &ctx);
+            (mapped, ingest.join().expect("ingest thread panicked"))
         });
-        ctx.probe.leave(Phase::Map);
-        ctx.probe.leave(Phase::Ingest);
-        ctx.probe.round_mapped(chunk.len(), outcome);
         ctx.probe.ingest_thread_spawned();
-
-        let next = ingested.next.map_err(|e| SupmrError::ingest(next_index, e))?;
-        // Exactly one side of the pipeline idled this round: mappers
-        // from their wave end until the ingest came back, or the ingest
-        // from its read end until the wave released the container.
-        if next.is_some() {
-            let map_wait = ingested.done.saturating_duration_since(map_done);
-            let ingest_wait = map_done.saturating_duration_since(ingested.done);
-            let map_wait = ctx.probe.stall(StallSide::Map, round, map_wait);
-            let ingest_wait = ctx.probe.stall(StallSide::Ingest, next_index, ingest_wait);
-            ctx.probe.stalled(map_wait, ingest_wait);
+        let (rounds, map_waiting) = mapped?;
+        ctx.probe.stalled(map_waiting, ingest_waiting);
+        for (round, wave) in rounds {
+            ctx.probe.round_mapped(round.chunk_bytes as usize, wave);
+            ctx.probe.round_timed(round);
         }
-
-        ctx.probe.round_timed(RoundRecord {
-            chunk_bytes: chunk.len() as u64,
-            ingest: ingested.took,
-            map: map_time,
-        });
-        current = next;
-        round += 1;
     }
-    ctx.probe.enter(Phase::Map);
+    ctx.probe.leave(Phase::Ingest);
     tables.flush(&mut ctx);
     ctx.probe.leave(Phase::Map);
 
     finish_job(job, container, spill, ctx, wiring)
 }
 
-/// Admission gate for the N-buffered producer when a governor may
-/// deepen the prefetch depth mid-job: the channel is sized to the cap
-/// and this gate enforces the *current* dynamic depth. Waits poll on a
-/// short timeout so a governor widening the depth takes effect without
-/// a wakeup; the consumer closes the gate on exit (unwinds included, via
-/// [`GateGuard`]) so the producer can never wait on a dead pipeline.
-struct PrefetchGate {
-    state: std::sync::Mutex<GateState>,
-    cvar: std::sync::Condvar,
+/// A chunk the ingest thread read, with the time the read took — or
+/// the read's error, in the place of the chunk that failed.
+type Fetched = Result<(IngestChunk, Duration)>;
+
+/// The one hand-off between the ingest thread and the map loop: the
+/// chunks read that the mappers have not yet taken, bounded by the
+/// live prefetch depth. Each side holds an [`End`] of it.
+#[derive(Default)]
+struct Handoff {
+    state: Mutex<Ahead>,
+    moved: Condvar,
 }
 
 #[derive(Default)]
-struct GateState {
-    in_flight: usize,
+struct Ahead {
+    chunks: VecDeque<Fetched>,
+    /// One side has gone: read nothing more, and take only what is here.
     closed: bool,
 }
 
-impl PrefetchGate {
-    fn new() -> PrefetchGate {
-        PrefetchGate {
-            state: std::sync::Mutex::new(GateState::default()),
-            cvar: std::sync::Condvar::new(),
-        }
+impl Handoff {
+    /// Ingest side: wait until the chunk about to be read fits under the
+    /// depth beside the untaken ones; how long that took, or `None` once
+    /// the hand-off is closed. Every take re-reads the depth.
+    fn room(&self, config: &JobConfig) -> Option<Duration> {
+        let t0 = Instant::now();
+        let ahead = unpoisoned(self.moved.wait_while(unpoisoned(self.state.lock()), |a| {
+            !a.closed && a.chunks.len() >= config.live_prefetch_depth()
+        }));
+        (!ahead.closed).then(|| t0.elapsed())
     }
 
-    /// Block until a buffer slot is admissible under the current
-    /// dynamic depth, then claim it. Returns immediately once closed.
-    fn admit(&self, active: &ActiveConfig) {
-        let mut st = self.state.lock().expect("prefetch gate poisoned");
-        while !st.closed && st.in_flight >= active.prefetch_depth() {
-            let (guard, _timeout) = self
-                .cvar
-                .wait_timeout(st, Duration::from_millis(5))
-                .expect("prefetch gate poisoned");
-            st = guard;
-        }
-        st.in_flight += 1;
+    fn put(&self, fetched: Fetched) {
+        unpoisoned(self.state.lock()).chunks.push_back(fetched);
+        self.moved.notify_all();
     }
 
-    fn release(&self) {
-        let mut st = self.state.lock().expect("prefetch gate poisoned");
-        st.in_flight = st.in_flight.saturating_sub(1);
-        self.cvar.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("prefetch gate poisoned").closed = true;
-        self.cvar.notify_all();
+    /// Map side: the next chunk, `None` once there is none to come, and
+    /// how long the mappers waited for it.
+    fn take(&self) -> (Option<Fetched>, Duration) {
+        let t0 = Instant::now();
+        let mut ahead = unpoisoned(
+            self.moved
+                .wait_while(unpoisoned(self.state.lock()), |a| a.chunks.is_empty() && !a.closed),
+        );
+        let fetched = ahead.chunks.pop_front();
+        self.moved.notify_all();
+        (fetched, t0.elapsed())
     }
 }
 
-/// Closes the consumer's side of a [`PrefetchGate`] when dropped.
-struct GateGuard<'a>(&'a PrefetchGate);
+/// One side's hold on a [`Handoff`]: dropping it, on return or unwind,
+/// closes the hand-off, so the other side never waits on a side that
+/// has gone.
+struct End<'a>(&'a Handoff);
 
-impl Drop for GateGuard<'_> {
+impl Drop for End<'_> {
     fn drop(&mut self) {
-        self.0.close();
+        unpoisoned(self.0.state.lock()).closed = true;
+        self.0.moved.notify_all();
     }
 }
 
-/// N-buffered variant: a single long-lived ingest thread streams chunks
-/// through a bounded channel of `prefetch_depth` chunks while the main
-/// thread runs map waves. Under a governor the channel is widened to [`governor::PREFETCH_CAP`] and a
-/// [`PrefetchGate`] enforces the dynamic depth instead.
-fn run_buffered<J: MapReduce>(
-    job: &Arc<J>,
+/// The ingest thread: read chunks 1, 2, … into `handoff` until the
+/// input ends, a read fails or the hand-off closes, waiting for room
+/// before each read. Returns the time it waited on the mappers, as
+/// recorded.
+fn read_ahead(
     mut chunker: Box<dyn Chunker>,
-    mut ctx: StageCtx<'_>,
-    wiring: StageWiring,
-) -> Result<StageResult<J::Key, J::Output>> {
-    let config = ctx.config;
-    let container = job.make_container();
-    container.configure(&super::container_hooks(config));
-    let spill = super::setup_spill(job, &container, &mut ctx, &wiring)?;
-    let tables = MapTables::new(&container, config);
-
-    ctx.probe.enter(Phase::Ingest);
-    ctx.probe.enter(Phase::Map);
-    // The ingest thread shares the probe for as long as it runs; what
-    // the rounds did is folded in once it has let go.
-    let mut mapped: Vec<(usize, WaveOutcome)> = Vec::new();
-    let mut map_waiting = Duration::ZERO;
-    let gate = config.active.as_ref().map(|a| (Arc::new(PrefetchGate::new()), Arc::clone(a)));
-    let capacity = match &gate {
-        Some(_) => config.prefetch_depth.max(governor::PREFETCH_CAP),
-        None => config.prefetch_depth,
-    };
-    let ingest_result: Result<Duration> = std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<IngestChunk>(capacity);
-        let producer_gate = gate.clone();
-        let probe = &ctx.probe;
-        let producer = std::thread::Builder::new()
-            .name("supmr-ingest".to_string())
-            .spawn_scoped(scope, move || -> (Result<()>, Duration) {
-                let mut index: u32 = 0;
-                let mut waited = Duration::ZERO;
-                loop {
-                    let t0 = Instant::now();
-                    match chunker.next_chunk() {
-                        Ok(Some(chunk)) => {
-                            probe.chunk_ingested(index, t0, chunk.len());
-                            let s0 = Instant::now();
-                            if let Some((gate, active)) = &producer_gate {
-                                gate.admit(active);
-                            }
-                            if tx.send(chunk).is_err() {
-                                break (Ok(()), waited); // consumer went away
-                            }
-                            // Time blocked handing over = buffer full =
-                            // the ingest side waiting on the mappers.
-                            waited += probe.stall(StallSide::Ingest, index, s0.elapsed());
-                            index += 1;
-                        }
-                        Ok(None) => break (Ok(()), waited),
-                        Err(e) => break (Err(SupmrError::ingest(index, e)), waited),
-                    }
-                }
-            })
-            .expect("spawning the pipeline ingest thread");
-        let gate_guard = gate.as_ref().map(|(g, _)| GateGuard(g));
-        let mut round: u32 = 0;
-        let mut cancelled = false;
-        loop {
-            if config.check_cancelled().is_err() {
-                cancelled = true;
+    handoff: &Handoff,
+    probe: &StageProbe,
+    config: &JobConfig,
+) -> Duration {
+    let _end = End(handoff);
+    let mut waited = Duration::ZERO;
+    for index in 1u32.. {
+        let Some(wait) = handoff.room(config) else { break };
+        // Room opened when chunk `index - 1` was taken: until then the
+        // ingest side waited on the mappers. Chunk 0 was taken at once.
+        if index > 1 {
+            waited += probe.stall(StallSide::Ingest, index - 1, wait);
+        }
+        let t0 = Instant::now();
+        match chunker.next_chunk() {
+            Ok(Some(chunk)) => {
+                let took = probe.chunk_ingested(index, t0, chunk.len());
+                handoff.put(Ok((chunk, took)));
+            }
+            Ok(None) => break,
+            Err(e) => {
+                handoff.put(Err(SupmrError::ingest(index, e)));
                 break;
             }
-            let r0 = Instant::now();
-            let Ok(chunk) = rx.recv() else { break };
-            if let Some((g, _)) = &gate {
-                g.release();
-            }
-            // Time blocked in recv = the mappers waiting on ingest. The
-            // first recv is the pipeline filling (the serial first
-            // ingest), not a stall.
-            let wait = r0.elapsed();
-            if round > 0 {
-                map_waiting += probe.stall(StallSide::Map, round - 1, wait);
-            }
-            mapped.push((chunk.len(), map_wave(job, &tables, &chunk, &ctx, round)));
-            round += 1;
         }
-        // On cancellation the producer may be blocked in `send` (full
-        // channel) or in the prefetch gate; dropping the receiver and
-        // the gate guard unblocks it so the join below cannot hang.
-        drop(rx);
-        drop(gate_guard);
-        let (result, ingest_waited) = producer.join().expect("ingest thread panicked");
-        if cancelled {
-            return Err(SupmrError::Cancelled);
-        }
-        result.map(|()| ingest_waited)
-    });
-    ctx.probe.stalled(map_waiting, ingest_result?);
-    for (chunk_bytes, outcome) in mapped {
-        ctx.probe.round_mapped(chunk_bytes, outcome);
     }
-    ctx.probe.ingest_thread_spawned(); // the long-lived one
-    tables.flush(&mut ctx);
-    ctx.probe.leave(Phase::Map);
-    ctx.probe.leave(Phase::Ingest);
+    waited
+}
 
-    finish_job(job, container, spill, ctx, wiring)
+/// The map loop: one wave per chunk, from `first` on, until the input
+/// is exhausted. Returns each round's record and wave, and the time the
+/// mappers waited on ingest, as recorded.
+fn map_rounds<J: MapReduce>(
+    job: &Arc<J>,
+    tables: &MapTables<'_, J>,
+    first: IngestChunk,
+    handoff: &Handoff,
+    ctx: &StageCtx<'_>,
+) -> Result<(Vec<(RoundRecord, WaveOutcome)>, Duration)> {
+    let _end = End(handoff);
+    let (mut rounds, mut waited) = (Vec::new(), Duration::ZERO);
+    let mut chunk = first;
+    for round in 0u32.. {
+        ctx.config.check_cancelled()?;
+        let t0 = Instant::now();
+        let wave = map_wave(job, tables, &chunk, ctx, round);
+        let (map, chunk_bytes) = (t0.elapsed(), chunk.len() as u64);
+        // Dropped before the take, which makes room for a read: that
+        // read can reuse this chunk's buffer.
+        drop(chunk);
+        let (fetched, wait) = handoff.take();
+        let next = fetched.transpose()?;
+        let ingest = next.as_ref().map_or(Duration::ZERO, |(_, took)| *took);
+        rounds.push((RoundRecord { chunk_bytes, ingest, map }, wave));
+        let Some((next, _)) = next else { break };
+        waited += ctx.probe.stall(StallSide::Map, round, wait);
+        chunk = next;
+    }
+    Ok((rounds, waited))
 }
 
 #[cfg(test)]

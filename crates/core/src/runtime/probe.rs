@@ -472,8 +472,7 @@ impl StageProbe {
         self.stats.threads_reused += wave.threads_reused;
     }
 
-    /// An ingest thread was created (one per round when double
-    /// buffering, one per job with a deeper prefetch).
+    /// The pipeline's ingest thread was created (one per stage).
     pub fn ingest_thread_spawned(&mut self) {
         self.stats.threads_spawned += 1;
     }
@@ -487,7 +486,7 @@ impl StageProbe {
         self.wave(wave);
     }
 
-    /// A double-buffered round's measured timeline.
+    /// A pipeline round's measured timeline.
     pub fn round_timed(&mut self, round: RoundRecord) {
         self.stats.rounds.push(round);
     }

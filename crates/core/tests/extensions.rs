@@ -3,12 +3,16 @@
 //! to the fixed double-buffered pipeline — they reorganize scheduling,
 //! never results.
 
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
-use supmr::runtime::{Input, Job, JobConfig};
-use supmr::Chunking;
-use supmr_storage::{MemFileSet, MemSource};
+use supmr::runtime::{ActiveConfig, Input, Job, JobConfig};
+use supmr::{Chunking, PoolMode};
+use supmr_storage::{DataSource, MemFileSet, MemSource};
 use supmr_workloads::{small_files_corpus, TextGen, TextGenConfig};
 
 struct WordCount;
@@ -71,6 +75,9 @@ fn prefetch_depths_agree_and_count_one_ingest_thread() {
         let mut cfg = config();
         cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
         cfg.prefetch_depth = depth;
+        // A persistent pool counts its threads once, so what is left
+        // between depths is the ingest thread.
+        cfg.pool = PoolMode::Persistent;
         Job::new(WordCount).config(cfg).run(Input::stream(MemSource::from(data.clone()))).unwrap()
     };
     let d1 = run_with_depth(1);
@@ -83,9 +90,149 @@ fn prefetch_depths_agree_and_count_one_ingest_thread() {
         assert_eq!(r.report.stats.bytes_ingested, data.len() as u64);
         assert!(r.report.timings.is_fused());
     }
-    // Depth 1 spawns one ingest thread per round; deeper prefetch uses
-    // a single long-lived one.
-    assert!(d1.report.stats.threads_spawned > d8.report.stats.threads_spawned);
+    // Every depth runs one long-lived ingest thread, none per round.
+    assert_eq!(d1.report.stats.threads_spawned, d2.report.stats.threads_spawned);
+    assert_eq!(d1.report.stats.threads_spawned, d8.report.stats.threads_spawned);
+}
+
+/// Bytes in each chunk of [`Recorded`] input: 64 lines of 64 bytes, so
+/// every chunk ends on a record boundary and is read in one `read_at`.
+const CHUNK: usize = 4096;
+
+/// A source of `chunks` chunks that is not resident, so every chunk is
+/// read into a chunker buffer. It records the buffers its reads land in
+/// and counts the reads.
+struct Recorded {
+    data: Vec<u8>,
+    buffers: Arc<Mutex<Vec<usize>>>,
+    reads: Arc<AtomicUsize>,
+}
+
+impl Recorded {
+    fn new(chunks: usize) -> Recorded {
+        let lines = (0..chunks * CHUNK / 64).map(|i| format!("{:063}\n", i % 50));
+        let data = lines.collect::<String>().into_bytes();
+        Recorded { data, buffers: Arc::default(), reads: Arc::default() }
+    }
+}
+
+impl DataSource for Recorded {
+    fn len(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let start = (offset as usize).min(self.data.len());
+        let n = buf.len().min(self.data.len() - start);
+        buf[..n].copy_from_slice(&self.data[start..start + n]);
+        let mut buffers = self.buffers.lock().unwrap();
+        if !buffers.contains(&(buf.as_ptr() as usize)) {
+            buffers.push(buf.as_ptr() as usize);
+        }
+        self.reads.fetch_add(1, Ordering::SeqCst);
+        Ok(n)
+    }
+}
+
+/// Word count that first hands each map call's number to a hook. With
+/// one worker and chunks under the smallest wave split, call *i* is
+/// round *i*.
+struct Hooked<F> {
+    hook: F,
+    calls: AtomicUsize,
+}
+
+impl<F: Fn(usize) + Send + Sync + 'static> MapReduce for Hooked<F> {
+    type Key = String;
+    type Value = u64;
+    type Combiner = Sum;
+    type Output = u64;
+    type Container = HashContainer<String, u64, Sum>;
+
+    fn make_container(&self) -> Self::Container {
+        HashContainer::default()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<String, u64>) {
+        (self.hook)(self.calls.fetch_add(1, Ordering::SeqCst));
+        WordCount.map(split, emit);
+    }
+
+    fn reduce(&self, _key: &String, acc: u64) -> u64 {
+        acc
+    }
+}
+
+fn one_worker(depth: usize) -> JobConfig {
+    JobConfig {
+        map_workers: 1,
+        reduce_workers: 1,
+        chunking: Chunking::Inter { chunk_bytes: CHUNK as u64 },
+        prefetch_depth: depth,
+        ..JobConfig::default()
+    }
+}
+
+/// Wait (up to 5 s) until `reads` reaches `at_least`; returns `reads`.
+fn wait_for(reads: &AtomicUsize, at_least: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while reads.load(Ordering::SeqCst) < at_least && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    reads.load(Ordering::SeqCst)
+}
+
+/// Depth *d* holds *d* + 1 chunk buffers: the one being mapped and the
+/// *d* the mappers have not taken, the one being read included. Each
+/// round's map waits until the ingest thread has filled the hand-off.
+#[test]
+fn prefetch_depth_bounds_the_chunk_buffers() {
+    const CHUNKS: usize = 12;
+    for depth in [1usize, 3] {
+        let source = Recorded::new(CHUNKS);
+        let (buffers, reads) = (Arc::clone(&source.buffers), Arc::clone(&source.reads));
+        // Each round holds a chunk-sized allocation, which takes a
+        // buffer the chunker gave back to the allocator: a later chunk
+        // can only land in a buffer the chunker kept.
+        let held = Mutex::new(Vec::new());
+        let job = Hooked {
+            hook: move |round: usize| {
+                held.lock().unwrap().push(vec![1u8; CHUNK]);
+                wait_for(&reads, (round + 1 + depth).min(CHUNKS));
+            },
+            calls: AtomicUsize::new(0),
+        };
+        let result = Job::new(job).config(one_worker(depth)).run(Input::stream(source)).unwrap();
+        assert_eq!(result.report.stats.map_rounds, CHUNKS as u32);
+        assert_eq!(buffers.lock().unwrap().len(), depth + 1, "depth {depth}");
+    }
+}
+
+/// A governor's deeper prefetch reaches a job configured at depth 1:
+/// raised from the first map task, it lets the ingest thread get more
+/// than one untaken chunk ahead of the second round.
+#[test]
+fn a_raised_prefetch_depth_reaches_a_depth_one_job() {
+    let source = Recorded::new(8);
+    let reads = Arc::clone(&source.reads);
+    let active = Arc::new(ActiveConfig::new(1, 1, 1));
+    let ahead = Arc::new(AtomicUsize::new(0));
+    let (knob, seen) = (Arc::clone(&active), Arc::clone(&ahead));
+    let job = Hooked {
+        hook: move |round| match round {
+            0 => knob.set_prefetch_depth(3),
+            // Chunk 1 is mapped: a read past chunk 2 is a second
+            // untaken chunk.
+            1 => seen.store(wait_for(&reads, 4), Ordering::SeqCst),
+            _ => {}
+        },
+        calls: AtomicUsize::new(0),
+    };
+    let cfg = JobConfig { active: Some(active), ..one_worker(1) };
+    let result = Job::new(job).config(cfg).run(Input::stream(source)).unwrap();
+    assert_eq!(result.report.stats.map_rounds, 8);
+    let read = ahead.load(Ordering::SeqCst);
+    assert!(read >= 4, "round 1 saw {read} chunks read: the raised depth never reached ingest");
 }
 
 #[test]

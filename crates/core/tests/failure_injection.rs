@@ -1,8 +1,8 @@
 //! Failure injection: ingest errors must surface as typed
 //! [`SupmrError`]s from `Job::run` — cleanly, from whichever thread hit
-//! them — never as hangs, partial results, or panics. Exercises all
-//! three ingest paths (original, double-buffered pipeline, N-buffered
-//! pipeline) and both input shapes, plus map panics (which come back as
+//! them — never as hangs, partial results, or panics. Exercises both
+//! runtimes (the pipeline at prefetch depth 1 and 4) and both input
+//! shapes, plus map panics (which come back as
 //! [`SupmrError::TaskPanic`] rather than unwinding through the caller),
 //! plus the one fault that enters from the *output* side of the map
 //! phase: a spill run store that fills up under several spilling

@@ -669,7 +669,8 @@ fn pipeline_counts_rounds_and_threads() {
     let r = Job::new(WordCount).config(config).run(Input::stream(MemSource::from(data))).unwrap();
     assert!(r.report.stats.ingest_chunks >= 9);
     assert_eq!(r.report.stats.map_rounds, r.report.stats.ingest_chunks);
-    // Threads: at least one ingest thread per round plus map waves.
+    // Threads: every round's map wave spawns its own (a chunk is cut
+    // into several splits), plus the stage's one ingest thread.
     assert!(r.report.stats.threads_spawned as u32 >= 2 * r.report.stats.map_rounds);
     assert!(r.report.stats.map_tasks >= r.report.stats.map_rounds as u64);
 }
@@ -865,7 +866,7 @@ fn panic_in_a_merge_way_fails_the_job_like_a_map_panic() {
 #[test]
 fn persistent_pool_spawns_once_per_job() {
     // A multi-chunk job: wave mode pays a spawn per wave per round,
-    // persistent mode pays the pool once plus per-round ingest threads.
+    // persistent mode pays the pool once plus the one ingest thread.
     let data = text_input(20_000);
     let run = |pool: PoolMode| {
         let mut config = base_config();
@@ -885,8 +886,8 @@ fn persistent_pool_spawns_once_per_job() {
         pooled.report.stats.threads_spawned,
         wave.report.stats.threads_spawned
     );
-    // Pool size (4) + one ingest thread per round.
-    assert_eq!(pooled.report.stats.threads_spawned, 4 + u64::from(pooled.report.stats.map_rounds));
+    // Pool size (4) + the stage's one ingest thread.
+    assert_eq!(pooled.report.stats.threads_spawned, 4 + 1);
 }
 
 #[test]

@@ -363,7 +363,7 @@ fn headers_end(buf: &[u8]) -> Option<usize> {
 /// — the body. Refuses to buffer more than [`MAX_REQUEST_LINE`] bytes
 /// while looking for the first newline, [`MAX_HEADERS`] for the header
 /// terminator, and [`MAX_BODY`] of body.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
+fn read_request(stream: &mut impl Read) -> std::io::Result<Request> {
     let mut buf = [0u8; 1024];
     let mut data = Vec::new();
     let header_len = loop {
@@ -426,6 +426,7 @@ mod tests {
     use crate::json::Json;
     use crate::unpoisoned;
     use std::sync::Mutex;
+    use supmr_workloads::check::check;
 
     fn request(addr: SocketAddr, raw: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -662,5 +663,110 @@ mod tests {
         );
         assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
         server.shutdown();
+    }
+
+    /// Hands out `bytes` at most `step` at a time.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// What `read_request` made of a request, by outcome.
+    fn outcome(request: &Request) -> &'static str {
+        match request {
+            Request::Full(_) => "full",
+            Request::TooLong => "too long",
+            Request::BodyTooLarge => "too large",
+            Request::Malformed => "malformed",
+        }
+    }
+
+    /// A request with an unterminated header block, a missing, garbage,
+    /// huge or overstated `Content-Length`, non-UTF-8 bytes, an
+    /// oversize request line or header block — as written, edited or
+    /// replaced by noise — gets one of the four outcomes, never a panic
+    /// or an I/O error. Whole reads (the reader fills the parser's 1 KiB
+    /// buffer) never take more than `MAX_HEADERS + MAX_BODY + 1 KiB`
+    /// from the peer; short reads can overshoot each of the two caps by
+    /// one read less a byte.
+    #[test]
+    fn hostile_requests_get_an_outcome_never_a_panic() {
+        let sample = b"POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\n{\"n\":\"\xff\"}";
+        check("hostile_requests_get_an_outcome_never_a_panic", 64, |g| {
+            let long_line = g.range(0..6) == 0;
+            let line = if long_line {
+                format!("GET /{}", "a".repeat(MAX_REQUEST_LINE + 1024 + g.range(0..2048)))
+            } else {
+                "POST /jobs HTTP/1.1".to_string()
+            };
+            let long_head = g.range(0..6) == 0;
+            let pad =
+                "X-Pad: y\r\n".repeat(if long_head { (MAX_HEADERS + 1024) / 10 + 1 } else { 0 });
+            let mut body: Vec<u8> = g.vec(0..64, |g| g.range(..));
+            if g.range(0..8) == 0 {
+                body.resize(MAX_BODY + g.range(0..4096), b'x');
+            }
+            let length = match g.range(0..5) {
+                0 => None,
+                1 => Some(g.pick(&["x1", "-1", "1e3", " ", "0x10"]).to_string()),
+                2 => Some(g.pick(&[
+                    u64::MAX.to_string(),
+                    "9".repeat(40),
+                    (MAX_BODY + 1).to_string(),
+                ])),
+                3 => Some((body.len() + g.range(1..4096)).to_string()),
+                _ => Some(body.len().min(MAX_BODY).to_string()),
+            };
+            let header =
+                length.as_ref().map_or(String::new(), |l| format!("Content-Length: {l}\r\n"));
+            let ended = g.range(0..4) != 0;
+            let end = if ended { "\r\n" } else { "" };
+            let request =
+                [format!("{line}\r\nHost: t\r\n{pad}{header}{end}").as_bytes(), &body].concat();
+            // As written, the request's outcome is known unless its
+            // header block never ends (then body bytes may end it).
+            let declared: usize = length.and_then(|l| l.trim().parse().ok()).unwrap_or(0);
+            let expected = if long_line {
+                Some("too long")
+            } else if long_head {
+                Some("malformed")
+            } else if !ended {
+                None
+            } else if declared > MAX_BODY {
+                Some("too large")
+            } else {
+                Some("full")
+            };
+            let noise = g.vec(0..2048, |g| g.range(..));
+            let edited = g.edited(&request);
+            for bytes in [&request, &edited, &noise, &g.edited(sample)] {
+                let whole = g.bool();
+                let step = if whole { usize::MAX } else { g.range(1..=1024) };
+                let mut reader = Trickle { rest: bytes, step };
+                let got = read_request(&mut reader).expect("a slice never fails to read");
+                let taken = bytes.len() - reader.rest.len();
+                let cap = MAX_HEADERS + MAX_BODY + if whole { 1024 } else { 2048 };
+                assert!(taken <= cap, "read {taken} of {} bytes", bytes.len());
+                if std::ptr::eq(bytes, &request) && expected.is_some() {
+                    assert_eq!(Some(outcome(&got)), expected);
+                }
+                if let Request::Full(req) = got {
+                    assert!(req.body.len() <= MAX_BODY);
+                    assert!(req.method.bytes().all(|b| b.is_ascii_uppercase()));
+                    if std::ptr::eq(bytes, &request) && ended {
+                        assert_eq!(req.body, body[..declared.min(body.len())]);
+                    }
+                }
+            }
+        });
     }
 }
