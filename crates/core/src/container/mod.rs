@@ -184,6 +184,15 @@ pub trait Container<K, V, C: Combiner<V>>: Send + Sync + Sized + 'static {
     /// their payloads outright.
     fn drain(payload: Self::Drain) -> Vec<(K, C::Acc)>;
 
+    /// How many pairs `payload` drains to, when that is known without
+    /// draining it. A container that does not
+    /// [`combine`](Container::combines) must know: the external reduce
+    /// sizes each partition's output by it before the partition's task
+    /// drains.
+    fn drain_len(_payload: &Self::Drain) -> Option<usize> {
+        None
+    }
+
     /// [`Container::into_drains`] + [`Container::drain`] on the calling
     /// thread. Returns at least one partition when any pairs are held.
     fn into_partitions(self, parts: usize) -> Vec<Vec<(K, C::Acc)>> {

@@ -15,23 +15,28 @@
 //! encoded with the job's codec as it is emitted and dropped, and the
 //! run is one payload buffer with an end offset and a key prefix per
 //! record — what the ledger is charged for. The runs leave for disk
-//! **key-range partitioned**: the first spill samples `p − 1` splitter
-//! keys (`p` the job's reduce width) from the runs then resident, and
-//! from then on every spilled run is put in the job's order by sorting
-//! its `(prefix, index)` tags — decoding only keys whose prefixes tie,
-//! once each — and its payloads are written, as they are, one run file
-//! per key range. At the end the in-memory remainder is decoded into
-//! the same ranges. The external reduce thereby gets `p` disjoint key
-//! ranges to merge in parallel, and its outputs, taken in range order,
-//! are one sorted sequence. The splitters only balance the ranges: any
-//! splitters, however skewed, give sorted output.
+//! **key-range partitioned**, a budget's worth at a time: the first
+//! spill samples `p − 1` splitter keys (`p` the job's reduce width) from
+//! the runs then resident, and every spill takes as many runs as bring
+//! residency down to the low watermark, puts their records in the job's
+//! order together by sorting their `(prefix, run, index)` tags —
+//! decoding only keys whose prefixes tie, once each — and writes their
+//! payloads, as they are, as one run file per key range. A run file
+//! thus holds about `(high − low) ÷ p` bytes, whatever the split size.
+//! At the end the in-memory remainder is only assigned to the same
+//! ranges, by prefix (a record whose prefix ties a splitter's is
+//! decoded there); each range's reduce task decodes its own share. The
+//! external reduce thereby gets `p` disjoint key ranges to merge in
+//! parallel, and its outputs, taken in range order, are one sorted
+//! sequence. The splitters only balance the ranges: any splitters,
+//! however skewed, give sorted output.
 
 use super::{Absorbed, Container};
 use crate::api::Emit;
 use crate::combiner::Combiner;
 use crate::spill::{KeyPrefixFn, PairCodec, SpillHooks};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use supmr_metrics::unpoisoned;
 
@@ -80,58 +85,52 @@ impl EncodedRun {
     fn key<K, V>(&self, at: usize, hooks: &SpillHooks<K, V>) -> Option<K> {
         self.decode(at, hooks).map(|(key, _)| key)
     }
+}
 
-    /// Decode every record into `out(range, pair)`, the range from
-    /// `splitters`; undecodable records are parked on the job.
-    fn decode_into<K: Ord + Clone, V>(
-        &self,
-        hooks: &SpillHooks<K, V>,
-        splitters: &Splitters<K>,
-        mut out: impl FnMut(usize, (K, V)),
-    ) {
-        for at in 0..self.len() {
-            if let Some(pair) = self.decode(at, hooks) {
-                out(splitters.range_of(self.prefixes[at], &pair.0), pair);
-            }
+/// Put the records of `runs` in the job's order together and sink their
+/// payloads, one run per non-empty key range. Tags sort by prefix; a
+/// record's key is decoded — once — only where its prefix ties another
+/// record's or a splitter's.
+fn spill_together<K: Ord + Clone, V>(
+    runs: &[EncodedRun],
+    splitters: &Splitters<K>,
+    hooks: &SpillHooks<K, V>,
+) {
+    let mut tags: Vec<(u64, u32, u32)> = (0..)
+        .zip(runs)
+        .flat_map(|(r, run)| (0..).zip(&run.prefixes).map(move |(at, &prefix)| (prefix, r, at)))
+        .collect();
+    tags.sort_unstable();
+    let mut per_range = vec![0usize; splitters.keys.len() + 1];
+    for tied in tags.chunk_by_mut(|a, b| a.0 == b.0) {
+        let span = splitters.span_of(tied[0].0);
+        if tied.len() == 1 && span.is_empty() {
+            per_range[span.start] += 1;
+            continue;
+        }
+        let keys: Option<Vec<K>> =
+            tied.iter().map(|&(_, r, at)| runs[r as usize].key(at as usize, hooks)).collect();
+        let Some(keys) = keys else {
+            // The job fails at the next phase boundary; the tied
+            // records keep their tag order meanwhile.
+            per_range[span.start] += tied.len();
+            continue;
+        };
+        let mut keyed: Vec<(K, u32, u32)> =
+            keys.into_iter().zip(tied.iter()).map(|(key, &(_, r, at))| (key, r, at)).collect();
+        keyed.sort_unstable();
+        for (tag, (key, r, at)) in tied.iter_mut().zip(keyed) {
+            (tag.1, tag.2) = (r, at);
+            per_range[splitters.range_in(span.clone(), &key)] += 1;
         }
     }
-
-    /// Put the run in the job's order and sink its payloads, one run
-    /// per non-empty key range. Tags sort by prefix; a record's key is
-    /// decoded — once — only where its prefix ties another record's or
-    /// a splitter's.
-    fn spill<K: Ord + Clone, V>(&self, splitters: &Splitters<K>, hooks: &SpillHooks<K, V>) {
-        let mut tags: Vec<(u64, usize)> = self.prefixes.iter().copied().zip(0..).collect();
-        tags.sort_unstable();
-        let mut per_range = vec![0usize; splitters.keys.len() + 1];
-        for tied in tags.chunk_by_mut(|a, b| a.0 == b.0) {
-            let span = splitters.span_of(tied[0].0);
-            if tied.len() == 1 && span.is_empty() {
-                per_range[span.start] += 1;
-                continue;
-            }
-            let keys: Option<Vec<K>> = tied.iter().map(|&(_, at)| self.key(at, hooks)).collect();
-            let Some(keys) = keys else {
-                // The job fails at the next phase boundary; the tied
-                // records keep their index order meanwhile.
-                per_range[span.start] += tied.len();
-                continue;
-            };
-            let mut keyed: Vec<(K, usize)> =
-                keys.into_iter().zip(tied.iter().map(|t| t.1)).collect();
-            keyed.sort_unstable();
-            for (tag, (key, at)) in tied.iter_mut().zip(keyed) {
-                tag.1 = at;
-                per_range[splitters.range_in(span.clone(), &key)] += 1;
-            }
-        }
-        let mut start = 0;
-        for (range, count) in per_range.into_iter().enumerate() {
-            let cut = &tags[start..start + count];
-            start += count;
-            if !cut.is_empty() {
-                hooks.sink.encoded(range, &mut cut.iter().map(|&(_, at)| self.record(at)));
-            }
+    let mut start = 0;
+    for (range, count) in per_range.into_iter().enumerate() {
+        let cut = &tags[start..start + count];
+        start += count;
+        if !cut.is_empty() {
+            let mut payloads = cut.iter().map(|&(_, r, at)| runs[r as usize].record(at as usize));
+            hooks.sink.encoded(range, &mut payloads);
         }
     }
 }
@@ -183,11 +182,6 @@ impl<K: Ord + Clone> Splitters<K> {
     fn range_in(&self, span: std::ops::Range<usize>, key: &K) -> usize {
         span.start + self.keys[span].partition_point(|s| s <= key)
     }
-
-    /// The key range of `key`, whose prefix is `prefix`.
-    fn range_of(&self, prefix: u64, key: &K) -> usize {
-        self.range_in(self.span_of(prefix), key)
-    }
 }
 
 impl<K> Default for Splitters<K> {
@@ -195,6 +189,18 @@ impl<K> Default for Splitters<K> {
         Splitters { keys: Vec::new(), prefixes: Vec::new() }
     }
 }
+
+/// One drain of the container: typed pairs, and held records still
+/// encoded — `(run, index)` picks into the runs of `held` — which
+/// [`Container::drain`] decodes on the task that reduces them.
+pub struct RunDrain<K, V> {
+    pairs: Vec<(K, V)>,
+    picks: Vec<(u32, u32)>,
+    held: Option<Held<K, V>>,
+}
+
+/// The held runs a drain picks from, shared, and how to decode them.
+type Held<K, V> = (Arc<[EncodedRun]>, SpillHooks<K, V>);
 
 /// Run-per-task storage for unique-key workloads.
 pub struct UnlockedContainer<K, V> {
@@ -208,6 +214,9 @@ pub struct UnlockedContainer<K, V> {
     /// runs are too).
     last_run_len: AtomicUsize,
     last_run_bytes: AtomicUsize,
+    /// Held bytes a spill has taken off the run list and not yet
+    /// released from the ledger.
+    evicting: AtomicU64,
     /// Out-of-core wiring ([`Container::configure_spill`]); unset keeps
     /// runs typed and absorb on the unmetered hot path.
     spill: OnceLock<SpillHooks<K, V>>,
@@ -224,6 +233,7 @@ impl<K, V> Default for UnlockedContainer<K, V> {
             pairs: AtomicU64::new(0),
             last_run_len: AtomicUsize::new(0),
             last_run_bytes: AtomicUsize::new(0),
+            evicting: AtomicU64::new(0),
             spill: OnceLock::new(),
             splitters: OnceLock::new(),
         }
@@ -250,24 +260,38 @@ impl<K, V> UnlockedContainer<K, V> {
 }
 
 impl<K: Ord + Clone, V> UnlockedContainer<K, V> {
-    /// Spill largest published runs until the ledger is below its low
-    /// watermark, each put in order, cut into its key ranges and sunk
-    /// as one run file per range. Every absorber that trips the high
-    /// watermark drains: victims are whole runs taken under the
-    /// run-list lock, so concurrent spillers never share one.
+    /// Bring residency down to the low watermark in one spill: take the
+    /// largest published runs until what they hold covers the excess,
+    /// and sink them together, one run file per key range. Bytes another
+    /// absorber is already spilling do not count, so two absorbers never
+    /// spill for the same excess: one spills only while what stays
+    /// resident tops the high watermark, and so writes more than
+    /// `high − low` bytes. Victims are taken under the run-list lock.
     fn spill_down(&self, hooks: &SpillHooks<K, V>) {
-        while hooks.accountant.over_low() {
-            let (run, splitters) = {
-                let mut runs = unpoisoned(self.encoded.lock());
-                let victim =
-                    runs.iter().enumerate().max_by_key(|(_, r)| r.held_bytes()).map(|(idx, _)| idx);
-                let Some(idx) = victim else { break };
-                let splitters = self.splitters.get_or_init(|| Splitters::sample(&runs, hooks));
-                (runs.swap_remove(idx), splitters)
-            };
-            run.spill(splitters, hooks);
-            hooks.accountant.release(run.held_bytes());
-        }
+        let ledger = &hooks.accountant;
+        let (victims, splitters, taken) = {
+            let mut runs = unpoisoned(self.encoded.lock());
+            let evicting = self.evicting.load(Ordering::Acquire);
+            let staying = ledger.resident().saturating_sub(evicting);
+            if staying <= ledger.high() {
+                return;
+            }
+            let splitters = self.splitters.get_or_init(|| Splitters::sample(&runs, hooks));
+            runs.sort_unstable_by_key(EncodedRun::held_bytes);
+            let (mut victims, mut taken) = (Vec::new(), 0);
+            while taken < staying.saturating_sub(ledger.low()) {
+                let Some(run) = runs.pop() else { break };
+                taken += run.held_bytes();
+                victims.push(run);
+            }
+            self.evicting.fetch_add(taken, Ordering::Relaxed);
+            (victims, splitters, taken)
+        };
+        spill_together(&victims, splitters, hooks);
+        // Released before it stops counting as in flight, and read after
+        // it: a spiller in between sees too little resident, never more.
+        ledger.release(taken);
+        self.evicting.fetch_sub(taken, Ordering::Release);
     }
 }
 
@@ -300,7 +324,7 @@ where
     C: Combiner<V, Acc = V>,
 {
     type Local = LocalRun<K, V>;
-    type Drain = Vec<(K, V)>;
+    type Drain = RunDrain<K, V>;
 
     fn local(&self) -> Self::Local {
         let records = self.last_run_len.load(Ordering::Relaxed);
@@ -312,7 +336,7 @@ where
                     records,
                 ),
                 codec: hooks.codec,
-                key_prefix: std::sync::Arc::clone(&hooks.key_prefix),
+                key_prefix: Arc::clone(&hooks.key_prefix),
             },
         })
     }
@@ -363,20 +387,37 @@ where
         false
     }
 
-    /// The in-memory remainder decoded into the same key ranges as the
-    /// spilled runs: one drain per non-empty key range, tagged with it.
+    /// The in-memory remainder assigned to the same key ranges as the
+    /// spilled runs, by prefix: one drain per non-empty key range,
+    /// tagged with it. Only a record whose prefix ties a splitter's is
+    /// decoded here; the rest stay encoded for their range's task.
     fn into_indexed_drains(self, _parts: usize) -> Vec<(usize, Self::Drain)> {
         let splitters = self.splitters.into_inner().unwrap_or_default();
-        let mut ranges: Vec<Vec<(K, V)>> = (0..=splitters.keys.len()).map(|_| Vec::new()).collect();
+        let all = 0..splitters.keys.len();
+        let mut ranges: Vec<RunDrain<K, V>> = (0..=all.end)
+            .map(|_| RunDrain { pairs: Vec::new(), picks: Vec::new(), held: None })
+            .collect();
         for (key, value) in unpoisoned(self.runs.into_inner()).into_iter().flatten() {
-            ranges[splitters.range_in(0..splitters.keys.len(), &key)].push((key, value));
+            ranges[splitters.range_in(all.clone(), &key)].pairs.push((key, value));
         }
         if let Some(hooks) = self.spill.get() {
-            for run in unpoisoned(self.encoded.into_inner()) {
-                run.decode_into(hooks, &splitters, |range, pair| ranges[range].push(pair));
+            let runs: Arc<[EncodedRun]> = unpoisoned(self.encoded.into_inner()).into();
+            for (r, run) in (0..).zip(runs.iter()) {
+                for (at, &prefix) in (0..).zip(&run.prefixes) {
+                    let span = splitters.span_of(prefix);
+                    if span.is_empty() {
+                        ranges[span.start].picks.push((r, at));
+                    } else if let Some(pair) = run.decode(at as usize, hooks) {
+                        ranges[splitters.range_in(span, &pair.0)].pairs.push(pair);
+                    }
+                }
+            }
+            for range in &mut ranges {
+                range.held = Some((Arc::clone(&runs), hooks.clone()));
             }
         }
-        ranges.into_iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()).collect()
+        let empty = |range: &RunDrain<K, V>| range.pairs.is_empty() && range.picks.is_empty();
+        ranges.into_iter().enumerate().filter(|(_, range)| !empty(range)).collect()
     }
 
     /// Unique-key assumption: every pair is its own key.
@@ -391,23 +432,35 @@ where
     /// Returns one drain per map run, ignoring `parts`: the runs are
     /// exactly the sorted lists the merge phase operates on, and keeping
     /// them separate is what lets the merge experiments control the
-    /// baseline's round count. Encoded runs are decoded.
+    /// baseline's round count. Encoded runs decode when drained.
     fn into_drains(self, _parts: usize) -> Vec<Self::Drain> {
-        let mut drains = unpoisoned(self.runs.into_inner());
+        let typed = unpoisoned(self.runs.into_inner()).into_iter();
+        let mut drains: Vec<_> =
+            typed.map(|pairs| RunDrain { pairs, picks: Vec::new(), held: None }).collect();
         if let Some(hooks) = self.spill.get() {
-            let one_range = Splitters::default();
-            drains.extend(unpoisoned(self.encoded.into_inner()).iter().map(|run| {
-                let mut pairs = Vec::with_capacity(run.len());
-                run.decode_into(hooks, &one_range, |_, pair| pairs.push(pair));
-                pairs
+            let runs: Arc<[EncodedRun]> = unpoisoned(self.encoded.into_inner()).into();
+            drains.extend((0..).zip(runs.iter()).map(|(r, run)| RunDrain {
+                pairs: Vec::new(),
+                picks: (0..run.len() as u32).map(|at| (r, at)).collect(),
+                held: Some((Arc::clone(&runs), hooks.clone())),
             }));
         }
         drains
     }
 
-    /// A run already *is* reduce input; draining is the identity.
+    /// Typed pairs move; held records decode, on the calling task.
     fn drain(payload: Self::Drain) -> Vec<(K, V)> {
-        payload
+        let RunDrain { mut pairs, picks, held } = payload;
+        if let Some((runs, hooks)) = held {
+            let decode = |(r, at): (u32, u32)| runs[r as usize].decode(at as usize, &hooks);
+            pairs.reserve_exact(picks.len());
+            pairs.extend(picks.into_iter().filter_map(decode));
+        }
+        pairs
+    }
+
+    fn drain_len(payload: &Self::Drain) -> Option<usize> {
+        Some(payload.pairs.len() + payload.picks.len())
     }
 }
 
@@ -484,10 +537,13 @@ mod tests {
         }
         let mut tagged = std::mem::take(&mut *unpoisoned(sunk.lock()));
         assert!(!tagged.is_empty(), "a 400-byte budget must spill");
+        type Unlocked = UnlockedContainer<u64, String>;
         tagged.extend(
-            <UnlockedContainer<u64, String> as Container<u64, String, Identity>>::into_indexed_drains(
-                c, 3,
-            ),
+            <Unlocked as Container<u64, String, Identity>>::into_indexed_drains(c, 3)
+                .into_iter()
+                .map(|(range, drain)| {
+                    (range, <Unlocked as Container<u64, String, Identity>>::drain(drain))
+                }),
         );
         // Per range tag: the span of keys seen under it, spilled or not.
         let mut spans = [(u64::MAX, 0u64); 3];

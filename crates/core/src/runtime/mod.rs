@@ -1272,26 +1272,32 @@ fn external_reduce<J: MapReduce>(
     for (partition, drain) in container.into_indexed_drains(ctx.config.reduce_workers) {
         grouped.entry(partition).or_default().0.push(drain);
     }
-    for run in spill.take_runs() {
+    let runs = spill.take_runs();
+    // Every partition's merge streams at once: the wave's read blocks
+    // share the budget.
+    let block_bytes = read_block_bytes(spill.accountant().budget(), runs.len());
+    for run in runs {
         grouped.entry(run.partition).or_default().1.push(run);
     }
 
-    let (store, codec, budget) = (spill.store(), spill.codec(), spill.accountant().budget());
+    let (store, codec) = (spill.store(), spill.codec());
     // The job's order, as in the in-memory merge: the tree settles most
     // matches on cached prefixes.
     let order = ByKey(|key: &J::Key| job.key_prefix(key));
-    // One partition's merge sources: its remainders, sorted, then its
-    // runs read back. Read/decode faults inside the merge stream park in
-    // `parked` (an iterator can't return Result mid-merge).
-    let open_sources = |remainders: Vec<Vec<(J::Key, AccOf<J>)>>,
+    let probe = &ctx.probe;
+    // One partition's merge sources, opened on its task: its remainders,
+    // drained and sorted, then its runs read back. Read/decode faults
+    // inside the merge stream park in `parked` (an iterator can't return
+    // Result mid-merge).
+    let open_sources = |drains: Drains<J>,
                         runs: &[SpilledRun],
                         parked: &Arc<Mutex<Option<String>>>|
      -> Result<Vec<MergeSource<J>>> {
-        let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(remainders.len() + runs.len());
-        for part in remainders {
+        let mut sources: Vec<MergeSource<J>> = Vec::with_capacity(drains.len() + runs.len());
+        for payload in drains {
+            let part = probe.drain(None, || <J::Container>::drain(payload));
             sources.push(Box::new(SortedRun::sort(part, &order).into_items().into_iter()));
         }
-        let block_bytes = read_block_bytes(budget, runs.len());
         for run in runs {
             let decoded = DecodedRun::open(
                 store.as_ref(),
@@ -1314,8 +1320,7 @@ fn external_reduce<J: MapReduce>(
     let width = config.reduce_width();
 
     if <J::Container as Container<J::Key, J::Value, J::Combiner>>::combines() {
-        ctx.probe.reduce_wave_start(grouped.len());
-        let probe = &ctx.probe;
+        probe.reduce_wave_start(grouped.len());
         let (reduced, outcome) = ctx.exec.run_collect(
             width,
             grouped.into_iter().collect(),
@@ -1323,11 +1328,7 @@ fn external_reduce<J: MapReduce>(
                 config.check_cancelled()?;
                 probe.reduce_partition(partition, run_stats(&runs), || {
                     let parked = Arc::default();
-                    let remainders = drains
-                        .into_iter()
-                        .map(|payload| probe.drain(None, || <J::Container>::drain(payload)))
-                        .collect();
-                    let sources = open_sources(remainders, &runs, &parked)?;
+                    let sources = open_sources(drains, &runs, &parked)?;
                     let mut merged = merge_fold_by(sources, &order, |acc, other| {
                         <J::Combiner as crate::combiner::Combiner<J::Value>>::merge(acc, other);
                     });
@@ -1344,35 +1345,28 @@ fn external_reduce<J: MapReduce>(
         return Ok((reduced.into_iter().collect::<Result<_>>()?, true));
     }
 
-    // An identity container's drain is a move, so draining here costs
-    // nothing and gives each partition its exact output length up front.
+    // An identity container knows what each drain holds before it is
+    // drained, so each partition's exact output length is known up front.
     let mut lens = Vec::with_capacity(grouped.len());
-    let tasks: Vec<_> = grouped
-        .into_iter()
-        .map(|(partition, (drains, runs))| {
-            let remainders: Vec<Vec<(J::Key, AccOf<J>)>> = drains
-                .into_iter()
-                .map(|payload| ctx.probe.drain(None, || <J::Container>::drain(payload)))
-                .collect();
-            let records: u64 = runs.iter().map(|r| r.records).sum();
-            lens.push(remainders.iter().map(Vec::len).sum::<usize>() + records as usize);
-            (partition, remainders, runs)
-        })
-        .collect();
+    for (drains, runs) in grouped.values() {
+        let held: Option<usize> = drains.iter().map(<J::Container>::drain_len).sum();
+        let held = held.ok_or_else(|| {
+            SupmrError::invalid_config("a container that does not combine must size its drains")
+        })?;
+        lens.push(held + runs.iter().map(|r| r.records as usize).sum::<usize>());
+    }
     let mut slots = OutputSlots::new(&lens);
-    ctx.probe.reduce_wave_start(tasks.len());
-    let probe = &ctx.probe;
+    probe.reduce_wave_start(grouped.len());
     let (done, outcome) = ctx.exec.run_collect(
         width,
-        tasks.into_iter().zip(slots.windows()).collect(),
-        |_, ((partition, remainders, runs), mut window)| -> Result<()> {
+        grouped.into_iter().zip(slots.windows()).collect(),
+        |_, ((partition, (drains, runs)), mut window)| -> Result<()> {
             config.check_cancelled()?;
             probe.reduce_partition(partition, run_stats(&runs), || {
                 let parked = Arc::default();
                 let len = window.capacity();
-                for (key, acc) in
-                    merge_iterators_by(open_sources(remainders, &runs, &parked)?, &order)
-                {
+                let sources = open_sources(drains, &runs, &parked)?;
+                for (key, acc) in merge_iterators_by(sources, &order) {
                     let out = job.reduce(&key, acc);
                     if window.push((key, out)).is_err() {
                         let message = format!("partition {partition} yields more than {len} pairs");
@@ -1380,8 +1374,11 @@ fn external_reduce<J: MapReduce>(
                     }
                 }
                 parked_error(&parked).map_or(Ok(()), Err)?;
-                window.commit().map_err(|filled| SupmrError::Merge {
-                    message: format!("partition {partition} yields {filled} of {len} pairs"),
+                // A held record that did not decode is the pair missing.
+                window.commit().map_err(|filled| {
+                    spill.check_decodes().err().unwrap_or_else(|| SupmrError::Merge {
+                        message: format!("partition {partition} yields {filled} of {len} pairs"),
+                    })
                 })
             })
         },

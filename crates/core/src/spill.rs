@@ -559,12 +559,12 @@ pub(crate) struct DecodedRun<K, A> {
     error: Arc<Mutex<Option<String>>>,
 }
 
-/// Read-back buffer for each of `open_runs` runs that one external
-/// merge streams side by side: an equal share of the job's memory
-/// `budget`, so the buffers of one merge never add up to more than the
-/// budget the spill was honoring, within 8 KiB (below which a block is
-/// not worth a `read` call) and [`BLOCK_BYTES`] (beyond which a larger
-/// block buys nothing).
+/// Read-back buffer for each of the `open_runs` runs a reduce wave
+/// streams side by side — every partition's merge at once: an equal
+/// share of the job's memory `budget`, so the wave's buffers never add
+/// up to more than the budget the spill was honoring, within 8 KiB
+/// (below which a block is not worth a `read` call) and [`BLOCK_BYTES`]
+/// (beyond which a larger block buys nothing).
 pub(crate) fn read_block_bytes(budget: u64, open_runs: usize) -> usize {
     let share = budget / open_runs.max(1) as u64;
     share.clamp(8 * 1024, BLOCK_BYTES as u64) as usize
@@ -708,6 +708,18 @@ mod tests {
         assert_eq!(a.resident(), 400);
         a.release(10_000);
         assert_eq!(a.resident(), 0, "release saturates at zero");
+    }
+
+    #[test]
+    fn a_waves_read_blocks_fit_the_budget() {
+        supmr_workloads::check::check("a_waves_read_blocks_fit_the_budget", 256, |g| {
+            let scale: u32 = g.range(14..33);
+            let budget = g.range(8 * 1024..1u64 << scale);
+            let runs = g.range(1..budget / (8 * 1024) + 1) as usize;
+            let block = read_block_bytes(budget, runs);
+            assert!(block as u64 * runs as u64 <= budget, "{runs} runs of {block} B > {budget} B");
+            assert!((8 * 1024..=BLOCK_BYTES).contains(&block));
+        });
     }
 
     #[test]

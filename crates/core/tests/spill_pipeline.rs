@@ -543,6 +543,130 @@ fn undecodable_held_records_fail_the_job_as_merge_errors() {
     }
 }
 
+thread_local! {
+    /// Decodes [`KeyedSort`]'s codec made on this thread.
+    static DECODED_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Records keyed by their first 8 bytes as a big-endian `u64`, with the
+/// key as its own prefix: a record's prefix ties another's, or a
+/// splitter's, only where the keys are equal. Its codec counts decodes
+/// per thread.
+struct KeyedSort;
+
+impl MapReduce for KeyedSort {
+    type Key = u64;
+    type Value = Vec<u8>;
+    type Combiner = Identity;
+    type Output = Vec<u8>;
+    type Container = UnlockedContainer<u64, Vec<u8>>;
+
+    fn make_container(&self) -> Self::Container {
+        UnlockedContainer::new()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<u64, Vec<u8>>) {
+        for rec in split.split(|&b| b == b'\n').filter(|r| r.len() >= 8) {
+            emit.emit(u64::from_be_bytes(rec[..8].try_into().unwrap()), rec.to_vec());
+        }
+    }
+
+    fn reduce(&self, _k: &u64, rec: Vec<u8>) -> Vec<u8> {
+        rec
+    }
+
+    fn key_prefix(&self, key: &u64) -> u64 {
+        *key
+    }
+
+    fn spill_codec(&self) -> Option<PairCodec<u64, Vec<u8>>> {
+        Some(PairCodec {
+            encode: |key, rec, buf| {
+                buf.extend_from_slice(&key.to_le_bytes());
+                buf.extend_from_slice(rec);
+            },
+            decode: |rec| {
+                DECODED_HERE.with(|n| n.set(n.get() + 1));
+                Some((u64::from_le_bytes(rec.get(..8)?.try_into().ok()?), rec[8..].to_vec()))
+            },
+            size_hint: |_, rec| 8 + rec.len(),
+        })
+    }
+}
+
+/// `n` 32-byte records under unique, shuffled 8-digit keys.
+fn keyed_corpus(n: u64) -> Vec<u8> {
+    (0..n).flat_map(|i| format!("{:08}:{i:022}\n", i * 7919 % 100_000_000).into_bytes()).collect()
+}
+
+/// One spill takes every run it needs to get back to the low watermark
+/// and writes one run per key range, so the run count follows the
+/// budget: at most `p` runs per `high − low` bytes held, plus one spill
+/// of slack, with splits of a sixteenth of the budget as with splits
+/// of all of it. The output is the unbounded job's.
+#[test]
+fn spill_runs_follow_the_budget_not_the_split() {
+    const RECORDS: u64 = 1 << 16;
+    let data = keyed_corpus(RECORDS);
+    let unbounded = Job::new(KeyedSort)
+        .config(base_config())
+        .run(Input::stream(MemSource::from(data.clone())))
+        .unwrap();
+    let budget = 1 << 20;
+    let ledger = supmr::MemoryAccountant::new(budget);
+    // What the container charges per record: the codec's 8 key bytes and
+    // 31 record bytes, and a 16-byte end offset and prefix.
+    let held = RECORDS * (8 + 31 + 16);
+    let bound =
+        base_config().reduce_workers as u64 * (held.div_ceil(ledger.high() - ledger.low()) + 1);
+    for split_bytes in [64 << 10, 1 << 20] {
+        let store = MemRunStore::new();
+        let mut config = budgeted_config(budget, &store);
+        config.split_bytes = split_bytes;
+        let spilled = Job::new(KeyedSort)
+            .config(config)
+            .run(Input::stream(MemSource::from(data.clone())))
+            .unwrap();
+        let runs = spilled.report.stats.spill_runs;
+        assert!(runs > 0 && runs <= bound, "split {split_bytes}: {runs} runs, at most {bound}");
+        assert_eq!(spilled.pairs, unbounded.pairs, "split {split_bytes}");
+        assert!(store.is_empty(), "split {split_bytes}: run files must be deleted");
+    }
+}
+
+/// The coordinator only assigns the held remainder to key ranges; each
+/// range's reduce task decodes its own share. Keys are unique and are
+/// their own prefixes, so the one record the calling thread may decode
+/// per splitter is the one the splitter was sampled from; the rest of
+/// the remainder decodes on the pool.
+#[test]
+fn no_held_record_is_decoded_on_the_calling_thread() {
+    const RECORDS: u64 = 20_000;
+    let data = keyed_corpus(RECORDS);
+    for reduce_workers in [1usize, 3] {
+        let store = MemRunStore::new();
+        let mut config = budgeted_config(256 << 10, &store);
+        config.split_bytes = 16 << 10;
+        config.reduce_workers = reduce_workers;
+        config.pool = supmr::PoolMode::Persistent;
+        let before = DECODED_HERE.with(|n| n.get());
+        let spilled = Job::new(KeyedSort)
+            .config(config)
+            .run(Input::stream(MemSource::from(data.clone())))
+            .unwrap();
+        let here = DECODED_HERE.with(|n| n.get()) - before;
+        // A spilled record is framed with an 8-byte header.
+        let remainder = RECORDS - spilled.report.stats.spill_bytes / (8 + 8 + 31);
+        assert!(remainder >= RECORDS / 20, "{reduce_workers} ranges: {remainder} records held");
+        assert!(
+            here < reduce_workers,
+            "{reduce_workers} ranges: the calling thread decoded {here} of {remainder} held records"
+        );
+        assert_eq!(spilled.pairs.len() as u64, RECORDS);
+        assert!(spilled.pairs.windows(2).all(|w| w[0].0 < w[1].0), "{reduce_workers} ranges");
+    }
+}
+
 /// A map task's run starts out sized for the run absorbed before it, so
 /// after a split of many short records the runs of few long records hold
 /// far more capacity than pairs. The ledger charges pairs: a budget the
