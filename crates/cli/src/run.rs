@@ -14,7 +14,7 @@ use supmr_apps::{
 use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::{
     DirFileSet, DiskRunStore, FileSource, IngestMeter, MemFileSet, MemSource, ObservedSource,
-    RunStore, ThrottledSource, TokenBucket,
+    RecordFormat, RunStore, ThrottledSource, TokenBucket,
 };
 use supmr_workloads::{
     clustered_points, small_files_corpus, PointsConfig, TeraGen, TextGen, TextGenConfig,
@@ -47,8 +47,6 @@ impl RunSummary {
 
 fn job_config(
     args: &CliArgs,
-    record_format: supmr_storage::RecordFormat,
-    default_merge: MergeMode,
     metrics: Option<&Registry>,
     storage: &Storage,
     flow: &Arc<FlowLedger>,
@@ -56,9 +54,9 @@ fn job_config(
     let mut config = JobConfig {
         flow: Some(Arc::clone(flow)),
         split_bytes: args.split_bytes,
-        record_format,
+        record_format: args.app.record_format(),
         chunking: args.chunking,
-        merge: args.merge.unwrap_or(default_merge),
+        merge: args.merge.unwrap_or(args.app.default_merge()),
         prefetch_depth: args.prefetch,
         pool: args.pool,
         trace: args.trace,
@@ -80,6 +78,27 @@ fn job_config(
     }
     configure_spill(args, storage, flow, &mut config)?;
     Ok(config)
+}
+
+impl AppKind {
+    /// How the app's input records are delimited.
+    fn record_format(self) -> RecordFormat {
+        match self {
+            AppKind::TeraSort => TeraSort::record_format(),
+            AppKind::Histogram => Histogram::record_format(),
+            _ => RecordFormat::Newline,
+        }
+    }
+
+    /// The merge a run takes when `--merge` names none. Sorting is
+    /// TeraSort's point, so it defaults to a p-way merge; an explicit
+    /// `--merge unsorted` is honoured.
+    fn default_merge(self) -> MergeMode {
+        match self {
+            AppKind::TeraSort => MergeMode::PWay { ways: 4 },
+            _ => MergeMode::Unsorted,
+        }
+    }
 }
 
 /// Apply `--memory-budget`/`--spill-dir`. Spill runs go through the
@@ -245,16 +264,9 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             )
         }),
     };
+    let config = job_config(args, registry, &storage, &flow)?;
     match args.app {
         AppKind::WordCount => {
-            let config = job_config(
-                args,
-                supmr_storage::RecordFormat::Newline,
-                MergeMode::Unsorted,
-                registry,
-                &storage,
-                &flow,
-            )?;
             let r = Job::new(WordCount::new()).config(config).run(build_input(args, &storage)?)?;
             let mut pairs = r.pairs.clone();
             pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -262,16 +274,6 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             Ok(RunSummary::from_result(&r, lines))
         }
         AppKind::TeraSort => {
-            // Sorting is the point: default to a p-way merge, but an
-            // explicit --merge unsorted is honoured.
-            let config = job_config(
-                args,
-                TeraSort::record_format(),
-                MergeMode::PWay { ways: 4 },
-                registry,
-                &storage,
-                &flow,
-            )?;
             let input = build_input(args, &storage)?;
             let (pairs, report) = if args.pipeline {
                 // Two-stage partition→sort pipeline: same output, but
@@ -293,14 +295,6 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             Ok(RunSummary { report, lines })
         }
         AppKind::Grep => {
-            let config = job_config(
-                args,
-                supmr_storage::RecordFormat::Newline,
-                MergeMode::Unsorted,
-                registry,
-                &storage,
-                &flow,
-            )?;
             let patterns: Vec<Vec<u8>> =
                 args.patterns.iter().map(|p| p.clone().into_bytes()).collect();
             let r =
@@ -311,14 +305,6 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             Ok(RunSummary::from_result(&r, lines))
         }
         AppKind::Histogram => {
-            let config = job_config(
-                args,
-                Histogram::record_format(),
-                MergeMode::Unsorted,
-                registry,
-                &storage,
-                &flow,
-            )?;
             let r = Job::new(Histogram::new()).config(config).run(build_input(args, &storage)?)?;
             let mut pairs = r.pairs.clone();
             pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
@@ -333,14 +319,6 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             Ok(RunSummary::from_result(&r, lines))
         }
         AppKind::LinReg => {
-            let config = job_config(
-                args,
-                supmr_storage::RecordFormat::Newline,
-                MergeMode::Unsorted,
-                registry,
-                &storage,
-                &flow,
-            )?;
             let r = Job::new(LinearRegression::new())
                 .config(config)
                 .run(build_input(args, &storage)?)?;
@@ -353,14 +331,6 @@ fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary
             Ok(RunSummary::from_result(&r, lines))
         }
         AppKind::KMeans => {
-            let config = job_config(
-                args,
-                supmr_storage::RecordFormat::Newline,
-                MergeMode::Unsorted,
-                registry,
-                &storage,
-                &flow,
-            )?;
             // kmeans re-ingests per iteration: rebuild the input each time.
             let args2 = args.clone();
             let storage2 = storage.clone();

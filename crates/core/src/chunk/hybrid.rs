@@ -1,136 +1,13 @@
-//! Hybrid inter/intra-file chunking.
-//!
-//! Real input directories mix file sizes: a Hadoop output directory can
-//! hold thousands of small part files next to multi-gigabyte ones. The
-//! paper names "a hybrid inter/intra-file chunking approach" as a more
-//! complicated abstraction it did not implement (§III-A1). This chunker
-//! implements it: files are packed into chunks **by bytes** — small
-//! files coalesce (intra-file behaviour) until the target size is
-//! reached, and a file bigger than the target is split at record
-//! boundaries (inter-file behaviour), so every chunk is close to the
-//! target size regardless of the directory's shape.
-
-use super::{Chunker, IngestChunk, Recycler};
-use std::io;
-use std::ops::Range;
-use supmr_storage::{FileSet, RecordFormat};
-
-/// Byte-targeted chunking over a [`FileSet`] with mixed file sizes.
-pub struct HybridChunker<F> {
-    files: F,
-    chunk_bytes: u64,
-    format: RecordFormat,
-    /// Next file to read.
-    next_file: usize,
-    /// Remainder of a large file currently being split, with its
-    /// consumed-prefix position.
-    carry: Option<(Vec<u8>, usize)>,
-    index: usize,
-    offset: u64,
-    buffers: Recycler,
-}
-
-impl<F: FileSet> HybridChunker<F> {
-    /// Pack `files` into ~`chunk_bytes` chunks, splitting oversized
-    /// files at `format` record boundaries.
-    ///
-    /// # Panics
-    /// Panics if `chunk_bytes == 0`.
-    pub fn new(files: F, chunk_bytes: u64, format: RecordFormat) -> Self {
-        assert!(chunk_bytes > 0, "chunk size must be non-zero");
-        HybridChunker {
-            files,
-            chunk_bytes,
-            format,
-            next_file: 0,
-            carry: None,
-            index: 0,
-            offset: 0,
-            buffers: Recycler::default(),
-        }
-    }
-
-    /// Take up to `want` bytes (extended to a record boundary) from a
-    /// buffer starting at `pos`; returns the slice end.
-    fn cut(&self, buf: &[u8], pos: usize, want: usize) -> usize {
-        let target = (pos + want).min(buf.len());
-        if target == buf.len() {
-            return target;
-        }
-        self.format.adjust_split_point(buf, target)
-    }
-}
-
-impl<F: FileSet> Chunker for HybridChunker<F> {
-    fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>> {
-        let target = self.chunk_bytes as usize;
-        let mut data = self.buffers.take(target);
-        data.clear();
-        let mut segments: Vec<Range<usize>> = Vec::new();
-
-        loop {
-            let room = target.saturating_sub(data.len());
-            if room == 0 && !data.is_empty() {
-                break;
-            }
-            // Drain a carried large-file remainder first.
-            if let Some((buf, pos)) = self.carry.take() {
-                let end = self.cut(&buf, pos, room.max(1));
-                let start = data.len();
-                data.extend_from_slice(&buf[pos..end]);
-                segments.push(start..data.len());
-                if end < buf.len() {
-                    self.carry = Some((buf, end));
-                    break; // chunk is full (or target met) with more to carry
-                }
-                continue;
-            }
-            if self.next_file >= self.files.file_count() {
-                break;
-            }
-            // Peek the next file's size before reading: if this chunk
-            // already holds data and the file would overflow the target
-            // by more than the target itself, close the chunk first so
-            // chunks stay near-target.
-            let flen = self.files.file_len(self.next_file) as usize;
-            if !data.is_empty() && data.len() + flen > 2 * target {
-                break;
-            }
-            let idx = self.next_file;
-            self.next_file += 1;
-            if flen > target {
-                // Oversized file: split it; first piece goes here.
-                self.carry = Some((self.files.read_file(idx)?, 0));
-                continue;
-            }
-            let start = data.len();
-            self.files.append_file(idx, &mut data)?;
-            segments.push(start..data.len());
-        }
-
-        if data.is_empty() {
-            return Ok(None);
-        }
-        let chunk = IngestChunk {
-            index: self.index,
-            offset: self.offset,
-            data: self.buffers.seal(data),
-            segments,
-        };
-        self.index += 1;
-        self.offset += chunk.data.len() as u64;
-        Ok(Some(chunk))
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.files.total_len()
-    }
-}
+//! Tests of hybrid chunking: a [`FileSetChunker`](super::FileSetChunker)
+//! under a byte target, over directories that mix small files with
+//! files bigger than the target.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use supmr_storage::MemFileSet;
+    use crate::chunk::{Chunker, FileSetChunker, IngestChunk};
+    use std::io;
+    use std::sync::{Arc, Mutex};
+    use supmr_storage::{FileSet, MemFileSet, RecordFormat, SharedBytes};
 
     fn lines(n: usize, tag: u8) -> Vec<u8> {
         (0..n).flat_map(|i| format!("{}{i:06}\n", tag as char).into_bytes()).collect()
@@ -154,7 +31,8 @@ mod tests {
         // chunk.
         let files: Vec<Vec<u8>> = (0..10).map(|i| lines(10, b'a' + i)).collect();
         let total: Vec<u8> = files.iter().flatten().copied().collect();
-        let chunks = drain(HybridChunker::new(MemFileSet::new(files), 200, RecordFormat::Newline));
+        let chunks =
+            drain(FileSetChunker::hybrid(MemFileSet::new(files), 200, RecordFormat::Newline));
         assert_eq!(reassemble(&chunks), total);
         // Every chunk except possibly the final remainder coalesces
         // several files.
@@ -169,7 +47,7 @@ mod tests {
         let big = lines(1000, b'x');
         let total = big.clone();
         let chunks =
-            drain(HybridChunker::new(MemFileSet::new(vec![big]), 1024, RecordFormat::Newline));
+            drain(FileSetChunker::hybrid(MemFileSet::new(vec![big]), 1024, RecordFormat::Newline));
         assert!(chunks.len() >= 7);
         assert_eq!(reassemble(&chunks), total);
         for c in &chunks {
@@ -189,8 +67,11 @@ mod tests {
         ];
         let total: Vec<u8> = files.iter().flatten().copied().collect();
         let target = 512usize;
-        let chunks =
-            drain(HybridChunker::new(MemFileSet::new(files), target as u64, RecordFormat::Newline));
+        let chunks = drain(FileSetChunker::hybrid(
+            MemFileSet::new(files),
+            target as u64,
+            RecordFormat::Newline,
+        ));
         assert_eq!(reassemble(&chunks), total);
         for (i, c) in chunks.iter().enumerate() {
             assert!(
@@ -210,19 +91,23 @@ mod tests {
 
     #[test]
     fn empty_set_and_empty_files() {
-        assert!(drain(HybridChunker::new(MemFileSet::new(vec![]), 100, RecordFormat::Newline))
+        assert!(drain(FileSetChunker::hybrid(MemFileSet::new(vec![]), 100, RecordFormat::Newline))
             .is_empty());
         let files = vec![Vec::new(), lines(5, b'a'), Vec::new()];
         let total: Vec<u8> = files.iter().flatten().copied().collect();
-        let chunks = drain(HybridChunker::new(MemFileSet::new(files), 100, RecordFormat::Newline));
+        let chunks =
+            drain(FileSetChunker::hybrid(MemFileSet::new(files), 100, RecordFormat::Newline));
         assert_eq!(reassemble(&chunks), total);
     }
 
     #[test]
     fn segment_boundaries_respect_file_and_record_edges() {
         let files = vec![lines(3, b'a'), lines(300, b'b'), lines(3, b'c')];
-        let chunks =
-            drain(HybridChunker::new(MemFileSet::new(files.clone()), 256, RecordFormat::Newline));
+        let chunks = drain(FileSetChunker::hybrid(
+            MemFileSet::new(files.clone()),
+            256,
+            RecordFormat::Newline,
+        ));
         // Every segment's bytes must be a contiguous piece of exactly
         // one original file.
         let mut remaining: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
@@ -244,6 +129,83 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_target_rejected() {
-        HybridChunker::new(MemFileSet::new(vec![]), 0, RecordFormat::Newline);
+        FileSetChunker::hybrid(MemFileSet::new(vec![]), 0, RecordFormat::Newline);
+    }
+
+    /// How a [`Counting`] file set's files were read: per file, whole
+    /// reads, appends into a chunk buffer, and the bytes appended.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Reads {
+        read: Vec<usize>,
+        appended: Vec<usize>,
+        appended_bytes: usize,
+    }
+
+    /// A file set that counts its reads, resident or not.
+    struct Counting {
+        files: MemFileSet,
+        resident: bool,
+        reads: Arc<Mutex<Reads>>,
+    }
+
+    impl FileSet for Counting {
+        fn file_count(&self) -> usize {
+            self.files.file_count()
+        }
+
+        fn file_len(&self, idx: usize) -> u64 {
+            self.files.file_len(idx)
+        }
+
+        fn append_file(&mut self, idx: usize, buf: &mut Vec<u8>) -> io::Result<usize> {
+            let n = self.files.append_file(idx, buf)?;
+            let mut reads = self.reads.lock().unwrap();
+            reads.appended[idx] += 1;
+            reads.appended_bytes += n;
+            Ok(n)
+        }
+
+        fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
+            self.reads.lock().unwrap().read[idx] += 1;
+            Ok(self.files.shared_file(idx).expect("in memory").to_vec())
+        }
+
+        fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {
+            self.resident.then(|| self.files.shared_file(idx)).flatten()
+        }
+    }
+
+    #[test]
+    fn an_oversized_file_is_read_at_most_once_and_never_copied() {
+        let files = vec![lines(3, b'a'), lines(3, b'b'), lines(400, b'c'), lines(3, b'd')];
+        let big = files[2].clone();
+        for resident in [false, true] {
+            let reads = Arc::new(Mutex::new(Reads {
+                read: vec![0; files.len()],
+                appended: vec![0; files.len()],
+                ..Reads::default()
+            }));
+            let set = Counting {
+                files: MemFileSet::new(files.clone()),
+                resident,
+                reads: Arc::clone(&reads),
+            };
+            let chunks = drain(FileSetChunker::hybrid(set, 256, RecordFormat::Newline));
+            assert_eq!(reassemble(&chunks), files.concat());
+            let reads = reads.lock().unwrap().clone();
+            assert_eq!(reads.read[2], usize::from(!resident), "resident: {resident}");
+            assert_eq!(reads.appended[2], 0, "resident: {resident}");
+            assert!(reads.appended_bytes <= files.concat().len() - big.len());
+            // The cuts are views of one copy of the file, back to back.
+            let cuts: Vec<&IngestChunk> = chunks.iter().filter(|c| c.data[0] == b'c').collect();
+            assert!(cuts.len() >= 10, "{} cuts", cuts.len());
+            assert_eq!(cuts.iter().map(|c| c.len()).sum::<usize>(), big.len());
+            for pair in cuts.windows(2) {
+                assert_eq!(
+                    pair[0].data.as_ptr().wrapping_add(pair[0].len()),
+                    pair[1].data.as_ptr()
+                );
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! SupMR partitions the input into small, similarly-sized **ingest
 //! chunks** *before* producing input splits; the chunks stream through
-//! the ingest pipeline one at a time. Two strategies exist:
+//! the ingest pipeline one at a time. Two chunkers cover every input
+//! shape:
 //!
 //! * **Inter-file** ([`InterFileChunker`]) — one large input is split
 //!   into byte ranges of the user-chosen chunk size. The split point is
@@ -10,16 +11,27 @@
 //!   user-defined chunk size, checks to see if it is in the middle of a
 //!   key or value, and then continually increases the split point until
 //!   reaching the end of the value."
-//! * **Intra-file** ([`IntraFileChunker`]) — many small files coalesce
-//!   into one chunk; the user chooses how many files per chunk, and "if
-//!   the user-defined chunk size is higher than the number of files left
-//!   in the job, then the last chunk is smaller than the rest."
+//! * **File sets** ([`FileSetChunker`]) — whole files are packed into
+//!   chunks up to a file count (intra-file: "if the user-defined chunk
+//!   size is higher than the number of files left in the job, then the
+//!   last chunk is smaller than the rest") or up to a byte target
+//!   (hybrid). Under a byte target a file larger than the target is
+//!   chunked alone, the way an inter-file input is.
+//!
+//! Where a record ends is decided in one place,
+//! [`RecordFormat::next_boundary`]: chunk ends, the cuts of an oversized
+//! file and input splits ([`crate::split`]) all ask it. The original
+//! runtime's whole-input ingest is the same two chunkers with no limit:
+//! its one chunk is the first chunk of an inter-file chunker whose chunk
+//! size is unbounded, or of a file-set chunker whose file count is.
 //!
 //! A chunker whose input is not resident reads each chunk into a buffer
 //! of its own, which the chunk's [`SharedBytes`] adopts without a copy.
 //! Once every view of a chunk has dropped, the chunker takes its buffer
 //! back and reads a later chunk into it, so a double-buffered job
 //! cycles two buffers instead of faulting in a fresh one per chunk.
+//! Resident bytes are never copied: a resident stream, a lone resident
+//! file and the cuts of an oversized file are views of one allocation.
 
 //! ```
 //! use supmr::chunk::{Chunker, InterFileChunker};
@@ -33,19 +45,15 @@
 //! assert_eq!(first.data, b"alpha\nbeta\n");
 //! ```
 
-mod hybrid;
-
-pub use hybrid::HybridChunker;
-
 use std::io;
 use std::ops::Range;
-use supmr_storage::scan::{find_byte, find_crlf};
-use supmr_storage::{DataSource, FileSet, RecordFormat, SharedBytes};
+use supmr_storage::{DataSource, FileSet, MemSource, RecordFormat, SharedBytes};
 
 /// How the input is partitioned into ingest chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chunking {
-    /// No chunking: the original runtime's whole-input ingest.
+    /// No chunking: the original runtime's one whole-input chunk (the
+    /// input's chunker with no limit).
     None,
     /// Inter-file chunking of a single large input into byte ranges.
     Inter {
@@ -85,18 +93,18 @@ impl Chunking {
 /// *source's* buffer, so chunking itself is copy-free. Otherwise the
 /// allocation is the chunker's read buffer, which it reuses for a later
 /// chunk once every view of this one has dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestChunk {
     /// Chunk sequence number (0-based).
     pub index: usize,
-    /// Absolute byte offset of the chunk in the logical input (inter-file)
-    /// or of its first file (intra-file, cumulative).
+    /// Absolute byte offset of the chunk in the logical input: the
+    /// bytes of every chunk before it.
     pub offset: u64,
     /// The chunk bytes (a shared, immutable view).
     pub data: SharedBytes,
     /// Sub-ranges of `data` that must not be split across map tasks
     /// beyond record boundaries. Inter-file chunks have one range
-    /// covering everything; intra-file chunks have one per file.
+    /// covering everything; file-set chunks have one per file.
     pub segments: Vec<Range<usize>>,
 }
 
@@ -122,10 +130,34 @@ pub trait Chunker: Send {
     fn total_bytes(&self) -> u64;
 }
 
-/// Window size for scanning past the nominal chunk end to the next
-/// record boundary. Records larger than this still work — the scan
+/// Window size for reading past the nominal chunk end to the next
+/// record boundary. Records larger than this still work — the read
 /// keeps extending window by window.
 const BOUNDARY_WINDOW: usize = 4096;
+
+/// Where the next chunk a chunker hands out sits in its sequence.
+#[derive(Default)]
+struct Next {
+    index: usize,
+    offset: u64,
+}
+
+impl Next {
+    /// Number `data` as the next chunk, cut into `segments`.
+    fn chunk(&mut self, data: SharedBytes, segments: Vec<Range<usize>>) -> IngestChunk {
+        let chunk = IngestChunk { index: self.index, offset: self.offset, data, segments };
+        self.index += 1;
+        self.offset += chunk.len() as u64;
+        chunk
+    }
+
+    /// Number `data` as the next chunk, one segment.
+    fn whole(&mut self, data: SharedBytes) -> IngestChunk {
+        #[allow(clippy::single_range_in_vec_init)] // one segment covering the chunk
+        let segments = vec![0..data.len()];
+        self.chunk(data, segments)
+    }
+}
 
 /// The buffers of the chunks a chunker has handed out. Each is kept as
 /// one more view, so its reference count falls to 1 once every view the
@@ -194,8 +226,7 @@ pub struct InterFileChunker<S> {
     source: S,
     chunk_bytes: u64,
     format: RecordFormat,
-    offset: u64,
-    index: usize,
+    next: Next,
     buffers: Recycler,
 }
 
@@ -211,115 +242,56 @@ impl<S: DataSource> InterFileChunker<S> {
             source,
             chunk_bytes,
             format,
-            offset: 0,
-            index: 0,
+            next: Next::default(),
             buffers: Recycler::default(),
         }
     }
 
-    /// Does `data` (starting at absolute offset `start`) end on a record
-    /// boundary?
-    fn ends_complete(&self, data: &[u8], start: u64) -> bool {
-        match self.format {
-            RecordFormat::None => true,
-            RecordFormat::Newline => data.last() == Some(&b'\n'),
-            RecordFormat::CrLf => data.len() >= 2 && data.ends_with(b"\r\n"),
-            RecordFormat::FixedWidth(w) => {
-                assert!(w > 0, "record width must be non-zero");
-                (start + data.len() as u64).is_multiple_of(w as u64)
-            }
-        }
-    }
-
-    /// Extend the chunk `buf[..end]` (starting at absolute offset
-    /// `start`) past its nominal end until it finishes on a record
-    /// boundary (or EOF), reading each window straight into the tail of
-    /// `buf`; returns the new end.
-    fn extend_to_boundary(
-        &mut self,
-        buf: &mut Vec<u8>,
-        mut end: usize,
-        start: u64,
-    ) -> io::Result<usize> {
+    /// Read the chunk at absolute offset `start`: `want` bytes, then
+    /// window by window, each straight into the tail of the buffer, until
+    /// the bytes read prove a record boundary or the input ends.
+    fn read_chunk(&mut self, start: u64, want: usize) -> io::Result<SharedBytes> {
         let total = self.source.len();
-        while !self.ends_complete(&buf[..end], start) {
-            let abs_end = start + end as u64;
-            if abs_end >= total {
-                break; // trailing partial record travels with this chunk
+        let mut buf = self.buffers.take(want + BOUNDARY_WINDOW);
+        let mut len = read_into(&mut self.source, start, &mut buf, 0, want)?;
+        let mut from = len;
+        let end = loop {
+            if let Some(end) = self.format.next_boundary(&buf[..len], from) {
+                break end;
             }
-            let want = match self.format {
-                // Fixed width knows exactly how much is missing.
-                RecordFormat::FixedWidth(w) => {
-                    let w = w as u64;
-                    (w - (abs_end % w)) as usize
-                }
-                _ => BOUNDARY_WINDOW,
-            };
-            let want = want.min((total - abs_end) as usize);
-            let n = read_into(&mut self.source, abs_end, buf, end, want)?;
+            let at = start + len as u64;
+            let window = BOUNDARY_WINDOW.min(total.saturating_sub(at) as usize);
+            let n = read_into(&mut self.source, at, &mut buf, len, window)?;
             if n == 0 {
-                break;
+                break len; // trailing partial record travels with this chunk
             }
-            // Keep up to and including the first terminator in the
-            // window (accounting for a \r left hanging at the seam).
-            let window = &buf[end..end + n];
-            end += match self.format {
-                RecordFormat::Newline => find_byte(window, b'\n').map_or(n, |i| i + 1),
-                RecordFormat::CrLf if buf[end - 1] == b'\r' && window[0] == b'\n' => 1,
-                RecordFormat::CrLf => find_crlf(window).map_or(n, |i| i + 2),
-                _ => n,
-            };
-        }
-        Ok(end)
+            (from, len) = (len, len + n);
+        };
+        buf.truncate(end);
+        Ok(self.buffers.seal(buf))
     }
 }
 
 impl<S: DataSource> Chunker for InterFileChunker<S> {
     fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>> {
-        let total = self.source.len();
-        if self.offset >= total {
+        let (start, total) = (self.next.offset, self.source.len());
+        if start >= total {
             return Ok(None);
         }
-
+        let want = self.chunk_bytes.min(total - start) as usize;
         // Zero-copy fast path: a fully resident source hands out
         // record-aligned windows of its one shared allocation.
-        if let Some(all) = self.source.shared().filter(|b| b.len() as u64 == total) {
-            let start = self.offset as usize;
-            let nominal_end = start + self.chunk_bytes.min(total - self.offset) as usize;
-            let end = resident_boundary(&all, start, nominal_end, self.format);
-            let data = all.slice(start..end);
-            let chunk = IngestChunk {
-                index: self.index,
-                offset: self.offset,
-                #[allow(clippy::single_range_in_vec_init)] // one segment covering the chunk
-                segments: vec![0..data.len()],
-                data,
-            };
-            self.offset = end as u64;
-            self.index += 1;
-            return Ok(Some(chunk));
-        }
-
-        let want = self.chunk_bytes.min(total - self.offset) as usize;
-        let mut buf = self.buffers.take(want + BOUNDARY_WINDOW);
-        let filled = read_into(&mut self.source, self.offset, &mut buf, 0, want)?;
-        if filled == 0 {
-            return Ok(None);
-        }
-        let end = self.extend_to_boundary(&mut buf, filled, self.offset)?;
-        buf.truncate(end);
-
-        let data = self.buffers.seal(buf);
-        let chunk = IngestChunk {
-            index: self.index,
-            offset: self.offset,
-            #[allow(clippy::single_range_in_vec_init)] // one segment covering the chunk
-            segments: vec![0..data.len()],
-            data,
+        let data = match self.source.shared().filter(|b| b.len() as u64 == total) {
+            Some(all) => {
+                let start = start as usize;
+                all.slice(start..start + self.format.adjust_split_point(&all[start..], want))
+            }
+            None => self.read_chunk(start, want)?,
         };
-        self.offset += chunk.data.len() as u64;
-        self.index += 1;
-        Ok(Some(chunk))
+        if data.is_empty() {
+            return Ok(None); // the source ended before its listed length
+        }
+        Ok(Some(self.next.whole(data)))
     }
 
     fn total_bytes(&self) -> u64 {
@@ -327,127 +299,127 @@ impl<S: DataSource> Chunker for InterFileChunker<S> {
     }
 }
 
-/// Record-aligned end of a chunk over a fully resident buffer: the
-/// in-memory equivalent of [`InterFileChunker::extend_to_boundary`].
-/// `start`/`nominal_end` are absolute indices into `all`; returns the
-/// absolute end, extended forward to the first record boundary at or
-/// after `nominal_end` (or EOF when the input ends mid-record).
-fn resident_boundary(all: &[u8], start: usize, nominal_end: usize, format: RecordFormat) -> usize {
-    let total = all.len();
-    let e0 = nominal_end.min(total);
-    match format {
-        RecordFormat::None => e0,
-        RecordFormat::Newline => {
-            if e0 > start && all[e0 - 1] == b'\n' {
-                e0
-            } else {
-                match find_byte(&all[e0..], b'\n') {
-                    Some(i) => e0 + i + 1,
-                    None => total,
-                }
-            }
-        }
-        RecordFormat::CrLf => {
-            // The first acceptable end is a pair finishing at or after
-            // `e0` whose `\r` is inside the chunk, i.e. a pair starting
-            // at `max(start, e0 - 2)` or later.
-            let p0 = start.max(e0.saturating_sub(2));
-            match find_crlf(&all[p0..]) {
-                Some(p) => p0 + p + 2,
-                None => total,
-            }
-        }
-        RecordFormat::FixedWidth(w) => {
-            assert!(w > 0, "record width must be non-zero");
-            let aligned = if e0.is_multiple_of(w) { e0 } else { (e0 / w + 1) * w };
-            aligned.min(total)
-        }
-    }
-}
-
-/// Intra-file chunking of a [`FileSet`].
-pub struct IntraFileChunker<F> {
+/// File-set chunking: whole files packed into chunks, up to a file
+/// count ([`Chunking::Intra`]) or until a byte target is met
+/// ([`Chunking::Hybrid`]).
+///
+/// A chunk of one resident file is a view of that file's buffer; any
+/// other chunk of whole files is one buffer they are appended to, one
+/// segment per file. Under a byte target a file larger than the target
+/// is never packed with others: it is chunked alone, like a resident
+/// inter-file input, out of its resident view or one read of it, and
+/// every chunk of it is a view of that one copy.
+pub struct FileSetChunker<F> {
     files: F,
-    files_per_chunk: usize,
+    max_files: usize,
+    max_bytes: u64,
+    format: RecordFormat,
+    /// The next file not yet in a chunk.
     next_file: usize,
-    index: usize,
-    offset: u64,
+    /// The chunks of the oversized file being cut.
+    oversized: Option<InterFileChunker<MemSource>>,
+    next: Next,
     buffers: Recycler,
 }
 
-impl<F: FileSet> IntraFileChunker<F> {
-    /// Coalesce `files_per_chunk` files into each chunk.
+impl<F: FileSet> FileSetChunker<F> {
+    /// Intra-file chunking: `files_per_chunk` files per chunk, the last
+    /// chunk taking the files left. A count of at least the file count
+    /// gives the whole set as one chunk.
     ///
     /// # Panics
     /// Panics if `files_per_chunk == 0`.
-    pub fn new(files: F, files_per_chunk: usize) -> Self {
+    pub fn intra(files: F, files_per_chunk: usize) -> Self {
         assert!(files_per_chunk > 0, "files per chunk must be non-zero");
-        IntraFileChunker {
+        Self::new(files, files_per_chunk, u64::MAX, RecordFormat::None)
+    }
+
+    /// Hybrid chunking: pack files into ~`chunk_bytes` chunks, and cut
+    /// files bigger than that at `format` record boundaries.
+    ///
+    /// # Panics
+    /// Panics if `chunk_bytes == 0`.
+    pub fn hybrid(files: F, chunk_bytes: u64, format: RecordFormat) -> Self {
+        assert!(chunk_bytes > 0, "chunk size must be non-zero");
+        Self::new(files, usize::MAX, chunk_bytes, format)
+    }
+
+    fn new(files: F, max_files: usize, max_bytes: u64, format: RecordFormat) -> Self {
+        FileSetChunker {
             files,
-            files_per_chunk,
+            max_files,
+            max_bytes,
+            format,
             next_file: 0,
-            index: 0,
-            offset: 0,
+            oversized: None,
+            next: Next::default(),
             buffers: Recycler::default(),
         }
     }
 }
 
-impl<F: FileSet> Chunker for IntraFileChunker<F> {
+impl<F: FileSet> Chunker for FileSetChunker<F> {
     fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>> {
-        let count = self.files.file_count();
-        if self.next_file >= count {
-            return Ok(None);
-        }
-        let end_file = (self.next_file + self.files_per_chunk).min(count);
-
-        // Zero-copy fast path: a single-file chunk of a resident file
-        // set is a view of that file's buffer.
-        if end_file - self.next_file == 1 {
-            if let Some(data) = self.files.shared_file(self.next_file) {
-                let chunk = IngestChunk {
-                    index: self.index,
-                    offset: self.offset,
-                    #[allow(clippy::single_range_in_vec_init)] // one segment: the file
-                    segments: vec![0..data.len()],
-                    data,
-                };
-                self.offset += chunk.data.len() as u64;
-                self.index += 1;
-                self.next_file = end_file;
-                return Ok(Some(chunk));
+        if let Some(cuts) = &mut self.oversized {
+            match cuts.next_chunk()? {
+                Some(cut) => return Ok(Some(self.next.whole(cut.data))),
+                None => self.oversized = None,
             }
         }
+        let (first, count) = (self.next_file, self.files.file_count());
+        if first >= count {
+            return Ok(None);
+        }
+        if self.files.file_len(first) > self.max_bytes {
+            self.next_file += 1;
+            let file = match self.files.shared_file(first) {
+                Some(view) => view,
+                None => SharedBytes::from(self.files.read_file(first)?),
+            };
+            self.oversized =
+                Some(InterFileChunker::new(MemSource::new(file), self.max_bytes, self.format));
+            return self.next_chunk();
+        }
 
+        // Whole files up to the count, until the target is met; an
+        // oversized file waits for chunks of its own.
+        let (mut end, mut listed) = (first, 0);
+        while end < count && end - first < self.max_files && listed < self.max_bytes {
+            let len = self.files.file_len(end);
+            if len > self.max_bytes {
+                break;
+            }
+            (end, listed) = (end + 1, listed + len);
+        }
+        self.next_file = end;
+        if end - first == 1 {
+            if let Some(view) = self.files.shared_file(first) {
+                return Ok(Some(self.next.whole(view)));
+            }
+        }
         // Pre-size to the files' listed lengths; a file that has grown
         // since it was listed still fits — "the runtime dynamically
         // increases the allocated space to ensure that all files in the
         // intra-file chunk are collocated".
-        let listed = (self.next_file..end_file).map(|i| self.files.file_len(i) as usize).sum();
-        let mut data = self.buffers.take(listed);
+        let mut data = self.buffers.take(listed as usize);
         data.clear();
-        let mut segments = Vec::with_capacity(end_file - self.next_file);
-        for i in self.next_file..end_file {
+        let mut segments = Vec::with_capacity(end - first);
+        for i in first..end {
             let start = data.len();
             self.files.append_file(i, &mut data)?;
             segments.push(start..data.len());
         }
-        let chunk = IngestChunk {
-            index: self.index,
-            offset: self.offset,
-            data: self.buffers.seal(data),
-            segments,
-        };
-        self.offset += chunk.data.len() as u64;
-        self.index += 1;
-        self.next_file = end_file;
-        Ok(Some(chunk))
+        let data = self.buffers.seal(data);
+        Ok(Some(self.next.chunk(data, segments)))
     }
 
     fn total_bytes(&self) -> u64 {
         self.files.total_len()
     }
 }
+
+#[cfg(test)]
+mod hybrid;
 
 #[cfg(test)]
 mod tests {
@@ -611,7 +583,7 @@ mod tests {
         // The paper's worked example: 30 files, 4 per chunk => 8 chunks,
         // 7 full and 1 with the 2 remaining files.
         let files: Vec<Vec<u8>> = (0..30).map(|i| format!("file{i}\n").into_bytes()).collect();
-        let chunker = IntraFileChunker::new(MemFileSet::new(files.clone()), 4);
+        let chunker = FileSetChunker::intra(MemFileSet::new(files.clone()), 4);
         let chunks = drain(chunker);
         assert_eq!(chunks.len(), 8);
         for c in &chunks[..7] {
@@ -632,13 +604,13 @@ mod tests {
     #[test]
     fn intra_chunker_handles_empty_files_and_empty_set() {
         let files = vec![b"a\n".to_vec(), Vec::new(), b"c\n".to_vec()];
-        let chunker = IntraFileChunker::new(MemFileSet::new(files), 2);
+        let chunker = FileSetChunker::intra(MemFileSet::new(files), 2);
         let chunks = drain(chunker);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].segments.len(), 2);
         assert_eq!(chunks[0].segments[1], 2..2); // the empty file
 
-        let empty = IntraFileChunker::new(MemFileSet::new(vec![]), 3);
+        let empty = FileSetChunker::intra(MemFileSet::new(vec![]), 3);
         assert!(drain(empty).is_empty());
     }
 
@@ -646,7 +618,7 @@ mod tests {
     fn chunker_total_bytes() {
         let c = InterFileChunker::new(MemSource::from(vec![0u8; 500]), 100, RecordFormat::None);
         assert_eq!(c.total_bytes(), 500);
-        let f = IntraFileChunker::new(MemFileSet::new(vec![vec![1; 10], vec![2; 20]]), 1);
+        let f = FileSetChunker::intra(MemFileSet::new(vec![vec![1; 10], vec![2; 20]]), 1);
         assert_eq!(f.total_bytes(), 30);
     }
 
@@ -726,10 +698,10 @@ mod tests {
         let files: Vec<Vec<u8>> = (0..64).map(|i| format!("{i:099}\n").into_bytes()).collect();
         let input = files.concat();
         for (name, (chunks, buffers, bytes)) in [
-            ("intra", double_buffered(IntraFileChunker::new(MemFileSet::new(files.clone()), 4))),
+            ("intra", double_buffered(FileSetChunker::intra(MemFileSet::new(files.clone()), 4))),
             (
                 "hybrid",
-                double_buffered(HybridChunker::new(
+                double_buffered(FileSetChunker::hybrid(
                     MemFileSet::new(files.clone()),
                     400,
                     RecordFormat::Newline,
@@ -784,7 +756,7 @@ mod tests {
     #[test]
     fn single_file_intra_chunks_share_file_buffers() {
         let files: Vec<Vec<u8>> = (0..4).map(|i| format!("file-{i}\n").into_bytes()).collect();
-        let chunks = drain(IntraFileChunker::new(MemFileSet::new(files.clone()), 1));
+        let chunks = drain(FileSetChunker::intra(MemFileSet::new(files.clone()), 1));
         assert_eq!(chunks.len(), 4);
         for (i, c) in chunks.iter().enumerate() {
             assert_eq!(c.data, files[i]);
@@ -793,7 +765,7 @@ mod tests {
             assert_eq!(c.data.ref_count(), 1);
         }
         // Multi-file chunks still coalesce (and therefore copy).
-        let grouped = drain(IntraFileChunker::new(MemFileSet::new(files), 2));
+        let grouped = drain(FileSetChunker::intra(MemFileSet::new(files), 2));
         assert_eq!(grouped.len(), 2);
         assert_eq!(grouped[0].segments.len(), 2);
     }

@@ -23,7 +23,8 @@
 //! * [`container`] — intermediate pair storage: hash (word count),
 //!   dense array (histogram), and unlocked run storage (sort).
 //! * [`chunk`] — ingest chunks: inter-file (byte ranges with record
-//!   boundary adjustment) and intra-file (groups of small files).
+//!   boundary adjustment) and file sets (groups of small files, or
+//!   hybrid packing by bytes).
 //! * [`split`] — record-aligned input splits inside a chunk.
 //! * [`pool`] — map/reduce task execution: Phoenix-style per-wave
 //!   spawn/join plus a persistent worker pool

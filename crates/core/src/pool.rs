@@ -585,7 +585,8 @@ impl supmr_merge::Workers for WaveWorkers<'_> {
 
 /// Weighted fair-share division of a fixed slot count across live
 /// tenants — the serve daemon's per-job wave tickets over one shared
-/// [`WorkerPool`].
+/// [`WorkerPool`], and its partitions of one global memory budget (the
+/// slots are then bytes).
 ///
 /// Each running job registers a [`ShareTicket`] carrying its priority
 /// weight and an *apply* callback; whenever membership changes (a job

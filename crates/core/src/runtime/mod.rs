@@ -46,9 +46,9 @@ use crate::spill::{
 use crate::split::{chunk_splits, wave_split_bytes};
 use probe::StageProbe;
 use std::collections::BTreeMap;
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use supmr_merge::{
@@ -61,9 +61,7 @@ use supmr_metrics::{
     JobTrace, Json, MetricsServer, MetricsSnapshot, Phase, PhaseTimings, Registry, StallStats,
     TraceLevel, TraceRing, Tracer, UtilTrace,
 };
-use supmr_storage::{
-    DataSource, DiskRunStore, FileSet, RecordFormat, RunStore, SharedBytes, SourceExt,
-};
+use supmr_storage::{DataSource, DiskRunStore, FileSet, RecordFormat, RunStore};
 
 /// Job input: one large byte stream or a set of small files — the two
 /// Hadoop input shapes the paper's chunking strategies mirror.
@@ -295,7 +293,7 @@ impl JobConfig {
         if let MergeMode::PWay { ways: 0 } = self.merge {
             return bad("p-way merge needs at least one way");
         }
-        if let RecordFormat::FixedWidth(0) = self.record_format {
+        if self.record_format == RecordFormat::FixedWidth(0) {
             return bad("record width must be non-zero");
         }
         if self.on_event.is_some() && !self.trace.enabled() {
@@ -918,44 +916,6 @@ fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> Bottle
     BottleneckReport::from_inputs(inputs)
 }
 
-/// Read the entire input into one resident chunk (the original runtime's
-/// ingest phase). File inputs keep per-file segment boundaries.
-///
-/// Sources whose bytes are already resident in shared memory
-/// ([`DataSource::shared`]) are wrapped zero-copy; everything else is
-/// read once into one buffer that the [`SharedBytes`] adopts.
-pub(crate) fn ingest_entire(input: Input) -> io::Result<IngestChunk> {
-    match input {
-        Input::Stream(mut s) => {
-            let total = s.len();
-            let data = match s.shared().filter(|b| b.len() as u64 == total) {
-                Some(resident) => resident,
-                None => SharedBytes::from(s.read_all()?),
-            };
-            #[allow(clippy::single_range_in_vec_init)] // one segment covering everything
-            let segments = vec![0..data.len()];
-            Ok(IngestChunk { index: 0, offset: 0, segments, data })
-        }
-        Input::Files(mut f) => {
-            if f.file_count() == 1 {
-                if let Some(data) = f.shared_file(0) {
-                    #[allow(clippy::single_range_in_vec_init)] // one segment covering everything
-                    let segments = vec![0..data.len()];
-                    return Ok(IngestChunk { index: 0, offset: 0, segments, data });
-                }
-            }
-            let mut data = Vec::with_capacity(f.total_len() as usize);
-            let mut segments = Vec::with_capacity(f.file_count());
-            for i in 0..f.file_count() {
-                let start = data.len();
-                f.append_file(i, &mut data)?;
-                segments.push(start..data.len());
-            }
-            Ok(IngestChunk { index: 0, offset: 0, segments, data: SharedBytes::from(data) })
-        }
-    }
-}
-
 /// A job's container insert handle.
 type LocalOf<J> = <<J as MapReduce>::Container as Container<
     <J as MapReduce>::Key,
@@ -977,6 +937,8 @@ pub(crate) struct MapTables<'c, J: MapReduce> {
     container: &'c J::Container,
     /// The free worker tables; `None` absorbs each handle at task end.
     free: Option<Mutex<Vec<LocalOf<J>>>>,
+    /// Map tasks run, which bound the tables there can be.
+    tasks: AtomicUsize,
 }
 
 impl<'c, J: MapReduce> MapTables<'c, J> {
@@ -985,7 +947,7 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
     pub fn new(container: &'c J::Container, config: &JobConfig) -> Self {
         let resident = <J::Container as Container<J::Key, J::Value, J::Combiner>>::combines()
             && config.memory_budget.is_none();
-        MapTables { container, free: resident.then(Mutex::default) }
+        MapTables { container, free: resident.then(Mutex::default), tasks: AtomicUsize::new(0) }
     }
 
     /// One map task: `map` emits into a handle, which `probe` absorbs
@@ -996,6 +958,7 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
             .and_then(|free| unpoisoned(free.lock()).pop())
             .unwrap_or_else(|| self.container.local());
         map(&mut local);
+        self.tasks.fetch_add(1, Ordering::Relaxed);
         match free {
             Some(free) => unpoisoned(free.lock()).push(local),
             None => probe.absorb::<J>(self.container, local),
@@ -1003,15 +966,30 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
     }
 
     /// Absorb the worker tables in one wave at the map width — in
-    /// parallel, as their tasks would have. The caller runs it inside
+    /// parallel, as their tasks would have. The tables are dealt to one
+    /// flush task per worker (fewer when fewer map tasks ran), so the
+    /// wave, and the threads a spawned wave starts, is sized by the map
+    /// width and the task count alone, not by how many tables the
+    /// overlap of map tasks happened to build. The caller runs it inside
     /// [`Phase::Map`], after the last round.
     pub fn flush(self, ctx: &mut StageCtx<'_>) {
         let Some(free) = self.free else { return };
+        let tables = unpoisoned(free.into_inner());
+        if tables.is_empty() {
+            return; // no map task ran
+        }
+        let width = ctx.config.map_width();
+        let workers = width.now().min(self.tasks.into_inner()).max(1);
+        let mut dealt: Vec<Vec<LocalOf<J>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, table) in tables.into_iter().enumerate() {
+            dealt[i % workers].push(table);
+        }
         let (container, probe) = (self.container, &ctx.probe);
-        let outcome =
-            ctx.exec.run(ctx.config.map_width(), unpoisoned(free.into_inner()), |_, local| {
-                probe.absorb::<J>(container, local)
-            });
+        let outcome = ctx.exec.run(width, dealt, |_, tables| {
+            for local in tables {
+                probe.absorb::<J>(container, local);
+            }
+        });
         ctx.probe.wave(outcome);
     }
 }
@@ -1498,10 +1476,13 @@ mod tests {
     }
 
     #[test]
-    fn ingest_entire_preserves_file_segments() {
-        let chunk =
-            ingest_entire(Input::files(MemFileSet::new(vec![b"aaa".to_vec(), b"bb".to_vec()])))
-                .unwrap();
+    fn whole_input_chunk_preserves_file_segments() {
+        let files = Input::files(MemFileSet::new(vec![b"aaa".to_vec(), b"bb".to_vec()]));
+        let chunk = pipeline::make_chunker(files, &JobConfig::default())
+            .unwrap()
+            .next_chunk()
+            .unwrap()
+            .unwrap();
         assert_eq!(chunk.data, b"aaabb".to_vec());
         assert_eq!(chunk.segments, vec![0..3, 3..5]);
     }

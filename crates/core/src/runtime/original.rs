@@ -9,9 +9,8 @@
 //! upstream's pairs runs here too, with one absorb wave — every pair
 //! through the stage's edge function — in place of ingest and map.
 
-use super::{
-    finish_job, ingest_entire, map_wave, Input, MapTables, StageCtx, StageResult, StageWiring,
-};
+use super::pipeline::make_chunker;
+use super::{finish_job, map_wave, Input, MapTables, StageCtx, StageResult, StageWiring};
 use crate::api::{Emit, MapReduce};
 use crate::container::Container;
 use crate::error::{Result, SupmrError};
@@ -32,7 +31,12 @@ pub(crate) fn run<J: MapReduce>(
 
     ctx.probe.enter(Phase::Ingest);
     let started = Instant::now();
-    let chunk = ingest_entire(input).map_err(|source| SupmrError::ingest(0, source))?;
+    // The input's chunker has no limit here: its first chunk is the
+    // whole input, and an empty input is one empty chunk.
+    let chunk = make_chunker(input, ctx.config)?
+        .next_chunk()
+        .map_err(|source| SupmrError::ingest(0, source))?
+        .unwrap_or_default();
     ctx.probe.chunk_ingested(0, started, chunk.len());
     ctx.probe.leave(Phase::Ingest);
 

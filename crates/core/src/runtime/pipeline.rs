@@ -50,9 +50,7 @@ use super::{
     StageWiring,
 };
 use crate::api::MapReduce;
-use crate::chunk::{
-    Chunker, Chunking, HybridChunker, IngestChunk, InterFileChunker, IntraFileChunker,
-};
+use crate::chunk::{Chunker, Chunking, FileSetChunker, IngestChunk, InterFileChunker};
 use crate::container::Container;
 use crate::error::{Result, SupmrError};
 use crate::pool::WaveOutcome;
@@ -63,18 +61,25 @@ use supmr_metrics::{unpoisoned, Phase, StallSide};
 
 /// Build the chunker matching the configured strategy, rejecting
 /// mismatched input shapes: inter-file chunking needs a stream,
-/// intra-file and hybrid chunking need a file set.
-fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
+/// intra-file and hybrid chunking need a file set. With no chunking
+/// (the original runtime) the input's chunker has no limit, so its first
+/// chunk is the whole input.
+pub(super) fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
     let mismatch = |msg: &str| Err(SupmrError::invalid_config(msg));
+    let format = config.record_format;
     match (config.chunking, input) {
+        (Chunking::None, Input::Stream(s)) => {
+            Ok(Box::new(InterFileChunker::new(s, u64::MAX, format)))
+        }
+        (Chunking::None, Input::Files(f)) => Ok(Box::new(FileSetChunker::intra(f, usize::MAX))),
         (Chunking::Inter { chunk_bytes }, Input::Stream(s)) => {
-            Ok(Box::new(InterFileChunker::new(s, chunk_bytes, config.record_format)))
+            Ok(Box::new(InterFileChunker::new(s, chunk_bytes, format)))
         }
         (Chunking::Intra { files_per_chunk }, Input::Files(f)) => {
-            Ok(Box::new(IntraFileChunker::new(f, files_per_chunk)))
+            Ok(Box::new(FileSetChunker::intra(f, files_per_chunk)))
         }
         (Chunking::Hybrid { chunk_bytes }, Input::Files(f)) => {
-            Ok(Box::new(HybridChunker::new(f, chunk_bytes, config.record_format)))
+            Ok(Box::new(FileSetChunker::hybrid(f, chunk_bytes, format)))
         }
         (Chunking::Inter { .. }, Input::Files(_)) => {
             mismatch("inter-file chunking requires a stream input; got a file set")
@@ -82,7 +87,6 @@ fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
         (Chunking::Intra { .. } | Chunking::Hybrid { .. }, Input::Stream(_)) => {
             mismatch("intra-file/hybrid chunking requires a file-set input; got a stream")
         }
-        (Chunking::None, _) => mismatch("pipeline runtime requires a chunking strategy"),
     }
 }
 
@@ -290,8 +294,10 @@ mod tests {
         assert!(make_chunker(Input::files(MemFileSet::new(vec![])), &config).is_ok());
         assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_err());
 
+        // No chunking takes either shape whole.
         config.chunking = Chunking::None;
-        assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_err());
+        assert!(make_chunker(Input::stream(MemSource::from(vec![])), &config).is_ok());
+        assert!(make_chunker(Input::files(MemFileSet::new(vec![])), &config).is_ok());
     }
 
     #[test]

@@ -95,6 +95,28 @@ fn prefetch_depths_agree_and_count_one_ingest_thread() {
     assert_eq!(d1.report.stats.threads_spawned, d8.report.stats.threads_spawned);
 }
 
+/// A wave-mode job spawns the same threads every run: the worker tables
+/// a combining job builds depend on how its map tasks overlapped, but
+/// the wave that absorbs them is as wide as the map width.
+#[test]
+fn wave_mode_spawns_the_same_threads_every_run() {
+    let data = text(200_000);
+    let mut cfg = config();
+    cfg.chunking = Chunking::Inter { chunk_bytes: 16 * 1024 };
+    cfg.prefetch_depth = 8;
+    cfg.pool = PoolMode::WavePerRound;
+    let runs: Vec<_> = (0..10)
+        .map(|_| {
+            let input = Input::stream(MemSource::from(data.clone()));
+            Job::new(WordCount).config(cfg.clone()).run(input).unwrap()
+        })
+        .collect();
+    for r in &runs {
+        assert_eq!(r.report.stats.threads_spawned, runs[0].report.stats.threads_spawned);
+        assert_eq!(r.sorted_pairs(), runs[0].sorted_pairs());
+    }
+}
+
 /// Bytes in each chunk of [`Recorded`] input: 64 lines of 64 bytes, so
 /// every chunk ends on a record boundary and is read in one `read_at`.
 const CHUNK: usize = 4096;

@@ -5,12 +5,12 @@
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use supmr::api::{Emit, MapReduce};
-use supmr::chunk::{Chunker, InterFileChunker, IntraFileChunker};
+use supmr::chunk::{Chunker, FileSetChunker, IngestChunk, InterFileChunker};
 use supmr::combiner::Sum;
 use supmr::container::{Container, HashContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
 use supmr::{Chunking, CompactKey, KeyPrefix, PoolMode};
-use supmr_storage::{MemFileSet, MemSource, RecordFormat};
+use supmr_storage::{MemFileSet, MemSource, RecordFormat, ThrottledSource};
 use supmr_workloads::check::{check, Gen};
 
 struct WordCount;
@@ -119,7 +119,7 @@ fn intra_chunker_is_a_lossless_partition() {
     check("intra_chunker_is_a_lossless_partition", 64, |g| {
         let files = g.vec(0..12, arb_text);
         let files_per_chunk = g.range(1usize..6);
-        let mut chunker = IntraFileChunker::new(MemFileSet::new(files.clone()), files_per_chunk);
+        let mut chunker = FileSetChunker::intra(MemFileSet::new(files.clone()), files_per_chunk);
         let mut seen_files: Vec<Vec<u8>> = Vec::new();
         while let Some(chunk) = chunker.next_chunk().unwrap() {
             assert!(chunk.segments.len() <= files_per_chunk);
@@ -128,6 +128,115 @@ fn intra_chunker_is_a_lossless_partition() {
             }
         }
         assert_eq!(seen_files, files);
+    });
+}
+
+/// Bytes of `format`'s records whose bodies are drawn from `alphabet`
+/// (terminator bytes included, so bare halves of a terminator occur),
+/// the last record left unterminated half the time.
+fn arb_records(g: &mut Gen, format: RecordFormat) -> Vec<u8> {
+    let (alphabet, terminator): (&[u8], &[u8]) = match format {
+        RecordFormat::Newline => (b"ab \r", b"\n"),
+        RecordFormat::CrLf => (b"ab\r\n", b"\r\n"),
+        _ => (b"ab\r\n", b""),
+    };
+    let mut out = Vec::new();
+    for body in g.vec(1..30, |g| g.vec(0..12, |g| g.pick(alphabet))) {
+        out.extend_from_slice(&body);
+        out.extend_from_slice(terminator);
+    }
+    if g.bool() {
+        out.extend(g.vec(1..6, |g| g.pick(alphabet)));
+    }
+    out
+}
+
+fn drain(mut chunker: impl Chunker) -> Vec<IngestChunk> {
+    std::iter::from_fn(|| chunker.next_chunk().unwrap()).collect()
+}
+
+/// Every input shape is cut by the one boundary rule: a resident
+/// stream, a stream that must be read, a one-file set and a hybrid set
+/// holding an oversized file give the same chunks of the same records,
+/// and a file count of at least the set's gives the whole set as one
+/// chunk, one segment per file.
+#[test]
+fn every_ingest_shape_cuts_at_the_same_record_boundaries() {
+    check("every_ingest_shape_cuts_at_the_same_record_boundaries", 256, |g| {
+        let format = match g.range(0..4) {
+            0 => RecordFormat::Newline,
+            1 => RecordFormat::CrLf,
+            2 => RecordFormat::FixedWidth(g.range(1usize..20)),
+            _ => RecordFormat::None,
+        };
+        let input = arb_records(g, format);
+        let chunk_bytes = g.range(1u64..120);
+
+        let resident =
+            drain(InterFileChunker::new(MemSource::from(input.clone()), chunk_bytes, format));
+        let rebuilt: Vec<u8> = resident.iter().flat_map(|c| c.data.to_vec()).collect();
+        assert_eq!(rebuilt, input, "{format:?}");
+        for (i, c) in resident.iter().enumerate() {
+            let (start, end) = (c.offset as usize, c.offset as usize + c.len());
+            #[allow(clippy::single_range_in_vec_init)] // one segment covering the chunk
+            let whole = vec![0..c.len()];
+            assert_eq!((c.index, &c.segments), (i, &whole));
+            if i + 1 < resident.len() {
+                assert!(format.is_boundary(&input, end), "{format:?}: chunk {i} ends mid-record");
+            }
+            // The first boundary at or past the chunk size, no later.
+            let nominal = start + chunk_bytes as usize;
+            assert!((nominal..end).all(|p| !format.is_boundary(&input, p)), "{format:?}");
+        }
+
+        let streamed = drain(InterFileChunker::new(
+            ThrottledSource::new(MemSource::from(input.clone()), 1e12),
+            chunk_bytes,
+            format,
+        ));
+        assert_eq!(streamed, resident, "{format:?}: streamed chunks differ");
+
+        let one_file = drain(FileSetChunker::hybrid(
+            MemFileSet::new(vec![input.clone()]),
+            chunk_bytes,
+            format,
+        ));
+        assert_eq!(one_file, resident, "{format:?}: a one-file set differs");
+
+        // Small files around an oversized one: the oversized file is cut
+        // exactly like the stream, its cuts in chunks of their own.
+        let small = |g: &mut Gen| g.vec(0..chunk_bytes as usize, |g| g.pick(b"xy\n"));
+        let (before, after) = (g.vec(0..4, small), g.vec(0..4, small));
+        let files: Vec<Vec<u8>> = before.iter().chain([&input]).chain(&after).cloned().collect();
+        let hybrid =
+            drain(FileSetChunker::hybrid(MemFileSet::new(files.clone()), chunk_bytes, format));
+        let rebuilt: Vec<u8> = hybrid.iter().flat_map(|c| c.data.to_vec()).collect();
+        assert_eq!(rebuilt, files.concat(), "{format:?}");
+        let oversized_at = before.iter().map(Vec::len).sum::<usize>() as u64;
+        if input.len() as u64 > chunk_bytes {
+            let cuts: Vec<&IngestChunk> = hybrid
+                .iter()
+                .filter(|c| !c.is_empty())
+                .filter(|c| (oversized_at..oversized_at + input.len() as u64).contains(&c.offset))
+                .collect();
+            assert_eq!(cuts.len(), resident.len(), "{format:?}");
+            for (cut, chunk) in cuts.iter().zip(&resident) {
+                assert_eq!((&cut.data, &cut.segments), (&chunk.data, &chunk.segments));
+            }
+        }
+
+        // A file count at or past the set's: the whole set, one chunk.
+        let count = before.len();
+        let limit = g.range(count.max(1)..count + 4);
+        let mut whole = FileSetChunker::intra(MemFileSet::new(before.clone()), limit);
+        let mut segments = Vec::new();
+        for f in &before {
+            let start = segments.last().map_or(0, |s: &std::ops::Range<usize>| s.end);
+            segments.push(start..start + f.len());
+        }
+        let expected = IngestChunk { index: 0, offset: 0, data: before.concat().into(), segments };
+        assert_eq!(whole.next_chunk().unwrap().unwrap_or_default(), expected);
+        assert!(whole.next_chunk().unwrap().is_none());
     });
 }
 

@@ -51,7 +51,8 @@ pub(crate) struct JobFacilities<'p> {
     /// The shared persistent pool all jobs dispatch waves onto.
     pub pool: &'p WorkerPool,
     /// This tenant's partition of the global memory budget (already
-    /// joined to the ledger), when the daemon runs with one.
+    /// registered with the budget's fair share), when the daemon runs
+    /// with one.
     pub accountant: Option<Arc<MemoryAccountant>>,
     /// The job's metric families (merged into `/metrics` by job id).
     pub registry: Registry,

@@ -74,45 +74,6 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// One spill-capable tenant's slice of the global budget ledger.
-struct Tenant {
-    seq: u64,
-    weight: u64,
-    accountant: Arc<MemoryAccountant>,
-    budget_gauge: Gauge,
-}
-
-/// The global memory budget, re-partitioned across live tenants by
-/// priority weight on every membership change. Shrinking a partition
-/// mid-run never fails the tenant — it just spills sooner.
-struct BudgetLedger {
-    total: u64,
-    tenants: Mutex<Vec<Tenant>>,
-}
-
-impl BudgetLedger {
-    fn join(&self, seq: u64, weight: u64, accountant: Arc<MemoryAccountant>, gauge: Gauge) {
-        let mut tenants = unpoisoned(self.tenants.lock());
-        tenants.push(Tenant { seq, weight, accountant, budget_gauge: gauge });
-        self.rebalance(&tenants);
-    }
-
-    fn leave(&self, seq: u64) {
-        let mut tenants = unpoisoned(self.tenants.lock());
-        tenants.retain(|t| t.seq != seq);
-        self.rebalance(&tenants);
-    }
-
-    fn rebalance(&self, tenants: &[Tenant]) {
-        let total_weight: u64 = tenants.iter().map(|t| t.weight).sum();
-        for t in tenants {
-            let share = (self.total * t.weight / total_weight.max(1)).max(1);
-            t.accountant.set_budget(share);
-            t.budget_gauge.set(share.min(i64::MAX as u64) as i64);
-        }
-    }
-}
-
 /// Daemon-level metric families (the unlabelled rows on `/metrics`,
 /// next to the per-job `job_id`-labelled ones).
 pub(crate) struct ServeMetrics {
@@ -155,7 +116,11 @@ struct SchedulerInner {
     stop: AtomicBool,
     running: AtomicUsize,
     next_seq: AtomicU64,
-    budget: Option<BudgetLedger>,
+    /// The global memory budget, partitioned by priority weight across
+    /// the live spill-capable tenants like the pool's slots are: every
+    /// membership change re-partitions, and a shrinking partition never
+    /// fails its tenant — it just spills sooner.
+    budget: Option<Arc<FairShare>>,
 }
 
 /// The running scheduler: owns the shared pool, the runner threads, and
@@ -182,9 +147,7 @@ impl Scheduler {
             shares: FairShare::new(workers),
             metrics,
             registry,
-            budget: config
-                .memory_budget
-                .map(|total| BudgetLedger { total: total.max(1), tenants: Mutex::new(Vec::new()) }),
+            budget: config.memory_budget.map(|total| FairShare::new(total as usize)),
             config,
             jobs: Mutex::new(Vec::new()),
             queue: Mutex::new(VecDeque::new()),
@@ -359,7 +322,7 @@ fn pop_highest_priority(queue: &mut VecDeque<Arc<JobHandle>>) -> Option<Arc<JobH
 }
 
 /// Run one admitted job end to end: claim it, take a fair-share ticket
-/// and (when budgeted) a tenant partition, execute, settle the ledger,
+/// and (when budgeted) a budget partition, execute, return the partition,
 /// and record the outcome.
 fn execute(inner: &SchedulerInner, job: &Arc<JobHandle>) {
     if !job.begin() {
@@ -374,21 +337,21 @@ fn execute(inner: &SchedulerInner, job: &Arc<JobHandle>) {
     let _ticket = inner.shares.register(weight, move |cap| active.set_share_cap(cap));
 
     // Budget: spill-capable tenants get a partition of the global
-    // ledger; membership changes re-partition every live tenant.
-    let accountant = match (&inner.budget, job.spec.app.supports_spill()) {
-        (Some(ledger), true) => {
+    // budget, applied to the job's accountant and its gauge; the ticket
+    // returns it when dropped.
+    let (accountant, budget_ticket) = match (&inner.budget, job.spec.app.supports_spill()) {
+        (Some(budget), true) => {
             let spill_metrics = SpillMetrics::register(&job.registry);
             let accountant =
                 Arc::new(MemoryAccountant::new(1).with_gauge(spill_metrics.resident_bytes.clone()));
-            ledger.join(
-                job.seq,
-                weight as u64,
-                Arc::clone(&accountant),
-                spill_metrics.budget_bytes.clone(),
-            );
-            Some(accountant)
+            let (tenant, gauge) = (Arc::clone(&accountant), spill_metrics.budget_bytes.clone());
+            let ticket = budget.register(weight, move |share| {
+                tenant.set_budget(share as u64);
+                gauge.set(share.min(i64::MAX as usize) as i64);
+            });
+            (Some(accountant), Some(ticket))
         }
-        _ => None,
+        _ => (None, None),
     };
 
     let facilities = JobFacilities {
@@ -400,10 +363,7 @@ fn execute(inner: &SchedulerInner, job: &Arc<JobHandle>) {
         default_workers: inner.config.default_job_workers,
     };
     let outcome = run_job(&job.spec, facilities);
-
-    if let (Some(ledger), Some(_)) = (&inner.budget, &accountant) {
-        ledger.leave(job.seq);
-    }
+    drop(budget_ticket); // returned before the job settles
     match outcome {
         Ok((output, report)) => {
             job.complete(output, report);
@@ -524,6 +484,6 @@ mod tests {
         // Both ran under a partition small enough to make wordcount on
         // 128K of text spill; the ledger emptied afterwards.
         let ledger = sched.inner.budget.as_ref().expect("budgeted");
-        assert!(unpoisoned(ledger.tenants.lock()).is_empty(), "tenants left the ledger");
+        assert_eq!(ledger.tenants(), 0, "tenants left the ledger");
     }
 }

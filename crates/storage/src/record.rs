@@ -29,9 +29,47 @@ pub enum RecordFormat {
 }
 
 impl RecordFormat {
+    /// The first record boundary at or after `want` that the bytes of
+    /// `data` prove, or `None` when `data` ends first. This is the one
+    /// place a format decides where a record ends; splits, chunks and
+    /// record iteration all ask it.
+    ///
+    /// Whether a position ends a record depends only on the bytes before
+    /// it, so a streaming reader that gets `None` can read on and ask
+    /// again from where the answer ran out.
+    ///
+    /// # Panics
+    /// Panics if `want > data.len()` or a fixed width is zero.
+    #[inline]
+    pub fn next_boundary(&self, data: &[u8], want: usize) -> Option<usize> {
+        assert!(want <= data.len(), "split point beyond data");
+        if want == 0 {
+            return Some(0);
+        }
+        let end = match *self {
+            RecordFormat::None => want,
+            RecordFormat::FixedWidth(w) => {
+                assert!(w > 0, "record width must be non-zero");
+                want.next_multiple_of(w)
+            }
+            RecordFormat::Newline if data[want - 1] == b'\n' => want,
+            RecordFormat::Newline => want + find_byte(&data[want..], b'\n')? + 1,
+            RecordFormat::CrLf
+                if want >= 2 && data[want - 2] == b'\r' && data[want - 1] == b'\n' =>
+            {
+                want
+            }
+            // Otherwise the first pair starting one byte back or later.
+            RecordFormat::CrLf => want + find_crlf(&data[want - 1..])? + 1,
+        };
+        (end <= data.len()).then_some(end)
+    }
+
     /// Adjust a desired split point `want` (an offset into `data`) forward
-    /// to the first position that does not divide a record: the index just
-    /// past the terminator of the record containing `want`.
+    /// to the first position that does not divide a record: `want`
+    /// itself when it is a record boundary, otherwise the index just past
+    /// the terminator of the record containing it (§III-A: "continually
+    /// increases the split point until reaching the end of the value").
     ///
     /// Returns `data.len()` if no terminator follows (the paper's chunker
     /// does the same — the final partial record travels with the last
@@ -39,49 +77,18 @@ impl RecordFormat {
     ///
     /// # Panics
     /// Panics if `want > data.len()` or a fixed width is zero.
+    #[inline]
     pub fn adjust_split_point(&self, data: &[u8], want: usize) -> usize {
-        assert!(want <= data.len(), "split point beyond data");
-        if want == 0 || want == data.len() {
-            return want;
-        }
-        match *self {
-            RecordFormat::None => want,
-            RecordFormat::FixedWidth(w) => {
-                assert!(w > 0, "record width must be non-zero");
-                want.div_ceil(w).saturating_mul(w).min(data.len())
-            }
-            RecordFormat::Newline => match find_byte(&data[want..], b'\n') {
-                Some(i) => want + i + 1,
-                None => data.len(),
-            },
-            RecordFormat::CrLf => {
-                // A split landing exactly between \r and \n is inside the
-                // terminator; step back one so the scan finds that pair.
-                let start =
-                    if data[want - 1] == b'\r' && data[want] == b'\n' { want - 1 } else { want };
-                match find_crlf(&data[start..]) {
-                    Some(i) => start + i + 2,
-                    None => data.len(),
-                }
-            }
-        }
+        self.next_boundary(data, want).unwrap_or(data.len())
     }
 
     /// Whether `pos` is a valid record boundary in `data` (0 and EOF are
     /// always boundaries).
+    ///
+    /// # Panics
+    /// Panics if a fixed width is zero.
     pub fn is_boundary(&self, data: &[u8], pos: usize) -> bool {
-        if pos == 0 || pos == data.len() {
-            return true;
-        }
-        if pos > data.len() {
-            return false;
-        }
-        match *self {
-            RecordFormat::None => true,
-            RecordFormat::FixedWidth(w) => w > 0 && pos.is_multiple_of(w),
-            RecordFormat::Newline => data[pos - 1] == b'\n',
-            RecordFormat::CrLf => pos >= 2 && data[pos - 2] == b'\r' && data[pos - 1] == b'\n',
-        }
+        pos == data.len() || (pos < data.len() && self.next_boundary(data, pos) == Some(pos))
     }
 
     /// Iterate over the record slices of `data` (terminators included).
@@ -107,20 +114,12 @@ impl<'d> Iterator for RecordIter<'d> {
         if pos >= data.len() {
             return None;
         }
-        let end = match self.format {
-            RecordFormat::None => data.len(),
-            RecordFormat::FixedWidth(w) => {
-                assert!(w > 0, "record width must be non-zero");
-                (pos + w).min(data.len())
-            }
-            RecordFormat::Newline => match find_byte(&data[pos..], b'\n') {
-                Some(i) => pos + i + 1,
-                None => data.len(),
-            },
-            RecordFormat::CrLf => match find_crlf(&data[pos..]) {
-                Some(i) => pos + i + 2,
-                None => data.len(),
-            },
+        // An opaque blob is one record; otherwise a record runs to the
+        // first boundary past its first byte.
+        let end = if let RecordFormat::None = self.format {
+            data.len()
+        } else {
+            self.format.adjust_split_point(data, pos + 1)
         };
         let rec = &data[pos..end];
         self.pos = end;
@@ -138,9 +137,9 @@ mod tests {
         let f = RecordFormat::Newline;
         // Splitting mid-"beta" lands after beta's newline (index 11).
         assert_eq!(f.adjust_split_point(data, 7), 11);
-        // Splitting exactly on a boundary... index 6 is 'b', the record
-        // containing it ends at 11.
-        assert_eq!(f.adjust_split_point(data, 6), 11);
+        // Splitting exactly on a boundary (index 6 follows alpha's
+        // newline) divides no record, so the split stays put.
+        assert_eq!(f.adjust_split_point(data, 6), 6);
         assert_eq!(f.adjust_split_point(data, 0), 0);
         assert_eq!(f.adjust_split_point(data, data.len()), data.len());
     }

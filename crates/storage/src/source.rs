@@ -309,6 +309,10 @@ impl<F: FileSet + ?Sized> FileSet for Box<F> {
         (**self).append_file(idx, buf)
     }
 
+    fn read_file(&mut self, idx: usize) -> io::Result<Vec<u8>> {
+        (**self).read_file(idx)
+    }
+
     fn shared_file(&mut self, idx: usize) -> Option<SharedBytes> {
         (**self).shared_file(idx)
     }

@@ -561,8 +561,8 @@ fn generators_feed_chunkers_without_boundary_violations() {
 
     // Small-files corpus through intra chunking.
     let files = small_files_corpus(4, 11, 4_096);
-    use supmr::chunk::IntraFileChunker;
-    let mut chunker = IntraFileChunker::new(supmr_storage::MemFileSet::new(files.clone()), 4);
+    use supmr::chunk::FileSetChunker;
+    let mut chunker = FileSetChunker::intra(supmr_storage::MemFileSet::new(files.clone()), 4);
     let mut seen = 0;
     while let Some(c) = chunker.next_chunk().unwrap() {
         seen += c.segments.len();
