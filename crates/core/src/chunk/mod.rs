@@ -20,8 +20,8 @@
 //!
 //! Where a record ends is decided in one place,
 //! [`RecordFormat::next_boundary`]: chunk ends, the cuts of an oversized
-//! file and input splits ([`crate::split`]) all ask it. The original
-//! runtime's whole-input ingest is the same two chunkers with no limit:
+//! file and input splits ([`crate::split`]) all ask it. The whole-input
+//! ingest of a job without chunking is the same two chunkers with no limit:
 //! its one chunk is the first chunk of an inter-file chunker whose chunk
 //! size is unbounded, or of a file-set chunker whose file count is.
 //!
@@ -52,8 +52,8 @@ use supmr_storage::{DataSource, FileSet, MemSource, RecordFormat, SharedBytes};
 /// How the input is partitioned into ingest chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chunking {
-    /// No chunking: the original runtime's one whole-input chunk (the
-    /// input's chunker with no limit).
+    /// No chunking: one whole-input chunk (the input's chunker with no
+    /// limit), read before the one map wave — the Phoenix++ baseline.
     None,
     /// Inter-file chunking of a single large input into byte ranges.
     Inter {
@@ -78,7 +78,10 @@ pub enum Chunking {
 }
 
 impl Chunking {
-    /// Whether this strategy engages the ingest chunk pipeline.
+    /// Whether this strategy cuts the input into more than one chunk:
+    /// an ingest thread then reads ahead while the mappers work, and
+    /// ingest and map report one fused time. The one place a one-chunk
+    /// stage is told from a pipelined one.
     pub fn is_pipelined(&self) -> bool {
         !matches!(self, Chunking::None)
     }
@@ -198,8 +201,9 @@ impl Recycler {
 
 /// Read `source` from `offset` into `buf[at..at + want]`, stopping early
 /// at end of input; returns the bytes read. `buf` grows to cover the
-/// range if it is shorter, and bytes it already holds are overwritten,
-/// not zeroed first.
+/// range if it is shorter — by exactly that much, so a record longer
+/// than a window never doubles it — and bytes it already holds are
+/// overwritten, not zeroed first.
 fn read_into<S: DataSource>(
     source: &mut S,
     offset: u64,
@@ -208,6 +212,7 @@ fn read_into<S: DataSource>(
     want: usize,
 ) -> io::Result<usize> {
     if buf.len() < at + want {
+        buf.reserve_exact(at + want - buf.len());
         buf.resize(at + want, 0);
     }
     let mut filled = 0;
@@ -228,6 +233,9 @@ pub struct InterFileChunker<S> {
     format: RecordFormat,
     next: Next,
     buffers: Recycler,
+    /// The bytes the last boundary window read past the chunk it ended:
+    /// the head of the next chunk, so no byte is read twice.
+    carry: Vec<u8>,
 }
 
 impl<S: DataSource> InterFileChunker<S> {
@@ -244,17 +252,23 @@ impl<S: DataSource> InterFileChunker<S> {
             format,
             next: Next::default(),
             buffers: Recycler::default(),
+            carry: Vec::new(),
         }
     }
 
-    /// Read the chunk at absolute offset `start`: `want` bytes, then
-    /// window by window, each straight into the tail of the buffer, until
-    /// the bytes read prove a record boundary or the input ends.
+    /// Read the chunk at absolute offset `start`: the carried bytes, the
+    /// rest of `want`, then window by window, each straight into the tail
+    /// of the buffer, until the bytes read prove a record boundary or the
+    /// input ends. What the last window read past that boundary is
+    /// carried to the next chunk.
     fn read_chunk(&mut self, start: u64, want: usize) -> io::Result<SharedBytes> {
         let total = self.source.len();
-        let mut buf = self.buffers.take(want + BOUNDARY_WINDOW);
-        let mut len = read_into(&mut self.source, start, &mut buf, 0, want)?;
-        let mut from = len;
+        let carried = self.carry.len();
+        let mut buf = self.buffers.take(want.max(carried) + BOUNDARY_WINDOW);
+        buf.splice(..carried.min(buf.len()), self.carry.drain(..));
+        let (at, rest) = (start + carried as u64, want.saturating_sub(carried));
+        let mut len = carried + read_into(&mut self.source, at, &mut buf, carried, rest)?;
+        let mut from = len.min(want);
         let end = loop {
             if let Some(end) = self.format.next_boundary(&buf[..len], from) {
                 break end;
@@ -267,6 +281,7 @@ impl<S: DataSource> InterFileChunker<S> {
             }
             (from, len) = (len, len + n);
         };
+        self.carry.extend_from_slice(&buf[end..len]);
         buf.truncate(end);
         Ok(self.buffers.seal(buf))
     }
@@ -629,16 +644,27 @@ mod tests {
         assert!(Chunking::Intra { files_per_chunk: 1 }.is_pipelined());
     }
 
-    /// A source that hides its residency, forcing the read/copy path.
-    struct CopyOnly<S>(S);
+    /// A source that hides its residency, forcing the read/copy path, and
+    /// counts the bytes its reads ask for.
+    struct CopyOnly<S> {
+        source: S,
+        asked: usize,
+    }
+
+    impl<S> CopyOnly<S> {
+        fn new(source: S) -> Self {
+            CopyOnly { source, asked: 0 }
+        }
+    }
 
     impl<S: DataSource> DataSource for CopyOnly<S> {
         fn len(&self) -> u64 {
-            self.0.len()
+            self.source.len()
         }
 
         fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            self.0.read_at(offset, buf)
+            self.asked += buf.len();
+            self.source.read_at(offset, buf)
         }
     }
 
@@ -663,12 +689,12 @@ mod tests {
                     format,
                 ));
                 let copy = drain(InterFileChunker::new(
-                    CopyOnly(MemSource::from(input.clone())),
+                    CopyOnly::new(MemSource::from(input.clone())),
                     chunk_bytes,
                     format,
                 ));
                 let recycled = drain_recycled(InterFileChunker::new(
-                    CopyOnly(MemSource::from(input.clone())),
+                    CopyOnly::new(MemSource::from(input.clone())),
                     chunk_bytes,
                     format,
                 ));
@@ -677,6 +703,62 @@ mod tests {
                     fast, recycled,
                     "recycled: format {format:?}, chunk_bytes {chunk_bytes}"
                 );
+            }
+        }
+    }
+
+    /// A streamed chunk ends where a boundary window proves a record
+    /// end, and what that window read past the end opens the next chunk:
+    /// every byte is asked of the source once, the chunks are the
+    /// resident ones, and no buffer outgrows the chunk size plus the
+    /// longest record plus two windows.
+    #[test]
+    fn streamed_chunks_read_each_byte_once_into_bounded_buffers() {
+        // Records from one byte to three windows long, the last one
+        // unterminated.
+        let records = |terminator: &[u8]| {
+            let lens = [3usize, 700, 5_000, 13_000, 90, 1];
+            let mut out = Vec::new();
+            for i in 0..24 {
+                out.resize(out.len() + lens[i % lens.len()], b'a' + i as u8);
+                out.extend_from_slice(terminator);
+            }
+            out.extend_from_slice(b"tail");
+            out
+        };
+        let cases = [
+            (records(b"\n"), RecordFormat::Newline, 13_001),
+            (records(b"\r\n"), RecordFormat::CrLf, 13_002),
+            (newline_input(600, 100), RecordFormat::FixedWidth(100), 100),
+            (newline_input(12, 5_000), RecordFormat::FixedWidth(5_000), 5_000),
+            (newline_input(500, 100), RecordFormat::None, 1),
+        ];
+        for (input, format, longest) in cases {
+            for chunk_bytes in [1u64, 100, 4_095, 4_096, 10_000, 65_536, u64::MAX] {
+                let what = format!("{format:?}, chunk_bytes {chunk_bytes}");
+                let bound = (chunk_bytes as usize).min(input.len()) + longest + 2 * BOUNDARY_WINDOW;
+                let resident = drain(InterFileChunker::new(
+                    MemSource::from(input.clone()),
+                    chunk_bytes,
+                    format,
+                ));
+                let mut chunker = InterFileChunker::new(
+                    CopyOnly::new(MemSource::from(input.clone())),
+                    chunk_bytes,
+                    format,
+                );
+                for expected in &resident {
+                    assert_eq!(chunker.next_chunk().unwrap().as_ref(), Some(expected), "{what}");
+                    // The chunk has dropped: take each lent buffer back to
+                    // look at its capacity, and lend it again.
+                    for view in std::mem::take(&mut chunker.buffers.lent) {
+                        let buf = view.try_reclaim().expect("no view of the chunk is left");
+                        assert!(buf.capacity() <= bound, "{what}: {} bytes", buf.capacity());
+                        chunker.buffers.lent.push(SharedBytes::from(buf));
+                    }
+                }
+                assert!(chunker.next_chunk().unwrap().is_none(), "{what}");
+                assert_eq!(chunker.source.asked, input.len(), "{what}: bytes asked of the source");
             }
         }
     }
@@ -718,7 +800,7 @@ mod tests {
     fn held_chunks_and_splits_are_never_overwritten() {
         let input = newline_input(2000, 10);
         let mut chunker = InterFileChunker::new(
-            CopyOnly(MemSource::from(input.clone())),
+            CopyOnly::new(MemSource::from(input.clone())),
             1000,
             RecordFormat::Newline,
         );

@@ -29,9 +29,9 @@
 //! * [`pool`] — map/reduce task execution: Phoenix-style per-wave
 //!   spawn/join plus a persistent worker pool
 //!   ([`pool::PoolMode`] chooses per job).
-//! * [`runtime`] — job configuration and the two runtimes behind one
-//!   entry surface: [`runtime::Job`] for a single job (dispatching on
-//!   the chunking strategy) and [`runtime::Pipeline`] for multi-stage
+//! * [`runtime`] — job configuration and the one stage runtime behind
+//!   two entry surfaces: [`runtime::Job`] for a single job (one chunk
+//!   without chunking, the ingest pipeline with it) and [`runtime::Pipeline`] for multi-stage
 //!   chains whose intermediate results move between stages in memory.
 //!
 //! # Quick example

@@ -57,7 +57,7 @@ pub struct Job<J: MapReduce> {
 
 impl<J: MapReduce> Job<J> {
     /// Start building a job around an application, with default
-    /// configuration (original runtime, unsorted output).
+    /// configuration (no chunking, unsorted output).
     pub fn new(app: J) -> Job<J> {
         Job { app, config: JobConfig::default() }
     }

@@ -69,15 +69,16 @@
 use super::handoff::moved_stats;
 use super::probe::{pipeline_totals, stage_ended, stage_started, StageMetrics, StageProbe};
 use super::{
-    catching, original, run_stage, Input, JobConfig, JobReport, JobScope, StageCtx, StageOutput,
-    StageReport, StageResult, StageWiring,
+    catching, finish_job, pipeline, stage_container, Input, JobConfig, JobReport, JobScope,
+    StageCtx, StageOutput, StageReport, StageResult, StageWiring,
 };
 use crate::api::{Emit, MapReduce};
 use crate::chunk::Chunking;
+use crate::container::Container;
 use crate::error::Result;
-use crate::spill::{MemoryAccountant, SpillMetrics};
 use std::sync::Arc;
 use std::time::Instant;
+use supmr_metrics::Phase;
 
 type AppFactory<J> = Box<dyn FnMut(u64) -> J + Send>;
 
@@ -274,7 +275,7 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
         let names = vec![stage.name.clone()];
         let chain: Chain<K, O> = Box::new(move |round: &mut Round<'_>, moves| {
             let input = input(round.iteration)?;
-            stage.run(round, 0, moves, |app, ctx, wiring| run_stage(app, input, ctx, wiring))
+            stage.run(round, 0, moves, |app, ctx, wiring| pipeline::run(app, input, ctx, wiring))
         });
         let config = JobConfig::default();
         Pipeline { config, names, chain, until: None, max_iterations: u64::MAX }
@@ -335,9 +336,8 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
             let StageOutput::Moved(parts) = upstream(round, true)? else {
                 unreachable!("a stage with a successor hands off its partitions")
             };
-            stage.run(round, index, moves, |app, ctx, wiring| {
-                original::absorb(app, parts, &edge, ctx, wiring)
-            })
+            stage
+                .run(round, index, moves, |app, ctx, wiring| absorb(app, parts, &edge, ctx, wiring))
         });
         Pipeline { config, names, chain, until: None, max_iterations }
     }
@@ -385,19 +385,10 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
     /// # Errors
     /// Every per-stage error [`Job::run`](super::Job::run) can produce.
     pub fn run(mut self) -> Result<PipelineResult<K, O>> {
-        let mut scope = JobScope::open(self.config, None, None)?;
+        // The scope's one byte ledger bounds the pipeline's resident
+        // footprint under `memory_budget`, not each stage's.
+        let scope = JobScope::open(self.config, None, None)?;
         let registry = scope.config.metrics.clone();
-        // One byte ledger every stage budgets against: `memory_budget`
-        // bounds the pipeline's resident footprint, not each stage's.
-        scope.accountant = scope.config.memory_budget.map(|budget| {
-            let metrics = registry.as_ref().map(SpillMetrics::register);
-            let mut accountant = MemoryAccountant::new(budget);
-            if let Some(m) = &metrics {
-                m.budget_bytes.set(budget.min(i64::MAX as u64) as i64);
-                accountant = accountant.with_gauge(m.resident_bytes.clone());
-            }
-            Arc::new(accountant)
-        });
         // Registered up front, so a scrape sees every stage's families
         // before the stage first runs.
         let metrics: Vec<Option<StageMetrics>> = self
@@ -441,6 +432,42 @@ impl<K: Send + 'static, O: Send + 'static> Pipeline<K, O> {
         scope.close(&mut report);
         Ok(PipelineResult { pairs, iterations, report })
     }
+}
+
+/// Execute a taking stage over the reduce partitions of the stage before
+/// it: no ingest and no map — one absorb wave hands each partition's
+/// pairs to `edge`, which emits them into the container (charging them to
+/// the budget, as a map task's pairs are), then reduce and merge as any
+/// stage does.
+fn absorb<J: MapReduce, UK, UO>(
+    job: &Arc<J>,
+    parts: Vec<Vec<(UK, UO)>>,
+    edge: &(impl Fn(UK, UO, &mut dyn Emit<J::Key, J::Value>) + Sync),
+    mut ctx: StageCtx<'_>,
+    wiring: StageWiring,
+) -> Result<StageResult<J::Key, J::Output>>
+where
+    (UK, UO): Send,
+{
+    let (container, spill) = stage_container(job, &mut ctx, &wiring)?;
+    ctx.config.check_cancelled()?;
+    ctx.probe.enter(Phase::Map);
+    let pair_bytes = std::mem::size_of::<(UK, UO)>();
+    let outcome = ctx.probe.map_wave(0, parts.len(), || {
+        ctx.exec.run(ctx.config.map_width(), parts, |idx, part| {
+            let mut local = container.local();
+            ctx.probe.map_task(0, idx, part.len() * pair_bytes, || {
+                for (key, value) in part {
+                    edge(key, value, &mut local);
+                }
+            });
+            ctx.probe.absorb::<J>(&container, local);
+        })
+    });
+    ctx.probe.leave(Phase::Map);
+    // One resident round; nothing was read from storage.
+    ctx.probe.round_mapped(0, outcome);
+    finish_job(job, container, spill, ctx, wiring)
 }
 
 /// Run `f` on a scoped thread of its own, re-raising its panic. An

@@ -1,14 +1,14 @@
-//! Job configuration, results, and the two runtimes.
+//! Job configuration, results, and the stage runtime.
 //!
 //! [`Job`] is the single entry surface (the paper's `run_ingestMR()`
 //! API launches "in exactly the same way as the original library with a
 //! few additional chunk-related parameters" — here those parameters live
 //! in [`JobConfig`]); multi-stage work composes jobs into a [`Pipeline`]
-//! ([`dag`]). Jobs with [`Chunking::None`] execute on the original
-//! Phoenix++-style runtime ([`original`]); any other chunking strategy
-//! engages the SupMR ingest chunk pipeline ([`pipeline`]). The reduce
-//! and merge phases are shared — the merge backend is chosen by
-//! [`MergeMode`], which is how experiments isolate the paper's two
+//! ([`dag`]). Every stage that maps an input runs on the SupMR ingest
+//! chunk pipeline ([`pipeline`]); with [`Chunking::None`] its input is
+//! one chunk, read whole before one map wave — the Phoenix++ baseline.
+//! The reduce and merge phases are shared — the merge backend is chosen
+//! by [`MergeMode`], which is how experiments isolate the paper's two
 //! modifications.
 //!
 //! Two pieces of plumbing are shared by everything here. A `JobScope`
@@ -25,7 +25,6 @@ pub mod builder;
 pub mod dag;
 pub mod governor;
 pub mod handoff;
-pub mod original;
 pub mod pipeline;
 pub(crate) mod probe;
 
@@ -130,7 +129,7 @@ pub struct JobConfig {
     pub split_bytes: usize,
     /// Record framing, used for chunk and split boundary adjustment.
     pub record_format: RecordFormat,
-    /// Ingest chunking strategy; `None` selects the original runtime.
+    /// Ingest chunking strategy; `None` reads the input as one chunk.
     pub chunking: Chunking,
     /// Final merge behaviour.
     pub merge: MergeMode,
@@ -363,10 +362,10 @@ pub struct RoundRecord {
 pub struct JobStats {
     /// Bytes read from primary storage.
     pub bytes_ingested: u64,
-    /// Ingest chunks processed (1 for the original runtime).
+    /// Ingest chunks processed (1 without chunking, 0 for an empty
+    /// input).
     pub ingest_chunks: u32,
-    /// Map waves executed (1 for the original runtime, one per chunk for
-    /// the pipeline).
+    /// Map waves executed, one per chunk.
     pub map_rounds: u32,
     /// Map tasks (input splits) executed.
     pub map_tasks: u64,
@@ -391,8 +390,8 @@ pub struct JobStats {
     /// Elements written during merging across all rounds (the
     /// "re-scanning" cost; equals output pairs for a single-pass merge).
     pub merge_elements_moved: u64,
-    /// Per-round pipeline timeline: one record per map round at every
-    /// prefetch depth (empty for the original runtime).
+    /// Per-round pipeline timeline: one record per map round, at every
+    /// prefetch depth and without chunking.
     pub rounds: Vec<RoundRecord>,
     /// Total time the map side sat idle waiting for a chunk's ingest to
     /// complete — the pipeline was ingest-bound for this long. Always
@@ -621,15 +620,13 @@ pub(crate) struct StageResult<K, O> {
     pub report: JobReport,
 }
 
-/// Pipeline-level wiring threaded into one stage execution. Default
-/// wiring (no hand-off, job-private accountant, empty run prefix) is the
-/// degenerate single-stage case.
-#[derive(Default)]
+/// Pipeline-level wiring threaded into one stage execution.
 pub(crate) struct StageWiring {
     /// The stage's reduce partitions move to the next stage instead of
     /// becoming terminal pairs.
     pub moves: bool,
-    /// A pipeline-shared byte ledger; `None` builds a per-job one.
+    /// The scope's byte ledger ([`JobScope::accountant`]), set whenever
+    /// the stage has a memory budget.
     pub accountant: Option<Arc<MemoryAccountant>>,
     /// Prefix for spill run names, so the stages and iterations of a
     /// pipeline, and concurrent jobs, sharing one run store never
@@ -644,21 +641,6 @@ pub(crate) struct StageCtx<'a> {
     pub config: &'a JobConfig,
     pub exec: Executor<'a>,
     pub probe: StageProbe,
-}
-
-/// Execute one stage over `input`: dispatch to the original runtime
-/// ([`Chunking::None`]) or the SupMR ingest chunk pipeline. The shared
-/// dispatch core under [`Job::run`] and [`Pipeline::run`].
-pub(crate) fn run_stage<J: MapReduce>(
-    job: &Arc<J>,
-    input: Input,
-    ctx: StageCtx<'_>,
-    wiring: StageWiring,
-) -> Result<StageResult<J::Key, J::Output>> {
-    match ctx.config.chunking {
-        Chunking::None => original::run(job, input, ctx, wiring),
-        _ => pipeline::run(job, input, ctx, wiring),
-    }
 }
 
 /// Run one stage's `body`, converting a panic inside a user map/reduce
@@ -700,9 +682,9 @@ pub(crate) struct JobScope<'p> {
     /// the scope settled on written back so every stage sees them.
     pub config: JobConfig,
     pub tracer: Tracer,
-    /// A byte ledger every stage budgets against — a host's partition
-    /// of its global budget, or a pipeline's one ledger. `None` leaves a
-    /// stage to build its own.
+    /// The byte ledger every stage budgets against under a memory
+    /// budget — a host's partition of its global budget, or one built for
+    /// the scope, so a pipeline's budget bounds all its stages together.
     pub accountant: Option<Arc<MemoryAccountant>>,
     flow: Arc<FlowLedger>,
     server: Option<MetricsServer>,
@@ -714,7 +696,8 @@ pub(crate) struct JobScope<'p> {
 impl<'p> JobScope<'p> {
     /// Validate `config` and stand the facilities up. Waves dispatch
     /// onto `host_pool`, and stages budget against `accountant`, when
-    /// the host lends them.
+    /// the host lends them; under a budget the host does not lend a
+    /// ledger for, the scope builds one, its gauges in the registry.
     pub fn open(
         mut config: JobConfig,
         host_pool: Option<&'p WorkerPool>,
@@ -750,6 +733,15 @@ impl<'p> JobScope<'p> {
             }
             _ => None,
         };
+        let accountant = accountant.or_else(|| {
+            let budget = config.memory_budget?;
+            let mut accountant = MemoryAccountant::new(budget);
+            if let Some(m) = config.metrics.as_ref().map(SpillMetrics::register) {
+                m.budget_bytes.set(budget.min(i64::MAX as u64) as i64);
+                accountant = accountant.with_gauge(m.resident_bytes.clone());
+            }
+            Some(Arc::new(accountant))
+        });
         let callback = compose_callbacks(config.on_event.clone(), ring.map(|r| r.callback()));
         let tracer = Tracer::new(config.trace, callback);
         let sampler = config.sample_utilization.map(UtilizationSampler::start);
@@ -844,7 +836,7 @@ pub fn run_with<J: MapReduce>(
     let config = &scope.config;
     let ctx =
         StageCtx { config, exec: scope.exec(), probe: StageProbe::new(config, &scope.tracer) };
-    let stage = catching(|| run_stage(&Arc::new(job), input, ctx, wiring))?;
+    let stage = catching(|| pipeline::run(&Arc::new(job), input, ctx, wiring))?;
     let mut result = match stage.output {
         StageOutput::Pairs(pairs) => JobResult { pairs, report: stage.report },
         StageOutput::Moved(_) => unreachable!("single-stage wiring requests no hand-off"),
@@ -1032,29 +1024,29 @@ type Reduced<J> = Vec<Vec<(<J as MapReduce>::Key, <J as MapReduce>::Output)>>;
 /// a decoded run file.
 type MergeSource<J> = Box<dyn Iterator<Item = (<J as MapReduce>::Key, AccOf<J>)>>;
 
-/// The wiring a runtime hands its freshly built container: the job's
-/// hash seed and the governor's dynamic knobs.
-pub(crate) fn container_hooks(config: &JobConfig) -> ContainerHooks {
-    ContainerHooks { hash_seed: config.hash_seed, active: config.active.clone() }
-}
-
-/// The out-of-core wiring for one job, when
-/// [`JobConfig::memory_budget`] is set: build the run store (explicit
-/// store > spill dir > fresh temp dir), the byte ledger, and the
-/// job-level spill sink, then hand the container its [`SpillHooks`].
+/// Every stage's prologue: make the container that persists across the
+/// stage's rounds and hand it the job's hash seed and the governor's
+/// dynamic knobs. Under [`JobConfig::memory_budget`] the container also
+/// gets its [`SpillHooks`]: the run store (explicit store > spill dir >
+/// fresh temp dir) and the stage's spill sink over the scope's byte
+/// ledger.
 ///
 /// Fails with [`SupmrError::InvalidConfig`] when the application has no
 /// [`spill_codec`](MapReduce::spill_codec) or the container refuses to
 /// spill — a budget the runtime cannot honor must not silently run
 /// unbounded.
-pub(crate) fn setup_spill<J: MapReduce>(
+pub(crate) fn stage_container<J: MapReduce>(
     job: &Arc<J>,
-    container: &J::Container,
     ctx: &mut StageCtx<'_>,
     wiring: &StageWiring,
-) -> Result<Option<SpillOf<J>>> {
+) -> Result<(J::Container, Option<SpillOf<J>>)> {
     let config = ctx.config;
-    let Some(budget) = config.memory_budget else { return Ok(None) };
+    let container = job.make_container();
+    container
+        .configure(&ContainerHooks { hash_seed: config.hash_seed, active: config.active.clone() });
+    if config.memory_budget.is_none() {
+        return Ok((container, None));
+    }
     let codec = job.spill_codec().ok_or_else(|| {
         SupmrError::invalid_config(
             "memory_budget is set but the application provides no spill codec",
@@ -1066,19 +1058,9 @@ pub(crate) fn setup_spill<J: MapReduce>(
         (None, None) => Arc::new(DiskRunStore::temp()?),
     };
     let metrics = config.metrics.as_ref().map(SpillMetrics::register);
-    let accountant = match &wiring.accountant {
-        // A pipeline-shared ledger arrives fully built (gauge attached
-        // at pipeline start); all stages budget against it together.
-        Some(shared) => Arc::clone(shared),
-        None => {
-            let mut accountant = MemoryAccountant::new(budget);
-            if let Some(m) = &metrics {
-                m.budget_bytes.set(budget.min(i64::MAX as u64) as i64);
-                accountant = accountant.with_gauge(m.resident_bytes.clone());
-            }
-            Arc::new(accountant)
-        }
-    };
+    // Built, gauge attached, when the scope opened; every stage of a
+    // pipeline budgets against it together.
+    let accountant = wiring.accountant.clone().expect("a budgeted scope holds a byte ledger");
     // The governor's low-watermark lever reaches the ledger here.
     if let Some(active) = &config.active {
         active.attach_accountant(Arc::clone(&accountant));
@@ -1107,7 +1089,7 @@ pub(crate) fn setup_spill<J: MapReduce>(
             "memory_budget is set but the job's container does not support spilling",
         ));
     }
-    Ok(Some(spill))
+    Ok((container, Some(spill)))
 }
 
 /// Reduce one partition's key-grouped pairs.
@@ -1123,7 +1105,7 @@ fn reduce_into<J: MapReduce>(
         .collect()
 }
 
-/// Shared tail of both runtimes: reduce, merge, and result assembly.
+/// Shared tail of every stage: reduce, merge, and result assembly.
 /// With spilled runs on disk the reduce phase runs as a streaming
 /// external merge per partition; otherwise it is the in-memory
 /// drain-and-reduce wave. When the wiring moves the output, the reduce

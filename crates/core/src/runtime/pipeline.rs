@@ -15,7 +15,10 @@
 //!
 //! A job over n chunks executes n+1 rounds: round 0 ingests chunk 0
 //! serially (nothing else to overlap with); each later round runs a map
-//! wave on chunk *i* while chunk *i+1* is read. The thread the paper
+//! wave on chunk *i* while chunk *i+1* is read. Without chunking
+//! ([`Chunking::None`]) the input is one chunk and this is the Phoenix++
+//! baseline: round 0 reads everything, one map wave follows, and no
+//! ingest thread starts. The thread the paper
 //! creates and destroys per round is one ingest thread that lives for
 //! the stage and hands chunks to the map loop through one bounded
 //! `Handoff`. Its bound, the **prefetch depth**, counts the chunks
@@ -51,7 +54,6 @@ use super::{
 };
 use crate::api::MapReduce;
 use crate::chunk::{Chunker, Chunking, FileSetChunker, IngestChunk, InterFileChunker};
-use crate::container::Container;
 use crate::error::{Result, SupmrError};
 use crate::pool::WaveOutcome;
 use std::collections::VecDeque;
@@ -61,9 +63,8 @@ use supmr_metrics::{unpoisoned, Phase, StallSide};
 
 /// Build the chunker matching the configured strategy, rejecting
 /// mismatched input shapes: inter-file chunking needs a stream,
-/// intra-file and hybrid chunking need a file set. With no chunking
-/// (the original runtime) the input's chunker has no limit, so its first
-/// chunk is the whole input.
+/// intra-file and hybrid chunking need a file set. With no chunking the
+/// input's chunker has no limit, so its first chunk is the whole input.
 pub(super) fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
     let mismatch = |msg: &str| Err(SupmrError::invalid_config(msg));
     let format = config.record_format;
@@ -91,7 +92,9 @@ pub(super) fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn C
 }
 
 /// Execute `job` on the ingest chunk pipeline (`run_ingestMR()` in the
-/// paper's API).
+/// paper's API): the one runtime of every stage that maps an input,
+/// under [`Job::run`](super::Job::run) and
+/// [`Pipeline::run`](super::Pipeline::run), whatever its chunking.
 pub(crate) fn run<J: MapReduce>(
     job: &Arc<J>,
     input: Input,
@@ -101,9 +104,7 @@ pub(crate) fn run<J: MapReduce>(
     let config = ctx.config;
     let mut chunker = make_chunker(input, config)?;
     // Created once, persists across all map rounds.
-    let container = job.make_container();
-    container.configure(&super::container_hooks(config));
-    let spill = super::setup_spill(job, &container, &mut ctx, &wiring)?;
+    let (container, spill) = super::stage_container(job, &mut ctx, &wiring)?;
     let tables = MapTables::new(&container, config);
 
     // Round 0: ingest the first chunk serially.
@@ -113,21 +114,32 @@ pub(crate) fn run<J: MapReduce>(
     if let Some(chunk) = &first {
         ctx.probe.chunk_ingested(0, started, chunk.len());
     }
+    ctx.probe.leave(Phase::Ingest);
     ctx.probe.enter(Phase::Map);
     if let Some(first) = first {
+        // One chunk has nothing to read ahead: no ingest thread, and a
+        // hand-off already closed, so the map loop ends after round 0.
+        let pipelined = config.chunking.is_pipelined();
         let handoff = Handoff::default();
+        if !pipelined {
+            drop(End(&handoff));
+        }
         // The ingest thread shares the probe for as long as it runs; what
         // the rounds did is folded in once it has let go.
         let (mapped, ingest_waiting) = std::thread::scope(|scope| {
             let (handoff, probe) = (&handoff, &ctx.probe);
-            let ingest = std::thread::Builder::new()
-                .name("supmr-ingest".to_string())
-                .spawn_scoped(scope, move || read_ahead(chunker, handoff, probe, config))
-                .expect("spawning the pipeline ingest thread");
+            let ingest = pipelined.then(|| {
+                std::thread::Builder::new()
+                    .name("supmr-ingest".to_string())
+                    .spawn_scoped(scope, move || read_ahead(chunker, handoff, probe, config))
+                    .expect("spawning the pipeline ingest thread")
+            });
             let mapped = map_rounds(job, &tables, first, handoff, &ctx);
-            (mapped, ingest.join().expect("ingest thread panicked"))
+            (mapped, ingest.map_or(Duration::ZERO, |t| t.join().expect("ingest thread panicked")))
         });
-        ctx.probe.ingest_thread_spawned();
+        if pipelined {
+            ctx.probe.ingest_thread_spawned();
+        }
         let (rounds, map_waiting) = mapped?;
         ctx.probe.stalled(map_waiting, ingest_waiting);
         for (round, wave) in rounds {
@@ -135,7 +147,6 @@ pub(crate) fn run<J: MapReduce>(
             ctx.probe.round_timed(round);
         }
     }
-    ctx.probe.leave(Phase::Ingest);
     tables.flush(&mut ctx);
     ctx.probe.leave(Phase::Map);
 

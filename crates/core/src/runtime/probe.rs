@@ -26,7 +26,6 @@
 
 use super::{JobConfig, JobStats, LocalOf, RoundRecord, StageReport};
 use crate::api::{AccOf, MapReduce};
-use crate::chunk::Chunking;
 use crate::container::{Absorbed, Container};
 use crate::pool::WaveOutcome;
 use crate::spill::SpillMetrics;
@@ -119,8 +118,9 @@ impl PhaseTimer {
 }
 
 /// The `supmr.*` families a stage's sites maintain. Families that differ
-/// between the two runtimes carry a `runtime="original"|"pipeline"`
-/// label, as Table II compares one workload across runtimes.
+/// between a one-chunk stage and a pipelined one carry a
+/// `runtime="original"|"pipeline"` label, as Table II compares one
+/// workload with and without chunking.
 struct JobMetrics {
     map_task_us: Histogram,
     map_in_flight: Gauge,
@@ -266,7 +266,7 @@ impl StageProbe {
     /// (its runtime, registry and flow ledger), tracing into `tracer`.
     /// The job clock starts now.
     pub fn new(config: &JobConfig, tracer: &Tracer) -> StageProbe {
-        let pipelined = !matches!(config.chunking, Chunking::None);
+        let pipelined = config.chunking.is_pipelined();
         let runtime = if pipelined { "pipeline" } else { "original" };
         StageProbe {
             tracer: tracer.clone(),

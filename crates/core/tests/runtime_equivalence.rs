@@ -1,19 +1,21 @@
-//! End-to-end runtime tests: the original runtime and the SupMR ingest
-//! chunk pipeline must produce identical results for every application
-//! shape, across chunk sizes, merge backends, and input edge cases. This
-//! is the Fig. 2/Fig. 4 contract — the pipeline reorganizes *when* data
+//! End-to-end runtime tests: a job without chunking (the Phoenix++
+//! baseline) and one on the SupMR ingest chunk pipeline must produce
+//! identical results for every application shape, across chunk sizes,
+//! merge backends, and input edge cases. This is the Fig. 2/Fig. 4 contract — the pipeline reorganizes *when* data
 //! moves, never *what* is computed.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use supmr::api::{Emit, MapReduce};
 use supmr::combiner::{Count, Identity, Sum};
 use supmr::container::{ArrayContainer, HashContainer, UnlockedContainer};
-use supmr::runtime::{Input, Job, JobConfig, MergeMode};
+use supmr::runtime::{Input, Job, JobConfig, JobStats, MergeMode};
 use supmr::{
     ActiveConfig, Chunking, EventKind, KeyPrefix, PoolMode, SupmrError, TraceEvent, TraceLevel,
 };
-use supmr_storage::{MemFileSet, MemSource, RecordFormat};
+use supmr_metrics::{FlowPhase, Phase};
+use supmr_storage::{MemFileSet, MemSource, RecordFormat, ThrottledSource};
 use supmr_workloads::{
     small_files_corpus, TeraGen, TextGen, TextGenConfig, TERA_KEY_LEN, TERA_RECORD_LEN,
 };
@@ -378,9 +380,13 @@ fn wordcount_pipeline_equals_original_across_chunk_sizes() {
         .config(base_config())
         .run(Input::stream(MemSource::from(data.clone())))
         .unwrap();
-    assert!(baseline.report.stats.ingest_chunks == 1 && baseline.report.stats.map_rounds == 1);
+    let stats = &baseline.report.stats;
+    assert!(stats.ingest_chunks == 1 && stats.map_rounds == 1);
+    assert_eq!(stats.rounds.len(), 1, "the one round has its record");
+    assert!(!baseline.report.timings.is_fused());
+    let counts = |s: &JobStats| (s.ingest_chunks, s.map_rounds, s.map_tasks, s.bytes_ingested);
 
-    for chunk_bytes in [256u64, 1000, 4096, 100_000] {
+    for chunk_bytes in [256u64, 1000, 4096, data.len() as u64, 100_000, u64::MAX] {
         let mut config = base_config();
         config.chunking = Chunking::Inter { chunk_bytes };
         let piped = Job::new(WordCount)
@@ -394,8 +400,60 @@ fn wordcount_pipeline_equals_original_across_chunk_sizes() {
             assert!(piped.report.stats.ingest_chunks > 1);
             assert_eq!(piped.report.stats.map_rounds, piped.report.stats.ingest_chunks);
             assert!(piped.report.timings.is_fused());
+        } else {
+            // No chunking is this one-chunk case, less the ingest thread,
+            // which finds nothing to read ahead.
+            assert_eq!(counts(&piped.report.stats), counts(stats), "chunk_bytes = {chunk_bytes}");
+            assert_eq!(piped.report.stats.threads_spawned, stats.threads_spawned + 1);
         }
     }
+}
+
+/// Word count whose every map call first sleeps `NAP`: a map phase long
+/// beside the reduce.
+struct Napping;
+
+const NAP: Duration = Duration::from_millis(50);
+
+impl MapReduce for Napping {
+    type Key = String;
+    type Value = u64;
+    type Combiner = Sum;
+    type Output = u64;
+    type Container = HashContainer<String, u64, Sum>;
+
+    fn make_container(&self) -> Self::Container {
+        HashContainer::default()
+    }
+
+    fn map(&self, split: &[u8], emit: &mut dyn Emit<String, u64>) {
+        std::thread::sleep(NAP);
+        WordCount.map(split, emit);
+    }
+
+    fn reduce(&self, _key: &String, acc: u64) -> u64 {
+        acc
+    }
+}
+
+/// A job without chunking keeps Table II's separate read and map times:
+/// the ingest phase covers the read and ends with it, so the two phases
+/// fit in the job's wall clock one after the other.
+#[test]
+fn a_none_job_times_its_read_and_its_map_apart() {
+    let data = text_input(128 * 1024);
+    // Paced past the bucket's 64 KiB burst: the read takes ~125 ms.
+    let source = ThrottledSource::new(MemSource::from(data), 512.0 * 1024.0);
+    let config = JobConfig { map_workers: 1, split_bytes: 1 << 20, ..base_config() };
+    let report = Job::new(Napping).config(config).run(Input::stream(source)).unwrap().report;
+    let t = &report.timings;
+    assert!(!t.is_fused());
+    let read = report.diag.as_ref().expect("diagnosed").inputs.flows.get(FlowPhase::Ingest).busy_us;
+    let (ingest, map) = (t.phase(Phase::Ingest), t.phase(Phase::Map));
+    assert!(read >= 100_000, "the paced read took {read} us");
+    assert!(ingest >= Duration::from_micros(read), "ingest {ingest:?} does not cover the read");
+    assert!(map >= NAP, "map {map:?}");
+    assert!(ingest + map <= t.total(), "ingest {ingest:?} + map {map:?} > total {:?}", t.total());
 }
 
 #[test]
@@ -598,6 +656,7 @@ fn empty_inputs_produce_empty_results() {
         .unwrap();
     assert!(r.pairs.is_empty());
     assert_eq!(r.report.stats.bytes_ingested, 0);
+    assert_eq!((r.report.stats.ingest_chunks, r.report.stats.map_rounds), (0, 0));
 
     let mut config = base_config();
     config.chunking = Chunking::Inter { chunk_bytes: 64 };

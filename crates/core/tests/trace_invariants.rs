@@ -552,9 +552,7 @@ fn every_sink_agrees_on_bytes_tasks_stalls_and_rounds() {
                 .collect();
             waves.sort_unstable();
             assert_eq!(waves.len() as u32, stats.map_rounds, "{what}");
-            if chunking.is_pipelined() {
-                assert_eq!(stats.rounds.len(), stats.map_rounds as usize, "{what}");
-            }
+            assert_eq!(stats.rounds.len(), stats.map_rounds as usize, "{what}");
             for &(round, _, dur_us) in &waves {
                 let busy_us: u64 = spans
                     .iter()
