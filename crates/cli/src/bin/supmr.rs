@@ -29,7 +29,7 @@ fn print_summary(
     let stalls = summary.report.stalls();
     if !stalls.map_waiting.is_zero() || !stalls.ingest_waiting.is_zero() {
         println!(
-            "stalls: map waited {:.3}s for chunks, ingest waited {:.3}s for mappers",
+            "stalls: map workers waited {:.3}s in all for splits, ingest waited {:.3}s for mappers",
             stalls.map_waiting.as_secs_f64(),
             stalls.ingest_waiting.as_secs_f64()
         );

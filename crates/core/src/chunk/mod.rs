@@ -25,26 +25,45 @@
 //! its one chunk is the first chunk of an inter-file chunker whose chunk
 //! size is unbounded, or of a file-set chunker whose file count is.
 //!
-//! A chunker whose input is not resident reads each chunk into a buffer
-//! of its own, which the chunk's [`SharedBytes`] adopts without a copy.
-//! Once every view of a chunk has dropped, the chunker takes its buffer
-//! back and reads a later chunk into it, so a double-buffered job
-//! cycles two buffers instead of faulting in a fresh one per chunk.
-//! Resident bytes are never copied: a resident stream, a lone resident
-//! file and the cuts of an oversized file are views of one allocation.
+//! A chunker also cuts each chunk into the **input splits** it will be
+//! mapped in ([`Chunker::begin_chunk`], then [`Chunker::next_split`]), so
+//! the pipeline can hand the mappers each split as it lands. A split
+//! ends at the first record boundary at or after its start plus the
+//! split size, and a chunk's last split at the chunk's end. An input
+//! that is not resident is read split by split, each split into a buffer
+//! of its own; a resident one, and every file-set chunk, lands whole, and
+//! its splits are views of it ([`chunk_splits`]).
+//!
+//! A chunker whose input is not resident reads into buffers of its own,
+//! which the [`SharedBytes`] of a chunk or split adopts without a copy.
+//! Once every view of a buffer has dropped, the chunker takes it back and
+//! reads later bytes into it, so a double-buffered job cycles the same
+//! buffers instead of faulting in fresh ones per chunk. Resident bytes
+//! are never copied: a resident stream, a lone resident file and the cuts
+//! of an oversized file are views of one allocation.
 
 //! ```
-//! use supmr::chunk::{Chunker, InterFileChunker};
+//! use supmr::chunk::{Chunker, InterFileChunker, SplitCut};
 //! use supmr_storage::{MemSource, RecordFormat};
 //!
 //! let input = b"alpha\nbeta\ngamma\ndelta\n".to_vec();
 //! let mut chunker =
-//!     InterFileChunker::new(MemSource::from(input), 8, RecordFormat::Newline);
+//!     InterFileChunker::new(MemSource::from(input.clone()), 8, RecordFormat::Newline);
 //! let first = chunker.next_chunk().unwrap().unwrap();
 //! // 8 bytes requested, extended to the record boundary after "beta\n".
 //! assert_eq!(first.data, b"alpha\nbeta\n");
+//!
+//! // The same chunks again, each cut into splits of at least 4 bytes.
+//! let mut chunker = InterFileChunker::new(MemSource::from(input), 8, RecordFormat::Newline);
+//! let cut = SplitCut { split_bytes: 4, width: 1 };
+//! assert_eq!(chunker.begin_chunk(cut).unwrap(), Some(2)); // resident: it lands whole
+//! assert_eq!(chunker.next_split().unwrap().unwrap(), b"alpha\n");
+//! assert_eq!(chunker.next_split().unwrap().unwrap(), b"beta\n");
+//! assert!(chunker.next_split().unwrap().is_none());
 //! ```
 
+use crate::split::{chunk_splits, wave_split_bytes};
+use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
 use supmr_storage::{DataSource, FileSet, MemSource, RecordFormat, SharedBytes};
@@ -123,11 +142,50 @@ impl IngestChunk {
     }
 }
 
+/// How a chunker cuts a chunk into input splits: at most `split_bytes`
+/// long, and fine enough to give each of `width` map workers one, though
+/// not below 64 KiB unless `split_bytes` is — sized by the chunk's
+/// nominal length: the size an inter-file chunk was cut at (the rest of
+/// the input, for the last), a file-set chunk's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitCut {
+    /// The configured split size (non-zero).
+    pub split_bytes: usize,
+    /// The map width the splits are cut for.
+    pub width: usize,
+}
+
+impl SplitCut {
+    /// One split per chunk: the chunk itself.
+    const WHOLE: SplitCut = SplitCut { split_bytes: usize::MAX, width: 1 };
+
+    /// The split size of a chunk `nominal` bytes long.
+    ///
+    /// # Panics
+    /// Panics if `split_bytes == 0`.
+    fn bytes(&self, nominal: usize) -> usize {
+        assert!(self.split_bytes > 0, "split size must be non-zero");
+        wave_split_bytes(nominal, self.split_bytes, self.width)
+    }
+}
+
 /// A stream of ingest chunks. The pipeline runtime pulls from this on a
-/// dedicated ingest thread while mappers work on the previous chunk.
+/// dedicated ingest thread while mappers work on the previous chunk,
+/// split by split: [`begin_chunk`](Chunker::begin_chunk), then
+/// [`next_split`](Chunker::next_split) until it returns `None`.
 pub trait Chunker: Send {
     /// Produce the next chunk, or `None` when the input is exhausted.
     fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>>;
+
+    /// Begin the next chunk, to be cut as `cut` says: the most splits it
+    /// can have (exactly its splits when it lands whole), or `None` when
+    /// the input is exhausted. The chunk is the one
+    /// [`next_chunk`](Chunker::next_chunk) would produce.
+    fn begin_chunk(&mut self, cut: SplitCut) -> io::Result<Option<usize>>;
+
+    /// The next split of the chunk begun, in input order, or `None` once
+    /// it has no more. A split is never empty.
+    fn next_split(&mut self) -> io::Result<Option<SharedBytes>>;
 
     /// Total input bytes this chunker will eventually deliver.
     fn total_bytes(&self) -> u64;
@@ -162,10 +220,18 @@ impl Next {
     }
 }
 
-/// The buffers of the chunks a chunker has handed out. Each is kept as
-/// one more view, so its reference count falls to 1 once every view the
-/// job took of the chunk has dropped; the buffer is then taken back and
-/// the next chunk read into it.
+/// The splits of a chunk that landed whole: views of it, cut `split`
+/// bytes apart at `format`'s record boundaries, segment by segment.
+fn views(chunk: &IngestChunk, split: usize, format: RecordFormat) -> VecDeque<SharedBytes> {
+    chunk_splits(chunk, split, format).into_iter().map(|r| chunk.data.slice(r)).collect()
+}
+
+/// The buffers of the chunks and splits a chunker has handed out. Each
+/// is kept as one more view, so its reference count falls to 1 once
+/// every view the job took of it has dropped; the buffer is then taken
+/// back and later bytes read into it. A buffer is kept until the chunker
+/// drops, so the buffers never outnumber the most that were ever viewed
+/// at once.
 #[derive(Default)]
 struct Recycler {
     lent: Vec<SharedBytes>,
@@ -180,18 +246,15 @@ impl Recycler {
             Some(i) => self.lent.swap_remove(i).try_reclaim().unwrap_or_default(),
             None => Vec::new(),
         };
-        // Other buffers nothing views any more are not needed for this
-        // chunk: free them rather than hold them until the input ends.
-        self.lent.retain(|b| b.ref_count() > 1);
         if buf.capacity() < capacity {
-            buf.clear(); // growing must not copy the old chunk's bytes
+            buf.clear(); // growing must not copy the old bytes
             buf.reserve_exact(capacity);
         }
         buf
     }
 
-    /// Adopt a filled buffer as a chunk's bytes, keeping a view of it to
-    /// take it back later.
+    /// Adopt a filled buffer as a chunk's or split's bytes, keeping a
+    /// view of it to take it back later.
     fn seal(&mut self, buf: Vec<u8>) -> SharedBytes {
         let data = SharedBytes::from(buf);
         self.lent.push(data.clone());
@@ -231,11 +294,17 @@ pub struct InterFileChunker<S> {
     source: S,
     chunk_bytes: u64,
     format: RecordFormat,
+    /// The next chunk to begin; `offset` is the next byte to cut.
     next: Next,
     buffers: Recycler,
-    /// The bytes the last boundary window read past the chunk it ended:
-    /// the head of the next chunk, so no byte is read twice.
+    /// The bytes the last boundary window read past the piece it ended:
+    /// the head of the next piece, so no byte is read twice.
     carry: Vec<u8>,
+    /// The splits of a chunk that landed whole, not yet handed out.
+    landed: VecDeque<SharedBytes>,
+    /// A chunk being read split by split: where it nominally ends, and
+    /// its split size.
+    streaming: Option<(u64, usize)>,
 }
 
 impl<S: DataSource> InterFileChunker<S> {
@@ -253,15 +322,17 @@ impl<S: DataSource> InterFileChunker<S> {
             next: Next::default(),
             buffers: Recycler::default(),
             carry: Vec::new(),
+            landed: VecDeque::new(),
+            streaming: None,
         }
     }
 
-    /// Read the chunk at absolute offset `start`: the carried bytes, the
+    /// Read the piece at absolute offset `start`: the carried bytes, the
     /// rest of `want`, then window by window, each straight into the tail
-    /// of the buffer, until the bytes read prove a record boundary or the
-    /// input ends. What the last window read past that boundary is
-    /// carried to the next chunk.
-    fn read_chunk(&mut self, start: u64, want: usize) -> io::Result<SharedBytes> {
+    /// of the buffer, until the bytes read prove a record boundary at or
+    /// after `want` or the input ends. What the last window read past
+    /// that boundary is carried to the next piece.
+    fn read_piece(&mut self, start: u64, want: usize) -> io::Result<SharedBytes> {
         let total = self.source.len();
         let carried = self.carry.len();
         let mut buf = self.buffers.take(want.max(carried) + BOUNDARY_WINDOW);
@@ -277,7 +348,7 @@ impl<S: DataSource> InterFileChunker<S> {
             let window = BOUNDARY_WINDOW.min(total.saturating_sub(at) as usize);
             let n = read_into(&mut self.source, at, &mut buf, len, window)?;
             if n == 0 {
-                break len; // trailing partial record travels with this chunk
+                break len; // trailing partial record travels with this piece
             }
             (from, len) = (len, len + n);
         };
@@ -289,24 +360,63 @@ impl<S: DataSource> InterFileChunker<S> {
 
 impl<S: DataSource> Chunker for InterFileChunker<S> {
     fn next_chunk(&mut self) -> io::Result<Option<IngestChunk>> {
+        let (index, offset) = (self.next.index, self.next.offset);
+        if self.begin_chunk(SplitCut::WHOLE)?.is_none() {
+            return Ok(None);
+        }
+        // A whole-chunk cut has one split; a source that ends before its
+        // listed length may leave the chunk with none.
+        let data = self.next_split()?.unwrap_or_default();
+        #[allow(clippy::single_range_in_vec_init)] // one segment covering the chunk
+        let segments = vec![0..data.len()];
+        Ok(Some(IngestChunk { index, offset, data, segments }))
+    }
+
+    fn begin_chunk(&mut self, cut: SplitCut) -> io::Result<Option<usize>> {
         let (start, total) = (self.next.offset, self.source.len());
         if start >= total {
             return Ok(None);
         }
         let want = self.chunk_bytes.min(total - start) as usize;
-        // Zero-copy fast path: a fully resident source hands out
-        // record-aligned windows of its one shared allocation.
-        let data = match self.source.shared().filter(|b| b.len() as u64 == total) {
-            Some(all) => {
-                let start = start as usize;
-                all.slice(start..start + self.format.adjust_split_point(&all[start..], want))
-            }
-            None => self.read_chunk(start, want)?,
-        };
-        if data.is_empty() {
-            return Ok(None); // the source ended before its listed length
+        let split = cut.bytes(want);
+        // Zero-copy fast path: a fully resident source lands each chunk
+        // whole, a record-aligned window of its one shared allocation.
+        if let Some(all) = self.source.shared().filter(|b| b.len() as u64 == total) {
+            let start = start as usize;
+            let data =
+                all.slice(start..start + self.format.adjust_split_point(&all[start..], want));
+            let chunk = self.next.whole(data);
+            self.landed = views(&chunk, split, self.format);
+            return Ok(Some(self.landed.len()));
         }
-        Ok(Some(self.next.whole(data)))
+        // A source that ends before its listed length has no chunk here:
+        // read the chunk's first byte now, to open its first split.
+        if self.carry.is_empty() && read_into(&mut self.source, start, &mut self.carry, 0, 1)? == 0
+        {
+            self.carry.clear();
+            return Ok(None);
+        }
+        self.next.index += 1;
+        self.streaming = Some((start + want as u64, split));
+        Ok(Some(want.div_ceil(split)))
+    }
+
+    fn next_split(&mut self) -> io::Result<Option<SharedBytes>> {
+        if let Some(split) = self.landed.pop_front() {
+            return Ok(Some(split));
+        }
+        let Some((end, split)) = self.streaming else { return Ok(None) };
+        // Cut at the first boundary at or after start + split; the last
+        // split's target, the chunk's nominal end, ends the chunk.
+        let start = self.next.offset;
+        let want = split.min((end - start) as usize);
+        let data = self.read_piece(start, want)?;
+        self.next.offset += data.len() as u64;
+        // Short of its target, a piece ends where the input does.
+        if data.len() < want || self.next.offset >= end {
+            self.streaming = None;
+        }
+        Ok((!data.is_empty()).then_some(data))
     }
 
     fn total_bytes(&self) -> u64 {
@@ -323,7 +433,8 @@ impl<S: DataSource> Chunker for InterFileChunker<S> {
 /// segment per file. Under a byte target a file larger than the target
 /// is never packed with others: it is chunked alone, like a resident
 /// inter-file input, out of its resident view or one read of it, and
-/// every chunk of it is a view of that one copy.
+/// every chunk of it is a view of that one copy. Every chunk lands
+/// whole; its splits are views cut segment by segment.
 pub struct FileSetChunker<F> {
     files: F,
     max_files: usize,
@@ -335,12 +446,15 @@ pub struct FileSetChunker<F> {
     oversized: Option<InterFileChunker<MemSource>>,
     next: Next,
     buffers: Recycler,
+    /// The splits of the chunk begun, not yet handed out.
+    landed: VecDeque<SharedBytes>,
 }
 
 impl<F: FileSet> FileSetChunker<F> {
     /// Intra-file chunking: `files_per_chunk` files per chunk, the last
     /// chunk taking the files left. A count of at least the file count
-    /// gives the whole set as one chunk.
+    /// gives the whole set as one chunk. Its splits may end at any byte
+    /// of a file; a job's chunker cuts them at the job's record format.
     ///
     /// # Panics
     /// Panics if `files_per_chunk == 0`.
@@ -359,7 +473,9 @@ impl<F: FileSet> FileSetChunker<F> {
         Self::new(files, usize::MAX, chunk_bytes, format)
     }
 
-    fn new(files: F, max_files: usize, max_bytes: u64, format: RecordFormat) -> Self {
+    /// Up to `max_files` files, or until `max_bytes` is met, per chunk,
+    /// with records — oversized files' cuts and splits — in `format`.
+    pub(crate) fn new(files: F, max_files: usize, max_bytes: u64, format: RecordFormat) -> Self {
         FileSetChunker {
             files,
             max_files,
@@ -369,6 +485,7 @@ impl<F: FileSet> FileSetChunker<F> {
             oversized: None,
             next: Next::default(),
             buffers: Recycler::default(),
+            landed: VecDeque::new(),
         }
     }
 }
@@ -426,6 +543,16 @@ impl<F: FileSet> Chunker for FileSetChunker<F> {
         }
         let data = self.buffers.seal(data);
         Ok(Some(self.next.chunk(data, segments)))
+    }
+
+    fn begin_chunk(&mut self, cut: SplitCut) -> io::Result<Option<usize>> {
+        let Some(chunk) = self.next_chunk()? else { return Ok(None) };
+        self.landed = views(&chunk, cut.bytes(chunk.len()), self.format);
+        Ok(Some(self.landed.len()))
+    }
+
+    fn next_split(&mut self) -> io::Result<Option<SharedBytes>> {
+        Ok(self.landed.pop_front())
     }
 
     fn total_bytes(&self) -> u64 {

@@ -453,7 +453,7 @@ where
     ctx.config.check_cancelled()?;
     ctx.probe.enter(Phase::Map);
     let pair_bytes = std::mem::size_of::<(UK, UO)>();
-    let outcome = ctx.probe.map_wave(0, parts.len(), || {
+    let outcome = ctx.probe.map_wave(0, Instant::now(), parts.len(), || {
         ctx.exec.run(ctx.config.map_width(), parts, |idx, part| {
             let mut local = container.local();
             ctx.probe.map_task(0, idx, part.len() * pair_bytes, || {

@@ -34,7 +34,7 @@ pub use governor::{ActionRecord, ActiveConfig, GovernorConfig, GovernorReport};
 pub use handoff::HandoffStats;
 
 use crate::api::{AccOf, MapReduce};
-use crate::chunk::{Chunking, IngestChunk};
+use crate::chunk::Chunking;
 use crate::container::{Container, ContainerHooks};
 use crate::error::{panic_payload_string, Result, SupmrError};
 use crate::pool::{Executor, PoolMetrics, PoolMode, WaveOutcome, WaveWorkers, Width, WorkerPool};
@@ -42,7 +42,6 @@ use crate::spill::{
     read_block_bytes, DecodedRun, JobSpill, KeyPrefixFn, MemoryAccountant, SpillHooks,
     SpillMetrics, SpilledRun,
 };
-use crate::split::{chunk_splits, wave_split_bytes};
 use probe::StageProbe;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,10 +56,10 @@ use supmr_merge::{
 use supmr_metrics::sampler::UtilizationSampler;
 use supmr_metrics::{
     unpoisoned, BottleneckReport, DebugState, DiagInputs, EventCallback, FlowLedger, FlowPhase,
-    JobTrace, Json, MetricsServer, MetricsSnapshot, Phase, PhaseTimings, Registry, StallStats,
-    TraceLevel, TraceRing, Tracer, UtilTrace,
+    JobTrace, Json, MetricsServer, MetricsSnapshot, Phase, PhaseTimings, Registry, StallSide,
+    StallStats, TraceLevel, TraceRing, Tracer, UtilTrace,
 };
-use supmr_storage::{DataSource, DiskRunStore, FileSet, RecordFormat, RunStore};
+use supmr_storage::{DataSource, DiskRunStore, FileSet, RecordFormat, RunStore, SharedBytes};
 
 /// Job input: one large byte stream or a set of small files — the two
 /// Hadoop input shapes the paper's chunking strategies mirror.
@@ -138,7 +137,7 @@ pub struct JobConfig {
     pub pool: PoolMode,
     /// How many ingest chunks the mappers may not yet have taken, the
     /// one being read included. `1` is the paper's double buffering (two
-    /// buffers); depth *d* holds *d*+1. A governor ([`JobConfig::governor`]) moves it live.
+    /// chunks' buffers); depth *d* holds *d*+1. A governor ([`JobConfig::governor`]) moves it live.
     pub prefetch_depth: usize,
     /// If set, sample real CPU utilization at this interval for the
     /// duration of the job (collectl-style trace in the result).
@@ -353,7 +352,8 @@ pub struct RoundRecord {
     pub chunk_bytes: u64,
     /// Time the read of the *next* chunk took (zero in the last round).
     pub ingest: Duration,
-    /// Time this round's map wave took.
+    /// Time this round's map wave took, from the end of the round before
+    /// it: its tasks' waits for their splits included.
     pub map: Duration,
 }
 
@@ -393,8 +393,9 @@ pub struct JobStats {
     /// Per-round pipeline timeline: one record per map round, at every
     /// prefetch depth and without chunking.
     pub rounds: Vec<RoundRecord>,
-    /// Total time the map side sat idle waiting for a chunk's ingest to
-    /// complete — the pipeline was ingest-bound for this long. Always
+    /// Total time the map side sat idle waiting on ingest, in worker
+    /// time: each map task's wait for its split to land, and each wave's
+    /// wait for its chunk's read to begin times the map width. Always
     /// accounted, independent of the trace level.
     pub map_waiting: Duration,
     /// Total time the ingest side sat idle waiting for the mappers to
@@ -877,7 +878,7 @@ fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> Bottle
         ingest_us: if t.is_fused() { 0 } else { us(t.phase(Phase::Ingest)) },
         map_us: us(t.phase(Phase::Map)),
         merge_us: us(t.phase(Phase::Merge)),
-        map_stall_us: us(report.stats.map_waiting),
+        map_stall_us: us(report.stats.map_waiting) / config.map_workers.max(1) as u64,
         ingest_stall_us: us(report.stats.ingest_waiting),
         map_workers: config.map_workers.max(1) as u64,
         budget_bytes: config.memory_budget.unwrap_or(0),
@@ -986,32 +987,42 @@ impl<'c, J: MapReduce> MapTables<'c, J> {
     }
 }
 
-/// Run one map wave over a chunk's splits, cut at most
-/// [`JobConfig::split_bytes`] long and fine enough to give every worker
-/// one ([`wave_split_bytes`]). Tasks borrow the job, the map phase's
-/// handles and the chunk buffer, on wave threads and pool threads alike.
-/// A task of a cancelled job does not start.
+/// Run round `round`'s map wave: `tasks` tasks, each mapping the next
+/// split of the round's chunk that `split` hands it — waiting for it to
+/// land — or nothing once the chunk has no split left. A task's wait is
+/// a map-side stall, outside its map task. Tasks borrow the job, the map
+/// phase's handles and the split views, on wave threads and pool threads
+/// alike. A task of a cancelled job does not start. Returns the wave,
+/// its tasks counting the splits mapped, the bytes mapped, and the
+/// stall as recorded.
 pub(crate) fn map_wave<J: MapReduce>(
     job: &Arc<J>,
     tables: &MapTables<'_, J>,
-    chunk: &IngestChunk,
     ctx: &StageCtx<'_>,
     round: u32,
-) -> WaveOutcome {
-    let width = ctx.config.map_width();
-    let split_bytes = wave_split_bytes(chunk.len(), ctx.config.split_bytes, width.now());
-    let splits = chunk_splits(chunk, split_bytes, ctx.config.record_format);
-    let data = &chunk.data;
-    ctx.probe.map_wave(round, splits.len(), || {
-        ctx.exec.run(width, splits, |idx, range| {
-            if ctx.config.check_cancelled().is_err() {
-                return;
-            }
-            tables.task(&ctx.probe, |local| {
-                ctx.probe.map_task(round, idx, range.len(), || job.map(&data[range], local));
-            });
-        })
-    })
+    tasks: usize,
+    split: impl Fn() -> (Option<(usize, SharedBytes)>, Duration) + Sync,
+) -> (WaveOutcome, u64, Duration) {
+    let (mapped, wave) = ctx.exec.run_collect(ctx.config.map_width(), vec![(); tasks], |_, ()| {
+        if ctx.config.check_cancelled().is_err() {
+            return (Duration::ZERO, None);
+        }
+        let (next, wait) = split();
+        let stalled = ctx.probe.stall(StallSide::Map, round, wait);
+        let Some((idx, data)) = next else { return (stalled, None) };
+        tables.task(&ctx.probe, |local| {
+            ctx.probe.map_task(round, idx, data.len(), || job.map(&data, local));
+        });
+        (stalled, Some(data.len() as u64))
+    });
+    let (mut stalled, mut bytes, mut tasks) = (Duration::ZERO, 0, 0);
+    for (wait, split) in mapped {
+        stalled += wait;
+        if let Some(len) = split {
+            (bytes, tasks) = (bytes + len, tasks + 1);
+        }
+    }
+    (WaveOutcome { tasks, ..wave }, bytes, stalled)
 }
 
 /// One job's shared out-of-core state, typed by the application.

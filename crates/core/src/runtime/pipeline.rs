@@ -20,29 +20,41 @@
 //! baseline: round 0 reads everything, one map wave follows, and no
 //! ingest thread starts. The thread the paper
 //! creates and destroys per round is one ingest thread that lives for
-//! the stage and hands chunks to the map loop through one bounded
+//! the stage and hands the map loop its reads through one bounded
 //! `Handoff`. Its bound, the **prefetch depth**, counts the chunks
 //! the mappers have not yet taken, the one being read included: depth 1
-//! is the paper's double buffering (two buffers; chunk *i+1* is read
-//! during round *i*, and the next read waits for that round to end),
-//! depth *d* holds *d*+1 buffers.
+//! is the paper's double buffering (chunk *i+1* is read during round
+//! *i*, and the next read waits for round *i+1* to take it), depth *d*
+//! holds *d*+1 chunks' buffers.
 //! The depth is read live, like the map width, so a governor that
 //! deepens it lets the ingest thread read further ahead from the
 //! mappers' next take on. The per-round thread cost of §III-A2 stays
 //! visible in the map waves of `PoolMode::WavePerRound`.
+//!
+//! **The split hand-off.** What the ingest thread hands over is not a
+//! chunk but each of its input splits, as it lands: it reads a chunk as
+//! the splits it will be mapped in ([`Chunker::next_split`]). Round *i*
+//! is still chunk *i* — its wave opens when round *i−1* ends, and takes
+//! the chunk as soon as its read has begun — but each task waits only
+//! for its own split. So a read-bound job's last round ends one split's
+//! map after the last byte lands, not one chunk's wave after it. A
+//! chunk still landing when its wave opens dispatches the most splits
+//! it can have; tasks past its last split map nothing.
 //!
 //! The intermediate container is created once and **persists across
 //! every map round** (§III-C). A combining job without a memory budget
 //! keeps its worker tables across rounds too (`MapTables`), and absorbs
 //! them in one wave after the last round, still inside the map phase.
 //!
-//! **Stalls** are measured where one side waits on the other: the
-//! mappers for the next chunk ([`EventKind::MapWaitingForChunk`],
-//! ingest-bound) and the ingest thread for the mappers to take the
-//! chunk it read ([`EventKind::IngestWaitingForContainer`], map-bound);
-//! at depth 1 exactly one side idles per round. The stage's `StageProbe`
-//! decides what a wait records and totals stalls into `JobStats` at
-//! every trace level, so the Fig. 2 overlap is always quantified.
+//! **Stalls** are measured where one side waits on the other: a map task
+//! for its split, and a wave for its chunk's read to begin, every worker
+//! idle ([`EventKind::MapWaitingForChunk`], ingest-bound, in worker
+//! time); and the ingest thread for a round to take the chunk it read
+//! ([`EventKind::IngestWaitingForContainer`], map-bound). So a round's
+//! map busy and map stall fit in its wave's wall clock times the map
+//! width. The stage's `StageProbe` decides what a wait records and
+//! totals stalls into `JobStats` at every trace level, so the Fig. 2
+//! overlap is always quantified.
 //!
 //! [`EventKind::MapWaitingForChunk`]: supmr_metrics::EventKind::MapWaitingForChunk
 //! [`EventKind::IngestWaitingForContainer`]: supmr_metrics::EventKind::IngestWaitingForContainer
@@ -53,18 +65,20 @@ use super::{
     StageWiring,
 };
 use crate::api::MapReduce;
-use crate::chunk::{Chunker, Chunking, FileSetChunker, IngestChunk, InterFileChunker};
+use crate::chunk::{Chunker, Chunking, FileSetChunker, InterFileChunker, SplitCut};
 use crate::error::{Result, SupmrError};
 use crate::pool::WaveOutcome;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use supmr_metrics::{unpoisoned, Phase, StallSide};
+use supmr_storage::SharedBytes;
 
 /// Build the chunker matching the configured strategy, rejecting
 /// mismatched input shapes: inter-file chunking needs a stream,
 /// intra-file and hybrid chunking need a file set. With no chunking the
 /// input's chunker has no limit, so its first chunk is the whole input.
+/// Every chunker cuts splits at the job's record format.
 pub(super) fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn Chunker>> {
     let mismatch = |msg: &str| Err(SupmrError::invalid_config(msg));
     let format = config.record_format;
@@ -72,12 +86,14 @@ pub(super) fn make_chunker(input: Input, config: &JobConfig) -> Result<Box<dyn C
         (Chunking::None, Input::Stream(s)) => {
             Ok(Box::new(InterFileChunker::new(s, u64::MAX, format)))
         }
-        (Chunking::None, Input::Files(f)) => Ok(Box::new(FileSetChunker::intra(f, usize::MAX))),
+        (Chunking::None, Input::Files(f)) => {
+            Ok(Box::new(FileSetChunker::new(f, usize::MAX, u64::MAX, format)))
+        }
         (Chunking::Inter { chunk_bytes }, Input::Stream(s)) => {
             Ok(Box::new(InterFileChunker::new(s, chunk_bytes, format)))
         }
         (Chunking::Intra { files_per_chunk }, Input::Files(f)) => {
-            Ok(Box::new(FileSetChunker::intra(f, files_per_chunk)))
+            Ok(Box::new(FileSetChunker::new(f, files_per_chunk, u64::MAX, format)))
         }
         (Chunking::Hybrid { chunk_bytes }, Input::Files(f)) => {
             Ok(Box::new(FileSetChunker::hybrid(f, chunk_bytes, format)))
@@ -106,27 +122,23 @@ pub(crate) fn run<J: MapReduce>(
     // Created once, persists across all map rounds.
     let (container, spill) = super::stage_container(job, &mut ctx, &wiring)?;
     let tables = MapTables::new(&container, config);
+    let handoff = Handoff::default();
 
     // Round 0: ingest the first chunk serially.
     ctx.probe.enter(Phase::Ingest);
-    let started = Instant::now();
-    let first = chunker.next_chunk().map_err(|e| SupmrError::ingest(0, e))?;
-    if let Some(chunk) = &first {
-        ctx.probe.chunk_ingested(0, started, chunk.len());
-    }
+    let first = ingest(&mut *chunker, &handoff, &ctx.probe, config, 0)?;
     ctx.probe.leave(Phase::Ingest);
     ctx.probe.enter(Phase::Map);
-    if let Some(first) = first {
+    if first.is_some() {
         // One chunk has nothing to read ahead: no ingest thread, and a
         // hand-off already closed, so the map loop ends after round 0.
         let pipelined = config.chunking.is_pipelined();
-        let handoff = Handoff::default();
         if !pipelined {
             drop(End(&handoff));
         }
         // The ingest thread shares the probe for as long as it runs; what
         // the rounds did is folded in once it has let go.
-        let (mapped, ingest_waiting) = std::thread::scope(|scope| {
+        let (mapped, (ingest_waiting, reads)) = std::thread::scope(|scope| {
             let (handoff, probe) = (&handoff, &ctx.probe);
             let ingest = pipelined.then(|| {
                 std::thread::Builder::new()
@@ -134,17 +146,22 @@ pub(crate) fn run<J: MapReduce>(
                     .spawn_scoped(scope, move || read_ahead(chunker, handoff, probe, config))
                     .expect("spawning the pipeline ingest thread")
             });
-            let mapped = map_rounds(job, &tables, first, handoff, &ctx);
-            (mapped, ingest.map_or(Duration::ZERO, |t| t.join().expect("ingest thread panicked")))
+            let mapped = map_rounds(job, &tables, handoff, &ctx);
+            (
+                mapped,
+                ingest.map_or_else(Default::default, |t| t.join().expect("ingest thread panicked")),
+            )
         });
         if pipelined {
             ctx.probe.ingest_thread_spawned();
         }
         let (rounds, map_waiting) = mapped?;
         ctx.probe.stalled(map_waiting, ingest_waiting);
-        for (round, wave) in rounds {
+        // Round i overlapped the read of chunk i + 1.
+        for (i, (round, wave)) in rounds.into_iter().enumerate() {
+            let ingest = reads.get(i).copied().unwrap_or_default();
             ctx.probe.round_mapped(round.chunk_bytes as usize, wave);
-            ctx.probe.round_timed(round);
+            ctx.probe.round_timed(RoundRecord { ingest, ..round });
         }
     }
     tables.flush(&mut ctx);
@@ -153,13 +170,34 @@ pub(crate) fn run<J: MapReduce>(
     finish_job(job, container, spill, ctx, wiring)
 }
 
-/// A chunk the ingest thread read, with the time the read took — or
-/// the read's error, in the place of the chunk that failed.
-type Fetched = Result<(IngestChunk, Duration)>;
+/// Read chunk `index` into `handoff`, split by split as the live map
+/// width cuts it: how long the read took, or `None` once the input is
+/// exhausted.
+fn ingest(
+    chunker: &mut dyn Chunker,
+    handoff: &Handoff,
+    probe: &StageProbe,
+    config: &JobConfig,
+    index: u32,
+) -> Result<Option<Duration>> {
+    let started = Instant::now();
+    let failed = |e| SupmrError::ingest(index, e);
+    let cut = SplitCut { split_bytes: config.split_bytes, width: config.map_width().now() };
+    let Some(most) = chunker.begin_chunk(cut).map_err(failed)? else { return Ok(None) };
+    handoff.update(|a| a.begun.push_back(most));
+    let mut bytes = 0;
+    while let Some(split) = chunker.next_split().map_err(failed)? {
+        bytes += split.len();
+        handoff.update(|a| a.splits.push_back((index, split)));
+    }
+    handoff.update(|a| a.landed += 1);
+    Ok(Some(probe.chunk_ingested(index, started, bytes)))
+}
 
 /// The one hand-off between the ingest thread and the map loop: the
-/// chunks read that the mappers have not yet taken, bounded by the
-/// live prefetch depth. Each side holds an [`End`] of it.
+/// chunks begun that no round has taken, bounded by the live prefetch
+/// depth, and the splits landed that no task has taken. Each side holds
+/// an [`End`] of it.
 #[derive(Default)]
 struct Handoff {
     state: Mutex<Ahead>,
@@ -168,39 +206,89 @@ struct Handoff {
 
 #[derive(Default)]
 struct Ahead {
-    chunks: VecDeque<Fetched>,
+    /// For each chunk begun that no round has taken, oldest first, the
+    /// most splits it can have.
+    begun: VecDeque<usize>,
+    /// The splits landed that no task has taken, oldest first, each with
+    /// its chunk.
+    splits: VecDeque<(u32, SharedBytes)>,
+    /// Chunks whose every split has landed.
+    landed: u32,
+    /// Splits of the round's chunk its tasks have taken.
+    taken: usize,
+    /// A read failed: its error, in the place of what it would have read.
+    failed: Option<SupmrError>,
     /// One side has gone: read nothing more, and take only what is here.
     closed: bool,
 }
 
 impl Handoff {
+    /// Change what is ahead, and wake whoever waits on it.
+    fn update(&self, change: impl FnOnce(&mut Ahead)) {
+        let mut ahead = unpoisoned(self.state.lock());
+        change(&mut ahead);
+        drop(ahead);
+        self.moved.notify_all();
+    }
+
+    /// Wait until `cond` no longer holds; what holds then, and how long
+    /// that took — zero when it did not hold to begin with.
+    fn wait_while(
+        &self,
+        mut cond: impl FnMut(&mut Ahead) -> bool,
+    ) -> (MutexGuard<'_, Ahead>, Duration) {
+        let mut ahead = unpoisoned(self.state.lock());
+        if !cond(&mut ahead) {
+            return (ahead, Duration::ZERO);
+        }
+        let t0 = Instant::now();
+        let ahead = unpoisoned(self.moved.wait_while(ahead, cond));
+        (ahead, t0.elapsed())
+    }
+
     /// Ingest side: wait until the chunk about to be read fits under the
     /// depth beside the untaken ones; how long that took, or `None` once
     /// the hand-off is closed. Every take re-reads the depth.
     fn room(&self, config: &JobConfig) -> Option<Duration> {
-        let t0 = Instant::now();
-        let ahead = unpoisoned(self.moved.wait_while(unpoisoned(self.state.lock()), |a| {
-            !a.closed && a.chunks.len() >= config.live_prefetch_depth()
-        }));
-        (!ahead.closed).then(|| t0.elapsed())
+        let (ahead, wait) =
+            self.wait_while(|a| !a.closed && a.begun.len() >= config.live_prefetch_depth());
+        (!ahead.closed).then_some(wait)
     }
 
-    fn put(&self, fetched: Fetched) {
-        unpoisoned(self.state.lock()).chunks.push_back(fetched);
+    /// Map side, as round `round` opens: take its chunk once its read
+    /// has begun — the tasks to dispatch, its splits when every one has
+    /// landed, else the most it can have — or `None` once there is none
+    /// to come; and how long the round waited for it.
+    fn take(&self, round: u32) -> (Result<Option<usize>>, Duration) {
+        let (mut ahead, wait) =
+            self.wait_while(|a| a.begun.is_empty() && a.failed.is_none() && !a.closed);
+        if let Some(e) = ahead.failed.take() {
+            return (Err(e), wait);
+        }
+        let Some(most) = ahead.begun.pop_front() else { return (Ok(None), wait) };
+        ahead.taken = 0;
+        let tasks = if ahead.landed > round {
+            ahead.splits.iter().filter(|(chunk, _)| *chunk == round).count()
+        } else {
+            most
+        };
         self.moved.notify_all();
+        (Ok(Some(tasks)), wait)
     }
 
-    /// Map side: the next chunk, `None` once there is none to come, and
-    /// how long the mappers waited for it.
-    fn take(&self) -> (Option<Fetched>, Duration) {
-        let t0 = Instant::now();
-        let mut ahead = unpoisoned(
-            self.moved
-                .wait_while(unpoisoned(self.state.lock()), |a| a.chunks.is_empty() && !a.closed),
-        );
-        let fetched = ahead.chunks.pop_front();
-        self.moved.notify_all();
-        (fetched, t0.elapsed())
+    /// A map task of round `round`: the next split of the round's chunk
+    /// and its index in the chunk, waiting for it to land, or `None`
+    /// once the chunk has no split left; and how long the task waited.
+    fn split(&self, round: u32) -> (Option<(usize, SharedBytes)>, Duration) {
+        let (mut ahead, wait) = self.wait_while(|a| {
+            a.splits.is_empty() && a.landed <= round && a.failed.is_none() && !a.closed
+        });
+        if ahead.splits.front().is_none_or(|(chunk, _)| *chunk != round) {
+            return (None, wait);
+        }
+        let (_, split) = ahead.splits.pop_front().expect("a split of the round");
+        ahead.taken += 1;
+        (Some((ahead.taken - 1, split)), wait)
     }
 }
 
@@ -211,74 +299,69 @@ struct End<'a>(&'a Handoff);
 
 impl Drop for End<'_> {
     fn drop(&mut self) {
-        unpoisoned(self.0.state.lock()).closed = true;
-        self.0.moved.notify_all();
+        self.0.update(|a| a.closed = true);
     }
 }
 
 /// The ingest thread: read chunks 1, 2, … into `handoff` until the
 /// input ends, a read fails or the hand-off closes, waiting for room
-/// before each read. Returns the time it waited on the mappers, as
-/// recorded.
+/// before each chunk. Returns the time it waited on the mappers, as
+/// recorded, and how long each chunk's read took.
 fn read_ahead(
     mut chunker: Box<dyn Chunker>,
     handoff: &Handoff,
     probe: &StageProbe,
     config: &JobConfig,
-) -> Duration {
+) -> (Duration, Vec<Duration>) {
     let _end = End(handoff);
-    let mut waited = Duration::ZERO;
+    let (mut waited, mut reads) = (Duration::ZERO, Vec::new());
     for index in 1u32.. {
         let Some(wait) = handoff.room(config) else { break };
         // Room opened when chunk `index - 1` was taken: until then the
-        // ingest side waited on the mappers. Chunk 0 was taken at once.
+        // ingest side waited on the mappers. Chunk 0 is taken at once.
         if index > 1 {
             waited += probe.stall(StallSide::Ingest, index - 1, wait);
         }
-        let t0 = Instant::now();
-        match chunker.next_chunk() {
-            Ok(Some(chunk)) => {
-                let took = probe.chunk_ingested(index, t0, chunk.len());
-                handoff.put(Ok((chunk, took)));
-            }
+        match ingest(&mut *chunker, handoff, probe, config, index) {
+            Ok(Some(took)) => reads.push(took),
             Ok(None) => break,
             Err(e) => {
-                handoff.put(Err(SupmrError::ingest(index, e)));
+                handoff.update(|a| a.failed = Some(e));
                 break;
             }
         }
     }
-    waited
+    (waited, reads)
 }
 
-/// The map loop: one wave per chunk, from `first` on, until the input
-/// is exhausted. Returns each round's record and wave, and the time the
-/// mappers waited on ingest, as recorded.
+/// The map loop: one wave per chunk, from chunk 0 on, until the input
+/// is exhausted. A wave opens as the round before it ends; until its
+/// chunk's read has begun every worker of it is idle. Returns each
+/// round's record (its overlapped ingest left to the caller) and wave,
+/// and the time the mappers waited on ingest, as recorded.
 fn map_rounds<J: MapReduce>(
     job: &Arc<J>,
     tables: &MapTables<'_, J>,
-    first: IngestChunk,
     handoff: &Handoff,
     ctx: &StageCtx<'_>,
 ) -> Result<(Vec<(RoundRecord, WaveOutcome)>, Duration)> {
     let _end = End(handoff);
     let (mut rounds, mut waited) = (Vec::new(), Duration::ZERO);
-    let mut chunk = first;
     for round in 0u32.. {
         ctx.config.check_cancelled()?;
-        let t0 = Instant::now();
-        let wave = map_wave(job, tables, &chunk, ctx, round);
-        let (map, chunk_bytes) = (t0.elapsed(), chunk.len() as u64);
-        // Dropped before the take, which makes room for a read: that
-        // read can reuse this chunk's buffer.
-        drop(chunk);
-        let (fetched, wait) = handoff.take();
-        let next = fetched.transpose()?;
-        let ingest = next.as_ref().map_or(Duration::ZERO, |(_, took)| *took);
-        rounds.push((RoundRecord { chunk_bytes, ingest, map }, wave));
-        let Some((next, _)) = next else { break };
-        waited += ctx.probe.stall(StallSide::Map, round, wait);
-        chunk = next;
+        let opened = Instant::now();
+        let (taken, wait) = handoff.take(round);
+        let Some(tasks) = taken? else { break };
+        let (wave, chunk_bytes, stalled) = ctx.probe.map_wave(round, opened, tasks, || {
+            let idle = wait * ctx.config.map_width().now() as u32;
+            let idle = ctx.probe.stall(StallSide::Map, round, idle);
+            let (wave, bytes, stalled) =
+                map_wave(job, tables, ctx, round, tasks, || handoff.split(round));
+            (wave, bytes, idle + stalled)
+        });
+        waited += stalled;
+        let map = opened.elapsed();
+        rounds.push((RoundRecord { chunk_bytes, ingest: Duration::ZERO, map }, wave));
     }
     Ok((rounds, waited))
 }

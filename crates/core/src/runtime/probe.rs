@@ -329,9 +329,17 @@ impl StageProbe {
         Duration::from_micros(wait_us)
     }
 
-    /// The map wave of `round`, `tasks` splits wide, runs inside `wave`.
-    pub fn map_wave<T>(&self, round: u32, tasks: usize, wave: impl FnOnce() -> T) -> T {
-        self.tracer.emit(EventKind::MapWaveStart { round, tasks: tasks as u64 });
+    /// The map wave of `round`, opened at `opened` and `tasks` tasks
+    /// wide, runs inside `wave`. Nothing else on the calling thread may
+    /// have been recorded since `opened`.
+    pub fn map_wave<T>(
+        &self,
+        round: u32,
+        opened: Instant,
+        tasks: usize,
+        wave: impl FnOnce() -> T,
+    ) -> T {
+        self.tracer.emit_at(opened, EventKind::MapWaveStart { round, tasks: tasks as u64 });
         if let Some(m) = &self.metrics {
             m.wave_tasks.record(tasks as u64);
         }

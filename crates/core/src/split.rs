@@ -10,7 +10,16 @@
 //!
 //! The configured split size is an upper bound: a chunk too small to
 //! give every worker of a wave a split at that size is cut finer
-//! (`wave_split_bytes`), so no wave is narrower than its workers.
+//! (`wave_split_bytes`, of the chunk's nominal length), so no wave is
+//! narrower than its workers.
+//!
+//! The chunkers cut the splits ([`Chunker::next_split`]): a chunk that
+//! lands whole through [`chunk_splits`], a chunk read split by split by
+//! the same rule as it streams in — each split ends at the first record
+//! boundary at or after its start plus the split size, the chunk's last
+//! at the chunk's end — so both give the same splits.
+//!
+//! [`Chunker::next_split`]: crate::chunk::Chunker::next_split
 
 use crate::chunk::IngestChunk;
 use std::ops::Range;

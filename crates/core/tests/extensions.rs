@@ -11,8 +11,9 @@ use supmr::api::{Emit, MapReduce};
 use supmr::combiner::Sum;
 use supmr::container::HashContainer;
 use supmr::runtime::{ActiveConfig, Input, Job, JobConfig};
-use supmr::{Chunking, PoolMode};
-use supmr_storage::{DataSource, MemFileSet, MemSource};
+use supmr::{Chunking, PoolMode, TraceLevel};
+use supmr_metrics::{EventKind, SpanKey};
+use supmr_storage::{DataSource, MemFileSet, MemSource, ThrottledSource, TokenBucket};
 use supmr_workloads::{small_files_corpus, TextGen, TextGenConfig};
 
 struct WordCount;
@@ -122,11 +123,11 @@ fn wave_mode_spawns_the_same_threads_every_run() {
 const CHUNK: usize = 4096;
 
 /// A source of `chunks` chunks that is not resident, so every chunk is
-/// read into a chunker buffer. It records the buffers its reads land in
-/// and counts the reads.
+/// read into chunker buffers. It records the memory its reads land in,
+/// as address ranges, and counts the reads.
 struct Recorded {
     data: Vec<u8>,
-    buffers: Arc<Mutex<Vec<usize>>>,
+    buffers: Arc<Mutex<Vec<std::ops::Range<usize>>>>,
     reads: Arc<AtomicUsize>,
 }
 
@@ -147,10 +148,8 @@ impl DataSource for Recorded {
         let start = (offset as usize).min(self.data.len());
         let n = buf.len().min(self.data.len() - start);
         buf[..n].copy_from_slice(&self.data[start..start + n]);
-        let mut buffers = self.buffers.lock().unwrap();
-        if !buffers.contains(&(buf.as_ptr() as usize)) {
-            buffers.push(buf.as_ptr() as usize);
-        }
+        let at = buf.as_ptr() as usize;
+        self.buffers.lock().unwrap().push(at..at + buf.len());
         self.reads.fetch_add(1, Ordering::SeqCst);
         Ok(n)
     }
@@ -204,9 +203,25 @@ fn wait_for(reads: &AtomicUsize, at_least: usize) -> usize {
     reads.load(Ordering::SeqCst)
 }
 
-/// Depth *d* holds *d* + 1 chunk buffers: the one being mapped and the
-/// *d* the mappers have not taken, the one being read included. Each
-/// round's map waits until the ingest thread has filled the hand-off.
+/// The bytes of memory `ranges` cover, each byte once.
+fn covered(ranges: &[std::ops::Range<usize>]) -> usize {
+    let mut ranges = ranges.to_vec();
+    ranges.sort_by_key(|r| r.start);
+    let (mut bytes, mut reach) = (0, 0);
+    for r in ranges {
+        let start = r.start.max(reach);
+        if r.end > start {
+            (bytes, reach) = (bytes + r.end - start, r.end);
+        }
+    }
+    bytes
+}
+
+/// Depth *d* holds *d* + 1 chunks' worth of buffer bytes: the chunk
+/// being mapped and the *d* the mappers have not taken, the one being
+/// read included, each at most a chunk, its longest record and two
+/// boundary windows. Each round's map waits until the ingest thread has
+/// filled the hand-off.
 #[test]
 fn prefetch_depth_bounds_the_chunk_buffers() {
     const CHUNKS: usize = 12;
@@ -226,7 +241,9 @@ fn prefetch_depth_bounds_the_chunk_buffers() {
         };
         let result = Job::new(job).config(one_worker(depth)).run(Input::stream(source)).unwrap();
         assert_eq!(result.report.stats.map_rounds, CHUNKS as u32);
-        assert_eq!(buffers.lock().unwrap().len(), depth + 1, "depth {depth}");
+        let bytes = covered(&buffers.lock().unwrap());
+        let bound = (depth + 1) * (CHUNK + 64 + 2 * 4096);
+        assert!(bytes <= bound, "depth {depth}: reads landed in {bytes} bytes, over {bound}");
     }
 }
 
@@ -273,4 +290,83 @@ fn hybrid_with_zero_target_rejected() {
     let mut cfg = config();
     cfg.chunking = Chunking::Hybrid { chunk_bytes: 0 };
     assert!(Job::new(WordCount).config(cfg).run(Input::files(MemFileSet::new(vec![]))).is_err());
+}
+
+/// Word count whose map sleeps `map_ms` first, over 4 chunks of 32 KiB
+/// of 50 distinct words behind a 384 KiB/s bucket, cut into 8 KiB splits
+/// for 2 workers, traced per task. A throttled source is not resident:
+/// every chunk is read split by split.
+fn split_handoff_run(map_ms: u64) -> supmr::runtime::JobResult<String, u64> {
+    let job = Hooked {
+        hook: move |_| std::thread::sleep(Duration::from_millis(map_ms)),
+        calls: AtomicUsize::new(0),
+    };
+    let cfg = JobConfig {
+        map_workers: 2,
+        reduce_workers: 1,
+        split_bytes: 8 * 1024,
+        chunking: Chunking::Inter { chunk_bytes: 32 * 1024 },
+        trace: TraceLevel::Task,
+        ..JobConfig::default()
+    };
+    let bucket = TokenBucket::with_burst(384.0 * 1024.0, 4096.0);
+    let input = MemSource::from(Recorded::new(128 * 1024 / CHUNK).data);
+    let source = ThrottledSource::with_bucket(input, bucket);
+    Job::new(job).config(cfg).run(Input::stream(source)).unwrap()
+}
+
+/// The mappers get each split as it lands: every round after the first
+/// starts a map task before its chunk's last split has been read.
+#[test]
+fn every_round_maps_before_its_chunk_has_landed() {
+    let result = split_handoff_run(0);
+    let trace = result.report.trace.as_ref().expect("traced");
+    let rounds = result.report.stats.map_rounds;
+    assert!(rounds >= 4, "{rounds} rounds");
+    let events = trace.ordered_events();
+    for round in 1..rounds {
+        let first_task = events
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::MapTaskStart { round: r, .. } if r == round));
+        let landed = events.iter().position(
+            |e| matches!(e.kind, EventKind::ChunkIngestEnd { chunk, .. } if chunk == round),
+        );
+        let (Some(first_task), Some(landed)) = (first_task, landed) else {
+            panic!("round {round}: no map task or no ingest end");
+        };
+        assert!(first_task < landed, "round {round} mapped nothing before its chunk landed");
+    }
+}
+
+/// A read-bound job ends one split's map after its last read, not one
+/// chunk's wave after it: the last chunk's splits are mapped as they
+/// land, so what follows the last chunk's read is its last split's map
+/// (and a reduce of a few keys).
+#[test]
+fn a_read_bound_job_ends_one_split_after_its_last_read() {
+    // Two workers map two 8 KiB splits in 30 ms, faster than the bucket
+    // reads one (21 ms): every round is read-bound.
+    let result = split_handoff_run(30);
+    let trace = result.report.trace.as_ref().expect("traced");
+    let last_read = trace
+        .ordered_events()
+        .iter()
+        .rev()
+        .find(|e| matches!(e.kind, EventKind::ChunkIngestEnd { .. }))
+        .map(|e| Duration::from_micros(e.t_us))
+        .expect("a chunk was read");
+    let last_round = result.report.stats.map_rounds - 1;
+    let longest_task = trace
+        .spans()
+        .iter()
+        .filter(|s| matches!(s.key, SpanKey::MapTask(r, _) if r == last_round))
+        .map(|s| Duration::from_micros(s.dur_us))
+        .max()
+        .expect("the last round mapped");
+    let tail = result.report.timings.total().saturating_sub(last_read);
+    let slop = Duration::from_millis(10);
+    assert!(
+        tail <= longest_task + slop,
+        "the job ran {tail:?} past its last read; its last round's longest task took {longest_task:?}"
+    );
 }

@@ -5,12 +5,15 @@
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use supmr::api::{Emit, MapReduce};
-use supmr::chunk::{Chunker, FileSetChunker, IngestChunk, InterFileChunker};
+use supmr::chunk::{Chunker, FileSetChunker, IngestChunk, InterFileChunker, SplitCut};
 use supmr::combiner::Sum;
 use supmr::container::{Container, HashContainer};
 use supmr::runtime::{Input, Job, JobConfig, MergeMode};
+use supmr::split::chunk_splits;
 use supmr::{Chunking, CompactKey, KeyPrefix, PoolMode};
-use supmr_storage::{MemFileSet, MemSource, RecordFormat, ThrottledSource};
+use supmr_storage::{
+    DataSource, MemFileSet, MemSource, RecordFormat, SharedBytes, ThrottledSource,
+};
 use supmr_workloads::check::{check, Gen};
 
 struct WordCount;
@@ -237,6 +240,147 @@ fn every_ingest_shape_cuts_at_the_same_record_boundaries() {
         let expected = IngestChunk { index: 0, offset: 0, data: before.concat().into(), segments };
         assert_eq!(whole.next_chunk().unwrap().unwrap_or_default(), expected);
         assert!(whole.next_chunk().unwrap().is_none());
+    });
+}
+
+/// Begin each chunk of `chunker` cut as `cut` says, and take its splits:
+/// per chunk, the most splits it said it could have and the splits.
+fn drain_splits(mut chunker: impl Chunker, cut: SplitCut) -> Vec<(usize, Vec<SharedBytes>)> {
+    let mut chunks = Vec::new();
+    while let Some(most) = chunker.begin_chunk(cut).unwrap() {
+        chunks.push((most, std::iter::from_fn(|| chunker.next_split().unwrap()).collect()));
+    }
+    chunks
+}
+
+/// The splits of `chunks`, cut `split_bytes` apart the resident way.
+fn resident_cut(chunks: &[IngestChunk], split_bytes: usize, format: RecordFormat) -> Vec<Vec<u8>> {
+    let ranges = chunks.iter().map(|c| (c, chunk_splits(c, split_bytes, format)));
+    ranges.flat_map(|(c, splits)| splits.into_iter().map(|r| c.data[r].to_vec())).collect()
+}
+
+fn arb_format(g: &mut Gen) -> RecordFormat {
+    match g.range(0..4) {
+        0 => RecordFormat::Newline,
+        1 => RecordFormat::CrLf,
+        2 => RecordFormat::FixedWidth(g.range(1usize..20)),
+        _ => RecordFormat::None,
+    }
+}
+
+/// A streamed chunk is read as the splits it is mapped in: for every
+/// format, resident or not, a chunk's splits are `chunk_splits` of the
+/// chunk, each at most what its begin promised, for chunks of at least
+/// the width's worth of splits and several split sizes.
+#[test]
+fn streamed_splits_equal_the_resident_cut() {
+    check("streamed_splits_equal_the_resident_cut", 256, |g| {
+        let format = arb_format(g);
+        let input = arb_records(g, format);
+        let cut = SplitCut { split_bytes: g.range(1usize..48), width: g.range(1usize..4) };
+        let least = (cut.split_bytes * cut.width) as u64;
+        let chunk_bytes = g.range(least..least + 120);
+        let chunks =
+            drain(InterFileChunker::new(MemSource::from(input.clone()), chunk_bytes, format));
+        let expected: Vec<Vec<Vec<u8>>> = chunks
+            .iter()
+            .map(|c| resident_cut(std::slice::from_ref(c), cut.split_bytes, format))
+            .collect();
+        let resident = MemSource::from(input.clone());
+        let streamed = ThrottledSource::new(MemSource::from(input.clone()), 1e12);
+        for (name, cuts) in [
+            ("resident", drain_splits(InterFileChunker::new(resident, chunk_bytes, format), cut)),
+            ("streamed", drain_splits(InterFileChunker::new(streamed, chunk_bytes, format), cut)),
+        ] {
+            let what = format!("{name}, {format:?}, chunk {chunk_bytes}, {cut:?}");
+            assert_eq!(cuts.len(), expected.len(), "{what}: chunks");
+            for ((most, splits), expected) in cuts.iter().zip(&expected) {
+                assert!(splits.len() <= *most, "{what}: {} splits, at most {most}", splits.len());
+                let splits: Vec<Vec<u8>> = splits.iter().map(SharedBytes::to_vec).collect();
+                assert_eq!(&splits, expected, "{what}");
+            }
+        }
+    });
+}
+
+/// A source that hands out at most `max_read` bytes per read and may
+/// list more bytes than it holds: its reads end early, and it ends
+/// before its listed length.
+struct Hostile {
+    data: Vec<u8>,
+    listed: u64,
+    max_read: usize,
+}
+
+impl DataSource for Hostile {
+    fn len(&self) -> u64 {
+        self.listed
+    }
+
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        let start = (offset as usize).min(self.data.len());
+        let n = buf.len().min(self.max_read).min(self.data.len() - start);
+        buf[..n].copy_from_slice(&self.data[start..start + n]);
+        Ok(n)
+    }
+}
+
+/// Hostile input for the streamed cut: arbitrary bytes in every format,
+/// records longer than a split, a chunk and a boundary window, input
+/// with no terminator, a CRLF split across a window edge, short reads
+/// and a source that ends before its listed length, at chunk and split
+/// sizes from one byte up. Nothing panics, the splits tile exactly the
+/// bytes read, and they are the resident cut of those bytes.
+#[test]
+fn streamed_cut_of_hostile_input_is_the_resident_cut() {
+    const WINDOW: usize = 4096; // the chunkers' boundary window
+    check("streamed_cut_of_hostile_input_is_the_resident_cut", 256, |g| {
+        let format = arb_format(g);
+        let cut = SplitCut { split_bytes: g.range(1usize..64), width: g.range(1usize..4) };
+        let chunk_bytes = g.range(1u64..200);
+        let mut data: Vec<u8> = match g.range(0..4) {
+            // Bytes from the terminators' alphabet, any order.
+            0 => g.vec(0..300, |g| g.pick(b"a\r\n")),
+            // Records longer than a window, maybe unterminated.
+            1 => {
+                let mut out = Vec::new();
+                for _ in 0..g.range(1..4) {
+                    out.resize(out.len() + g.range(1..3 * WINDOW), b'a');
+                    out.extend_from_slice(if g.bool() { b"\r\n" } else { b"\n" });
+                }
+                out
+            }
+            // A CRLF across the edge of the first split's first window:
+            // the split reads its target, then a window ending on '\r'.
+            2 => {
+                let mut out = vec![b'a'; cut.split_bytes.min(chunk_bytes as usize) + WINDOW - 1];
+                out.extend_from_slice(b"\r\nb\r\n");
+                out
+            }
+            _ => arb_records(g, format),
+        };
+        if g.bool() {
+            data.extend(g.vec(1..9, |g| g.pick(b"ab\r")));
+        }
+        let listed = data.len() as u64 + if g.bool() { g.range(1u64..5000) } else { 0 };
+        let max_read = if g.bool() { g.range(1usize..700) } else { usize::MAX };
+        let what = format!(
+            "{format:?}, {} bytes listed {listed}, chunk {chunk_bytes}, {cut:?}, reads of {max_read}",
+            data.len()
+        );
+
+        let resident =
+            drain(InterFileChunker::new(MemSource::from(data.clone()), chunk_bytes, format));
+        let hostile = |data: &Vec<u8>| Hostile { data: data.clone(), listed, max_read };
+        let chunks = drain(InterFileChunker::new(hostile(&data), chunk_bytes, format));
+        assert_eq!(chunks, resident, "{what}: chunks");
+
+        let cuts = drain_splits(InterFileChunker::new(hostile(&data), chunk_bytes, format), cut);
+        let splits: Vec<Vec<u8>> =
+            cuts.iter().flat_map(|(_, splits)| splits.iter().map(SharedBytes::to_vec)).collect();
+        assert!(splits.iter().all(|s| !s.is_empty()), "{what}: an empty split");
+        assert_eq!(splits.concat(), data, "{what}: the splits do not tile the input");
+        assert_eq!(splits, resident_cut(&resident, cut.split_bytes, format), "{what}");
     });
 }
 

@@ -279,7 +279,9 @@ pub struct DiagInputs {
     pub map_us: u64,
     /// Merge-phase time.
     pub merge_us: u64,
-    /// Total `MapWaitingForChunk` — map sat idle waiting on ingest.
+    /// Total `MapWaitingForChunk` per map worker — the map side's idle
+    /// time waiting on ingest. The events sum the waits of every worker,
+    /// so the total is divided by [`DiagInputs::map_workers`].
     pub map_stall_us: u64,
     /// Total `IngestWaitingForContainer` — ingest waited on the maps.
     pub ingest_stall_us: u64,
@@ -336,7 +338,7 @@ impl DiagInputs {
             ingest_us: flows.get(FlowPhase::Ingest).busy_us.min(wall_us),
             map_us: flows.get(FlowPhase::Map).busy_us.min(wall_us),
             merge_us: hist("supmr.merge.round_us").min(wall_us),
-            map_stall_us: counter("supmr.stall.map_us"),
+            map_stall_us: counter("supmr.stall.map_us") / map_workers.max(1),
             ingest_stall_us: counter("supmr.stall.ingest_us"),
             map_workers: map_workers.max(1),
             budget_bytes: gauge("supmr.spill.budget_bytes"),

@@ -90,11 +90,13 @@ pub enum EventKind {
         /// Bytes read from primary storage for this chunk.
         bytes: u64,
     },
-    /// A map wave over chunk `round` started with `tasks` input splits.
+    /// A map wave over chunk `round` started with `tasks` tasks.
     MapWaveStart {
         /// Pipeline round (= chunk index being mapped).
         round: u32,
-        /// Input splits queued for the wave.
+        /// Tasks dispatched: the chunk's input splits when it has landed
+        /// by the time the wave opens, else the most splits it can have.
+        /// The splits mapped are the round's map tasks.
         tasks: u64,
     },
     /// The map wave of `round` completed.
@@ -211,11 +213,12 @@ pub enum EventKind {
         /// for hand-off stages).
         pairs: u64,
     },
-    /// **Stall:** the map side sat idle for `wait_us` µs after finishing
-    /// its wave because the next chunk's ingest had not completed — the
-    /// pipeline was ingest-bound at this round.
+    /// **Stall:** the map side sat idle for `wait_us` µs of worker time
+    /// in this round's wave because ingest had not delivered — a task
+    /// waiting for its split to land, or the whole wave for its chunk's
+    /// read to begin — the pipeline was ingest-bound at this round.
     MapWaitingForChunk {
-        /// Round whose next chunk was late.
+        /// Round whose input was late.
         round: u32,
         /// Idle time in microseconds.
         wait_us: u64,
@@ -646,7 +649,8 @@ pub struct TraceRound {
     pub ingest: Duration,
     /// Duration of this round's map wave.
     pub map: Duration,
-    /// Mapper idle time at the end of this round (ingest-bound round).
+    /// Mapper idle time in this round's wave, summed over its workers
+    /// (ingest-bound round).
     pub map_wait: Duration,
     /// Ingest idle time during this round (map-bound round).
     pub ingest_wait: Duration,
