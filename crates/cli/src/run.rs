@@ -11,7 +11,6 @@ use supmr_apps::{
     kmeans::run_kmeans, linreg, terasort_pipeline, Grep, Histogram, LinearRegression, TeraSort,
     WordCount,
 };
-use supmr_metrics::{FlowLedger, FlowPhase};
 use supmr_storage::{
     DirFileSet, DiskRunStore, FileSource, IngestMeter, MemFileSet, MemSource, ObservedSource,
     RecordFormat, RunStore, ThrottledSource, TokenBucket,
@@ -49,10 +48,8 @@ fn job_config(
     args: &CliArgs,
     metrics: Option<&Registry>,
     storage: &Storage,
-    flow: &Arc<FlowLedger>,
 ) -> io::Result<JobConfig> {
     let mut config = JobConfig {
-        flow: Some(Arc::clone(flow)),
         split_bytes: args.split_bytes,
         record_format: args.app.record_format(),
         chunking: args.chunking,
@@ -76,7 +73,7 @@ fn job_config(
         }
         config.governor = Some(governor);
     }
-    configure_spill(args, storage, flow, &mut config)?;
+    configure_spill(args, storage, &mut config)?;
     Ok(config)
 }
 
@@ -104,12 +101,7 @@ impl AppKind {
 /// Apply `--memory-budget`/`--spill-dir`. Spill runs go through the
 /// run's storage device like ingest does, so the CLI builds the run
 /// store rather than leaving it to the runtime.
-fn configure_spill(
-    args: &CliArgs,
-    storage: &Storage,
-    flow: &Arc<FlowLedger>,
-    config: &mut JobConfig,
-) -> io::Result<()> {
+fn configure_spill(args: &CliArgs, storage: &Storage, config: &mut JobConfig) -> io::Result<()> {
     let Some(budget) = args.memory_budget else { return Ok(()) };
     config.memory_budget = Some(budget);
     let disk = match &args.spill_dir {
@@ -120,12 +112,8 @@ fn configure_spill(
     if let Some(bucket) = &storage.bucket {
         store = Arc::new(ThrottledSource::with_bucket(store, bucket.clone()));
     }
-    if let Some(m) = &storage.meter {
-        // The spill store gets its own meter clone with its own flow
-        // attribution: its reads happen during the external merge, its
-        // writes during spills (the source meter's reads are ingest).
-        let spill_meter = m.clone().with_flow(Arc::clone(flow), FlowPhase::Merge, FlowPhase::Spill);
-        store = Arc::new(ObservedSource::new(store, spill_meter));
+    if let Some(meter) = &storage.meter {
+        store = Arc::new(ObservedSource::new(store, meter.clone()));
     }
     config.spill_store = Some(store);
     Ok(())
@@ -250,21 +238,11 @@ pub fn execute(args: &CliArgs) -> Result<RunSummary> {
 
 fn execute_app(args: &CliArgs, registry: Option<&Registry>) -> Result<RunSummary> {
     let top = args.top;
-    // One bandwidth ledger for the whole run, shared between the
-    // storage meters (which own the phases they meter) and the runtime
-    // (which records the rest and classifies the bottleneck).
-    let flow = Arc::new(FlowLedger::new());
     let storage = Storage {
         bucket: args.throttle.map(TokenBucket::new),
-        meter: registry.map(|r| {
-            IngestMeter::with_registry(r).with_flow(
-                Arc::clone(&flow),
-                FlowPhase::Ingest,
-                FlowPhase::Spill,
-            )
-        }),
+        meter: registry.map(IngestMeter::with_registry),
     };
-    let config = job_config(args, registry, &storage, &flow)?;
+    let config = job_config(args, registry, &storage)?;
     match args.app {
         AppKind::WordCount => {
             let r = Job::new(WordCount::new()).config(config).run(build_input(args, &storage)?)?;
@@ -585,6 +563,27 @@ mod tests {
             other => panic!("expected a bytes_written counter, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metering_storage_does_not_change_the_diagnosis() {
+        // The storage meter writes only `supmr.storage.*`: the flow
+        // ledger, the spill counters and the accountant's residency are
+        // the runtime's alone. Busy times and shares are clock readings.
+        for cmdline in [
+            "wordcount --generate 4M --workers 1 --memory-budget 256K --hash-seed 7",
+            "terasort --generate 2M --workers 1 --merge pway:1 --memory-budget 256K --hash-seed 7",
+        ] {
+            let inputs = |metered: &str| {
+                let s = run(&format!("{cmdline}{metered}"));
+                let inputs = s.report.diag.expect("every run is diagnosed").inputs;
+                let bytes = inputs.flows.flows.map(|f| (f.phase.label(), f.bytes));
+                (bytes, inputs.spill_runs, inputs.spill_bytes, inputs.resident_bytes)
+            };
+            let plain = inputs("");
+            assert!(plain.1 > 0, "{cmdline}: a 256K budget must spill");
+            assert_eq!(inputs(" --metrics-addr 127.0.0.1:0"), plain, "{cmdline}");
+        }
     }
 
     #[test]

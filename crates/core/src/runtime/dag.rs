@@ -67,7 +67,7 @@
 //! [`MemoryAccountant`]: crate::spill::MemoryAccountant
 
 use super::handoff::moved_stats;
-use super::probe::{pipeline_totals, stage_ended, stage_started, StageMetrics, StageProbe};
+use super::probe::{pipeline_totals, stage_ended, stage_started, StageMetrics};
 use super::{
     catching, finish_job, pipeline, stage_container, Input, JobConfig, JobReport, JobScope,
     StageCtx, StageOutput, StageReport, StageResult, StageWiring,
@@ -138,7 +138,6 @@ impl<J: MapReduce> Stage<J> {
         let mut config = self.config.clone().unwrap_or_else(|| base.clone());
         // Pipeline-owned facilities, one of each for every stage.
         config.metrics = base.metrics.clone();
-        config.flow = base.flow.clone();
         config.metrics_addr = None;
         config.sample_utilization = None;
         config.on_event = None;
@@ -161,8 +160,7 @@ impl<J: MapReduce> Stage<J> {
         let (tracer, stage) = (&scope.tracer, index as u32);
         // The span wraps the whole stage; its phase spans nest inside.
         stage_started(tracer, stage);
-        let probe = StageProbe::new(&config, tracer);
-        let ctx = StageCtx { config: &config, exec: scope.exec(), probe };
+        let ctx = StageCtx { config: &config, exec: scope.exec(), probe: scope.probe(&config) };
         let result = catching(|| feed(&app, ctx, wiring));
         stage_ended(tracer, stage, result.as_ref().map_or(0, |r| r.report.stats.output_pairs));
         let StageResult { output, report } = result?;

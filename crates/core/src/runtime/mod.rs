@@ -177,14 +177,10 @@ pub struct JobConfig {
     /// Explicit spill run store — how spill traffic joins the simulated
     /// storage environment (throttled, observed, fault-injected run
     /// stores stack like ingest sources do). `None` builds a plain
-    /// [`DiskRunStore`] from [`JobConfig::spill_dir`].
+    /// [`DiskRunStore`] from [`JobConfig::spill_dir`]. The store's
+    /// devices shape and count its I/O; the job's flow ledger and
+    /// diagnosis are the runtime's alone, whatever the store is.
     pub spill_store: Option<Arc<dyn RunStore>>,
-    /// Per-phase bandwidth ledger feeding [`JobReport::diag`]. `None`
-    /// (default) builds a job-private one; pass a shared ledger to fold
-    /// in storage-level meters (e.g.
-    /// `IngestMeter::with_flow`), which then own their phases and the
-    /// runtime-level recorders stand down.
-    pub flow: Option<Arc<FlowLedger>>,
     /// Run the feedback governor: a sampling thread that classifies the
     /// live metrics every interval and retunes scheduling widths,
     /// prefetch depth, the absorb sweep mask, and spill watermarks
@@ -222,7 +218,6 @@ impl std::fmt::Debug for JobConfig {
             .field("memory_budget", &self.memory_budget)
             .field("spill_dir", &self.spill_dir)
             .field("spill_store", &self.spill_store.as_ref().map(|s| s.describe()))
-            .field("flow", &self.flow)
             .field("governor", &self.governor)
             .field("active", &self.active)
             .finish()
@@ -250,7 +245,6 @@ impl Default for JobConfig {
             memory_budget: None,
             spill_dir: None,
             spill_store: None,
-            flow: None,
             governor: None,
             active: None,
         }
@@ -679,14 +673,16 @@ pub struct SharedRun<'p> {
 /// ledger, the tracer with its event callbacks, the utilization sampler,
 /// and the job-private persistent pool.
 pub(crate) struct JobScope<'p> {
-    /// The validated configuration, with the registry and flow ledger
-    /// the scope settled on written back so every stage sees them.
+    /// The validated configuration, with the registry the scope settled
+    /// on written back so every stage sees it.
     pub config: JobConfig,
     pub tracer: Tracer,
     /// The byte ledger every stage budgets against under a memory
     /// budget — a host's partition of its global budget, or one built for
     /// the scope, so a pipeline's budget bounds all its stages together.
     pub accountant: Option<Arc<MemoryAccountant>>,
+    /// The job's per-phase bandwidth ledger; every stage's probe records
+    /// into it, and nothing else does.
     flow: Arc<FlowLedger>,
     server: Option<MetricsServer>,
     sampler: Option<UtilizationSampler>,
@@ -711,9 +707,8 @@ impl<'p> JobScope<'p> {
         {
             config.metrics = Some(Registry::new());
         }
-        // The ledger from the config (shared with storage-level meters)
-        // or a fresh job-private one; it mirrors into a live registry.
-        let flow = Arc::clone(config.flow.get_or_insert_with(Default::default));
+        // The job's one ledger; it mirrors into a live registry.
+        let flow = Arc::new(FlowLedger::new());
         if let Some(r) = &config.metrics {
             flow.attach_registry(r);
         }
@@ -756,6 +751,12 @@ impl<'p> JobScope<'p> {
         Ok(JobScope { config, tracer, accountant, flow, server, sampler, pool, host_pool })
     }
 
+    /// The probe for one execution of a stage configured by `config`,
+    /// recording into the scope's tracer and flow ledger.
+    pub fn probe(&self, config: &JobConfig) -> StageProbe {
+        StageProbe::new(config, &self.tracer, Arc::clone(&self.flow))
+    }
+
     /// Where the scope's waves run: the host's pool, the scope's own, or
     /// fresh threads per wave.
     pub fn exec(&self) -> Executor<'_> {
@@ -767,6 +768,7 @@ impl<'p> JobScope<'p> {
 
     /// Tear down, folding what the facilities gathered into `report`.
     pub fn close(self, report: &mut JobReport) {
+        report.diag = Some(self.diagnose(report));
         if let Some(p) = &self.pool {
             // The pool's one-time spawn cost, counted once per job.
             report.stats.threads_spawned += p.size() as u64;
@@ -780,10 +782,43 @@ impl<'p> JobScope<'p> {
         if let Some(r) = &self.config.metrics {
             report.metrics = Some(r.snapshot());
         }
-        report.diag = Some(diagnose(report, &self.flow, &self.config));
         if let Some(s) = self.server {
             s.shutdown();
         }
+    }
+
+    /// Fold a finished report plus the flow ledger and the accountant
+    /// into the classifier's inputs and run it — the report-time
+    /// counterpart of the live `/debug/diag` endpoint.
+    fn diagnose(&self, report: &JobReport) -> BottleneckReport {
+        let (config, flow) = (&self.config, &self.flow);
+        let us = |d: Duration| d.as_micros() as u64;
+        let t = &report.timings;
+        let inputs = DiagInputs {
+            wall_us: us(t.total()),
+            // When ingest is fused into the map rounds there is no serial
+            // ingest phase; the stall counters carry the pressure signal.
+            ingest_us: if t.is_fused() { 0 } else { us(t.phase(Phase::Ingest)) },
+            map_us: us(t.phase(Phase::Map)),
+            merge_us: us(t.phase(Phase::Merge)),
+            map_stall_us: us(report.stats.map_waiting) / config.map_workers.max(1) as u64,
+            ingest_stall_us: us(report.stats.ingest_waiting),
+            map_workers: config.map_workers.max(1) as u64,
+            budget_bytes: config.memory_budget.unwrap_or(0),
+            resident_bytes: self.accountant.as_ref().map_or(0, |a| a.resident()),
+            spill_runs: report.stats.spill_runs,
+            spill_bytes: report.stats.spill_bytes,
+            // The merge flow also carries the in-memory merge phase;
+            // without spilled runs that is all it carries, and none of it
+            // is the budget's doing.
+            spill_busy_us: if report.stats.spill_runs == 0 {
+                0
+            } else {
+                us(flow.busy(FlowPhase::Spill)) + us(flow.busy(FlowPhase::Merge))
+            },
+            flows: flow.snapshot(),
+        };
+        BottleneckReport::from_inputs(inputs)
     }
 }
 
@@ -835,8 +870,7 @@ pub fn run_with<J: MapReduce>(
         run_prefix: shared.run_prefix,
     };
     let config = &scope.config;
-    let ctx =
-        StageCtx { config, exec: scope.exec(), probe: StageProbe::new(config, &scope.tracer) };
+    let ctx = StageCtx { config, exec: scope.exec(), probe: scope.probe(config) };
     let stage = catching(|| pipeline::run(&Arc::new(job), input, ctx, wiring))?;
     let mut result = match stage.output {
         StageOutput::Pairs(pairs) => JobResult { pairs, report: stage.report },
@@ -863,50 +897,6 @@ fn compose_callbacks(
         (a, None) => a,
         (None, b) => b,
     }
-}
-
-/// Fold a finished report plus the flow ledger into the classifier's
-/// inputs and run it — the report-time counterpart of the live
-/// `/debug/diag` endpoint.
-fn diagnose(report: &JobReport, flow: &FlowLedger, config: &JobConfig) -> BottleneckReport {
-    let us = |d: Duration| d.as_micros() as u64;
-    let t = &report.timings;
-    let inputs = DiagInputs {
-        wall_us: us(t.total()),
-        // When ingest is fused into the map rounds there is no serial
-        // ingest phase; the stall counters carry the pressure signal.
-        ingest_us: if t.is_fused() { 0 } else { us(t.phase(Phase::Ingest)) },
-        map_us: us(t.phase(Phase::Map)),
-        merge_us: us(t.phase(Phase::Merge)),
-        map_stall_us: us(report.stats.map_waiting) / config.map_workers.max(1) as u64,
-        ingest_stall_us: us(report.stats.ingest_waiting),
-        map_workers: config.map_workers.max(1) as u64,
-        budget_bytes: config.memory_budget.unwrap_or(0),
-        resident_bytes: report
-            .metrics
-            .as_ref()
-            .and_then(|snap| {
-                snap.entries.iter().find(|e| e.name == "supmr.spill.resident_bytes").and_then(|e| {
-                    match &e.value {
-                        supmr_metrics::MetricValue::Gauge(v) => Some((*v).max(0) as u64),
-                        _ => None,
-                    }
-                })
-            })
-            .unwrap_or(0),
-        spill_runs: report.stats.spill_runs,
-        spill_bytes: report.stats.spill_bytes,
-        // The merge flow also carries the in-memory merge phase; without
-        // spilled runs that is all it carries, and none of it is the
-        // budget's doing.
-        spill_busy_us: if report.stats.spill_runs == 0 {
-            0
-        } else {
-            us(flow.busy(FlowPhase::Spill)) + us(flow.busy(FlowPhase::Merge))
-        },
-        flows: flow.snapshot(),
-    };
-    BottleneckReport::from_inputs(inputs)
 }
 
 /// A job's container insert handle.

@@ -21,8 +21,9 @@
 //!
 //! Out of scope, each with its own handles: the pool's dispatch
 //! metrics, the accountant's two gauges in [`SpillMetrics`], and
-//! storage-level meters — which may claim a ledger phase
-//! ([`FlowLedger::mark_external`]); the probe then stands down for it.
+//! storage-level meters, which write only their `supmr.storage.*`
+//! families. The flow ledger has no other writer, so a job's diagnosis
+//! is the same whether or not its storage was metered.
 
 use super::{JobConfig, JobStats, LocalOf, RoundRecord, StageReport};
 use crate::api::{AccOf, MapReduce};
@@ -263,9 +264,9 @@ pub(crate) struct StageProbe {
 
 impl StageProbe {
     /// The probe for one execution of a stage configured by `config`
-    /// (its runtime, registry and flow ledger), tracing into `tracer`.
-    /// The job clock starts now.
-    pub fn new(config: &JobConfig, tracer: &Tracer) -> StageProbe {
+    /// (its runtime and registry), tracing into `tracer` and recording
+    /// flows into `flow`. The job clock starts now.
+    pub fn new(config: &JobConfig, tracer: &Tracer, flow: Arc<FlowLedger>) -> StageProbe {
         let pipelined = config.chunking.is_pipelined();
         let runtime = if pipelined { "pipeline" } else { "original" };
         StageProbe {
@@ -273,7 +274,7 @@ impl StageProbe {
             tasks: tracer.level().tasks(),
             metrics: config.metrics.as_ref().map(|r| JobMetrics::register(r, runtime)),
             spill: None,
-            flow: config.flow.clone().unwrap_or_default(),
+            flow,
             clock: PhaseTimer::start_job(pipelined),
             stats: JobStats::default(),
         }
@@ -303,7 +304,7 @@ impl StageProbe {
             m.ingest_bytes.add(bytes);
             m.ingest_chunk_us.record_duration_us(took);
         }
-        self.flow.record_owned(FlowPhase::Ingest, bytes, took);
+        self.flow.record(FlowPhase::Ingest, bytes, took);
         took
     }
 
@@ -362,7 +363,7 @@ impl StageProbe {
         map();
         let took = t0.elapsed();
         drop(in_flight);
-        self.flow.record_owned(FlowPhase::Map, bytes, took);
+        self.flow.record(FlowPhase::Map, bytes, took);
         if let Some(m) = &self.metrics {
             m.scan_bytes.add(bytes);
             m.map_task_us.record_duration_us(took);
@@ -382,7 +383,7 @@ impl StageProbe {
         let Absorbed { entries, locks, lock_wait, busy, table } = container.absorb(local);
         drop(in_flight);
         let pair_bytes = std::mem::size_of::<(J::Key, AccOf<J>)>() as u64;
-        self.flow.record_owned(FlowPhase::Shuffle, entries * pair_bytes, busy);
+        self.flow.record(FlowPhase::Shuffle, entries * pair_bytes, busy);
         if let Some(m) = &self.metrics {
             m.absorb_wait_us.record_duration_us(lock_wait);
             m.absorb_batch.record(entries / locks.max(1));
@@ -445,7 +446,7 @@ impl StageProbe {
             if let Some(m) = &self.spill {
                 m.merge_us.record_duration_us(took);
             }
-            self.flow.record_owned(FlowPhase::Merge, run_bytes, took);
+            self.flow.record(FlowPhase::Merge, run_bytes, took);
         }
         if self.tasks {
             self.tracer.emit(match external {
@@ -545,11 +546,7 @@ impl StageProbe {
         if let Some(m) = &self.metrics {
             m.merge_rounds.add(u64::from(rounds));
         }
-        self.flow.record_owned(
-            FlowPhase::Merge,
-            elements_moved * pair_bytes as u64,
-            started.elapsed(),
-        );
+        self.flow.record(FlowPhase::Merge, elements_moved * pair_bytes as u64, started.elapsed());
     }
 
     /// The stage completed with `output_pairs`: stop the clocks and hand
@@ -596,7 +593,7 @@ impl SpillProbe {
                 m.bytes.add(bytes);
                 m.drain_us.record_duration_us(took);
             }
-            self.flow.record_owned(FlowPhase::Spill, bytes, took);
+            self.flow.record(FlowPhase::Spill, bytes, took);
         }
         if self.tasks {
             self.tracer.emit(EventKind::SpillRunEnd { run, records, bytes });
@@ -754,7 +751,7 @@ mod tests {
             })),
         );
         let config = JobConfig { metrics: Some(registry.clone()), ..JobConfig::default() };
-        let mut probe = StageProbe::new(&config, &tracer);
+        let mut probe = StageProbe::new(&config, &tracer, Arc::default());
         let recorded = probe.stall(StallSide::Map, 2, Duration::from_nanos(1_234_567));
         assert_eq!(recorded, Duration::from_micros(1234));
         assert_eq!(probe.stall(StallSide::Ingest, 3, Duration::ZERO), Duration::ZERO);
@@ -814,7 +811,7 @@ mod tests {
     fn absorb_records_the_shuffle_flow_and_unwinds_the_in_flight_gauge() {
         let registry = Registry::new();
         let config = JobConfig { metrics: Some(registry.clone()), ..JobConfig::default() };
-        let probe = StageProbe::new(&config, &Tracer::new(supmr_metrics::TraceLevel::Off, None));
+        let probe = StageProbe::new(&config, &Tracer::off(), Arc::default());
         let container = Boom.make_container();
         let local = || {
             let mut local = container.local();

@@ -668,7 +668,8 @@ mod tests {
 
     /// An uninstrumented spill state over `store`.
     fn spill_onto(store: Arc<dyn RunStore>) -> JobSpill<u64, u64> {
-        let probe = StageProbe::new(&JobConfig::default(), &Tracer::off()).spill_probe(None);
+        let probe = StageProbe::new(&JobConfig::default(), &Tracer::off(), Arc::default())
+            .spill_probe(None);
         JobSpill::new(
             Arc::new(MemoryAccountant::new(1024)),
             u64_codec(),

@@ -5,13 +5,12 @@
 //! memory-bound when the intermediate set thrashes. This module closes
 //! that loop inside the runtime:
 //!
-//! * [`FlowLedger`] — per-phase byte/busy-time accounting threaded
-//!   through every byte-moving layer (chunk ingest, map scans, stage
-//!   hand-offs, spill runs, the external merge), yielding achieved MB/s
-//!   per phase alongside the existing [`PhaseTimings`](crate::phase).
-//!   Each phase has exactly one recording owner; a storage-level meter
-//!   can claim a phase with [`FlowLedger::mark_external`], which tells
-//!   the runtime-level recorder to stand down (no double counting).
+//! * [`FlowLedger`] — per-phase byte/busy-time accounting of every
+//!   byte-moving site (chunk ingest, map scans, stage hand-offs, spill
+//!   runs, the external merge), yielding achieved MB/s per phase
+//!   alongside the existing [`PhaseTimings`](crate::phase). The
+//!   runtime's stage probe is its one writer, so a job's flows do not
+//!   depend on which storage devices (a meter, a throttle) it ran on.
 //! * [`DiagInputs`] + [`BottleneckReport`] — the classifier. It folds
 //!   flow rates, stall sums (`MapWaitingForChunk` /
 //!   `IngestWaitingForContainer`), the shuffle flow's busy time, and
@@ -28,7 +27,7 @@
 use crate::json::Json;
 use crate::registry::{Counter, MetricValue, MetricsSnapshot, Registry};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -94,9 +93,6 @@ struct FlowCounters {
 pub struct FlowLedger {
     bytes: [AtomicU64; 5],
     busy_ns: [AtomicU64; 5],
-    /// Phases claimed by an external (storage-level) meter; the
-    /// runtime-level recorder skips a claimed phase.
-    external: [AtomicBool; 5],
     counters: OnceLock<FlowCounters>,
 }
 
@@ -134,18 +130,6 @@ impl FlowLedger {
         });
     }
 
-    /// Claim `phase` for an external (storage-level) meter. The
-    /// runtime-level recorder checks [`FlowLedger::is_external`] and
-    /// stands down, so each phase has one owner.
-    pub fn mark_external(&self, phase: FlowPhase) {
-        self.external[phase.index()].store(true, Ordering::Relaxed);
-    }
-
-    /// Whether `phase` is owned by an external meter.
-    pub fn is_external(&self, phase: FlowPhase) -> bool {
-        self.external[phase.index()].load(Ordering::Relaxed)
-    }
-
     /// Record `bytes` moved in `phase` over `busy` of active time.
     pub fn record(&self, phase: FlowPhase, bytes: u64, busy: Duration) {
         let i = phase.index();
@@ -155,14 +139,6 @@ impl FlowLedger {
         if let Some(c) = self.counters.get() {
             c.bytes[i].add(bytes);
             c.busy_us[i].add(ns / 1_000);
-        }
-    }
-
-    /// Record from the runtime-level owner: a no-op when an external
-    /// meter has claimed the phase.
-    pub fn record_owned(&self, phase: FlowPhase, bytes: u64, busy: Duration) {
-        if !self.is_external(phase) {
-            self.record(phase, bytes, busy);
         }
     }
 
@@ -642,18 +618,6 @@ mod tests {
         assert_eq!(f.busy_us, 1_000_000);
         assert!((f.mb_per_sec() - 4.0).abs() < 1e-9, "4 MB over 1s = 4 MB/s");
         assert_eq!(snap.get(FlowPhase::Merge).bytes, 0);
-    }
-
-    #[test]
-    fn external_claims_silence_owned_records() {
-        let ledger = FlowLedger::new();
-        ledger.mark_external(FlowPhase::Ingest);
-        ledger.record_owned(FlowPhase::Ingest, 100, Duration::from_micros(10));
-        assert_eq!(ledger.bytes(FlowPhase::Ingest), 0, "runtime recorder stood down");
-        ledger.record(FlowPhase::Ingest, 100, Duration::from_micros(10));
-        assert_eq!(ledger.bytes(FlowPhase::Ingest), 100, "the external owner still records");
-        ledger.record_owned(FlowPhase::Spill, 7, Duration::ZERO);
-        assert_eq!(ledger.bytes(FlowPhase::Spill), 7, "unclaimed phases record normally");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!     together serve far more than the link carries) with real
 //!     wall-clock pacing;
 //!   * [`observe`] — [`IngestMeter`] counts bytes, calls and time spent
-//!     inside the storage layer ([`ObservedSource`]), the storage-side
-//!     complement of the runtime's event tracer;
+//!     inside the storage layer ([`ObservedSource`]) into a registry's
+//!     `supmr.storage.*` families, the storage-side complement of the
+//!     runtime's event tracer;
 //!   * [`fault`] — a [`Fault`] fails reads or writes by a deterministic
 //!     rule ([`FaultySource`]) for error-path tests.
 //! * [`spill`] — named run stores for the runtime's out-of-core spill
@@ -46,15 +47,18 @@
 //! assert_eq!(src.len(), 1024);
 //! assert_eq!(src.read_range(100, 24).unwrap(), vec![7u8; 24]);
 //!
-//! // The same wrappers stack on a run store: metered spill I/O on that
-//! // device.
-//! let meter = IngestMeter::new();
-//! let runs = ObservedSource::new(ThrottledSource::new(MemRunStore::new(), 64e6), meter.clone());
+//! // The same wrappers stack on a run store: spill I/O on that device,
+//! // metered into a registry's `supmr.storage.*` families.
+//! let registry = supmr_metrics::Registry::new();
+//! let meter = IngestMeter::with_registry(&registry);
+//! let runs = ObservedSource::new(ThrottledSource::new(MemRunStore::new(), 64e6), meter);
 //! runs.create("run0").unwrap().write_all(b"spilled").unwrap();
 //! let mut back = Vec::new();
 //! runs.open("run0").unwrap().read_to_end(&mut back).unwrap();
 //! assert_eq!(back, b"spilled");
-//! assert_eq!((meter.bytes_written(), meter.bytes_read()), (7, 7));
+//! let counter = |name| registry.counter(name, "", &[]).value();
+//! assert_eq!(counter("supmr.storage.bytes_written"), 7);
+//! assert_eq!(counter("supmr.storage.bytes_read"), 7);
 //! ```
 
 pub mod fault;

@@ -199,9 +199,10 @@ mod tests {
     //! One matrix: each device drives a source, a file set and a run
     //! store (write, then read) through the one wrapper.
     use super::*;
+    use crate::observe::tests::metered;
     use crate::{
-        Fault, FaultySource, IngestMeter, MemFileSet, MemRunStore, MemSource, ObservedSource,
-        SourceExt, ThrottledSource, TokenBucket,
+        Fault, FaultySource, MemFileSet, MemRunStore, MemSource, ObservedSource, SourceExt,
+        ThrottledSource, TokenBucket,
     };
 
     const N: usize = 32 * 1024;
@@ -267,28 +268,28 @@ mod tests {
 
     #[test]
     fn the_meter_counts_every_interface_and_passes_views() {
-        let meter = IngestMeter::new();
-        let mut src = ObservedSource::new(MemSource::from(data()), meter.clone());
+        let (meter, counter) = metered();
+        let mut src = ObservedSource::new(MemSource::from(data()), meter);
         assert_eq!(src.read_all().unwrap(), data());
-        assert_eq!(meter.bytes_read(), N as u64);
-        let calls = meter.read_calls();
+        assert_eq!(counter("bytes_read"), N as u64);
+        let calls = counter("read_calls");
         assert_eq!(src.shared().expect("the meter passes a view").as_ref(), &data()[..]);
-        assert_eq!(meter.bytes_read(), 2 * N as u64, "a view counts its length");
-        assert_eq!(meter.read_calls(), calls + 1, "a view counts as one read");
+        assert_eq!(counter("bytes_read"), 2 * N as u64, "a view counts its length");
+        assert_eq!(counter("read_calls"), calls + 1, "a view counts as one read");
 
-        let meter = IngestMeter::new();
-        let mut set = ObservedSource::new(files(), meter.clone());
+        let (meter, counter) = metered();
+        let mut set = ObservedSource::new(files(), meter);
         assert_eq!(read_files(&mut set).unwrap(), data());
-        assert_eq!((meter.bytes_read(), meter.read_calls()), (N as u64, 2));
+        assert_eq!((counter("bytes_read"), counter("read_calls")), (N as u64, 2));
         assert_eq!(set.shared_file(1).expect("the meter passes a view").len(), N / 2);
-        assert_eq!((meter.bytes_read(), meter.read_calls()), (3 * N as u64 / 2, 3));
+        assert_eq!((counter("bytes_read"), counter("read_calls")), (3 * N as u64 / 2, 3));
 
-        let meter = IngestMeter::new();
-        let store = ObservedSource::new(MemRunStore::new(), meter.clone());
+        let (meter, counter) = metered();
+        let store = ObservedSource::new(MemRunStore::new(), meter);
         write_run(&store, &data()).unwrap();
-        assert_eq!((meter.bytes_written(), meter.bytes_read()), (N as u64, 0));
+        assert_eq!((counter("bytes_written"), counter("bytes_read")), (N as u64, 0));
         assert_eq!(read_run(&store).unwrap(), data());
-        assert_eq!((meter.bytes_written(), meter.bytes_read()), (N as u64, N as u64));
+        assert_eq!((counter("bytes_written"), counter("bytes_read")), (N as u64, N as u64));
     }
 
     #[test]

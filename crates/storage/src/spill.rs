@@ -263,7 +263,8 @@ impl Drop for RunGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fault, FaultySource, IngestMeter, ObservedSource, ThrottledSource, TokenBucket};
+    use crate::observe::tests::metered;
+    use crate::{Fault, FaultySource, ObservedSource, ThrottledSource, TokenBucket};
     use std::time::Instant;
 
     fn temp_store(tag: &str) -> (DiskRunStore, PathBuf) {
@@ -367,14 +368,14 @@ mod tests {
     #[test]
     fn observed_store_feeds_both_directions() {
         let store = Arc::new(MemRunStore::new());
-        let meter = IngestMeter::new();
-        let observed = ObservedSource::new(store, meter.clone());
+        let (meter, counter) = metered();
+        let observed = ObservedSource::new(store, meter);
         write_run(&observed, "m", &vec![1u8; 4096]);
-        assert_eq!(meter.bytes_written(), 4096);
-        assert!(meter.write_calls() >= 1);
+        assert_eq!(counter("bytes_written"), 4096);
+        assert!(counter("write_calls") >= 1);
         let back = read_run(&observed, "m");
         assert_eq!(back.len(), 4096);
-        assert_eq!(meter.bytes_read(), 4096);
+        assert_eq!(counter("bytes_read"), 4096);
     }
 
     #[test]
